@@ -3,8 +3,13 @@
 Polynomials are plain lists of ints in [0, p), low-to-high, with no trailing
 zeros ([] is the zero polynomial).  Everything here serves two internal
 clients: modulus selection for extension fields, and the modular stage of
-integer-polynomial factorization.  p is always an odd prime ≥ 3 for the
+integer-polynomial factorization.  p is an odd prime ≥ 3 for the
 factorization routines; the irreducibility test works for any prime.
+
+Hensel lifting also calls trim, add, sub, mul and div_rem with a composite
+modulus p**(2**k).  The first four work for any modulus; div_rem is correct
+there only when the divisor is monic, since it inverts the leading
+coefficient as if p were prime.
 """
 
 from __future__ import annotations
@@ -100,13 +105,6 @@ def pow_mod(a, e: int, m, p):
 
 def deriv(a, p):
     return trim([(i * a[i]) % p for i in range(1, len(a))])
-
-
-def evaluate(a, x, p):
-    y = 0
-    for c in reversed(a):
-        y = (y * x + c) % p
-    return y
 
 
 def is_irreducible(m, p) -> bool:

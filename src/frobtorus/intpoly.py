@@ -147,7 +147,7 @@ X = IntPoly([0, 1])
 def divmod_exact(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     """Quotient and remainder over Q, demanding integer results.
 
-    Raises ValueError when the division leaves Z[x]; use divides() to probe.
+    Raises ValueError when the division leaves Z[x].
     """
     q, r = _divmod_q(a, b)
     return _as_int_poly(q), _as_int_poly(r)
@@ -180,15 +180,6 @@ def _as_int_poly(fracs: list) -> IntPoly:
             raise ValueError("division is not exact over the integers")
         out.append(c.numerator)
     return IntPoly(out)
-
-
-def divides(b: IntPoly, a: IntPoly) -> bool:
-    """True when b divides a in Q[x] with an integer quotient."""
-    try:
-        _, r = divmod_exact(a, b)
-    except ValueError:
-        return False
-    return r.is_zero
 
 
 def divmod_monic(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
@@ -450,64 +441,19 @@ def _mignotte_bound(F: IntPoly) -> int:
     return (1 << F.degree) * norm2
 
 
-def _mtrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _madd(a, b, M):
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % M
-    return _mtrim(out)
-
-
-def _msub(a, b, M):
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % M
-    return _mtrim([c % M for c in out])
-
-
-def _mmul(a, b, M):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * cb) % M
-    return _mtrim(out)
-
-
-def _mdivmod_monic(a, b, M):
-    rem = list(a)
-    db = len(b) - 1
-    if len(rem) - 1 < db:
-        return [], _mtrim(rem)
-    quo = [0] * (len(rem) - db)
-    for d in range(len(rem) - 1 - db, -1, -1):
-        c = rem[d + db] % M
-        if c:
-            quo[d] = c
-            for i, cb in enumerate(b):
-                rem[d + i] = (rem[d + i] - c * cb) % M
-    return _mtrim(quo), _mtrim([c % M for c in rem[:db]])
-
-
 def _hensel_step(f, g, h, s, t, m):
     # one quadratic lift: f = g*h and s*g + t*h = 1, mod m -> mod m*m
-    # (h monic; all polynomials are int lists low-to-high)
+    # (h monic, so _fpx.div_rem is exact modulo the composite m*m)
     M = m * m
-    e = _msub([c % M for c in f], _mmul(g, h, M), M)
-    q, r = _mdivmod_monic(_mmul(s, e, M), h, M)
-    g_star = _madd(_madd(g, _mmul(t, e, M), M), _mmul(q, g, M), M)
-    h_star = _madd(h, r, M)
-    b = _msub(_madd(_mmul(s, g_star, M), _mmul(t, h_star, M), M), [1], M)
-    c2, d2 = _mdivmod_monic(_mmul(s, b, M), h_star, M)
-    s_star = _msub(s, d2, M)
-    t_star = _msub(_msub(t, _mmul(t, b, M), M), _mmul(c2, g_star, M), M)
+    add, sub, mul = _fpx.add, _fpx.sub, _fpx.mul
+    e = sub([c % M for c in f], mul(g, h, M), M)
+    q, r = _fpx.div_rem(mul(s, e, M), h, M)
+    g_star = add(add(g, mul(t, e, M), M), mul(q, g, M), M)
+    h_star = add(h, r, M)
+    b = sub(add(mul(s, g_star, M), mul(t, h_star, M), M), [1], M)
+    c2, d2 = _fpx.div_rem(mul(s, b, M), h_star, M)
+    s_star = sub(s, d2, M)
+    t_star = sub(sub(t, mul(t, b, M), M), mul(c2, g_star, M), M)
     return g_star, h_star, s_star, t_star
 
 
@@ -522,9 +468,7 @@ def _lift_split(f, left, right, p, target):
     s, t = _fpx.bezout(g, h, p)
     m = p
     while m < target:
-        fm = [c % (m * m) for c in f]
-        while fm and fm[-1] == 0:
-            fm.pop()
+        fm = _fpx.trim([c % (m * m) for c in f])
         g, h, s, t = _hensel_step(fm, g, h, s, t, m)
         m *= m
     return g, h, m
@@ -540,10 +484,7 @@ def _hensel_lift_all(f, factors_p, p, target):
         m = p
         while m < target:
             m *= m
-        fm = [c % m for c in f]
-        while fm and fm[-1] == 0:
-            fm.pop()
-        return [fm], m
+        return [_fpx.trim([c % m for c in f])], m
     half = len(factors_p) // 2
     left, right = factors_p[:half], factors_p[half:]
     g, h, m = _lift_split(f, left, right, p, target)
@@ -590,7 +531,9 @@ def _zassenhaus_squarefree(F: IntPoly, prime_index: int) -> list[IntPoly]:
                 dsum = sum(len(lifted[i]) - 1 for i in combo)
                 if not (allowed >> dsum) & 1:
                     continue
-                prod = _mul_mod(combo, lifted, modulus)
+                prod = [1]
+                for i in combo:
+                    prod = _fpx.mul(prod, lifted[i], modulus)
                 cand = IntPoly([_sym(c, modulus) for c in prod])
                 quo, rem2 = divmod_monic(target, cand)
                 if rem2.is_zero:
@@ -607,18 +550,6 @@ def _zassenhaus_squarefree(F: IntPoly, prime_index: int) -> list[IntPoly]:
     out = [h.shift_scale(b).primitive() for h in found_monic]
     out.sort(key=lambda h: (h.degree, h.coeffs))
     return out
-
-
-def _mul_mod(combo, lifted, modulus):
-    prod = [1]
-    for i in combo:
-        nxt = [0] * (len(prod) + len(lifted[i]) - 1)
-        for a, ca in enumerate(prod):
-            if ca:
-                for bj, cb in enumerate(lifted[i]):
-                    nxt[a + bj] = (nxt[a + bj] + ca * cb) % modulus
-        prod = nxt
-    return prod
 
 
 def factor(f: IntPoly, prime_index: int = 0) -> tuple[int, list[tuple[IntPoly, int]]]:

@@ -1,11 +1,13 @@
 """Curve-family surveys: enumerate equations, run the pipeline per curve,
 persist JSONL records, and aggregate verdict fractions.
 
-Persistence is append-only JSONL with a config fingerprint header, so an
-interrupted run resumes by scanning keys already present (a partial trailing
-line from a kill mid-write is truncated).  Output order is enumeration
-order even under worker-pool parallelism, keeping files byte-identical
-across runs up to the timing field.
+Persistence is append-only JSONL with a config fingerprint header.  One
+reader serves both resume and report: an interrupted run resumes by skipping
+the keys already present (a partial trailing line from a kill mid-write is
+truncated), and neither accepts a repeated curve or a record from another
+family.  Output order is enumeration order even under worker-pool
+parallelism, keeping files byte-identical across runs up to the timing
+field.
 
 Surveys count equations, not isomorphism classes; summaries carry that bias
 note and label results as empirical fractions.
@@ -150,68 +152,71 @@ def _analyze_equation(args) -> tuple[str, dict | None]:
     return key, curve_record(C)
 
 
-def _scan_existing(path: str, cfg: SurveyConfig):
-    """Read an existing survey file for resume.
+def _read_survey(data: bytes):
+    """Parse survey-file bytes into (header, records, keep).
 
-    Returns (keys, kind_counts, valid, keep_bytes) where keep_bytes is the
-    prefix length to retain (a partial trailing line is dropped).
+    header is the header object, or None when line 1 is a record; records
+    are (line, obj) pairs; keep is the byte length of the prefix made of
+    whole lines.  A half-written last line, with or without its newline, is
+    left out of keep without raising.  The header, or in a headerless file
+    the first record, fixes the family (field, genus, deg f).  Raises
+    CorruptRecord with the 1-based line for an unreadable line before the
+    last, a record that is not an object with a string curve, a curve that
+    repeats an earlier line, or a record from another family.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except FileNotFoundError:
-        return set(), dict.fromkeys(KIND_ORDER, 0), 0, None
-    if not data:
-        return set(), dict.fromkeys(KIND_ORDER, 0), 0, None
-    keys: set[str] = set()
-    kinds = dict.fromkeys(KIND_ORDER, 0)
-    valid = 0
-    offset = 0
-    lineno = 0
+    header = family = None
+    records = []
+    seen: dict[str, int] = {}
     keep = 0
-    header_seen = False
-    while offset < len(data):
-        nl = data.find(b"\n", offset)
-        if nl < 0:
-            break  # partial trailing line: drop it
-        line = data[offset:nl]
-        lineno += 1
+    for lineno, raw in enumerate(data.split(b"\n"), start=1):
+        end = keep + len(raw) + 1
+        if end > len(data):
+            break  # no newline: empty tail or half-written last line
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            if data.find(b"\n", nl + 1) < 0:
-                break  # half-written final line that still got its newline
-            raise CorruptRecord(
-                f"unreadable record at line {lineno}", line=lineno
-            ) from None
-        if not header_seen:
-            header_seen = True
-            if (
-                not isinstance(obj, dict)
-                or obj.get("format") != FORMAT
-                or obj.get("p") != cfg.p
-                or obj.get("genus") != cfg.genus
-                or obj.get("degree") != cfg.degree
-            ):
-                raise ResumeMismatch(
-                    f"existing file {path} holds a different survey "
-                    f"(header {obj!r})"
-                )
+            obj = json.loads(raw)
+        except ValueError:
+            if end == len(data):
+                break  # half-written last line that still got its newline
+            raise CorruptRecord(f"line {lineno} is not JSON", line=lineno) from None
+        if lineno == 1 and isinstance(obj, dict) and "format" in obj:
+            header = obj
+            family = (obj.get("p"), obj.get("genus"), obj.get("degree"))
         else:
-            if not isinstance(obj, dict) or "curve" not in obj:
-                raise CorruptRecord(f"record at line {lineno} has no curve key",
-                                    line=lineno)
-            keys.add(obj["curve"])
-            kind = obj.get("verdict", {}).get("kind")
-            if kind in kinds:
-                kinds[kind] += 1
-            valid += 1
-        offset = nl + 1
-        keep = offset
-    return keys, kinds, valid, keep
+            if not isinstance(obj, dict) or not isinstance(obj.get("curve"), str):
+                raise CorruptRecord(
+                    f"line {lineno} is not a record with a curve key", line=lineno
+                )
+            first = seen.setdefault(obj["curve"], lineno)
+            if first != lineno:
+                raise CorruptRecord(
+                    f"line {lineno} repeats the curve of line {first}", line=lineno
+                )
+            own = _record_family(obj)
+            family = family or own
+            if own != family:
+                raise CorruptRecord(
+                    "line {} is from family ({}, {}, {}), not ({}, {}, {})".format(
+                        lineno, *own, *family
+                    ),
+                    line=lineno,
+                )
+            records.append((lineno, obj))
+        keep = end
+    return header, records, keep
 
 
-def _result_stream(cfg: SurveyConfig, skip_keys: set[str]):
+def _record_family(obj: dict) -> tuple:
+    # (field, genus, deg f) from the curve key "p[^k]; h=...; f=..." and counts
+    field, _, rest = obj["curve"].partition(";")
+    f_text = rest.rpartition("f=")[2]
+    deg = (f_text.count("(") or f_text.count(",") + 1) - 1
+    counts = obj.get("counts")
+    genus = counts.get("g") if isinstance(counts, dict) else None
+    field = field.strip()
+    return int(field) if field.isdigit() else field, genus, deg
+
+
+def _result_stream(cfg: SurveyConfig, skip_keys: dict[str, object]):
     """Yield ('skip', key, None) or ('new', key, record|None) in enumeration
     order, analyzing concurrently when cfg.jobs > 1."""
     tasks = (
@@ -256,49 +261,64 @@ def run_survey(cfg: SurveyConfig, out_path: str | None = None, stream=None) -> d
     stdout) when no path is given.
     """
     t_start = time.perf_counter()
-    keys: set[str] = set()
-    kinds = dict.fromkeys(KIND_ORDER, 0)
-    valid = 0
-    fh = None
+    stored: dict[str, object] = {}
     if out_path is not None:
-        keys, kinds, valid, keep = _scan_existing(out_path, cfg)
-        if keep is None or keep == 0:
-            fh = open(out_path, "w", encoding="utf-8")
+        try:
+            with open(out_path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            data = b""
+        header, records, keep = _read_survey(data)
+        if keep and header != _header(cfg):
+            raise ResumeMismatch(
+                f"existing file {out_path} holds a different survey "
+                f"(header {header!r})"
+            )
+        for _, obj in records:
+            verdict = obj.get("verdict")
+            stored[obj["curve"]] = (
+                verdict.get("kind") if isinstance(verdict, dict) else None
+            )
+        fh = open(out_path, "a", encoding="utf-8")
+        fh.truncate(keep)
+        if not keep:
             fh.write(_header_line(cfg))
             fh.flush()
-        else:
-            fh = open(out_path, "r+", encoding="utf-8")
-            fh.truncate(keep)
-            fh.seek(0, 2)
     else:
         fh = stream if stream is not None else sys.stdout
         fh.write(_header_line(cfg))
-    enumerated = 0
-    singular = 0
+    kinds = dict.fromkeys(KIND_ORDER, 0)
+    enumerated = valid = singular = 0
     try:
-        for tag, key, record in _result_stream(cfg, keys):
+        for tag, key, record in _result_stream(cfg, stored):
             enumerated += 1
             if tag == "skip":
-                continue
-            if record is None:
+                kind = stored[key]
+            elif record is None:
                 singular += 1
                 continue
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-            fh.flush()
+            else:
+                fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+                fh.flush()
+                kind = record["verdict"]["kind"]
             valid += 1
-            kinds[record["verdict"]["kind"]] += 1
+            if kind in KIND_ORDER:
+                kinds[kind] += 1
             if cfg.limit is not None and valid >= cfg.limit:
                 break
     finally:
-        if out_path is not None and fh is not None:
+        if out_path is not None:
             fh.close()
     elapsed = time.perf_counter() - t_start
     return _summary(cfg, enumerated, valid, singular, kinds, elapsed)
 
 
+def _header(cfg: SurveyConfig) -> dict:
+    return {"format": FORMAT, "p": cfg.p, "genus": cfg.genus, "degree": cfg.degree}
+
+
 def _header_line(cfg: SurveyConfig) -> str:
-    head = {"format": FORMAT, "p": cfg.p, "genus": cfg.genus, "degree": cfg.degree}
-    return json.dumps(head, separators=(",", ":")) + "\n"
+    return json.dumps(_header(cfg), separators=(",", ":")) + "\n"
 
 
 def _summary(cfg, enumerated, valid, singular, kinds, elapsed) -> dict:
@@ -328,7 +348,7 @@ def run_find(cfg: SurveyConfig, stream=None) -> int:
     """
     fh = stream if stream is not None else sys.stdout
     found = 0
-    for tag, key, record in _result_stream(cfg, set()):
+    for tag, key, record in _result_stream(cfg, {}):
         if record is None:
             continue
         if record["verdict"]["kind"] == ABSOLUTELY_SIMPLE:
@@ -368,38 +388,31 @@ def analyze_one(curve_text: str | None = None, weil_json=None) -> dict:
 def report(path: str) -> dict:
     """Re-verify every record in a survey file and aggregate.
 
-    Raises CorruptRecord (with the offending line number) when a record is
-    unreadable or fails its self-verification replay.
+    Raises CorruptRecord (with the offending line number) when a line is
+    unreadable or torn, a curve repeats, a record is from another family,
+    the header has another format, or a record fails its self-verification
+    replay.
     """
     with open(path, "rb") as fh:
         data = fh.read()
+    header, records, keep = _read_survey(data)
+    if keep < len(data):
+        lineno = data.count(b"\n", 0, keep) + 1
+        raise CorruptRecord(f"line {lineno} is torn", line=lineno)
+    if header is not None and header["format"] != FORMAT:
+        raise CorruptRecord(f"unknown format {header['format']!r}", line=1)
     kinds = dict.fromkeys(KIND_ORDER, 0)
-    records = 0
-    first_content = True
-    for lineno, raw in enumerate(data.split(b"\n"), start=1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError:
-            raise CorruptRecord(f"line {lineno} is not JSON", line=lineno) from None
-        if first_content and isinstance(obj, dict) and "format" in obj:
-            first_content = False
-            if obj["format"] != FORMAT:
-                raise CorruptRecord(f"unknown format {obj['format']!r}", line=lineno)
-            continue
-        first_content = False
+    for lineno, obj in records:
         try:
             _verify_record(obj)
         except FrobtorusError as bad:
             raise CorruptRecord(
                 f"record at line {lineno} fails verification: {bad}", line=lineno
             ) from None
-        records += 1
         kinds[obj["verdict"]["kind"]] += 1
-    frac = kinds[ABSOLUTELY_SIMPLE] / records if records else 0.0
+    frac = kinds[ABSOLUTELY_SIMPLE] / len(records) if records else 0.0
     return {
-        "records": records,
+        "records": len(records),
         "by_kind": {k: kinds[k] for k in KIND_ORDER},
         "absolutely_simple_fraction": frac,
         "verified": True,

@@ -142,6 +142,19 @@ def test_resume_with_higher_limit_extends_the_same_file(tmp_path):
     )
 
 
+def test_rerunning_a_finished_limit_survey_changes_nothing(tmp_path):
+    cfg, path, first = _run_to_file(tmp_path, p=3, genus=2, degree=5, limit=5)
+    data = path.read_bytes()
+    assert (first["enumerated"], first["valid"], first["singular_skipped"]) == (
+        33, 5, 28)
+    for _ in range(2):
+        again = run_survey(cfg, out_path=str(path))
+        assert path.read_bytes() == data
+        assert {k: v for k, v in again.items() if k != "elapsed_s"} == {
+            k: v for k, v in first.items() if k != "elapsed_s"
+        }
+
+
 def test_resume_rejects_mismatched_header(tmp_path):
     _, path, _ = _run_to_file(tmp_path, p=3, genus=1, degree=3, limit=3)
     with pytest.raises(ResumeMismatch):
@@ -158,6 +171,60 @@ def test_resume_rejects_corrupt_interior_line(tmp_path):
     with pytest.raises(CorruptRecord) as exc:
         run_survey(SurveyConfig(p=3, genus=1, degree=3), out_path=str(path))
     assert exc.value.line == 3
+
+
+@pytest.fixture(scope="module")
+def p3_limit5(tmp_path_factory):
+    """A p=3 g=2 deg 5 survey file with a header and five records."""
+    path = tmp_path_factory.mktemp("p3") / "limit5.jsonl"
+    run_survey(SurveyConfig(p=3, genus=2, degree=5, limit=5), out_path=str(path))
+    return path.read_bytes()
+
+
+def _tampered(data: bytes, case: str) -> bytes:
+    lines = data.decode().splitlines()
+    if case == "duplicate":
+        lines.append(lines[1])
+    elif case == "foreign":
+        p5 = curve_record(curve_from_text("5; h=; f=0,1,0,0,0,1"))
+        lines.append(json.dumps(p5))
+    elif case == "torn":
+        return data[:-20]
+    elif case == "format":
+        lines[0] = lines[0].replace(FORMAT, "frobtorus-survey-v0")
+    return ("\n".join(lines) + "\n").encode()
+
+
+# (exception type, .line) per caller; None means resume recovers
+READ_EXPECTED = {
+    "duplicate": {"report": (CorruptRecord, 7), "resume": (CorruptRecord, 7)},
+    "foreign": {"report": (CorruptRecord, 7), "resume": (CorruptRecord, 7)},
+    "torn": {"report": (CorruptRecord, 6), "resume": None},
+    "format": {"report": (CorruptRecord, 1), "resume": (ResumeMismatch, None)},
+}
+
+
+@pytest.mark.parametrize("case", list(READ_EXPECTED))
+@pytest.mark.parametrize("caller", ["report", "resume"])
+def test_report_and_resume_read_with_one_set_of_rules(
+    tmp_path, p3_limit5, case, caller
+):
+    path = tmp_path / "s.jsonl"
+    path.write_bytes(_tampered(p3_limit5, case))
+    cfg = SurveyConfig(p=3, genus=2, degree=5, limit=5)
+    run = {"report": lambda: report(str(path)),
+           "resume": lambda: run_survey(cfg, out_path=str(path))}[caller]
+    expected = READ_EXPECTED[case][caller]
+    if expected is None:
+        run()  # resume drops the torn line and recomputes its record
+        assert _strip_timing(path.read_text().splitlines()) == _strip_timing(
+            p3_limit5.decode().splitlines()
+        )
+        return
+    exc_type, line = expected
+    with pytest.raises(exc_type) as exc:
+        run()
+    assert getattr(exc.value, "line", None) == line
 
 
 def test_jobs_parallel_output_matches_serial(tmp_path):
