@@ -28,6 +28,12 @@ _VERIFY_FAILURES = (
 )
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frobtorus",
@@ -40,17 +46,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--p", type=int, required=True, help="field characteristic")
     sv.add_argument("--genus", type=int, required=True)
     sv.add_argument("--deg", type=int, required=True, help="degree of f (2g+1 or 2g+2)")
-    sv.add_argument("--limit", type=int, default=None,
+    sv.add_argument("--limit", type=_positive_int, default=None,
                     help="stop after this many valid curves")
     sv.add_argument("--out", default=None,
                     help="JSONL output path (resumable); default stdout")
-    sv.add_argument("--jobs", type=int, default=1,
+    sv.add_argument("--jobs", type=_positive_int, default=1,
                     help="worker processes for curve analysis")
 
     fd = sub.add_parser("find", help="print absolutely simple curves as found")
     fd.add_argument("--p", type=int, required=True)
     fd.add_argument("--genus", type=int, required=True)
-    fd.add_argument("--count", type=int, required=True,
+    fd.add_argument("--count", type=_positive_int, required=True,
                     help="stop after this many hits")
 
     an = sub.add_parser("analyze", help="full pipeline on one curve or polynomial")
@@ -76,9 +82,8 @@ def main(argv=None) -> int:
                 print(json.dumps(summary, indent=2))
         elif args.cmd == "find":
             cfg = SurveyConfig(p=args.p, genus=args.genus,
-                               degree=2 * args.genus + 1,
-                               mode="find", find_count=args.count)
-            found = run_find(cfg)
+                               degree=2 * args.genus + 1)
+            found = run_find(cfg, args.count)
             if found < args.count:
                 print(f"family exhausted after {found} hit(s)", file=sys.stderr)
         elif args.cmd == "analyze":

@@ -184,7 +184,12 @@ def count_points(C: HyperellipticCurve, i: int) -> int:
 
 
 def counts_up_to_genus(C: HyperellipticCurve) -> PointCounts:
-    """(N_1, ..., N_g) with the Weil bound verified exactly."""
+    """(N_1, ..., N_g) with the Weil bound verified exactly.
+
+    F_{q^g} is built before any counting, so a curve whose largest field is
+    past the size cap raises SizeExceeded at once.
+    """
+    gf.field_create(C.base.p, C.base.k * C.genus)
     ns = tuple(count_points(C, i) for i in range(1, C.genus + 1))
     return PointCounts(q=C.base.q, g=C.genus, counts=ns)
 

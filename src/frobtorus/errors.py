@@ -34,7 +34,7 @@ class WeilBoundViolated(FrobtorusError):
 
 
 class NonIntegralCoefficient(FrobtorusError):
-    """A Newton-identity division was not exact: the counts are inconsistent."""
+    """A Newton-identity division was not exact: the power sums are inconsistent."""
 
 
 class InvariantViolation(FrobtorusError):

@@ -1,11 +1,12 @@
 """Exact integer-polynomial algebra.
 
 Everything here is arbitrary precision and division-free or exactly-divided;
-no floating point.  Degrees in scope are small (factorization caps at 16, the
-bivariate resultants peak at a few dozen), so the algorithms favor
+no floating point.  Degrees in scope are small (factorization caps at 16,
+composed products reach (2g)^2), so the algorithms favor
 
+  - Newton's identities between a monic polynomial and its root power sums,
   - subresultant PRS for resultants,
-  - evaluation/interpolation for the bivariate resultant,
+  - evaluation/interpolation for the bivariate resultant (a test reference),
   - Yun + modular Zassenhaus (DDF, Cantor-Zassenhaus, quadratic Hensel
     lifting, subset recombination) for factorization over Q,
 
@@ -21,7 +22,7 @@ import random
 from fractions import Fraction
 
 from . import _fpx
-from .errors import InvariantViolation, ZeroPolynomial
+from .errors import InvariantViolation, NonIntegralCoefficient, ZeroPolynomial
 
 FACTOR_DEGREE_CAP = 16
 
@@ -200,16 +201,46 @@ def divmod_monic(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     return IntPoly(quo), IntPoly(rem[:db])
 
 
-def powmod_monic(base: IntPoly, e: int, mod: IntPoly) -> IntPoly:
-    """base**e reduced modulo a monic polynomial, exactly over Z."""
-    result = IntPoly([1])
-    acc = divmod_monic(base, mod)[1]
-    while e:
-        if e & 1:
-            result = divmod_monic(result * acc, mod)[1]
-        acc = divmod_monic(acc * acc, mod)[1]
-        e >>= 1
-    return result
+def root_power_sums(f: IntPoly, K: int) -> list[int]:
+    """[S_1, ..., S_K], S_k the sum of the k-th powers of the roots of the
+    monic f, by Newton's recurrence (exact over Z).
+
+    >>> root_power_sums(IntPoly([2, 0, 1]), 4)  # roots +-i*sqrt(2)
+    [0, -4, 0, 8]
+    """
+    if not f.is_monic:
+        raise ValueError("power sums need a monic polynomial")
+    d = f.degree
+    a = f.coeffs[::-1]  # a[j] multiplies x^(d-j); a[0] = 1
+    S: list[int] = []
+    for k in range(1, K + 1):
+        acc = k * a[k] if k <= d else 0
+        for j in range(1, min(k - 1, d) + 1):
+            acc += a[j] * S[k - 1 - j]
+        S.append(-acc)
+    return S
+
+
+def from_power_sums(S) -> IntPoly:
+    """The monic polynomial of degree len(S) whose roots have power sums
+    S_1, S_2, ...; Newton's identities k*a_k = -(S_1 a_(k-1) + ... + S_k a_0).
+
+    Raises NonIntegralCoefficient when a division by k leaves Z.
+
+    >>> from_power_sums([0, -4])
+    IntPoly([2, 0, 1])
+    """
+    a = [1]
+    for k in range(1, len(S) + 1):
+        acc = 0
+        for j in range(1, k + 1):
+            acc += S[j - 1] * a[k - j]
+        if acc % k:
+            raise NonIntegralCoefficient(
+                f"Newton identity at k={k} divides {-acc} by {k} inexactly"
+            )
+        a.append(-acc // k)
+    return IntPoly(a[::-1])
 
 
 def _prem(a: IntPoly, b: IntPoly) -> IntPoly:

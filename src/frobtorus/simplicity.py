@@ -12,7 +12,9 @@ eigenvalues alpha_1..alpha_2g:
     phi(m) <= (2g)^2.
 
 That turns "for every power of Frobenius" into a finite list of cyclotomic
-divisibility tests, each replayable from the emitted certificate.
+divisibility tests, each replayable from the emitted certificate.  The power
+charpolys and the ratio polynomial are rebuilt exactly from eigenvalue power
+sums by Newton's identities (intpoly.root_power_sums, from_power_sums).
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ from .intpoly import (
     cyclotomic,
     divmod_monic,
     factor,
-    powmod_monic,
-    resultant_y,
+    from_power_sums,
+    root_power_sums,
     squarefree_part,
 )
+from .intpoly import resultant_y  # noqa: F401  (perfbench/tracing.py hooks this name)
 from .zeta import WeilPolynomial, decode_int, encode_int, prime_power
 
 ABSOLUTELY_SIMPLE = "AbsolutelySimple"
@@ -40,16 +43,6 @@ INCONCLUSIVE = "Inconclusive"
 
 REASON_REPEATED_BASE = "repeated-factor base"
 REASON_PURE_POWER = "degree drop with pure non-ordinary power"
-
-
-@dataclass(frozen=True)
-class FrobeniusPowerReport:
-    """Exact data for pi^n: its characteristic and minimal polynomials."""
-
-    n: int
-    charpoly_n: IntPoly
-    minpoly_n: IntPoly
-    degree_n: int
 
 
 @dataclass(frozen=True)
@@ -64,36 +57,16 @@ class SimplicityVerdict:
 def charpoly_power(P: WeilPolynomial, n: int) -> IntPoly:
     """Monic integer polynomial whose roots are the alpha_i^n.
 
-    Computed as Res_y(P(y), T - s(y)) with s = y^n mod P; reducing first
-    keeps the resultant at y-degree < 2g.  Exactness checks (monic, constant
-    term q^(gn), functional equation over q^n) run on every call.
+    Newton's identities rebuild it from the power sums S_n, S_2n, ...,
+    S_2gn of the roots of P.  Every call checks the result as a Weil
+    polynomial over q^n: monic, constant term q^(gn), functional equation.
     """
     if n < 1:
         raise ValueError("power must be >= 1")
-    Pp = IntPoly(P.coeffs)
-    if n == 1:
-        return Pp
-    s = powmod_monic(IntPoly([0, 1]), n, Pp)
-    if s.degree <= 0:
-        c = s.coeffs[0] if s.coeffs else 0
-        out = IntPoly([-c, 1]) ** (2 * P.g)
-    else:
-        g_y = [IntPoly([-s.coeffs[0], 1])]
-        g_y += [IntPoly([-c]) for c in s.coeffs[1:]]
-        out = resultant_y(Pp, g_y)
-    _check_weil_shape(out, P.q ** n, P.g)
-    return out
-
-
-def _check_weil_shape(C: IntPoly, qn: int, g: int) -> None:
-    c = C.coeffs
-    if C.degree != 2 * g or c[-1] != 1:
-        raise InvariantViolation("power charpoly must be monic of degree 2g")
-    if c[0] != qn ** g:
-        raise InvariantViolation("power charpoly constant term must be q^(g*n)")
-    for i in range(g + 1):
-        if c[i] != qn ** (g - i) * c[2 * g - i]:
-            raise InvariantViolation("power charpoly fails the functional equation")
+    S = root_power_sums(IntPoly(P.coeffs), 2 * P.g * n)
+    C = from_power_sums(S[n - 1::n])
+    WeilPolynomial(q=P.q ** n, g=P.g, coeffs=C.coeffs)
+    return C
 
 
 def minpoly_power(P: WeilPolynomial, n: int) -> IntPoly:
@@ -102,24 +75,25 @@ def minpoly_power(P: WeilPolynomial, n: int) -> IntPoly:
     return squarefree_part(charpoly_power(P, n))
 
 
-def frobenius_power_report(P: WeilPolynomial, n: int) -> FrobeniusPowerReport:
-    cp = charpoly_power(P, n)
-    mp = squarefree_part(cp)
-    return FrobeniusPowerReport(n=n, charpoly_n=cp, minpoly_n=mp, degree_n=mp.degree)
-
-
 def ratio_poly(P: WeilPolynomial) -> IntPoly:
     """R(x) = Res_y(P(y), sum_i c_i x^(2g-i) y^i), degree (2g)^2.
 
     R vanishes exactly at the eigenvalue ratios alpha_j/alpha_i; (x-1)^2g
-    splits off from the diagonal pairs.  Content is not stripped.
+    splits off from the diagonal pairs.  Content is not stripped.  Computed
+    as R~(qx)/q^(2g^2), where R~ is the monic polynomial with roots the
+    products alpha_i*alpha_j = q*alpha_i/conj(alpha_j): its power sums are
+    S_k^2.
     """
     Pp = IntPoly(P.coeffs)
     if squarefree_part(Pp) != Pp:
         raise ValueError("ratio_poly requires squarefree input")
     n = 2 * P.g
-    g_y = [IntPoly([0] * (n - i) + [c]) for i, c in enumerate(P.coeffs)]
-    R = resultant_y(Pp, g_y)
+    Rt = from_power_sums([s * s for s in root_power_sums(Pp, n * n)])
+    scaled = [c * P.q ** i for i, c in enumerate(Rt.coeffs)]
+    den = P.q ** (n * n // 2)
+    if any(c % den for c in scaled):
+        raise InvariantViolation("ratio polynomial is not integral")
+    R = IntPoly([c // den for c in scaled])
     if R.degree != n * n:
         raise InvariantViolation(f"ratio polynomial degree {R.degree} != (2g)^2")
     return R

@@ -62,8 +62,6 @@ class SurveyConfig:
     genus: int
     degree: int
     limit: int | None = None
-    mode: str = "full"  # "full" or "find"
-    find_count: int | None = None
     jobs: int = 1
 
     def __post_init__(self):
@@ -73,10 +71,6 @@ class SurveyConfig:
             raise BadDegrees(
                 f"deg f = {self.degree} incompatible with genus {self.genus}"
             )
-        if self.mode not in ("full", "find"):
-            raise ValueError(f"unknown survey mode {self.mode!r}")
-        if self.mode == "find" and (self.find_count is None or self.find_count < 1):
-            raise ValueError("find mode needs a positive find_count")
         if self.limit is not None and self.limit < 1:
             raise ValueError("limit must be positive when given")
         if self.jobs < 1:
@@ -341,11 +335,13 @@ def _summary(cfg, enumerated, valid, singular, kinds, elapsed) -> dict:
     }
 
 
-def run_find(cfg: SurveyConfig, stream=None) -> int:
-    """Stream records of absolutely simple curves until find_count is hit.
+def run_find(cfg: SurveyConfig, count: int, stream=None) -> int:
+    """Stream records of absolutely simple curves until count are found.
 
     Returns how many were found (may fall short if the family is exhausted).
     """
+    if count < 1:
+        raise ValueError("find needs a positive count")
     fh = stream if stream is not None else sys.stdout
     found = 0
     for tag, key, record in _result_stream(cfg, {}):
@@ -354,7 +350,7 @@ def run_find(cfg: SurveyConfig, stream=None) -> int:
         if record["verdict"]["kind"] == ABSOLUTELY_SIMPLE:
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
             found += 1
-            if found >= cfg.find_count:
+            if found >= count:
                 break
     return found
 

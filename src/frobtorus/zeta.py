@@ -1,9 +1,9 @@
 """Weil polynomial reconstruction from point counts.
 
-The pipeline is: counts -> power sums -> L-polynomial coefficients through
-Newton's identities (each division must be exact over Z) -> functional
-equation for the upper half -> reversal into P(T), the characteristic
-polynomial of Frobenius.  Everything on the verdict path is exact integer
+The pipeline is: counts -> power sums -> upper half of P(T), the
+characteristic polynomial of Frobenius, through Newton's identities
+(intpoly.from_power_sums; each division must be exact over Z) -> functional
+equation for the lower half.  Everything on the verdict path is exact integer
 arithmetic; the root-modulus check is a numeric diagnostic only.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy
 
 from . import intpoly
-from .errors import InvariantViolation, NonIntegralCoefficient, ParseError
+from .errors import InvariantViolation, ParseError
 
 INT_JSON_CUTOFF = 1 << 53
 
@@ -83,26 +83,15 @@ def power_sums(counts) -> tuple[int, ...]:
 def weil_from_counts(counts) -> WeilPolynomial:
     """Reconstruct P(T) from (N_1..N_g).
 
-    Newton's identities give the lower half of L(T); any non-exact division
-    means the counts cannot come from a curve and raises
-    NonIntegralCoefficient.
+    The power sums s_1..s_g fix e_1..e_g of the 2g eigenvalues, that is
+    the upper half of P, through intpoly.from_power_sums; the functional
+    equation gives the lower half.  Any non-exact division means the counts
+    cannot come from a curve and raises NonIntegralCoefficient.
     """
     q, g = counts.q, counts.g
-    s = power_sums(counts)
-    a = [1]
-    for i in range(1, g + 1):
-        acc = 0
-        for j in range(1, i + 1):
-            acc += s[j - 1] * a[i - j]
-        if acc % i:
-            raise NonIntegralCoefficient(
-                f"Newton identity at i={i} divides {-acc} by {i} inexactly"
-            )
-        a.append(-acc // i)
-    for i in range(g + 1, 2 * g + 1):
-        a.append(q ** (i - g) * a[2 * g - i])
-    coeffs = tuple(a[2 * g - i] for i in range(2 * g + 1))
-    return WeilPolynomial(q=q, g=g, coeffs=coeffs)
+    upper = intpoly.from_power_sums(power_sums(counts)).coeffs
+    lower = tuple(q ** (g - j) * upper[g - j] for j in range(g))
+    return WeilPolynomial(q=q, g=g, coeffs=lower + upper)
 
 
 @dataclass(frozen=True)
@@ -130,11 +119,6 @@ def is_weil(P: WeilPolynomial, rel_tol: float = 1e-9) -> RootModulusCheck:
             if err > rel_tol:
                 bad = complex(r)
     return RootModulusCheck(ok=worst <= rel_tol, max_rel_error=worst, bad_root=bad)
-
-
-def is_ordinary(P: WeilPolynomial) -> bool:
-    """Middle coefficient coprime to p (Newton polygon fully ordinary)."""
-    return math.gcd(P.coeffs[P.g], P.p) == 1
 
 
 def encode_int(v: int):

@@ -1,15 +1,16 @@
 """Independent reimplementations used to cross-check the package.
 
 Everything here is deliberately naive: brute-force point counts, a
-Sylvester-matrix resultant over Fraction arithmetic, and a root-of-unity
-scan by explicit minimal-polynomial degree.  Slow but hard to get wrong.
+Sylvester-matrix resultant over Fraction arithmetic, a root-of-unity scan by
+explicit minimal-polynomial degree, and the power charpoly and ratio
+polynomial as bivariate resultants.  Slow but hard to get wrong.
 """
 
 from fractions import Fraction
 
 from frobtorus import gf
 from frobtorus.curves import embed
-from frobtorus.intpoly import IntPoly
+from frobtorus.intpoly import IntPoly, divmod_monic, resultant_y
 
 
 def naive_count(C, i: int) -> int:
@@ -119,3 +120,34 @@ def minpoly_degree_over_q(element_coeffs, modulus_coeffs) -> int:
         rows.append((vec, lead))
         power = _mulmod_q(power, e, mod)
     return n
+
+
+def powmod_monic(base: IntPoly, e: int, mod: IntPoly) -> IntPoly:
+    """base**e reduced modulo a monic polynomial, exactly over Z."""
+    result = IntPoly([1])
+    acc = divmod_monic(base, mod)[1]
+    while e:
+        if e & 1:
+            result = divmod_monic(result * acc, mod)[1]
+        acc = divmod_monic(acc * acc, mod)[1]
+        e >>= 1
+    return result
+
+
+def charpoly_power_by_resultant(P, n: int) -> IntPoly:
+    """Res_y(P(y), T - s(y)) with s = y^n mod P: the monic polynomial whose
+    roots are the n-th powers of the roots of P."""
+    Pp = IntPoly(P.coeffs)
+    s = powmod_monic(IntPoly([0, 1]), n, Pp)
+    if s.degree <= 0:
+        c = s.coeffs[0] if s.coeffs else 0
+        return IntPoly([-c, 1]) ** (2 * P.g)
+    g_y = [IntPoly([-s.coeffs[0], 1])] + [IntPoly([-c]) for c in s.coeffs[1:]]
+    return resultant_y(Pp, g_y)
+
+
+def ratio_poly_by_resultant(P) -> IntPoly:
+    """Res_y(P(y), sum_i c_i x^(2g-i) y^i), vanishing at the root ratios."""
+    n = 2 * P.g
+    g_y = [IntPoly([0] * (n - i) + [c]) for i, c in enumerate(P.coeffs)]
+    return resultant_y(IntPoly(P.coeffs), g_y)

@@ -39,13 +39,12 @@ def test_criterion_1_existence_of_absolutely_simple_curves():
     ok = True
     details = []
     for g, p in [(2, 3), (2, 5), (3, 3)]:
-        cfg = SurveyConfig(p=p, genus=g, degree=2 * g + 1,
-                           mode="find", find_count=10)
+        cfg = SurveyConfig(p=p, genus=g, degree=2 * g + 1)
         import io
 
         buf = io.StringIO()
         t0 = time.perf_counter()
-        found = run_find(cfg, stream=buf)
+        found = run_find(cfg, 10, stream=buf)
         dt = time.perf_counter() - t0
         records = [json.loads(l) for l in buf.getvalue().splitlines()]
         curves = {r["curve"] for r in records}

@@ -96,6 +96,23 @@ def test_find_exhaustion_still_succeeds(capsys):
     assert 0 < len(out.out.splitlines()) < 99999
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["survey", "--p", "3", "--genus", "1", "--deg", "3", "--limit", "0"],
+        ["survey", "--p", "3", "--genus", "1", "--deg", "3", "--jobs", "0"],
+        ["find", "--p", "3", "--genus", "1", "--count", "0"],
+    ],
+)
+def test_nonpositive_counts_are_input_errors(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "positive integer" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -161,6 +161,19 @@ def test_count_points_extension_size_cap():
         count_points(C, 2)  # 1031^2 is just past the 2^20 cap
 
 
+def test_counts_up_to_genus_checks_the_largest_field_first(monkeypatch):
+    # deg 27 gives g = 13, and F_{3^13} is past the cap: fail before N_1
+    C = curve_from_text("3; h=; f=1,1," + "0," * 25 + "1")
+    assert C.genus == 13
+
+    def no_counting(*args):
+        raise AssertionError("count_points called before the size check")
+
+    monkeypatch.setattr("frobtorus.curves.count_points", no_counting)
+    with pytest.raises(SizeExceeded):
+        counts_up_to_genus(C)
+
+
 def test_curve_text_roundtrip_prime_field():
     text = "5; h=; f=0,1,0,1"
     C = curve_from_text(text)

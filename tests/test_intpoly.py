@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobtorus.errors import ZeroPolynomial
+from frobtorus.errors import NonIntegralCoefficient, ZeroPolynomial
 from frobtorus.intpoly import (
     IntPoly,
     X,
@@ -13,13 +13,14 @@ from frobtorus.intpoly import (
     divmod_exact,
     divmod_monic,
     factor,
+    from_power_sums,
     poly_gcd,
-    powmod_monic,
     resultant,
     resultant_y,
+    root_power_sums,
     squarefree_part,
 )
-from oracles import sylvester_resultant
+from oracles import powmod_monic, sylvester_resultant
 
 small_poly = st.builds(
     IntPoly,
@@ -117,6 +118,27 @@ def test_resultant_y_handles_leading_coefficient_vanishing():
     r = resultant_y(f, g_y)
     # product of g over roots: (x*sqrt2 + 1)(-x*sqrt2 + 1) = 1 - 2x^2
     assert r == IntPoly([1]) - IntPoly([2]) * X ** 2
+
+
+def test_root_power_sums_fixed_values():
+    # roots 1, 2, 3: S_k = 1 + 2^k + 3^k, past the degree as well
+    f = (X - IntPoly([1])) * (X - IntPoly([2])) * (X - IntPoly([3]))
+    assert root_power_sums(f, 5) == [1 + 2 ** k + 3 ** k for k in range(1, 6)]
+    with pytest.raises(ValueError):
+        root_power_sums(IntPoly([1, 2]), 3)  # not monic
+
+
+@given(st.lists(st.integers(-9, 9), max_size=7))
+@settings(max_examples=80)
+def test_power_sums_round_trip(lows):
+    f = IntPoly(lows + [1])
+    assert from_power_sums(root_power_sums(f, f.degree)) == f
+
+
+def test_from_power_sums_rejects_inexact_division():
+    # S_1 = 1, S_2 = 0 would need e_2 = 1/2
+    with pytest.raises(NonIntegralCoefficient):
+        from_power_sums([1, 0])
 
 
 def test_squarefree_part():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobtorus.curves import PointCounts
 from frobtorus.intpoly import IntPoly, X, squarefree_part
@@ -15,7 +17,6 @@ from frobtorus.simplicity import (
     charpoly_power,
     classify,
     elliptic_torus_test,
-    frobenius_power_report,
     minpoly_power,
     ratio_poly,
     ratio_torsion_orders,
@@ -23,9 +24,14 @@ from frobtorus.simplicity import (
     verdict_to_json,
     verify_verdict,
 )
-from frobtorus.errors import ParseError
+from frobtorus.errors import NonIntegralCoefficient, ParseError, WeilBoundViolated
 from frobtorus.zeta import WeilPolynomial, weil_from_counts
-from oracles import minpoly_degree_over_q
+from oracles import (
+    charpoly_power_by_resultant,
+    minpoly_degree_over_q,
+    powmod_monic,
+    ratio_poly_by_resultant,
+)
 
 P_ORD = WeilPolynomial(q=5, g=1, coeffs=(5, -2, 1))     # ordinary elliptic
 P_SS = WeilPolynomial(q=5, g=1, coeffs=(5, 0, 1))       # supersingular
@@ -75,8 +81,6 @@ def test_minpoly_power_is_squarefree_part():
 
 
 def test_minpoly_power_degree_against_linear_algebra_oracle():
-    from frobtorus.intpoly import powmod_monic
-
     for P in (P_ORD, P_SS, P_AS2, P_INC2):
         mod = IntPoly(P.coeffs)
         for n in range(1, 8):
@@ -84,14 +88,6 @@ def test_minpoly_power_degree_against_linear_algebra_oracle():
             elem = list(powmod_monic(X, n, mod).coeffs)
             want = minpoly_degree_over_q(elem, list(P.coeffs))
             assert got == want, (P.coeffs, n, got, want)
-
-
-def test_frobenius_power_report_shape():
-    rep = frobenius_power_report(P_SS, 2)
-    assert rep.n == 2
-    assert rep.charpoly_n == IntPoly([25, 10, 1])
-    assert rep.minpoly_n == IntPoly([5, 1])
-    assert rep.degree_n == 1
 
 
 def test_ratio_poly_known_values():
@@ -103,6 +99,31 @@ def test_ratio_poly_rejects_repeated_roots():
     P = WeilPolynomial(q=5, g=2, coeffs=(25, 0, 10, 0, 1))  # (T^2+5)^2
     with pytest.raises(ValueError):
         ratio_poly(P)
+
+
+def _weil_in_window(q, g, counts):
+    # counts inside the Weil bounds that give an integral Weil polynomial
+    try:
+        return weil_from_counts(PointCounts(q=q, g=g, counts=counts))
+    except (WeilBoundViolated, NonIntegralCoefficient):
+        return None
+
+
+weil_in_window = st.one_of(
+    st.tuples(st.integers(0, 11), st.integers(0, 51)).map(
+        lambda c: _weil_in_window(3, 2, c)),
+    st.tuples(st.integers(0, 11), st.integers(0, 17), st.integers(0, 26)).map(
+        lambda c: _weil_in_window(2, 3, c)),
+).filter(lambda P: P is not None)
+
+
+@given(weil_in_window)
+@settings(max_examples=40, deadline=None)
+def test_power_sum_kernel_matches_resultant_oracles(P):
+    for n in range(1, 13):
+        assert charpoly_power(P, n) == charpoly_power_by_resultant(P, n), n
+    if squarefree_part(IntPoly(P.coeffs)) == IntPoly(P.coeffs):
+        assert ratio_poly(P) == ratio_poly_by_resultant(P)
 
 
 def test_ratio_torsion_orders():

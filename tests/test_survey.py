@@ -50,8 +50,6 @@ def test_survey_config_validation():
         SurveyConfig(p=3, genus=1, degree=3, jobs=0)
     with pytest.raises(ValueError):
         SurveyConfig(p=3, genus=1, degree=3, limit=0)
-    with pytest.raises(ValueError):
-        SurveyConfig(p=3, genus=1, degree=3, mode="find")  # needs find_count
     with pytest.raises(SizeExceeded):
         SurveyConfig(p=1031, genus=2, degree=5)
 
@@ -261,18 +259,17 @@ def test_find_first_matches_lexicographically_first_hit():
         for l in buf.getvalue().splitlines()[1:]
         if json.loads(l)["verdict"]["kind"] == "AbsolutelySimple"
     )
-    cfg_find = SurveyConfig(p=3, genus=2, degree=5, mode="find", find_count=1)
     buf2 = io.StringIO()
-    assert run_find(cfg_find, stream=buf2) == 1
+    assert run_find(cfg_full, 1, stream=buf2) == 1
     hit = json.loads(buf2.getvalue())
     assert hit["curve"] == first_as["curve"]
     assert hit["weil"] == first_as["weil"]
 
 
 def test_run_find_streams_only_hits():
-    cfg = SurveyConfig(p=5, genus=1, degree=3, mode="find", find_count=4)
+    cfg = SurveyConfig(p=5, genus=1, degree=3)
     buf = io.StringIO()
-    found = run_find(cfg, stream=buf)
+    found = run_find(cfg, 4, stream=buf)
     assert found == 4
     lines = buf.getvalue().splitlines()
     assert len(lines) == 4
@@ -282,11 +279,18 @@ def test_run_find_streams_only_hits():
 
 def test_run_find_reports_exhaustion():
     # tiny family: genus-1 over F_2 has 56 equations; ask for far more
-    cfg = SurveyConfig(p=2, genus=1, degree=3, mode="find", find_count=10 ** 6)
+    cfg = SurveyConfig(p=2, genus=1, degree=3)
     buf = io.StringIO()
-    found = run_find(cfg, stream=buf)
+    found = run_find(cfg, 10 ** 6, stream=buf)
     assert 0 < found < 10 ** 6
     assert found == len(buf.getvalue().splitlines())
+
+
+def test_run_find_rejects_nonpositive_count():
+    cfg = SurveyConfig(p=3, genus=1, degree=3)
+    for count in (0, -1):
+        with pytest.raises(ValueError):
+            run_find(cfg, count, stream=io.StringIO())
 
 
 def test_analyze_one_requires_exactly_one_input():

@@ -13,7 +13,6 @@ from frobtorus.errors import (
 from frobtorus.curves import PointCounts
 from frobtorus.zeta import (
     WeilPolynomial,
-    is_ordinary,
     is_weil,
     power_sums,
     prime_power,
@@ -92,14 +91,6 @@ def test_is_weil_rejects_wrong_modulus():
     P = WeilPolynomial(q=5, g=1, coeffs=(5, -5, 1))
     chk = is_weil(P)
     assert not chk.ok and chk.max_rel_error > 1e-3
-
-
-def test_is_ordinary():
-    assert is_ordinary(WeilPolynomial(q=5, g=1, coeffs=(5, -2, 1)))
-    assert not is_ordinary(WeilPolynomial(q=5, g=1, coeffs=(5, 0, 1)))
-    # middle coefficient is the deciding one for higher genus
-    assert is_ordinary(WeilPolynomial(q=3, g=2, coeffs=(9, -3, 2, -1, 1)))
-    assert not is_ordinary(WeilPolynomial(q=3, g=2, coeffs=(9, 9, 3, 3, 1)))
 
 
 def test_weil_json_roundtrip_small():
