@@ -1,9 +1,12 @@
 """Hyperelliptic curves y^2 + h(x) y = f(x) over small finite fields.
 
 Validation enforces the smooth-affine-model conditions (squarefree f with
-h = 0 in odd characteristic; the h-root criterion in characteristic 2), and
-counting is exhaustive over x with a per-value quadratic-solution table, plus
-the standard smooth-model contribution at infinity.
+h = 0 in odd characteristic; the h-root criterion in characteristic 2).
+Counting evaluates h and f at every x of the field at once, in the log
+domain of gf.log_tables, and counts the y over each x from the value alone:
+the quadratic character (parity of the log) in odd characteristic, the
+absolute trace of f/h^2 in characteristic 2.  The points at infinity of
+the smooth model are counted the same way from the leading coefficients.
 
 Counting over F_{q^i} builds F_{p^(k*i)} with its own canonical modulus and
 embeds coefficients by sending the generator to the lexicographically first
@@ -16,6 +19,8 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import gf
 from .errors import BadDegrees, NonPrime, ParseError, Singular, WeilBoundViolated
@@ -79,7 +84,15 @@ def validate_curve(base: gf.FieldSpec, h, f, g: int) -> HyperellipticCurve:
     else:
         if not h:
             raise BadDegrees("h must be nonzero in characteristic 2")
-        deg_h = len(h) - 1
+        # the test below, squared, is h'(x0)^2 f(x0) = f'(x0)^2 at a root x0
+        # of h, and squaring is injective, so a curve with h coprime to
+        # h'^2 f + f'^2 is nonsingular; only the others search the
+        # extensions, for the first singular point as the witness
+        hd, fd = gf.poly_deriv(base, h), gf.poly_deriv(base, f)
+        test = gf.poly_add(
+            base, gf.poly_mul(base, gf.poly_mul(base, hd, hd), f), gf.poly_mul(base, fd, fd)
+        )
+        deg_h = len(h) - 1 if len(gf.poly_gcd(base, h, test)) > 1 else 0
         for m in range(1, deg_h + 1):
             ext = gf.field_create(2, base.k * m)
             hk = [embed(base, ext, c) for c in h]
@@ -126,20 +139,46 @@ def embed(src: gf.FieldSpec, dst: gf.FieldSpec, a: gf.FieldElement) -> gf.FieldE
     return acc
 
 
-@functools.lru_cache(maxsize=None)
-def _square_table(spec: gf.FieldSpec):
-    # rep of value -> number of square roots (0, 1, or 2); odd characteristic
-    tbl = {}
-    for z in gf.enumerate_elements(spec):
-        v = (z * z).rep
-        tbl[v] = tbl.get(v, 0) + 1
-    return tbl
+def _values(T: gf.LogTables, logs: list) -> np.ndarray:
+    """log a(g^n) for n = 0..q-2 (-1 where a(g^n) = 0), by Horner's rule.
+
+    logs are the coefficient logs of a, low-to-high, -1 for a zero
+    coefficient; a is trimmed, so the leading one is nonzero.
+    """
+    m = len(T.exp)
+    if not logs:
+        return np.full(m, -1, dtype=np.int32)
+    x = np.arange(m, dtype=np.int32)  # log of x = g^n
+    acc = np.full(m, logs[-1], dtype=np.int32)
+    for c in reversed(logs[:-1]):
+        zero = acc < 0
+        acc = (acc + x) % m  # acc * x; wrong where acc = 0, reset below
+        if c >= 0:
+            # acc + c = c * (1 + acc / c)
+            z = T.zech[(acc - c) % m]
+            acc = np.where(z < 0, z, (z + c) % m)
+        acc[zero] = c  # 0 * x + c
+    return acc
 
 
-@functools.lru_cache(maxsize=None)
-def _artin_schreier_image(spec: gf.FieldSpec):
-    # reps of the image of z -> z^2 + z over F_{2^K}; decides solvability
-    return frozenset((z * z + z).rep for z in gf.enumerate_elements(spec))
+def _solutions(T: gf.LogTables, p: int, hv: np.ndarray, fv: np.ndarray) -> int:
+    """Sum over the given x of #{y : y^2 + h(x) y = f(x)}, from value logs."""
+    fzero = fv < 0
+    if p != 2:
+        # y^2 = f(x): one root of 0, two of a nonzero square (even log)
+        return int(np.count_nonzero(fzero)) + 2 * int(
+            np.count_nonzero(~fzero & ((fv & 1) == 0))
+        )
+    # h(x) = 0: squaring is bijective, one y.  Otherwise y = h(x) z turns the
+    # equation into z^2 + z = f/h^2, solvable (twice) iff Tr(f/h^2) = 0.
+    hzero = hv < 0
+    w = T.exp[(fv - 2 * hv) % len(T.exp)] & T.trace_mask
+    w[fzero] = 0
+    for shift in (16, 8, 4, 2, 1):  # parity of the bits below 2^32
+        w ^= w >> shift
+    return int(np.count_nonzero(hzero)) + 2 * int(
+        np.count_nonzero(~hzero & ((w & 1) == 0))
+    )
 
 
 def count_points(C: HyperellipticCurve, i: int) -> int:
@@ -148,39 +187,20 @@ def count_points(C: HyperellipticCurve, i: int) -> int:
         raise ValueError(f"extension index {i} outside 1..g")
     base = C.base
     ext = gf.field_create(base.p, base.k * i)  # SizeExceeded past the cap
-    hk = [embed(base, ext, c) for c in C.h]
-    fk = [embed(base, ext, c) for c in C.f]
-    deg_f = len(fk) - 1
-    total = 0
-    if base.p != 2:
-        tbl = _square_table(ext)
-        for x in gf.enumerate_elements(ext):
-            total += tbl.get(gf.poly_eval(ext, fk, x).rep, 0)
-        if deg_f == 2 * C.genus + 1:
-            total += 1
-        else:
-            total += tbl.get(fk[-1].rep, 0)
-    else:
-        image = _artin_schreier_image(ext)
-        for x in gf.enumerate_elements(ext):
-            a = gf.poly_eval(ext, hk, x) if hk else gf.zero(ext)
-            v = gf.poly_eval(ext, fk, x)
-            if not a:
-                total += 1
-            else:
-                w = v * gf.inv(a * a)
-                total += 2 if w.rep in image else 0
-        if deg_f == 2 * C.genus + 1:
-            total += 1
-        else:
-            hcap = hk[C.genus + 1] if len(hk) > C.genus + 1 else gf.zero(ext)
-            fcap = fk[-1]
-            if not hcap:
-                total += 1
-            else:
-                w = fcap * gf.inv(hcap * hcap)
-                total += 2 if w.rep in image else 0
-    return total
+    T = gf.log_tables(ext)
+    hl = [int(T.log[gf.code(embed(base, ext, c))]) for c in C.h]
+    fl = [int(T.log[gf.code(embed(base, ext, c))]) for c in C.f]
+    g = C.genus
+    # x = 0 first; a degree-(2g+2) model adds the x = infinity fibre
+    # y^2 + h_{g+1} y = lead f, a degree-(2g+1) model one point
+    hs, fs, total = [hl[0] if hl else -1], [fl[0]], 1
+    if len(fl) - 1 == 2 * g + 2:
+        hs.append(hl[g + 1] if len(hl) > g + 1 else -1)
+        fs.append(fl[-1])
+        total = 0
+    hv = np.concatenate((np.array(hs, dtype=np.int32), _values(T, hl)))
+    fv = np.concatenate((np.array(fs, dtype=np.int32), _values(T, fl)))
+    return total + _solutions(T, base.p, hv, fv)
 
 
 def counts_up_to_genus(C: HyperellipticCurve) -> PointCounts:

@@ -10,7 +10,8 @@ class NonPrime(FrobtorusError):
 
 
 class SizeExceeded(FrobtorusError):
-    """A requested field (or extension tower) exceeds the 2**20 size cap."""
+    """A requested field (or extension tower) exceeds the 2**20 size cap, or
+    a Weil polynomial's degree 2g exceeds the factoring cap."""
 
 
 class BadDegrees(FrobtorusError):

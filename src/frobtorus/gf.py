@@ -9,6 +9,11 @@ over [0, p), low-to-high.
 Also provides polynomial helpers over a field (lists of FieldElement,
 low-to-high, trimmed) and deterministic root finding, which the curve module
 uses for singularity checks and coefficient embeddings.
+
+For whole-field work each element also has an integer code in [0, q), its
+rep read as base-p digits, low digit first, and ``log_tables`` holds int32
+exp/log/Zech tables to a fixed primitive element, so numpy can evaluate a
+polynomial at every element at once with integer arithmetic only.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import _fpx
 from .errors import NonPrime, SizeExceeded
@@ -329,8 +336,8 @@ def poly_deriv(spec: FieldSpec, a: list) -> list:
 def poly_roots(spec: FieldSpec, a: list) -> list:
     """All roots of a in the field, without multiplicity, sorted by rep.
 
-    Deterministic: splitting uses field elements in enumeration order, and
-    the result is sorted, so the outcome is independent of the search path.
+    Deterministic: splitting tries field elements in a fixed order, and the
+    result is sorted, so the outcome is independent of the search path.
     """
     a = poly_trim(spec, list(a))
     if not a:
@@ -353,15 +360,18 @@ def _split_linear(spec: FieldSpec, g: list) -> list:
     if len(g) == 2:
         return [-g[0]]
     if spec.p == 2:
-        for c in enumerate_elements(spec):
-            if not c:
-                continue
-            # acc = trace of c*x down to F_2: sum of its 2^j-th powers
-            t = poly_rem(spec, [zero(spec), c], g)
-            acc = t
-            for _ in range(spec.k - 1):
-                t = poly_rem(spec, poly_mul(spec, t, t), g)
-                acc = poly_add(spec, acc, t)
+        # Tr(c x) mod g = sum_j c^(2^j) x^(2^j) is F_2-linear in c.  The
+        # trace form is nondegenerate, so for two distinct roots r, r' some
+        # basis element t^i has Tr(t^i r) != Tr(t^i r'): k tries suffice.
+        frob = [poly_rem(spec, [zero(spec), one(spec)], g)]
+        for _ in range(spec.k - 1):
+            frob.append(poly_rem(spec, poly_mul(spec, frob[-1], frob[-1]), g))
+        for i in range(spec.k):
+            c = FieldElement(spec, tuple(int(j == i) for j in range(spec.k)))
+            acc = []
+            for xj in frob:
+                acc = poly_add(spec, acc, [c * a for a in xj])
+                c = c * c
             d = poly_gcd(spec, acc, g)
             if 0 < len(d) - 1 < len(g) - 1:
                 rest = poly_divmod(spec, g, d)[0]
@@ -375,3 +385,105 @@ def _split_linear(spec: FieldSpec, g: list) -> list:
             rest = poly_divmod(spec, g, d)[0]
             return _split_linear(spec, d) + _split_linear(spec, rest)
     raise AssertionError("unreachable: some shift separates distinct roots")
+
+
+# ---------------------------------------------------------------------------
+# Integer codes and log tables for whole-field evaluation.
+
+def code(a: FieldElement) -> int:
+    """The integer whose base-p digits, low first, are a.rep."""
+    out = 0
+    for d in reversed(a.rep):
+        out = out * a.spec.p + d
+    return out
+
+
+def from_code(spec: FieldSpec, n: int) -> FieldElement:
+    """Inverse of code on [0, q)."""
+    rep = []
+    for _ in range(spec.k):
+        n, d = divmod(n, spec.p)
+        rep.append(d)
+    return FieldElement(spec, tuple(rep))
+
+
+@dataclass(frozen=True, eq=False)
+class LogTables:
+    """Discrete logarithms of F_q to a primitive element g, the first in code
+    order (so exp[1] is its code when q > 2).
+
+    exp[n] is the code of g^n (n < q-1); log[c] is the n with code(g^n) = c,
+    and log[0] = -1; zech[n] = log(1 + g^n), -1 where 1 + g^n = 0, so adding
+    a nonzero constant c to g^a is g^(log c + zech[a - log c]).  For p = 2,
+    bit i of trace_mask is Tr(t^i), so Tr(a) is the parity of
+    code(a) & trace_mask; it is 0 for odd p.  The arrays are read-only.
+    """
+
+    exp: np.ndarray
+    log: np.ndarray
+    zech: np.ndarray
+    trace_mask: int
+
+
+# the exp table grows in blocks of at most this many elements; each block
+# multiplies a prefix by a constant through a (block x k) digit matrix
+_BLOCK = 1 << 14
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def _times(spec: FieldSpec, codes: np.ndarray, c: FieldElement) -> np.ndarray:
+    # codes * c, as the F_p-linear map sending t^i to c * t^i; int64 holds
+    # the digit products, up to (p-1)^2 < 2^40 when k = 1
+    p, k = spec.p, spec.k
+    t = gen(spec)
+    images = np.array([(c * t ** i).rep for i in range(k)], dtype=np.int64)
+    powers = p ** np.arange(k, dtype=np.int64)
+    digits = codes.astype(np.int64)[:, None] // powers % p
+    return digits @ images % p @ powers
+
+
+@functools.lru_cache(maxsize=None)
+def log_tables(spec: FieldSpec) -> LogTables:
+    """Log tables of spec; built once per field, at most 12 q bytes."""
+    q, m = spec.q, spec.q - 1
+    unit = one(spec)
+    for g_code in range(1, q):
+        g = from_code(spec, g_code)
+        if all(g ** (m // r) != unit for r in _prime_factors(m)):
+            break
+    exp = np.empty(m, dtype=np.int32)
+    exp[0] = 1
+    filled = 1
+    while filled < m:
+        step = min(filled, _BLOCK, m - filled)
+        g_pow = from_code(spec, int(exp[filled - 1])) * g  # g^filled
+        exp[filled:filled + step] = _times(spec, exp[:step], g_pow)
+        filled += step
+    log = np.full(q, -1, dtype=np.int32)
+    log[exp] = np.arange(m, dtype=np.int32)
+    # 1 + a changes the low digit only
+    low = exp % spec.p
+    zech = log[np.where(low == spec.p - 1, exp - low, exp + 1)]
+    mask = 0
+    if spec.p == 2:
+        t = gen(spec)
+        for i in range(spec.k):
+            a = t ** i
+            tr = a
+            for _ in range(spec.k - 1):
+                a = a * a
+                tr = tr + a
+            mask |= tr.rep[0] << i
+    for arr in (exp, log, zech):
+        arr.flags.writeable = False
+    return LogTables(exp=exp, log=log, zech=zech, trace_mask=mask)

@@ -23,8 +23,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .errors import InvariantViolation, ParseError
+from .errors import InvariantViolation, ParseError, SizeExceeded
 from .intpoly import (
+    FACTOR_DEGREE_CAP,
     IntPoly,
     cyclotomic,
     divmod_monic,
@@ -156,7 +157,14 @@ def classify(P: WeilPolynomial) -> SimplicityVerdict:
         unity, so every power of Frobenius keeps full degree.
     Inconclusive: pure repeated non-ordinary factors (possibly still simple
         with a larger endomorphism algebra); never guessed.
+
+    Raises SizeExceeded when 2g is past intpoly.FACTOR_DEGREE_CAP, since P
+    and every witness charpoly have degree 2g.
     """
+    if 2 * P.g > FACTOR_DEGREE_CAP:
+        raise SizeExceeded(
+            f"degree 2g = {2 * P.g} exceeds the factoring cap {FACTOR_DEGREE_CAP}"
+        )
     p = prime_power(P.q)[0]
     _, fs = factor(IntPoly(P.coeffs))
     if len(fs) >= 2:

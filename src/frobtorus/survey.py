@@ -37,7 +37,9 @@ from .errors import (
     ParseError,
     ResumeMismatch,
     Singular,
+    SizeExceeded,
 )
+from .intpoly import FACTOR_DEGREE_CAP
 from .simplicity import (
     ABSOLUTELY_SIMPLE,
     INCONCLUSIVE,
@@ -75,6 +77,11 @@ class SurveyConfig:
             raise ValueError("limit must be positive when given")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if 2 * self.genus > FACTOR_DEGREE_CAP:
+            raise SizeExceeded(
+                f"genus {self.genus}: Weil polynomials of degree {2 * self.genus} "
+                f"exceed the factoring cap {FACTOR_DEGREE_CAP}"
+            )
         gf.field_create(self.p, 1)  # NonPrime up front
         # largest extensions touched: counting needs p^genus, and char-2
         # validation enumerates roots of h over p^(deg h) with deg h <= g+1

@@ -1,7 +1,7 @@
 """Independent reimplementations used to cross-check the package.
 
-Everything here is deliberately naive: brute-force point counts, a
-Sylvester-matrix resultant over Fraction arithmetic, a root-of-unity scan by
+Everything here is deliberately naive: brute-force point counts and
+singular-point search, a Sylvester-matrix resultant over Fraction arithmetic, a root-of-unity scan by
 explicit minimal-polynomial degree, and the power charpoly and ratio
 polynomial as bivariate resultants.  Slow but hard to get wrong.
 """
@@ -37,6 +37,28 @@ def naive_count(C, i: int) -> int:
         1 for y in gf.enumerate_elements(ext) if y * y + lead_h * y == lead_f
     )
     return total + at_inf
+
+
+def naive_singular_point(spec, h, f):
+    """First affine singular point (m, x, y) of y^2 + h y = f over
+    F_{q^m}, m = 1 .. max(deg h, 1), by trying every (x, y); None if none.
+
+    In characteristic 2 a singular point needs h(x) = 0 and h'(x) y = f'(x);
+    every root of h lies in one of these fields.
+    """
+    for m in range(1, max(len(h) - 1, 1) + 1):
+        ext = gf.field_create(spec.p, spec.k * m)
+        hk = [embed(spec, ext, c) for c in h]
+        fk = [embed(spec, ext, c) for c in f]
+        hd, fd = gf.poly_deriv(ext, hk), gf.poly_deriv(ext, fk)
+        for x in gf.enumerate_elements(ext):
+            hv = gf.poly_eval(ext, hk, x)
+            for y in gf.enumerate_elements(ext):
+                on_curve = y * y + hv * y == gf.poly_eval(ext, fk, x)
+                if (on_curve and (y + y + hv) == gf.zero(ext)
+                        and gf.poly_eval(ext, hd, x) * y == gf.poly_eval(ext, fd, x)):
+                    return m, x.rep, y.rep
+    return None
 
 
 def sylvester_resultant(f: IntPoly, g: IntPoly) -> int:

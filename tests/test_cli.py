@@ -3,6 +3,7 @@ import json
 import pytest
 
 from frobtorus.cli import main
+from frobtorus.intpoly import IntPoly
 
 
 def test_analyze_curve_happy_path(capsys):
@@ -110,6 +111,24 @@ def test_nonpositive_counts_are_input_errors(argv, capsys):
     assert stop.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "positive integer" in err
+    assert "Traceback" not in err
+
+
+# (T^2 + 2)^9 over q = 2: a Weil polynomial of degree 18, past the factoring cap
+_G9 = json.dumps({"q": 2, "g": 9, "coeffs": list((IntPoly([2, 0, 1]) ** 9).coeffs)})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--weil", _G9],
+        ["survey", "--p", "2", "--genus", "9", "--deg", "19", "--limit", "1"],
+    ],
+)
+def test_genus_past_the_factoring_cap_is_input_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "factoring cap" in err
     assert "Traceback" not in err
 
 

@@ -14,7 +14,7 @@ from frobtorus.curves import (
     validate_curve,
 )
 from frobtorus.errors import BadDegrees, ParseError, Singular, SizeExceeded
-from oracles import naive_count
+from oracles import naive_count, naive_singular_point
 
 
 def _f(spec, ints):
@@ -99,6 +99,32 @@ def test_validate_char2_singularity_in_extension_only():
         assert C.genus == 2
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_validate_char2_matches_brute_force_singular_search(k):
+    # the gcd pre-check must let through exactly the nonsingular curves, and
+    # a singular one must still report the first singular point as witness
+    spec = gf.field_create(2, k)
+    rng = random.Random(f"singular 2^{k}")
+    outcomes = set()
+    for _ in range(40):
+        g = rng.choice([1, 2])
+        h = gf.poly_trim(spec, [gf.from_code(spec, rng.randrange(spec.q))
+                                for _ in range(rng.randint(1, g + 2))])
+        if not h:
+            continue
+        f = [gf.from_code(spec, rng.randrange(spec.q)) for _ in range(2 * g + 1)]
+        f.append(gf.one(spec))
+        expected = naive_singular_point(spec, h, f)
+        try:
+            validate_curve(spec, h, f, g)
+            found = None
+        except Singular as exc:
+            found = exc.witness
+        assert found == expected, (h, f)
+        outcomes.add(found is None)
+    assert outcomes == {True, False}
+
+
 def test_count_points_elliptic_known_values():
     spec = gf.field_create(5)
     C = validate_curve(spec, [], _f(spec, [0, 1, 0, 1]), 1)
@@ -133,6 +159,53 @@ def test_counts_up_to_genus_matches_oracle_on_random_curves():
         pc = counts_up_to_genus(C)
         assert pc.counts == tuple(naive_count(C, i) for i in range(1, g + 1))
         checked += 1
+
+
+def _random_curve(rng, spec, g, deg, hcap):
+    # seeded search for a nonsingular model; in characteristic 2, hcap is
+    # the code of h_{g+1} (None or 0: deg h <= g)
+    q = spec.q
+    while True:
+        f = [gf.from_code(spec, rng.randrange(q)) for _ in range(deg)] + [gf.one(spec)]
+        h = []
+        if spec.p == 2:
+            h = [gf.from_code(spec, rng.randrange(q)) for _ in range(g + 1)]
+            if hcap is not None:
+                h.append(gf.from_code(spec, hcap))
+            if not any(h):
+                continue
+        try:
+            return validate_curve(spec, h, f, g)
+        except Singular:
+            continue
+
+
+# odd characteristic has h = 0.  In characteristic 2 a degree-(2g+2) model
+# takes h_{g+1} = 0 (one point at infinity) and h_{g+1} = 1, which puts two
+# points at infinity over F_4 and none over F_8, as Tr(1) = k mod 2.
+_EXTENSION_CASES = [
+    (p, k, g, deg, hcap)
+    for p, k in [(2, 2), (2, 3), (3, 2), (5, 2)]
+    for g in (1, 2)
+    for deg, hcap in (
+        [(2 * g + 1, None), (2 * g + 2, 0), (2 * g + 2, 1)] if p == 2
+        else [(2 * g + 1, None), (2 * g + 2, None)]
+    )
+]
+
+
+@pytest.mark.parametrize("p,k,g,deg,hcap", _EXTENSION_CASES)
+def test_counts_up_to_genus_matches_oracle_over_extension_fields(p, k, g, deg, hcap):
+    spec = gf.field_create(p, k)
+    C = _random_curve(random.Random(f"{p}^{k} g{g} d{deg} h{hcap}"), spec, g, deg, hcap)
+    assert len(C.f) - 1 == deg
+    if hcap:
+        assert gf.code(C.h[g + 1]) == hcap
+    elif p == 2:
+        assert len(C.h) <= g + 1
+    assert counts_up_to_genus(C).counts == tuple(
+        naive_count(C, i) for i in range(1, g + 1)
+    )
 
 
 def test_count_points_extension_base_field():

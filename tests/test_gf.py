@@ -1,5 +1,7 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,6 +141,26 @@ def test_poly_roots_in_extension_field():
         assert r * r == -gf.one(spec)
 
 
+@pytest.mark.parametrize("k", [4, 7])
+def test_poly_roots_char2_extension_matches_brute_force(k):
+    # roots differing by t^(k-1) have equal Tr(c r) for every c in the span
+    # of 1, t, ..., t^(k-2), so only the last basis element separates them
+    spec = gf.field_create(2, k)
+    rng = random.Random(k)
+    elems = list(gf.enumerate_elements(spec))
+    top = gf.FieldElement(spec, (0,) * (k - 1) + (1,))
+    for trial in range(6):
+        r = rng.choice(elems)
+        roots = {r.rep, (r + top).rep} | {rng.choice(elems).rep for _ in range(trial)}
+        a = [gf.one(spec)]
+        for rep in roots:
+            a = gf.poly_mul(spec, a, [-gf.FieldElement(spec, rep), gf.one(spec)])
+        # a quadratic factor may add roots, or repeat one, or add none
+        a = gf.poly_mul(spec, a, [top, gf.one(spec), gf.one(spec)]) if trial % 2 else a
+        expected = [e.rep for e in elems if not gf.poly_eval(spec, a, e)]
+        assert [x.rep for x in gf.poly_roots(spec, a)] == expected
+
+
 def test_poly_divmod_and_gcd():
     spec = gf.field_create(7, 1)
     a = gf.poly_from_ints(spec, [1, 0, 1])    # x^2 + 1
@@ -153,3 +175,67 @@ def test_poly_divmod_and_gcd():
 
 def test_field_create_is_cached():
     assert gf.field_create(3, 2) is gf.field_create(3, 2)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 4), (3, 1), (3, 3), (5, 2), (7, 1), (3, 10)])
+def test_log_tables_invariants(p, k):
+    spec = gf.field_create(p, k)
+    q = spec.q
+    T = gf.log_tables(spec)
+    for arr in (T.exp, T.log, T.zech):
+        assert arr.dtype == np.int32 and not arr.flags.writeable
+    assert T.exp.nbytes + T.log.nbytes + T.zech.nbytes <= 12 * q
+    # exp and log are inverse bijections between [0, q-1) and the nonzero codes
+    assert np.array_equal(np.sort(T.exp), np.arange(1, q))
+    assert np.array_equal(T.log[T.exp], np.arange(q - 1))
+    assert T.log[0] == -1
+    # g = exp[1] has order q-1 (exp is a bijection and exp[n+1] = exp[n] g,
+    # below), and every element of smaller code has a smaller order
+    g_code = int(T.exp[1 % (q - 1)])
+    g = gf.from_code(spec, g_code)
+    assert T.exp[0] == 1 and g ** (q - 1) == gf.one(spec)
+    proper = [d for d in range(1, q - 1) if (q - 1) % d == 0]
+    for c in range(1, g_code):
+        assert any(gf.from_code(spec, c) ** d == gf.one(spec) for d in proper)
+    # exp[n] = g^n and zech[n] = log(1 + g^n), by FieldElement arithmetic;
+    # the mid-size field checks a sample
+    ns = range(q - 1) if q < 1000 else random.Random(q).sample(range(q - 1), 2000)
+    for n in ns:
+        a = gf.from_code(spec, int(T.exp[n]))
+        assert gf.code(a * g) == T.exp[(n + 1) % (q - 1)]
+        b = gf.one(spec) + a
+        assert T.zech[n] == (T.log[gf.code(b)] if b else -1)
+
+
+def test_code_round_trip():
+    spec = gf.field_create(3, 3)
+    codes = [gf.code(a) for a in gf.enumerate_elements(spec)]
+    assert sorted(codes) == list(range(27))
+    for c in codes:
+        assert gf.code(gf.from_code(spec, c)) == c
+    assert gf.code(gf.gen(spec)) == 3
+
+
+def _trace(a):
+    acc, t = a, a
+    for _ in range(a.spec.k - 1):
+        t = t * t
+        acc = acc + t
+    return acc
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+def test_trace_mask_is_the_absolute_trace(k):
+    spec = gf.field_create(2, k)
+    mask = gf.log_tables(spec).trace_mask
+
+    def tr(c):
+        return bin(c & mask).count("1") % 2
+
+    assert tr(1) == k % 2
+    for a in gf.enumerate_elements(spec):
+        assert _trace(a).rep == (tr(gf.code(a)),) + (0,) * (k - 1)
+    elems = list(gf.enumerate_elements(spec))
+    for a in elems:
+        for b in elems[:: max(1, spec.q // 16)]:
+            assert tr(gf.code(a + b)) == tr(gf.code(a)) ^ tr(gf.code(b))

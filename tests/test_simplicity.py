@@ -24,7 +24,12 @@ from frobtorus.simplicity import (
     verdict_to_json,
     verify_verdict,
 )
-from frobtorus.errors import NonIntegralCoefficient, ParseError, WeilBoundViolated
+from frobtorus.errors import (
+    NonIntegralCoefficient,
+    ParseError,
+    SizeExceeded,
+    WeilBoundViolated,
+)
 from frobtorus.zeta import WeilPolynomial, weil_from_counts
 from oracles import (
     charpoly_power_by_resultant,
@@ -188,6 +193,12 @@ def test_classify_supersingular_elliptic_is_inconclusive():
     v = classify(P_SS)
     assert v.kind == INCONCLUSIVE
     assert verify_verdict(P_SS, v)
+
+
+def test_classify_rejects_degree_past_the_factoring_cap():
+    P = WeilPolynomial(q=2, g=9, coeffs=(IntPoly([2, 0, 1]) ** 9).coeffs)
+    with pytest.raises(SizeExceeded):
+        classify(P)
 
 
 def test_elliptic_torus_test_is_irreducibility():

@@ -54,6 +54,13 @@ def test_survey_config_validation():
         SurveyConfig(p=1031, genus=2, degree=5)
 
 
+def test_survey_config_rejects_genus_past_the_factoring_cap():
+    # F_{2^9} and F_{2^10} are in range, but degree-18 Weil polynomials are not
+    with pytest.raises(SizeExceeded, match="factoring cap"):
+        SurveyConfig(p=2, genus=9, degree=19)
+    SurveyConfig(p=2, genus=8, degree=17)
+
+
 def test_enumeration_counts_and_order_odd_char():
     cfg = SurveyConfig(p=3, genus=1, degree=3)
     eqs = list(enumerate_equations(cfg))
