@@ -1,10 +1,13 @@
 """Polynomial arithmetic over prime fields F_p.
 
 Polynomials are plain lists of ints in [0, p), low-to-high, with no trailing
-zeros ([] is the zero polynomial).  Everything here serves two internal
-clients: modulus selection for extension fields, and the modular stage of
-integer-polynomial factorization.  p is an odd prime ≥ 3 for the
+zeros ([] is the zero polynomial).  The polynomial routines serve two
+internal clients: modulus selection for extension fields, and the modular
+stage of integer-polynomial factorization.  p is an odd prime ≥ 3 for the
 factorization routines; the irreducibility test works for any prime.
+prime_divisors, which the irreducibility test needs, is also the package's
+one trial-division routine (primality, prime powers, Euler's phi,
+primitive elements).
 
 Hensel lifting also calls trim, add, sub, mul and div_rem with a composite
 modulus p**(2**k).  The first four work for any modulus; div_rem is correct
@@ -119,7 +122,7 @@ def is_irreducible(m, p) -> bool:
     if k == 1:
         return True
     x = [0, 1]
-    for r in _prime_divisors(k):
+    for r in prime_divisors(k):
         h = pow_mod(x, p ** (k // r), m, p)
         if len(gcd(sub(h, x, p), m, p)) > 1:
             return False
@@ -127,18 +130,21 @@ def is_irreducible(m, p) -> bool:
     return sub(h, x, p) == []
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
+def prime_divisors(n: int):
+    """The distinct primes dividing n, ascending, by trial division.
+
+    A generator, so a caller that needs only the smallest pays only for
+    finding it.  Yields nothing for n < 2.
+    """
     d = 2
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
+            yield d
             while n % d == 0:
                 n //= d
         d += 1
     if n > 1:
-        out.append(n)
-    return out
+        yield n
 
 
 def ddf(a, p):

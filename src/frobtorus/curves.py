@@ -2,16 +2,19 @@
 
 Validation enforces the smooth-affine-model conditions (squarefree f with
 h = 0 in odd characteristic; the h-root criterion in characteristic 2).
-Counting evaluates h and f at every x of the field at once, in the log
-domain of gf.log_tables, and counts the y over each x from the value alone:
-the quadratic character (parity of the log) in odd characteristic, the
-absolute trace of f/h^2 in characteristic 2.  The points at infinity of
-the smooth model are counted the same way from the leading coefficients.
+Counting evaluates h and f at every x of the field at once (gf.values, in
+the log domain of gf.log_tables) and counts the y over each x from the
+value alone: the quadratic character (parity of the log) in odd
+characteristic, the absolute trace of f/h^2 in characteristic 2.  The
+points at infinity of the smooth model are counted the same way from the
+leading coefficients.
 
 Counting over F_{q^i} builds F_{p^(k*i)} with its own canonical modulus and
 embeds coefficients by sending the generator to the lexicographically first
 root of the base modulus; for prime base fields the embedding is the
-identity on scalars.
+identity on scalars.  That root, and the singular point named as the
+witness of a singular curve, come from gf.poly_roots, which runs on the
+same whole-field evaluator.
 """
 
 from __future__ import annotations
@@ -139,28 +142,6 @@ def embed(src: gf.FieldSpec, dst: gf.FieldSpec, a: gf.FieldElement) -> gf.FieldE
     return acc
 
 
-def _values(T: gf.LogTables, logs: list) -> np.ndarray:
-    """log a(g^n) for n = 0..q-2 (-1 where a(g^n) = 0), by Horner's rule.
-
-    logs are the coefficient logs of a, low-to-high, -1 for a zero
-    coefficient; a is trimmed, so the leading one is nonzero.
-    """
-    m = len(T.exp)
-    if not logs:
-        return np.full(m, -1, dtype=np.int32)
-    x = np.arange(m, dtype=np.int32)  # log of x = g^n
-    acc = np.full(m, logs[-1], dtype=np.int32)
-    for c in reversed(logs[:-1]):
-        zero = acc < 0
-        acc = (acc + x) % m  # acc * x; wrong where acc = 0, reset below
-        if c >= 0:
-            # acc + c = c * (1 + acc / c)
-            z = T.zech[(acc - c) % m]
-            acc = np.where(z < 0, z, (z + c) % m)
-        acc[zero] = c  # 0 * x + c
-    return acc
-
-
 def _solutions(T: gf.LogTables, p: int, hv: np.ndarray, fv: np.ndarray) -> int:
     """Sum over the given x of #{y : y^2 + h(x) y = f(x)}, from value logs."""
     fzero = fv < 0
@@ -198,8 +179,8 @@ def count_points(C: HyperellipticCurve, i: int) -> int:
         hs.append(hl[g + 1] if len(hl) > g + 1 else -1)
         fs.append(fl[-1])
         total = 0
-    hv = np.concatenate((np.array(hs, dtype=np.int32), _values(T, hl)))
-    fv = np.concatenate((np.array(fs, dtype=np.int32), _values(T, fl)))
+    hv = np.concatenate((np.array(hs, dtype=np.int32), gf.values(T, hl)))
+    fv = np.concatenate((np.array(fs, dtype=np.int32), gf.values(T, fl)))
     return total + _solutions(T, base.p, hv, fv)
 
 

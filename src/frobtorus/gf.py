@@ -7,13 +7,15 @@ machines.  Elements are immutable and hashable; reps are tuples of length k
 over [0, p), low-to-high.
 
 Also provides polynomial helpers over a field (lists of FieldElement,
-low-to-high, trimmed) and deterministic root finding, which the curve module
-uses for singularity checks and coefficient embeddings.
+low-to-high, trimmed), which the curve module uses for singularity checks.
 
 For whole-field work each element also has an integer code in [0, q), its
 rep read as base-p digits, low digit first, and ``log_tables`` holds int32
-exp/log/Zech tables to a fixed primitive element, so numpy can evaluate a
-polynomial at every element at once with integer arithmetic only.
+exp/log/Zech tables to a fixed primitive element.  ``values`` evaluates a
+polynomial at every nonzero element at once by numpy Horner steps on those
+tables, with integer arithmetic only; point counting and root finding
+(``poly_roots``: singularity witnesses, coefficient embeddings) both run on
+it.
 """
 
 from __future__ import annotations
@@ -31,14 +33,7 @@ SIZE_CAP = 1 << 20
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and next(_fpx.prime_divisors(n)) == n
 
 
 @dataclass(frozen=True)
@@ -254,13 +249,6 @@ def poly_add(spec: FieldSpec, a: list, b: list) -> list:
     return poly_trim(spec, out)
 
 
-def poly_sub(spec: FieldSpec, a: list, b: list) -> list:
-    out = list(a) + [zero(spec)] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = out[i] - c
-    return poly_trim(spec, out)
-
-
 def poly_mul(spec: FieldSpec, a: list, b: list) -> list:
     if not a or not b:
         return []
@@ -310,17 +298,6 @@ def poly_gcd(spec: FieldSpec, a: list, b: list) -> list:
     return poly_monic(spec, a)
 
 
-def poly_powmod(spec: FieldSpec, a: list, e: int, m: list) -> list:
-    result = [one(spec)]
-    base = poly_rem(spec, a, m)
-    while e:
-        if e & 1:
-            result = poly_rem(spec, poly_mul(spec, result, base), m)
-        base = poly_rem(spec, poly_mul(spec, base, base), m)
-        e >>= 1
-    return result
-
-
 def poly_eval(spec: FieldSpec, a: list, x: FieldElement) -> FieldElement:
     acc = zero(spec)
     for c in reversed(a):
@@ -331,60 +308,6 @@ def poly_eval(spec: FieldSpec, a: list, x: FieldElement) -> FieldElement:
 def poly_deriv(spec: FieldSpec, a: list) -> list:
     out = [scalar(spec, i) * a[i] for i in range(1, len(a))]
     return poly_trim(spec, out)
-
-
-def poly_roots(spec: FieldSpec, a: list) -> list:
-    """All roots of a in the field, without multiplicity, sorted by rep.
-
-    Deterministic: splitting tries field elements in a fixed order, and the
-    result is sorted, so the outcome is independent of the search path.
-    """
-    a = poly_trim(spec, list(a))
-    if not a:
-        raise ValueError("zero polynomial has every root")
-    if len(a) == 1:
-        return []
-    a = poly_monic(spec, a)
-    x = [zero(spec), one(spec)]
-    # keep only the part that splits into distinct linear factors over spec
-    h = poly_powmod(spec, x, spec.q, a)
-    g = poly_gcd(spec, poly_sub(spec, h, x), a)
-    roots = [r.rep for r in _split_linear(spec, g)]
-    return [FieldElement(spec, rep) for rep in sorted(roots)]
-
-
-def _split_linear(spec: FieldSpec, g: list) -> list:
-    # g is monic, a product of distinct linear factors
-    if len(g) <= 1:
-        return []
-    if len(g) == 2:
-        return [-g[0]]
-    if spec.p == 2:
-        # Tr(c x) mod g = sum_j c^(2^j) x^(2^j) is F_2-linear in c.  The
-        # trace form is nondegenerate, so for two distinct roots r, r' some
-        # basis element t^i has Tr(t^i r) != Tr(t^i r'): k tries suffice.
-        frob = [poly_rem(spec, [zero(spec), one(spec)], g)]
-        for _ in range(spec.k - 1):
-            frob.append(poly_rem(spec, poly_mul(spec, frob[-1], frob[-1]), g))
-        for i in range(spec.k):
-            c = FieldElement(spec, tuple(int(j == i) for j in range(spec.k)))
-            acc = []
-            for xj in frob:
-                acc = poly_add(spec, acc, [c * a for a in xj])
-                c = c * c
-            d = poly_gcd(spec, acc, g)
-            if 0 < len(d) - 1 < len(g) - 1:
-                rest = poly_divmod(spec, g, d)[0]
-                return _split_linear(spec, d) + _split_linear(spec, rest)
-        raise AssertionError("unreachable: trace form is nondegenerate")
-    e = (spec.q - 1) // 2
-    for delta in enumerate_elements(spec):
-        s = poly_powmod(spec, [delta, one(spec)], e, g)
-        d = poly_gcd(spec, poly_sub(spec, s, [one(spec)]), g)
-        if 0 < len(d) - 1 < len(g) - 1:
-            rest = poly_divmod(spec, g, d)[0]
-            return _split_linear(spec, d) + _split_linear(spec, rest)
-    raise AssertionError("unreachable: some shift separates distinct roots")
 
 
 # ---------------------------------------------------------------------------
@@ -430,17 +353,6 @@ class LogTables:
 _BLOCK = 1 << 14
 
 
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    return out + [n] if n > 1 else out
-
-
 def _times(spec: FieldSpec, codes: np.ndarray, c: FieldElement) -> np.ndarray:
     # codes * c, as the F_p-linear map sending t^i to c * t^i; int64 holds
     # the digit products, up to (p-1)^2 < 2^40 when k = 1
@@ -459,7 +371,7 @@ def log_tables(spec: FieldSpec) -> LogTables:
     unit = one(spec)
     for g_code in range(1, q):
         g = from_code(spec, g_code)
-        if all(g ** (m // r) != unit for r in _prime_factors(m)):
+        if all(g ** (m // r) != unit for r in _fpx.prime_divisors(m)):
             break
     exp = np.empty(m, dtype=np.int32)
     exp[0] = 1
@@ -487,3 +399,47 @@ def log_tables(spec: FieldSpec) -> LogTables:
     for arr in (exp, log, zech):
         arr.flags.writeable = False
     return LogTables(exp=exp, log=log, zech=zech, trace_mask=mask)
+
+
+def values(T: LogTables, logs: list) -> np.ndarray:
+    """log a(g^n) for n = 0..q-2 (-1 where a(g^n) = 0), g the primitive
+    element of T, by Horner's rule over all n at once.
+
+    logs are the coefficient logs of a, low-to-high, -1 for a zero
+    coefficient; a is trimmed, so the leading one is nonzero.
+    """
+    m = len(T.exp)
+    if not logs:
+        return np.full(m, -1, dtype=np.int32)
+    x = np.arange(m, dtype=np.int32)  # log of x = g^n
+    acc = np.full(m, logs[-1], dtype=np.int32)
+    for c in reversed(logs[:-1]):
+        zero = acc < 0
+        acc = (acc + x) % m  # acc * x; wrong where acc = 0, reset below
+        if c >= 0:
+            # acc + c = c * (1 + acc / c)
+            z = T.zech[(acc - c) % m]
+            acc = np.where(z < 0, z, (z + c) % m)
+        acc[zero] = c  # 0 * x + c
+    return acc
+
+
+def poly_roots(spec: FieldSpec, a: list) -> list:
+    """All roots of a in the field, without multiplicity, sorted by rep.
+
+    a is evaluated at every nonzero element at once (values); 0 is a root
+    when the constant coefficient is.
+
+    >>> F = field_create(5)
+    >>> [r.rep for r in poly_roots(F, poly_from_ints(F, [0, -1, 0, 1]))]
+    [(0,), (1,), (4,)]
+    """
+    a = poly_trim(spec, list(a))
+    if not a:
+        raise ValueError("zero polynomial has every root")
+    T = log_tables(spec)
+    logs = [int(T.log[code(c)]) for c in a]
+    roots = [from_code(spec, int(c)) for c in T.exp[values(T, logs) < 0]]
+    if logs[0] < 0:
+        roots.append(zero(spec))
+    return sorted(roots, key=lambda r: r.rep)

@@ -108,7 +108,7 @@ class IntPoly:
         return result
 
     def __call__(self, x):
-        acc = 0 if isinstance(x, int) else Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -146,55 +146,33 @@ X = IntPoly([0, 1])
 
 
 def divmod_exact(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Quotient and remainder over Q, demanding integer results.
+    """Quotient and remainder by integer long division.
 
-    Raises ValueError when the division leaves Z[x].
+    Raises ValueError when the quotient leaves Z[x], that is when lc(b)
+    does not divide the leading coefficient at some step; a monic b always
+    divides.
+
+    >>> divmod_exact(IntPoly([1, 3, 2]), IntPoly([1, 2]))  # 2x^2+3x+1 by 2x+1
+    (IntPoly([1, 1]), IntPoly([]))
+    >>> divmod_exact(IntPoly([0, 0, 1]), IntPoly([0, 2]))  # x^2 by 2x
+    Traceback (most recent call last):
+    ...
+    ValueError: division is not exact over the integers
     """
-    q, r = _divmod_q(a, b)
-    return _as_int_poly(q), _as_int_poly(r)
-
-
-def _divmod_q(a: IntPoly, b: IntPoly) -> tuple[list, list]:
     if b.is_zero:
         raise ZeroPolynomial("division by zero polynomial")
-    rem = [Fraction(c) for c in a.coeffs]
-    db = b.degree
-    lc = Fraction(b.lc)
-    if len(rem) - 1 < db:
-        return [], rem
-    quo = [Fraction(0)] * (len(rem) - db)
-    while rem and len(rem) - 1 >= db:
-        c = rem[-1] / lc
-        d = len(rem) - 1 - db
-        quo[d] = c
-        for i, cb in enumerate(b.coeffs):
-            rem[d + i] -= c * cb
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return quo, rem
-
-
-def _as_int_poly(fracs: list) -> IntPoly:
-    out = []
-    for c in fracs:
-        if c.denominator != 1:
-            raise ValueError("division is not exact over the integers")
-        out.append(c.numerator)
-    return IntPoly(out)
-
-
-def divmod_monic(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Integer long division by a monic divisor (always exact over Z)."""
-    if not b.is_monic:
-        raise ValueError("divisor must be monic")
     rem = list(a.coeffs)
-    db = b.degree
+    db, lc = b.degree, b.lc
     if len(rem) - 1 < db:
         return IntPoly(), a
     quo = [0] * (len(rem) - db)
     for d in range(len(rem) - 1 - db, -1, -1):
         c = rem[d + db]
         if c:
+            if lc != 1:
+                if c % lc:
+                    raise ValueError("division is not exact over the integers")
+                c //= lc
             quo[d] = c
             for i, cb in enumerate(b.coeffs):
                 rem[d + i] -= c * cb
@@ -379,7 +357,9 @@ def _interpolate(points: list[tuple[int, int]]) -> IntPoly:
         scale = Fraction(yi, den)
         for idx, c in enumerate(num):
             acc[idx] += c * scale
-    return _as_int_poly(acc)
+    if any(c.denominator != 1 for c in acc):
+        raise ValueError("division is not exact over the integers")
+    return IntPoly([c.numerator for c in acc])
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -436,7 +416,7 @@ def _primes_from_17() -> list[int]:
     out = []
     n = 17
     while len(out) < 64:
-        if all(n % p for p in range(2, int(n ** 0.5) + 1)):
+        if next(_fpx.prime_divisors(n)) == n:
             out.append(n)
         n += 2
     return out
@@ -566,7 +546,7 @@ def _zassenhaus_squarefree(F: IntPoly, prime_index: int) -> list[IntPoly]:
                 for i in combo:
                     prod = _fpx.mul(prod, lifted[i], modulus)
                 cand = IntPoly([_sym(c, modulus) for c in prod])
-                quo, rem2 = divmod_monic(target, cand)
+                quo, rem2 = divmod_exact(target, cand)
                 if rem2.is_zero:
                     found_monic.append(cand)
                     for i in combo:
@@ -626,7 +606,7 @@ def cyclotomic(m: int) -> IntPoly:
     num = IntPoly([0] * m + [1]) - IntPoly([1])
     for d in range(1, m):
         if m % d == 0:
-            num, r = divmod_monic(num, cyclotomic(d))
+            num, r = divmod_exact(num, cyclotomic(d))
             if not r.is_zero:
                 raise AssertionError("cyclotomic division must be exact")
     return num

@@ -23,12 +23,13 @@ import functools
 import math
 from dataclasses import dataclass
 
+from . import _fpx
 from .errors import InvariantViolation, ParseError, SizeExceeded
 from .intpoly import (
     FACTOR_DEGREE_CAP,
     IntPoly,
     cyclotomic,
-    divmod_monic,
+    divmod_exact,
     factor,
     from_power_sums,
     root_power_sums,
@@ -102,15 +103,8 @@ def ratio_poly(P: WeilPolynomial) -> IntPoly:
 
 def euler_phi(m: int) -> int:
     out = m
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out -= out // d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out -= out // m
+    for r in _fpx.prime_divisors(m):
+        out -= out // r
     return out
 
 
@@ -130,7 +124,7 @@ def ratio_torsion_orders(P: WeilPolynomial) -> set[int]:
     bound = (2 * P.g) ** 2
     out = set()
     for m in _torsion_candidates(bound):
-        if divmod_monic(R, cyclotomic(m))[1].is_zero:
+        if divmod_exact(R, cyclotomic(m))[1].is_zero:
             out.add(m)
     return out
 
@@ -231,19 +225,25 @@ def verdict_from_json(d) -> SimplicityVerdict:
     kind = d["kind"]
     if kind not in (ABSOLUTELY_SIMPLE, NOT_SIMPLE, NOT_ABSOLUTELY_SIMPLE, INCONCLUSIVE):
         raise ParseError(f"unknown verdict kind {kind!r}")
-    factors = None
-    if "factors" in d:
-        try:
+    factors = torsion = witness_n = None
+    try:
+        if "factors" in d:
             factors = tuple(
-                (IntPoly([decode_int(c) for c in item["coeffs"]]), int(item["mult"]))
+                (
+                    IntPoly([decode_int(c) for c in item["coeffs"]]),
+                    decode_int(item["mult"]),
+                )
                 for item in d["factors"]
             )
-        except (TypeError, KeyError):
-            raise ParseError("malformed verdict factors") from None
-    torsion = tuple(d["torsion_orders"]) if "torsion_orders" in d else None
+        if "torsion_orders" in d:
+            torsion = tuple(decode_int(m) for m in d["torsion_orders"])
+    except (TypeError, KeyError):
+        raise ParseError("malformed verdict factors or torsion orders") from None
+    if d.get("witness_n") is not None:
+        witness_n = decode_int(d["witness_n"])
     return SimplicityVerdict(
         kind=kind,
-        witness_n=d.get("witness_n"),
+        witness_n=witness_n,
         factors=factors,
         torsion_orders=torsion,
         reason=d.get("reason"),

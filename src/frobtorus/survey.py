@@ -50,7 +50,7 @@ from .simplicity import (
     verdict_to_json,
     verify_verdict,
 )
-from .zeta import is_weil, weil_from_counts, weil_from_json, weil_to_json
+from .zeta import decode_int, is_weil, weil_from_counts, weil_from_json, weil_to_json
 from .curves import PointCounts
 
 FORMAT = "frobtorus-survey-v1"
@@ -431,7 +431,11 @@ def _verify_record(obj) -> None:
             raise CorruptRecord(f"record is missing {fieldname!r}")
     c = obj["counts"]
     try:
-        counts = PointCounts(q=c["q"], g=c["g"], counts=tuple(c["counts"]))
+        counts = PointCounts(
+            q=decode_int(c["q"]),
+            g=decode_int(c["g"]),
+            counts=tuple(decode_int(n) for n in c["counts"]),
+        )
     except (KeyError, TypeError):
         raise CorruptRecord("malformed counts") from None
     P = weil_from_counts(counts)

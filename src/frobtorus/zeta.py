@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy
 
-from . import intpoly
+from . import _fpx, intpoly
 from .errors import InvariantViolation, ParseError
 
 INT_JSON_CUTOFF = 1 << 53
@@ -24,13 +24,9 @@ INT_JSON_CUTOFF = 1 << 53
 @functools.lru_cache(maxsize=None)
 def prime_power(q: int) -> tuple[int, int]:
     """Split q into (p, k) with p prime; reject non prime powers."""
-    if q < 2:
+    p = next(_fpx.prime_divisors(q), None)
+    if p is None:
         raise ValueError(f"{q} is not a prime power")
-    p = q
-    for d in range(2, math.isqrt(q) + 1):
-        if q % d == 0:
-            p = d
-            break
     k = 0
     rest = q
     while rest % p == 0:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from frobtorus import gf
 from frobtorus.curves import embed
-from frobtorus.intpoly import IntPoly, divmod_monic, resultant_y
+from frobtorus.intpoly import IntPoly, divmod_exact, resultant_y
 
 
 def naive_count(C, i: int) -> int:
@@ -147,11 +147,11 @@ def minpoly_degree_over_q(element_coeffs, modulus_coeffs) -> int:
 def powmod_monic(base: IntPoly, e: int, mod: IntPoly) -> IntPoly:
     """base**e reduced modulo a monic polynomial, exactly over Z."""
     result = IntPoly([1])
-    acc = divmod_monic(base, mod)[1]
+    acc = divmod_exact(base, mod)[1]
     while e:
         if e & 1:
-            result = divmod_monic(result * acc, mod)[1]
-        acc = divmod_monic(acc * acc, mod)[1]
+            result = divmod_exact(result * acc, mod)[1]
+        acc = divmod_exact(acc * acc, mod)[1]
         e >>= 1
     return result
 

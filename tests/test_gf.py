@@ -141,17 +141,20 @@ def test_poly_roots_in_extension_field():
         assert r * r == -gf.one(spec)
 
 
-@pytest.mark.parametrize("k", [4, 7])
-def test_poly_roots_char2_extension_matches_brute_force(k):
-    # roots differing by t^(k-1) have equal Tr(c r) for every c in the span
-    # of 1, t, ..., t^(k-2), so only the last basis element separates them
-    spec = gf.field_create(2, k)
+@pytest.mark.parametrize("p,k", [(2, 4), (2, 7), (3, 2), (5, 2), (3, 3)])
+def test_poly_roots_char2_extension_matches_brute_force(p, k):
+    # each trial has a root pair r, r + t^(k-1), which differ only in the top
+    # digit; every third trial also has the root 0, which is not among the
+    # x = g^n that gf.values evaluates at
+    spec = gf.field_create(p, k)
     rng = random.Random(k)
     elems = list(gf.enumerate_elements(spec))
     top = gf.FieldElement(spec, (0,) * (k - 1) + (1,))
     for trial in range(6):
         r = rng.choice(elems)
         roots = {r.rep, (r + top).rep} | {rng.choice(elems).rep for _ in range(trial)}
+        if trial % 3 == 0:
+            roots.add(gf.zero(spec).rep)
         a = [gf.one(spec)]
         for rep in roots:
             a = gf.poly_mul(spec, a, [-gf.FieldElement(spec, rep), gf.one(spec)])

@@ -379,6 +379,32 @@ def test_report_flags_tampered_verdict(tmp_path):
         report(str(path))
 
 
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("verdict", "factors", 0, "mult"), "x"),
+        (("verdict", "torsion_orders"), 5),
+        (("verdict", "witness_n"), "2"),
+        (("counts", "counts"), [3.0, 13.0]),
+    ],
+    ids=["mult", "torsion_orders", "witness_n", "counts"],
+)
+def test_report_rejects_malformed_record_fields(tmp_path, path, value):
+    _, file, _ = _run_to_file(tmp_path, p=3, genus=2, degree=5, limit=5)
+    lines = file.read_text().splitlines()
+    doc = json.loads(lines[2])  # 3; h=; f=0,1,0,0,1,1 -- AbsolutelySimple
+    assert doc["counts"]["counts"] == [3, 13]
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    lines[2] = json.dumps(doc)
+    file.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptRecord) as exc:
+        report(str(file))
+    assert exc.value.line == 3
+
+
 def test_report_flags_non_json_line(tmp_path):
     _, path, _ = _run_to_file(tmp_path, p=3, genus=1, degree=3, limit=2)
     with open(path, "a") as fh:
