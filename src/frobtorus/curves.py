@@ -1,20 +1,22 @@
 """Hyperelliptic curves y^2 + h(x) y = f(x) over small finite fields.
 
+Coefficients are the integer codes of gf, low-to-high, everywhere: in the
+curve value, in validation, in embeddings and in the curve text.
 Validation enforces the smooth-affine-model conditions (squarefree f with
-h = 0 in odd characteristic; the h-root criterion in characteristic 2).
-Counting evaluates h and f at every x of the field at once (gf.values, in
-the log domain of gf.log_tables) and counts the y over each x from the
-value alone: the quadratic character (parity of the log) in odd
-characteristic, the absolute trace of f/h^2 in characteristic 2.  The
-points at infinity of the smooth model are counted the same way from the
-leading coefficients.
+h = 0 in odd characteristic; the h-root criterion in characteristic 2) by
+gcds in F_q[x] (gf.pgcd).  Counting evaluates h and f at every x of the
+field at once (gf.values, in the log domain of gf.log_tables) and counts
+the y over each x from the value alone: the quadratic character (parity of
+the log) in odd characteristic, the absolute trace of f/h^2 in
+characteristic 2.  The points at infinity of the smooth model are counted
+the same way from the leading coefficients.
 
 Counting over F_{q^i} builds F_{p^(k*i)} with its own canonical modulus and
-embeds coefficients by sending the generator to the lexicographically first
-root of the base modulus; for prime base fields the embedding is the
-identity on scalars.  That root, and the singular point named as the
-witness of a singular curve, come from gf.poly_roots, which runs on the
-same whole-field evaluator.
+embeds coefficients by a code-to-code table that sends the generator to the
+lexicographically first root of the base modulus; for prime base fields the
+embedding is the identity on codes.  That root, and the singular point
+named as the witness of a singular curve, come from gf.poly_roots, which
+runs on the same whole-field evaluator.
 """
 
 from __future__ import annotations
@@ -25,15 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf
+from . import _fpx, gf
 from .errors import BadDegrees, NonPrime, ParseError, Singular, WeilBoundViolated
 
 
 @dataclass(frozen=True)
 class HyperellipticCurve:
     base: gf.FieldSpec
-    h: tuple  # FieldElement coefficients, low-to-high, trimmed
-    f: tuple  # FieldElement coefficients, low-to-high, monic
+    h: tuple  # coefficient codes, low-to-high, trimmed
+    f: tuple  # coefficient codes, low-to-high, monic
     genus: int
 
 
@@ -61,28 +63,31 @@ def genus_for_degree(d: int) -> int:
 def validate_curve(base: gf.FieldSpec, h, f, g: int) -> HyperellipticCurve:
     """Check degrees and nonsingularity; normalize into a curve value.
 
-    h and f are sequences of FieldElement over base.
+    h and f are sequences of coefficient codes in [0, q), low-to-high;
+    any other coefficient raises ValueError.
     """
-    h = gf.poly_trim(base, list(h))
-    f = gf.poly_trim(base, list(f))
+    h = _fpx.trim(list(h))
+    f = _fpx.trim(list(f))
+    if any(not (isinstance(c, int) and 0 <= c < base.q) for c in h + f):
+        raise ValueError(f"coefficient codes must be ints in [0, {base.q})")
     if g < 1:
         raise BadDegrees(f"genus must be >= 1, got {g}")
     df = len(f) - 1
     if df not in (2 * g + 1, 2 * g + 2):
         raise BadDegrees(f"deg f = {df}, need 2g+1 = {2 * g + 1} or 2g+2")
-    if f[-1] != gf.one(base):
+    if f[-1] != 1:
         raise BadDegrees("f must be monic")
     if len(h) - 1 > g + 1:
         raise BadDegrees(f"deg h = {len(h) - 1} exceeds g+1 = {g + 1}")
     if base.p != 2:
         if h:
             raise BadDegrees("h must be zero in odd characteristic")
-        d = gf.poly_gcd(base, f, gf.poly_deriv(base, f))
+        d = gf.pgcd(base, f, gf.pderiv(base, f))
         if len(d) - 1 > 0:
             base_roots = gf.poly_roots(base, d)
             witness = None
             if base_roots:
-                witness = (1, base_roots[0].rep, gf.zero(base).rep)
+                witness = (1, gf.digits(base, base_roots[0]), (0,) * base.k)
             raise Singular("f has a repeated root", witness=witness)
     else:
         if not h:
@@ -91,55 +96,50 @@ def validate_curve(base: gf.FieldSpec, h, f, g: int) -> HyperellipticCurve:
         # of h, and squaring is injective, so a curve with h coprime to
         # h'^2 f + f'^2 is nonsingular; only the others search the
         # extensions, for the first singular point as the witness
-        hd, fd = gf.poly_deriv(base, h), gf.poly_deriv(base, f)
-        test = gf.poly_add(
-            base, gf.poly_mul(base, gf.poly_mul(base, hd, hd), f), gf.poly_mul(base, fd, fd)
+        hd, fd = gf.pderiv(base, h), gf.pderiv(base, f)
+        test = gf.padd(
+            base, gf.pmul(base, gf.pmul(base, hd, hd), f), gf.pmul(base, fd, fd)
         )
-        deg_h = len(h) - 1 if len(gf.poly_gcd(base, h, test)) > 1 else 0
+        deg_h = len(h) - 1 if len(gf.pgcd(base, h, test)) > 1 else 0
         for m in range(1, deg_h + 1):
             ext = gf.field_create(2, base.k * m)
-            hk = [embed(base, ext, c) for c in h]
-            fk = [embed(base, ext, c) for c in f]
-            hk_d = gf.poly_deriv(ext, hk)
-            fk_d = gf.poly_deriv(ext, fk)
+            hk, hdk, fk, fdk = (
+                [embed(base, ext, c) for c in a] for a in (h, hd, f, fd)
+            )
             for x0 in gf.poly_roots(ext, hk):
-                y0 = gf.poly_eval(ext, fk, x0) ** (ext.q // 2)
-                lhs = gf.poly_eval(ext, hk_d, x0) * y0
-                rhs = gf.poly_eval(ext, fk_d, x0)
-                if lhs == rhs:
+                y0 = gf.power(ext, gf.evaluate(ext, fk, x0), ext.q // 2)
+                lhs = gf.mul(ext, gf.evaluate(ext, hdk, x0), y0)
+                if lhs == gf.evaluate(ext, fdk, x0):
                     raise Singular(
                         "singular point on the affine model",
-                        witness=(m, x0.rep, y0.rep),
+                        witness=(m, gf.digits(ext, x0), gf.digits(ext, y0)),
                     )
     return HyperellipticCurve(base=base, h=tuple(h), f=tuple(f), genus=g)
 
 
 @functools.lru_cache(maxsize=None)
-def _generator_image(src: gf.FieldSpec, dst: gf.FieldSpec) -> tuple:
-    # powers of the chosen root of src's modulus inside dst
-    mod_in_dst = [gf.scalar(dst, c) for c in src.modulus]
-    roots = gf.poly_roots(dst, mod_in_dst)
-    gamma = roots[0]  # lexicographically first by rep
-    powers = [gf.one(dst)]
+def _embedding(src: gf.FieldSpec, dst: gf.FieldSpec) -> np.ndarray:
+    # the dst code of every src code; src's generator goes to the first root
+    # of src's modulus by rep
+    gamma = gf.poly_roots(dst, list(src.modulus))[0]
+    powers = [1]
     for _ in range(src.k - 1):
-        powers.append(powers[-1] * gamma)
-    return tuple(powers)
+        powers.append(gf.mul(dst, powers[-1], gamma))
+    image = gf.linear_map(src, dst, np.arange(src.q), powers)
+    image.flags.writeable = False
+    return image
 
 
-def embed(src: gf.FieldSpec, dst: gf.FieldSpec, a: gf.FieldElement) -> gf.FieldElement:
-    """Map a in F_{p^k} into F_{p^K} (k | K), generator to first root."""
+def embed(src: gf.FieldSpec, dst: gf.FieldSpec, a: int) -> int:
+    """Map the code a of F_{p^k} into F_{p^K} (k | K), generator to first
+    root."""
     if src == dst:
         return a
     if src.p != dst.p or dst.k % src.k:
         raise ValueError(f"no embedding of {src!r} into {dst!r}")
     if src.k == 1:
-        return gf.scalar(dst, a.rep[0])
-    powers = _generator_image(src, dst)
-    acc = gf.zero(dst)
-    for c, tpow in zip(a.rep, powers):
-        if c:
-            acc = acc + gf.scalar(dst, c) * tpow
-    return acc
+        return a  # F_p scalars keep their code
+    return int(_embedding(src, dst)[a])
 
 
 def _solutions(T: gf.LogTables, p: int, hv: np.ndarray, fv: np.ndarray) -> int:
@@ -169,8 +169,8 @@ def count_points(C: HyperellipticCurve, i: int) -> int:
     base = C.base
     ext = gf.field_create(base.p, base.k * i)  # SizeExceeded past the cap
     T = gf.log_tables(ext)
-    hl = [int(T.log[gf.code(embed(base, ext, c))]) for c in C.h]
-    fl = [int(T.log[gf.code(embed(base, ext, c))]) for c in C.f]
+    hl = [int(T.log[embed(base, ext, c)]) for c in C.h]
+    fl = [int(T.log[embed(base, ext, c)]) for c in C.f]
     g = C.genus
     # x = 0 first; a degree-(2g+2) model adds the x = infinity fibre
     # y^2 + h_{g+1} y = lead f, a degree-(2g+1) model one point
@@ -199,18 +199,24 @@ def counts_up_to_genus(C: HyperellipticCurve) -> PointCounts:
 # Curve text format: "p^k; h=...; f=..." with low-to-high coefficients,
 # plain integers over prime fields and (c0,...,c_{k-1}) tuples otherwise.
 
-def _coeffs_to_text(spec: gf.FieldSpec, cs) -> str:
-    if spec.k == 1:
-        return ",".join(str(c.rep[0]) for c in cs)
-    return ",".join("(" + ",".join(str(v) for v in c.rep) + ")" for c in cs)
+def equation_text(spec: gf.FieldSpec, h, f) -> str:
+    """The text of the equation y^2 + h y = f, h and f code sequences;
+    trailing zero coefficients are dropped."""
+
+    def coeffs(cs):
+        cs = _fpx.trim(list(cs))
+        if spec.k == 1:
+            return ",".join(map(str, cs))
+        return ",".join(
+            "(" + ",".join(map(str, gf.digits(spec, c))) + ")" for c in cs
+        )
+
+    field = str(spec.p) if spec.k == 1 else f"{spec.p}^{spec.k}"
+    return f"{field}; h={coeffs(h)}; f={coeffs(f)}"
 
 
 def curve_to_text(C: HyperellipticCurve) -> str:
-    spec = C.base
-    field = str(spec.p) if spec.k == 1 else f"{spec.p}^{spec.k}"
-    return (
-        f"{field}; h={_coeffs_to_text(spec, C.h)}; f={_coeffs_to_text(spec, C.f)}"
-    )
+    return equation_text(C.base, C.h, C.f)
 
 
 def _parse_coeff_list(spec: gf.FieldSpec, text: str) -> list:
@@ -226,12 +232,12 @@ def _parse_coeff_list(spec: gf.FieldSpec, text: str) -> list:
             ints = [int(v) for v in tup.split(",")]
             if len(ints) > spec.k:
                 raise ParseError(f"coefficient tuple longer than k={spec.k}: ({tup})")
-            out.append(gf.element(spec, ints))
+            out.append(gf.code(spec, ints))
     else:
         for piece in text.split(","):
             piece = piece.strip()
             try:
-                out.append(gf.scalar(spec, int(piece)))
+                out.append(int(piece) % spec.p)
             except ValueError:
                 raise ParseError(f"bad coefficient {piece!r}") from None
     return out
@@ -254,8 +260,7 @@ def curve_from_text(text: str) -> HyperellipticCurve:
     if not parts[1].startswith("h=") or not parts[2].startswith("f="):
         raise ParseError("expected 'h=...' then 'f=...'")
     h = _parse_coeff_list(spec, parts[1][2:])
-    f = _parse_coeff_list(spec, parts[2][2:])
-    f = gf.poly_trim(spec, f)
+    f = _fpx.trim(_parse_coeff_list(spec, parts[2][2:]))
     if len(f) - 1 < 3:
         raise ParseError(f"deg f = {len(f) - 1} cannot carry genus >= 1")
     g = genus_for_degree(len(f) - 1)

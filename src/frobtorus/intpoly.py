@@ -362,7 +362,7 @@ def _interpolate(points: list[tuple[int, int]]) -> IntPoly:
     return IntPoly([c.numerator for c in acc])
 
 
-def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
+def gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     """Greatest common divisor in Z[x], primitive with positive lc
     (times the integer gcd of the contents)."""
     if f.is_zero and g.is_zero:
@@ -387,21 +387,21 @@ def squarefree_part(f: IntPoly) -> IntPoly:
         raise ZeroPolynomial("squarefree part of zero polynomial")
     if f.degree == 0:
         return IntPoly([1])
-    g = poly_gcd(f, f.derivative())
+    g = gcd(f, f.derivative())
     q, _ = divmod_exact(f, g)
     return q.primitive()
 
 
 def _yun(F: IntPoly) -> list[tuple[IntPoly, int]]:
     # squarefree decomposition of a primitive positive-lc polynomial
-    d = poly_gcd(F, F.derivative())
+    d = gcd(F, F.derivative())
     b, _ = divmod_exact(F, d)
     c, _ = divmod_exact(F.derivative(), d)
     z = c - b.derivative()
     out = []
     i = 1
     while b.degree > 0:
-        a = poly_gcd(b, z)
+        a = gcd(b, z)
         if a.degree > 0:
             out.append((a, i))
         b, _ = divmod_exact(b, a)

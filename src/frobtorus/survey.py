@@ -28,6 +28,7 @@ from .curves import (
     counts_up_to_genus,
     curve_from_text,
     curve_to_text,
+    equation_text,
     validate_curve,
 )
 from .errors import (
@@ -108,16 +109,6 @@ def enumerate_equations(cfg: SurveyConfig):
                 yield hv, lows + (1,)
 
 
-def equation_text(p: int, h_ints, f_ints) -> str:
-    """Curve key for prime-field equations; matches curve_to_text output."""
-    h = list(h_ints)
-    while h and h[-1] == 0:
-        h.pop()
-    return "{}; h={}; f={}".format(
-        p, ",".join(map(str, h)), ",".join(map(str, f_ints))
-    )
-
-
 def curve_record(C) -> dict:
     """Run counts -> Weil polynomial -> verdict on a validated curve."""
     t0 = time.perf_counter()
@@ -141,11 +132,9 @@ def curve_record(C) -> dict:
 
 
 def _analyze_equation(args) -> tuple[str, dict | None]:
-    p, genus, h_ints, f_ints = args
+    p, genus, h, f = args
     base = gf.field_create(p, 1)
-    h = [gf.scalar(base, c) for c in h_ints]
-    f = [gf.scalar(base, c) for c in f_ints]
-    key = equation_text(p, h_ints, f_ints)
+    key = equation_text(base, h, f)
     try:
         C = validate_curve(base, h, f, genus)
     except Singular:
@@ -220,13 +209,14 @@ def _record_family(obj: dict) -> tuple:
 def _result_stream(cfg: SurveyConfig, skip_keys: dict[str, object]):
     """Yield ('skip', key, None) or ('new', key, record|None) in enumeration
     order, analyzing concurrently when cfg.jobs > 1."""
+    base = gf.field_create(cfg.p, 1)
     tasks = (
         (cfg.p, cfg.genus, hv, fv)
         for hv, fv in enumerate_equations(cfg)
     )
     if cfg.jobs == 1:
         for args in tasks:
-            key = equation_text(cfg.p, args[2], args[3])
+            key = equation_text(base, args[2], args[3])
             if key in skip_keys:
                 yield "skip", key, None
             else:
@@ -241,7 +231,7 @@ def _result_stream(cfg: SurveyConfig, skip_keys: dict[str, object]):
                 args = next(task_iter, None)
                 if args is None:
                     break
-                key = equation_text(cfg.p, args[2], args[3])
+                key = equation_text(base, args[2], args[3])
                 if key in skip_keys:
                     pending.append(("skip", key, None))
                 else:

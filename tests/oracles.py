@@ -1,63 +1,111 @@
 """Independent reimplementations used to cross-check the package.
 
 Everything here is deliberately naive: brute-force point counts and
-singular-point search, a Sylvester-matrix resultant over Fraction arithmetic, a root-of-unity scan by
-explicit minimal-polynomial degree, and the power charpoly and ratio
-polynomial as bivariate resultants.  Slow but hard to get wrong.
+singular-point search on their own digit-tuple field arithmetic (they share
+only the canonical modulus with the package), a Sylvester-matrix resultant
+over Fraction arithmetic, a root-of-unity scan by explicit
+minimal-polynomial degree, and the power charpoly and ratio polynomial as
+bivariate resultants.  Slow but hard to get wrong.
 """
 
+import itertools
 from fractions import Fraction
 
-from frobtorus import gf
-from frobtorus.curves import embed
+from frobtorus import _fpx, gf
 from frobtorus.intpoly import IntPoly, divmod_exact, resultant_y
+
+
+class _Field:
+    """F_{p^k} on reps (digit tuples, low first), with its own arithmetic:
+    _fpx.mul, then the remainder by the package's canonical modulus."""
+
+    def __init__(self, p, k):
+        self.p, self.k = p, k
+        self.modulus = list(gf.field_create(p, k).modulus)
+        self.elems = list(itertools.product(range(p), repeat=k))  # rep order
+        self.zero = (0,) * k
+
+    def rep(self, ints):
+        r = _fpx.rem(_fpx.trim([c % self.p for c in ints]), self.modulus, self.p)
+        return tuple(r) + (0,) * (self.k - len(r))
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        return self.rep(_fpx.mul(a, b, self.p))
+
+    def eval(self, poly, x):
+        acc = self.zero
+        for c in reversed(poly):
+            acc = self.add(self.mul(acc, x), c)
+        return acc
+
+    def deriv(self, poly):
+        return [self.mul(self.rep([i]), poly[i]) for i in range(1, len(poly))]
+
+
+def _lift(spec, ext, codes):
+    """Coefficient codes over spec as reps of ext, a field containing it:
+    the base-p digits of a code, with t sent to the first root of spec's
+    modulus in rep order, found by trial."""
+    powers = [ext.rep([1])]
+    if spec.k > 1:
+        mod = [ext.rep([c]) for c in spec.modulus]
+        gamma = next(x for x in ext.elems if ext.eval(mod, x) == ext.zero)
+        for _ in range(spec.k - 1):
+            powers.append(ext.mul(powers[-1], gamma))
+    out = []
+    for n in codes:
+        acc = ext.zero
+        for t in powers:
+            n, d = divmod(n, spec.p)
+            acc = ext.add(acc, ext.mul(ext.rep([d]), t))
+        out.append(acc)
+    return out
 
 
 def naive_count(C, i: int) -> int:
     """Count points of C over the degree-i extension by trying every (x, y),
     plus the standard points at infinity of the smooth model."""
     spec = C.base
-    ext = gf.field_create(spec.p, spec.k * i)
-    h = [embed(spec, ext, c) for c in C.h]
-    f = [embed(spec, ext, c) for c in C.f]
-    total = 0
-    for x in gf.enumerate_elements(ext):
-        hv = gf.poly_eval(ext, list(h), x)
-        fv = gf.poly_eval(ext, list(f), x)
-        for y in gf.enumerate_elements(ext):
-            if y * y + hv * y == fv:
-                total += 1
-    d = len(C.f) - 1
+    ext = _Field(spec.p, spec.k * i)
+    h = _lift(spec, ext, C.h)
+    f = _lift(spec, ext, C.f)
+    squares = [ext.mul(y, y) for y in ext.elems]
+
+    def solutions(hv, fv):
+        return sum(
+            1 for y, y2 in zip(ext.elems, squares) if ext.add(y2, ext.mul(hv, y)) == fv
+        )
+
+    total = sum(solutions(ext.eval(h, x), ext.eval(f, x)) for x in ext.elems)
     g = C.genus
-    if d == 2 * g + 1:
+    if len(C.f) - 1 == 2 * g + 1:
         return total + 1
-    lead_f = embed(spec, ext, C.f[-1])
-    lead_h = embed(spec, ext, C.h[g + 1]) if len(C.h) > g + 1 else gf.zero(ext)
-    at_inf = sum(
-        1 for y in gf.enumerate_elements(ext) if y * y + lead_h * y == lead_f
-    )
-    return total + at_inf
+    lead_h = h[g + 1] if len(h) > g + 1 else ext.zero
+    return total + solutions(lead_h, f[-1])
 
 
 def naive_singular_point(spec, h, f):
     """First affine singular point (m, x, y) of y^2 + h y = f over
     F_{q^m}, m = 1 .. max(deg h, 1), by trying every (x, y); None if none.
+    h and f are coefficient codes over spec; x and y are reps.
 
     In characteristic 2 a singular point needs h(x) = 0 and h'(x) y = f'(x);
     every root of h lies in one of these fields.
     """
     for m in range(1, max(len(h) - 1, 1) + 1):
-        ext = gf.field_create(spec.p, spec.k * m)
-        hk = [embed(spec, ext, c) for c in h]
-        fk = [embed(spec, ext, c) for c in f]
-        hd, fd = gf.poly_deriv(ext, hk), gf.poly_deriv(ext, fk)
-        for x in gf.enumerate_elements(ext):
-            hv = gf.poly_eval(ext, hk, x)
-            for y in gf.enumerate_elements(ext):
-                on_curve = y * y + hv * y == gf.poly_eval(ext, fk, x)
-                if (on_curve and (y + y + hv) == gf.zero(ext)
-                        and gf.poly_eval(ext, hd, x) * y == gf.poly_eval(ext, fd, x)):
-                    return m, x.rep, y.rep
+        ext = _Field(spec.p, spec.k * m)
+        hk, fk = _lift(spec, ext, h), _lift(spec, ext, f)
+        hd, fd = ext.deriv(hk), ext.deriv(fk)
+        for x in ext.elems:
+            hv, fv = ext.eval(hk, x), ext.eval(fk, x)
+            for y in ext.elems:
+                on_curve = ext.add(ext.mul(y, y), ext.mul(hv, y)) == fv
+                if (on_curve and ext.add(ext.add(y, y), hv) == ext.zero
+                        and ext.mul(ext.eval(hd, x), y) == ext.eval(fd, x)):
+                    return m, x, y
     return None
 
 

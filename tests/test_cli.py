@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -130,6 +131,24 @@ def test_genus_past_the_factoring_cap_is_input_error(argv, capsys):
     err = capsys.readouterr().err
     assert "error:" in err and "factoring cap" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--curve", "2305843009213693951; h=; f=0,1,0,1"],  # 2^61 - 1
+        ["analyze", "--curve", "3^10000000; h=; f=0,1,0,1"],
+        ["survey", "--p", "2305843009213693951", "--genus", "1", "--deg", "3"],
+    ],
+)
+def test_huge_field_is_input_error_at_once(argv, capsys):
+    # the size cap is checked before trial division and before p**k, which
+    # took hours and seconds respectively
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 3
+    err = capsys.readouterr().err
+    assert "error:" in err and "exceeds 2^20" in err
 
 
 def test_unknown_subcommand_exits_via_argparse():

@@ -13,7 +13,7 @@ from frobtorus.intpoly import (
     divmod_exact,
     factor,
     from_power_sums,
-    poly_gcd,
+    gcd,
     resultant,
     resultant_y,
     root_power_sums,
@@ -241,5 +241,5 @@ def test_poly_gcd_recovers_common_factor():
     common = X ** 2 + IntPoly([3]) * X + IntPoly([1])
     f = common * (X - IntPoly([4])) * IntPoly([2])
     g = common * (X + IntPoly([5])) * IntPoly([3])
-    assert poly_gcd(f, g) == common
-    assert poly_gcd(IntPoly([4, 6]), IntPoly([6])) == IntPoly([2])
+    assert gcd(f, g) == common
+    assert gcd(IntPoly([4, 6]), IntPoly([6])) == IntPoly([2])

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from frobtorus.curves import curve_from_text
+from frobtorus.curves import curve_from_text, equation_text
 from frobtorus.errors import (
     BadDegrees,
     CorruptRecord,
@@ -12,13 +12,13 @@ from frobtorus.errors import (
     Singular,
     SizeExceeded,
 )
+from frobtorus.gf import field_create
 from frobtorus.survey import (
     FORMAT,
     SurveyConfig,
     analyze_one,
     curve_record,
     enumerate_equations,
-    equation_text,
     report,
     run_find,
     run_survey,
@@ -82,9 +82,10 @@ def test_enumeration_char2_walks_h_major():
 
 def test_equation_text_matches_curve_record_key(tmp_path):
     rec = analyze_one("3; h=; f=0,1,0,1")
-    assert rec["curve"] == equation_text(3, (), (0, 1, 0, 1))
+    assert rec["curve"] == equation_text(field_create(3), (), (0, 1, 0, 1))
     # trailing zeros in h are trimmed in the canonical text
-    assert equation_text(2, (1, 0, 0), (0, 1, 0, 1)) == "2; h=1; f=0,1,0,1"
+    text = equation_text(field_create(2), (1, 0, 0), (0, 1, 0, 1))
+    assert text == "2; h=1; f=0,1,0,1"
 
 
 def test_run_survey_to_stream_has_header_and_summary():
