@@ -142,9 +142,6 @@ class IntPoly:
         return IntPoly([c * b ** i for i, c in enumerate(self.coeffs)])
 
 
-X = IntPoly([0, 1])
-
-
 def divmod_exact(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     """Quotient and remainder by integer long division.
 

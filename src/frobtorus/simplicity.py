@@ -7,14 +7,23 @@ eigenvalues alpha_1..alpha_2g:
   - P irreducible over Q makes Q[pi] a field of degree 2g, so Frobenius acts
     irreducibly on the Tate module;
   - the degree of Q(pi^n) drops below 2g for some n exactly when some
-    eigenvalue ratio alpha_i/alpha_j is a root of unity, and every such ratio
-    is a root of the degree-(2g)^2 ratio polynomial, so its order m obeys
-    phi(m) <= (2g)^2.
+    eigenvalue ratio alpha_i/alpha_j is a root of unity.  Such a ratio, of
+    order m >= 2, satisfies two proven bounds:
+      * phi(m) <= 2g(2g-1): the ratio polynomial is R = (x-1)^(2g) R_off,
+        the diagonal pairs giving (x-1)^(2g), and Phi_m is coprime to x-1,
+        so Phi_m divides R_off, of degree 2g(2g-1);
+      * phi(m) divides 2^g g!: Q(zeta_m) lies in the splitting field of P,
+        and the Galois group of that field permutes the g pairs
+        {alpha, q/alpha}, so it embeds in C_2 wr S_g, of order 2^g g!.
 
 That turns "for every power of Frobenius" into a finite list of cyclotomic
-divisibility tests, each replayable from the emitted certificate.  The power
-charpolys and the ratio polynomial are rebuilt exactly from eigenvalue power
-sums by Newton's identities (intpoly.root_power_sums, from_power_sums).
+divisibility tests (4, 13, 39 and 57 orders for g = 1..4), each replayable
+from the emitted certificate.  The power charpolys and the ratio polynomial
+are rebuilt exactly from eigenvalue power sums by Newton's identities
+(intpoly.root_power_sums, from_power_sums).
+
+classify depends on P alone, so it is memoized per process: a survey, or
+report replaying one, classifies each distinct Weil polynomial once.
 """
 
 from __future__ import annotations
@@ -46,6 +55,10 @@ INCONCLUSIVE = "Inconclusive"
 REASON_REPEATED_BASE = "repeated-factor base"
 REASON_PURE_POWER = "degree drop with pure non-ordinary power"
 
+# distinct Weil polynomials whose verdicts classify keeps; a full memo of
+# genus 2-3 verdicts holds about 2 MB
+CLASSIFY_CACHE_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class SimplicityVerdict:
@@ -69,12 +82,6 @@ def charpoly_power(P: WeilPolynomial, n: int) -> IntPoly:
     C = from_power_sums(S[n - 1::n])
     WeilPolynomial(q=P.q ** n, g=P.g, coeffs=C.coeffs)
     return C
-
-
-def minpoly_power(P: WeilPolynomial, n: int) -> IntPoly:
-    """Minimal polynomial of pi^n (for irreducible P): the squarefree part
-    of charpoly_power; its degree is [Q(pi^n) : Q]."""
-    return squarefree_part(charpoly_power(P, n))
 
 
 def ratio_poly(P: WeilPolynomial) -> IntPoly:
@@ -109,21 +116,28 @@ def euler_phi(m: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _torsion_candidates(bound: int) -> tuple[int, ...]:
-    # all m >= 2 with phi(m) <= bound; phi(m) >= sqrt(m/2) caps the scan
-    top = 2 * bound * bound + 1
-    return tuple(m for m in range(2, top + 1) if euler_phi(m) <= bound)
+def _torsion_candidates(g: int) -> tuple[int, ...]:
+    # the m >= 2 with phi(m) <= 2g(2g-1) and phi(m) | 2^g g! (module
+    # docstring); phi(m) >= sqrt(m/2) caps the scan
+    bound = 2 * g * (2 * g - 1)
+    group_order = math.factorial(g) << g
+    out = []
+    for m in range(2, 2 * bound * bound + 2):
+        phi = euler_phi(m)
+        if phi <= bound and group_order % phi == 0:
+            out.append(m)
+    return tuple(out)
 
 
 def ratio_torsion_orders(P: WeilPolynomial) -> set[int]:
     """{m >= 2 : the m-th cyclotomic polynomial divides ratio_poly(P)}.
 
-    Empty exactly when [Q(pi^n) : Q] = 2g for every n >= 1.
+    Empty exactly when [Q(pi^n) : Q] = 2g for every n >= 1.  Only the
+    orders allowed by the two bounds in the module docstring are tested.
     """
     R = ratio_poly(P)
-    bound = (2 * P.g) ** 2
     out = set()
-    for m in _torsion_candidates(bound):
+    for m in _torsion_candidates(P.g):
         if divmod_exact(R, cyclotomic(m))[1].is_zero:
             out.add(m)
     return out
@@ -140,6 +154,7 @@ def _factor_is_ordinary(h: IntPoly, p: int) -> bool:
     return math.gcd(h.coeffs[h.degree // 2], p) == 1
 
 
+@functools.lru_cache(maxsize=CLASSIFY_CACHE_SIZE)
 def classify(P: WeilPolynomial) -> SimplicityVerdict:
     """Decision procedure over the Weil polynomial alone.
 
@@ -154,6 +169,10 @@ def classify(P: WeilPolynomial) -> SimplicityVerdict:
 
     Raises SizeExceeded when 2g is past intpoly.FACTOR_DEGREE_CAP, since P
     and every witness charpoly have degree 2g.
+
+    Memoized per process (an LRU of CLASSIFY_CACHE_SIZE verdicts, keyed on
+    the frozen P; exceptions are not cached).  Verdicts are immutable, so
+    callers share them.
     """
     if 2 * P.g > FACTOR_DEGREE_CAP:
         raise SizeExceeded(

@@ -15,24 +15,83 @@ from dataclasses import dataclass
 
 import numpy
 
-from . import _fpx, intpoly
-from .errors import InvariantViolation, ParseError
+from . import intpoly
+from .errors import InvariantViolation, ParseError, SizeExceeded
 
 INT_JSON_CUTOFF = 1 << 53
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality of every
+# n below MR_BOUND (Sorenson and Webster, Math. Comp. 86 (2017), psi_13)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 2 <= n < MR_BOUND."""
+    for a in MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """The largest r with r**k <= n, for n >= 1, by Newton's method from
+    above on integers."""
+    r = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 @functools.lru_cache(maxsize=None)
 def prime_power(q: int) -> tuple[int, int]:
-    """Split q into (p, k) with p prime; reject non prime powers."""
-    p = next(_fpx.prime_divisors(q), None)
-    if p is None:
+    """Split q into (p, k) with p prime; reject non prime powers.
+
+    Exact: a prime factor up to 41 settles q by division.  Otherwise, with
+    k the largest exponent making q a perfect k-th power (integer roots),
+    q is a prime power iff its k-th root p passes a deterministic
+    Miller-Rabin.  Raises SizeExceeded when that p is at least MR_BOUND
+    (about 3.3e24), past which the test is not proven.
+
+    >>> prime_power(3 ** 5)
+    (3, 5)
+    """
+    if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    k = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        k += 1
-    if rest != 1:
+    p = next((a for a in MR_BASES if q % a == 0), None)
+    if p is not None:
+        k, rest = 0, q
+        while rest % p == 0:
+            rest //= p
+            k += 1
+        if rest != 1:
+            raise ValueError(f"{q} is not a prime power")
+        return p, k
+    # every prime factor is at least 43, so q = p^k has k <= log_43(q) < bits/5
+    for k in range(q.bit_length() // 5, 0, -1):
+        p = _iroot(q, k)
+        if p ** k == q:
+            break
+    if p >= MR_BOUND:
+        raise SizeExceeded(f"{p} is past the prime test bound {MR_BOUND}")
+    if not _is_prime(p):
         raise ValueError(f"{q} is not a prime power")
     return p, k
 

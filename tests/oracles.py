@@ -4,15 +4,18 @@ Everything here is deliberately naive: brute-force point counts and
 singular-point search on their own digit-tuple field arithmetic (they share
 only the canonical modulus with the package), a Sylvester-matrix resultant
 over Fraction arithmetic, a root-of-unity scan by explicit
-minimal-polynomial degree, and the power charpoly and ratio polynomial as
-bivariate resultants.  Slow but hard to get wrong.
+minimal-polynomial degree, the power charpoly and ratio polynomial as
+bivariate resultants, the torsion scan over every m with phi(m) <= (2g)^2,
+and prime powers by trial division.  Slow but hard to get wrong.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from frobtorus import _fpx, gf
-from frobtorus.intpoly import IntPoly, divmod_exact, resultant_y
+from frobtorus.intpoly import IntPoly, cyclotomic, divmod_exact, resultant_y
+from frobtorus.simplicity import ratio_poly
 
 
 class _Field:
@@ -221,3 +224,38 @@ def ratio_poly_by_resultant(P) -> IntPoly:
     n = 2 * P.g
     g_y = [IntPoly([0] * (n - i) + [c]) for i, c in enumerate(P.coeffs)]
     return resultant_y(IntPoly(P.coeffs), g_y)
+
+
+def _phi(m: int) -> int:
+    out, n, d = m, m, 2
+    while d * d <= n:
+        if n % d == 0:
+            out -= out // d
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out - out // n if n > 1 else out
+
+
+def ratio_torsion_orders_by_phi_scan(P) -> set[int]:
+    """{m >= 2 : Phi_m divides ratio_poly(P)}, trying every m with
+    phi(m) <= (2g)^2, the degree of the ratio polynomial (phi(m) >=
+    sqrt(m/2) caps the scan)."""
+    R = ratio_poly(P)
+    bound = (2 * P.g) ** 2
+    return {
+        m for m in range(2, 2 * bound * bound + 2)
+        if _phi(m) <= bound and divmod_exact(R, cyclotomic(m))[1].is_zero
+    }
+
+
+def prime_power_by_trial_division(q: int):
+    """(p, k) with q = p^k and p prime, or None."""
+    if q < 2:
+        return None
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    return (p, k) if q == 1 else None

@@ -151,6 +151,25 @@ def test_huge_field_is_input_error_at_once(argv, capsys):
     assert "error:" in err and "exceeds 2^20" in err
 
 
+def test_weil_over_a_huge_prime_q_is_classified_at_once(capsys):
+    q = 2 ** 61 - 1
+    argv = ["analyze", "--weil", json.dumps({"q": q, "g": 1, "coeffs": [q, 0, 1]})]
+    start = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 3
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["verdict"]["kind"] == "Inconclusive"  # supersingular
+
+
+def test_weil_past_the_prime_test_bound_is_input_error_at_once(capsys):
+    q = str(2 ** 89 - 1)
+    argv = ["analyze", "--weil", json.dumps({"q": q, "g": 1, "coeffs": [q, 0, 1]})]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 3
+    assert "past the prime test bound" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from frobtorus.errors import NonIntegralCoefficient, ZeroPolynomial
 from frobtorus.intpoly import (
     IntPoly,
-    X,
     cyclotomic,
     divmod_exact,
     factor,
@@ -20,6 +19,8 @@ from frobtorus.intpoly import (
     squarefree_part,
 )
 from oracles import powmod_monic, sylvester_resultant
+
+X = IntPoly([0, 1])
 
 small_poly = st.builds(
     IntPoly,

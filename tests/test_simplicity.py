@@ -1,23 +1,26 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from frobtorus.curves import PointCounts
-from frobtorus.intpoly import IntPoly, X, squarefree_part
+from frobtorus.intpoly import IntPoly, squarefree_part
 from frobtorus.simplicity import (
     ABSOLUTELY_SIMPLE,
+    CLASSIFY_CACHE_SIZE,
     INCONCLUSIVE,
     NOT_ABSOLUTELY_SIMPLE,
     NOT_SIMPLE,
     REASON_PURE_POWER,
     REASON_REPEATED_BASE,
     SimplicityVerdict,
+    _torsion_candidates,
     charpoly_power,
     classify,
     elliptic_torus_test,
-    minpoly_power,
     ratio_poly,
     ratio_torsion_orders,
     verdict_from_json,
@@ -36,6 +39,7 @@ from oracles import (
     minpoly_degree_over_q,
     powmod_monic,
     ratio_poly_by_resultant,
+    ratio_torsion_orders_by_phi_scan,
 )
 
 P_ORD = WeilPolynomial(q=5, g=1, coeffs=(5, -2, 1))     # ordinary elliptic
@@ -80,6 +84,11 @@ def test_charpoly_power_is_multiplicative():
                 assert lhs == charpoly_power(mid, n), (P.coeffs, m, n)
 
 
+def minpoly_power(P, n):
+    # minimal polynomial of pi^n for irreducible P; its degree is [Q(pi^n):Q]
+    return squarefree_part(charpoly_power(P, n))
+
+
 def test_minpoly_power_is_squarefree_part():
     assert minpoly_power(P_SS, 2) == IntPoly([5, 1])
     assert minpoly_power(P_ORD, 2) == charpoly_power(P_ORD, 2)
@@ -90,7 +99,7 @@ def test_minpoly_power_degree_against_linear_algebra_oracle():
         mod = IntPoly(P.coeffs)
         for n in range(1, 8):
             got = minpoly_power(P, n).degree
-            elem = list(powmod_monic(X, n, mod).coeffs)
+            elem = list(powmod_monic(IntPoly([0, 1]), n, mod).coeffs)
             want = minpoly_degree_over_q(elem, list(P.coeffs))
             assert got == want, (P.coeffs, n, got, want)
 
@@ -136,6 +145,68 @@ def test_ratio_torsion_orders():
     assert ratio_torsion_orders(P_SS) == {2}
     assert ratio_torsion_orders(P_INC2) == {2, 4}
     assert ratio_torsion_orders(P_AS2) == set()
+
+
+def test_torsion_candidates_follow_from_the_two_bounds():
+    # phi(m) >= sqrt(m) for m other than 2 and 6, so phi(m) <= B forces
+    # m <= max(B^2, 6)
+    for g, size in zip(range(1, 5), (4, 13, 39, 57)):
+        bound = 2 * g * (2 * g - 1)  # degree of R / (x-1)^2g
+        group_order = 2 ** g * math.factorial(g)  # |C_2 wr S_g|
+        want = tuple(
+            m for m in range(2, max(bound * bound, 6) + 1)
+            if sympy.totient(m) <= bound and group_order % sympy.totient(m) == 0
+        )
+        assert len(want) == size
+        assert _torsion_candidates(g) == want
+
+
+def _window_factor(draw, q, h):
+    # a q-symmetric monic polynomial of degree 2h with each upper
+    # coefficient inside its Weil window |c_(2h-i)| <= C(2h, i) q^(i/2)
+    upper = [1] + [
+        draw(st.integers(-w, w))
+        for w in (math.comb(2 * h, i) * math.isqrt(q ** i) for i in range(1, h + 1))
+    ]
+    coeffs = [0] * (2 * h + 1)
+    for i, c in enumerate(upper):
+        coeffs[2 * h - i], coeffs[i] = c, q ** (h - i) * c
+    return IntPoly(coeffs)
+
+
+@st.composite
+def squarefree_weil_window(draw):
+    """Squarefree products of Weil-window factors, g = 1..4; small q and
+    small factors make root-of-unity eigenvalue ratios common."""
+    q = draw(st.sampled_from((2, 3, 4, 9)))
+    g = left = draw(st.integers(1, 4))
+    F = IntPoly([1])
+    while left:
+        h = draw(st.integers(1, left))
+        F = F * _window_factor(draw, q, h)
+        left -= h
+    assume(squarefree_part(F) == F)
+    return WeilPolynomial(q=q, g=g, coeffs=F.coeffs)
+
+
+@given(squarefree_weil_window())
+@example(WeilPolynomial(q=3, g=3, coeffs=(27, 0, 0, 9, 0, 0, 1)))  # {3, 18}
+@example(WeilPolynomial(q=2, g=3, coeffs=(8, -8, 0, 4, 0, -2, 1)))  # up to 24
+@example(WeilPolynomial(q=9, g=4, coeffs=(6561, 729, 1458, -162, 135, -18, 18, 1, 1)))
+@settings(max_examples=60, deadline=None)
+def test_torsion_orders_match_the_full_phi_scan(P):
+    assert ratio_torsion_orders(P) == ratio_torsion_orders_by_phi_scan(P)
+
+
+def test_classify_memo_is_bounded_and_serves_the_cold_verdict():
+    assert 0 < CLASSIFY_CACHE_SIZE == classify.cache_info().maxsize
+    pool = (P_ORD, P_SS, P_SPLIT2, P_INC2, P_AS2)
+    for P in pool:
+        cold = classify(P)
+        assert classify(WeilPolynomial(q=P.q, g=P.g, coeffs=P.coeffs)) is cold
+        assert classify.__wrapped__(P) == cold
+    info = classify.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (5, 5, 5)
 
 
 def test_classify_absolutely_simple():
@@ -199,6 +270,7 @@ def test_classify_rejects_degree_past_the_factoring_cap():
     P = WeilPolynomial(q=2, g=9, coeffs=(IntPoly([2, 0, 1]) ** 9).coeffs)
     with pytest.raises(SizeExceeded):
         classify(P)
+    assert classify.cache_info().currsize == 0  # errors are not memoized
 
 
 def test_elliptic_torus_test_is_irreducibility():

@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from frobtorus.errors import (
     SizeExceeded,
 )
 from frobtorus.gf import field_create
+from frobtorus.simplicity import classify
 from frobtorus.survey import (
     FORMAT,
     SurveyConfig,
@@ -333,6 +335,18 @@ def test_report_happy_path(tmp_path):
         "absolutely_simple_fraction"
     ]
     assert rep["verified"] is True
+
+
+def test_report_classifies_each_distinct_weil_polynomial_once():
+    golden = Path(__file__).parent / "golden" / "p3_g2_deg5.jsonl"
+    with open(golden) as fh:
+        next(fh)
+        weils = [json.dumps(json.loads(line)["weil"]) for line in fh]
+    assert len(set(weils)) < len(weils)
+    rep = report(str(golden))
+    info = classify.cache_info()
+    assert rep["records"] == len(weils)
+    assert (info.misses, info.hits) == (len(set(weils)), len(weils) - len(set(weils)))
 
 
 def test_report_single_record_fraction(tmp_path):

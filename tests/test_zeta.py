@@ -8,10 +8,12 @@ from frobtorus.errors import (
     InvariantViolation,
     NonIntegralCoefficient,
     ParseError,
+    SizeExceeded,
     WeilBoundViolated,
 )
 from frobtorus.curves import PointCounts
 from frobtorus.zeta import (
+    MR_BOUND,
     WeilPolynomial,
     is_weil,
     power_sums,
@@ -20,6 +22,7 @@ from frobtorus.zeta import (
     weil_from_json,
     weil_to_json,
 )
+from oracles import prime_power_by_trial_division
 
 
 def test_prime_power_decomposition():
@@ -29,6 +32,31 @@ def test_prime_power_decomposition():
     for bad in (0, 1, 6, 12, 100):
         with pytest.raises(ValueError):
             prime_power(bad)
+
+
+def test_prime_power_matches_trial_division_below_1e5():
+    for q in range(100_000):
+        try:
+            got = prime_power.__wrapped__(q)
+        except ValueError:
+            got = None
+        assert got == prime_power_by_trial_division(q), q
+
+
+def test_prime_power_is_exact_up_to_the_miller_rabin_bound():
+    M61 = 2 ** 61 - 1
+    assert prime_power(M61) == (M61, 1)
+    assert prime_power(M61 ** 30) == (M61, 30)  # the base, not q, is tested
+    assert prime_power(43 ** 20) == (43, 20)
+    # strong pseudoprimes to the first 11 and the first 12 prime bases
+    for spsp in (3825123056546413051, 318665857834031151167461):
+        with pytest.raises(ValueError):
+            prime_power(spsp)
+    # MR_BOUND itself passes all 13 bases but is composite, so it is refused,
+    # as is the prime 2^89 - 1 and any power of it
+    for huge in (MR_BOUND, 2 ** 89 - 1, (2 ** 89 - 1) ** 2):
+        with pytest.raises(SizeExceeded):
+            prime_power(huge)
 
 
 def test_power_sums():
