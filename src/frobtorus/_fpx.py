@@ -9,6 +9,10 @@ prime_divisors, which the irreducibility test needs, is also the package's
 one trial-division routine (primality, prime powers, Euler's phi,
 primitive elements).
 
+Distinct-degree factorization (ddf) builds the Frobenius matrix of the
+modulus once per prime, rows x**(i*p) mod a, so that each further power
+h -> h**p is a row combination rather than a modular exponentiation.
+
 Hensel lifting also calls trim, add, sub, mul and div_rem with a composite
 modulus p**(2**k).  The first four work for any modulus; div_rem is correct
 there only when the divisor is monic, since it inverts the leading
@@ -147,47 +151,78 @@ def prime_divisors(n: int):
         yield n
 
 
+def _frobenius_rows(a, p):
+    """Rows x**(i*p) mod a, i = 0 .. deg a - 1, of the Frobenius matrix of
+    a monic a of degree >= 1.
+
+    Since (sum h_i x**i)**p = sum h_i x**(i*p) over F_p, _frobenius_apply
+    maps h to h**p mod a as one combination of these rows.
+    """
+    # x^p by p steps of "times x, minus the top coefficient times a": at
+    # the small p and degrees of factorization this beats pow_mod
+    n = len(a) - 1
+    xp = [1] + [0] * (n - 1)
+    for _ in range(p):
+        top = xp[-1]
+        xp = [0] + xp[:-1]
+        if top:
+            xp = [(c - top * ac) % p for c, ac in zip(xp, a)]
+    xp = trim(xp)
+    rows = [[1]]
+    for _ in range(n - 1):
+        rows.append(rem(mul(rows[-1], xp, p), a, p))
+    return rows
+
+
+def _frobenius_apply(rows, h, p):
+    """h**p reduced mod a, for h of degree < deg a and rows from
+    _frobenius_rows(a, p)."""
+    out = [0] * len(rows)
+    for c, row in zip(h, rows):
+        if c:
+            for j, r in enumerate(row):
+                out[j] += c * r
+    return trim([c % p for c in out])
+
+
 def ddf(a, p):
     """Distinct-degree blocks of a monic squarefree polynomial over F_p.
 
     Returns [(d, block)] where block is the product of all irreducible
-    factors of degree d, for the d that occur, ascending.
+    factors of degree d, for the d that occur, ascending.  The Frobenius
+    matrix of a is built once; h = x**(p**d) stays reduced mod a, and each
+    step takes one row combination and one gcd with what is left of a.
     """
+    if len(a) < 3:
+        return [(len(a) - 1, a)] if len(a) > 1 else []
     blocks = []
+    rows = _frobenius_rows(a, p)
     x = [0, 1]
-    h = x[:]
-    v = a[:]
+    h = x
+    v = a
     d = 0
     while len(v) - 1 >= 2 * (d + 1):
         d += 1
-        h = pow_mod(h, p, v, p)
+        h = _frobenius_apply(rows, h, p)
         g = gcd(sub(h, x, p), v, p)
         if len(g) > 1:
             blocks.append((d, g))
             v = div_rem(v, g, p)[0]
-            h = rem(h, v, p)
     if len(v) > 1:
         blocks.append((len(v) - 1, v))
     return blocks
 
 
-def degree_pattern(a, p):
-    """Multiset of irreducible-factor degrees of monic squarefree a mod p."""
-    out = []
-    for d, block in ddf(a, p):
-        out.extend([d] * ((len(block) - 1) // d))
-    return sorted(out)
+def factor_squarefree_monic(blocks, p, rng: random.Random):
+    """Irreducible factors of a monic squarefree polynomial over F_p (p odd),
+    given its distinct-degree blocks ddf(a, p).
 
-
-def factor_squarefree_monic(a, p, rng: random.Random):
-    """Irreducible factors of a monic squarefree polynomial over F_p (p odd).
-
-    Distinct-degree splitting followed by Cantor-Zassenhaus equal-degree
-    splitting.  The rng only steers the internal search; the returned list is
-    sorted canonically, so results are reproducible regardless of it.
+    Cantor-Zassenhaus equal-degree splitting of each block.  The rng only
+    steers the internal search; the returned list is sorted canonically, so
+    results are reproducible regardless of it.
     """
     factors: list[list[int]] = []
-    for d, block in ddf(a, p):
+    for d, block in blocks:
         factors.extend(_split_equal_degree(block, d, p, rng))
     factors.sort(key=lambda f: (len(f), f))
     return factors

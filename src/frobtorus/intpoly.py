@@ -5,12 +5,17 @@ no floating point.  Degrees in scope are small (factorization caps at 16,
 composed products reach (2g)^2), so the algorithms favor
 
   - Newton's identities between a monic polynomial and its root power sums,
-  - subresultant PRS for resultants,
-  - evaluation/interpolation for the bivariate resultant (a test reference),
-  - Yun + modular Zassenhaus (DDF, Cantor-Zassenhaus, quadratic Hensel
-    lifting, subset recombination) for factorization over Q,
+  - modular Zassenhaus (Frobenius-matrix DDF at up to three primes as a
+    degree sieve, Cantor-Zassenhaus, quadratic Hensel lifting, subset
+    recombination) for factorization over Q, with Yun's squarefree
+    decomposition only when F is not squarefree modulo the first prime
+    p >= 17 that keeps its degree,
 
-all of which are short enough to audit directly.
+all of which are short enough to audit directly.  No resultant is on the
+factorization path: a prime is good when gcd(F, F') = 1 mod p.  resultant
+(subresultant PRS) and the bivariate resultant_y (evaluation and
+interpolation) remain as references for the tests and the benchmark's
+tracing hooks.
 """
 
 from __future__ import annotations
@@ -419,28 +424,40 @@ def _primes_from_17() -> list[int]:
     return out
 
 
-def _good_primes(F: IntPoly, want: int, prime_index: int) -> list[int]:
-    # primes >= 17 where F stays squarefree (disc and lc nonzero mod p)
-    disc = resultant(F, F.derivative())
-    out = []
+def _squarefree_mod(F: IntPoly, p: int) -> list[int] | None:
+    # F mod p when lc(F) is a unit and gcd(F, F') = 1 mod p, else None.  For
+    # p > deg F, F' keeps its degree mod p, so the gcd decides whether F mod p
+    # is squarefree; and with lc(F) a unit, a repeated factor of F over Q
+    # stays a repeated factor of positive degree mod p.  So a non-None
+    # result proves F squarefree over Q.
+    a = [c % p for c in F.coeffs]
+    if a[-1] == 0 or len(_fpx.gcd(a, _fpx.deriv(a, p), p)) > 1:
+        return None
+    return a
+
+
+def _good_primes(F: IntPoly, prime_index: int):
+    # (p, F mod p) for the primes p >= 17 where F stays squarefree of its
+    # degree, lazily, after skipping the first prime_index of them
     skipped = 0
     for p in _primes_from_17():
-        if disc % p == 0 or F.lc % p == 0:
+        a = _squarefree_mod(F, p)
+        if a is None:
             continue
         if skipped < prime_index:
             skipped += 1
             continue
-        out.append(p)
-        if len(out) == want:
-            return out
+        yield p, a
     raise AssertionError("ran out of candidate primes")
 
 
-def _subset_sums(pattern: list[int], n: int) -> int:
-    # bitmask of degrees realizable as sums of sub-multisets of the pattern
+def _subset_sums(blocks, n: int) -> int:
+    # bitmask of degrees realizable as sums of sub-multisets of the
+    # irreducible-factor degrees that the ddf blocks hold
     mask = 1
-    for d in pattern:
-        mask |= mask << d
+    for d, block in blocks:
+        for _ in range((len(block) - 1) // d):
+            mask |= mask << d
     return mask & ((1 << n) - 1) & ~1  # keep strict 1..n-1
 
 
@@ -514,16 +531,19 @@ def _zassenhaus_squarefree(F: IntPoly, prime_index: int) -> list[IntPoly]:
     b = F.lc
     # monic transform: b^(n-1) * F(x/b); leading term becomes 1 exactly
     Fm = IntPoly([c * b ** (n - 1 - i) for i, c in enumerate(F.coeffs[:-1])] + [1])
-    primes = _good_primes(Fm, 3, prime_index)
-    patterns = [_fpx.degree_pattern([c % p for c in Fm.coeffs], p) for p in primes]
-    allowed = functools.reduce(
-        lambda a, b2: a & b2, (_subset_sums(pat, n) for pat in patterns)
-    )
-    if allowed == 0:
-        return [F]
-    p = primes[0]
+    # factor degrees allowed by the ddf of up to three primes; none left
+    # proves F irreducible
+    allowed = (1 << n) - 2
+    first = None
+    for p, a in itertools.islice(_good_primes(Fm, prime_index), 3):
+        blocks = _fpx.ddf(a, p)
+        first = first or (p, blocks)
+        allowed &= _subset_sums(blocks, n)
+        if not allowed:
+            return [F]
+    p, blocks = first
     rng = random.Random(f"{p}:{Fm.coeffs}")
-    modular = _fpx.factor_squarefree_monic([c % p for c in Fm.coeffs], p, rng)
+    modular = _fpx.factor_squarefree_monic(blocks, p, rng)
     bound = _mignotte_bound(Fm)
     lifted, modulus = _hensel_lift_all(list(Fm.coeffs), modular, p, 2 * bound + 1)
     # subset recombination over the lifted factors
@@ -576,8 +596,15 @@ def factor(f: IntPoly, prime_index: int = 0) -> tuple[int, list[tuple[IntPoly, i
         return f.coeffs[0], []
     F = f.primitive()
     unit = f.lc // F.lc
+    # squarefree modulo the first prime that keeps the degree means
+    # squarefree over Q, and Yun has nothing to split
+    p = next((p for p in _primes_from_17() if F.lc % p), None)
+    if p is not None and _squarefree_mod(F, p) is not None:
+        parts = [(F, 1)]
+    else:
+        parts = _yun(F)
     out: list[tuple[IntPoly, int]] = []
-    for sq, mult in _yun(F):
+    for sq, mult in parts:
         for irr in _zassenhaus_squarefree(sq, prime_index):
             out.append((irr, mult))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))

@@ -6,7 +6,8 @@ only the canonical modulus with the package), a Sylvester-matrix resultant
 over Fraction arithmetic, a root-of-unity scan by explicit
 minimal-polynomial degree, the power charpoly and ratio polynomial as
 bivariate resultants, the torsion scan over every m with phi(m) <= (2g)^2,
-and prime powers by trial division.  Slow but hard to get wrong.
+prime powers by trial division, and distinct-degree factorization by one
+modular exponentiation per degree.  Slow but hard to get wrong.
 """
 
 import itertools
@@ -259,3 +260,25 @@ def prime_power_by_trial_division(q: int):
         q //= p
         k += 1
     return (p, k) if q == 1 else None
+
+
+def ddf_by_pow_mod(a, p):
+    """Distinct-degree blocks [(d, product of the degree-d irreducible
+    factors)] of a monic squarefree a over F_p, raising h to the p-th power
+    by _fpx.pow_mod modulo what is left of a at every degree."""
+    blocks = []
+    x = [0, 1]
+    h = x[:]
+    v = a[:]
+    d = 0
+    while len(v) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _fpx.pow_mod(h, p, v, p)
+        g = _fpx.gcd(_fpx.sub(h, x, p), v, p)
+        if len(g) > 1:
+            blocks.append((d, g))
+            v = _fpx.div_rem(v, g, p)[0]
+            h = _fpx.rem(h, v, p)
+    if len(v) > 1:
+        blocks.append((len(v) - 1, v))
+    return blocks

@@ -3,7 +3,9 @@ import time
 
 import pytest
 
+from frobtorus import report
 from frobtorus.cli import main
+from frobtorus.errors import CorruptRecord
 from frobtorus.intpoly import IntPoly
 
 
@@ -76,6 +78,36 @@ def test_report_corrupt_file_is_verification_failure(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("{}\n{broken\n")
     assert main(["report", "--in", str(bad)]) == 3
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda v: v.update(witness_n=200000),
+        lambda v: v["factors"][0].update(mult=10 ** 7),
+    ],
+    ids=["huge-witness", "huge-mult"],
+)
+def test_report_absurd_certificate_fails_fast(tmp_path, capsys, tamper):
+    # replaying charpoly_power(P, 200000) or h ** 10**7 would not finish;
+    # the fresh classification rejects the record before either is built
+    out = tmp_path / "run.jsonl"
+    assert main(["survey", "--p", "3", "--genus", "2", "--deg", "5",
+                 "--limit", "3", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    rec = json.loads(lines[1])
+    assert rec["verdict"]["factors"]
+    tamper(rec["verdict"])
+    lines[1] = json.dumps(rec)
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["report", "--in", str(out)]) == 3
+    assert time.perf_counter() - start < 3
+    assert "line 2" in capsys.readouterr().err
+    with pytest.raises(CorruptRecord) as bad:
+        report(str(out))
+    assert bad.value.line == 2
 
 
 def test_report_missing_file_is_input_error(tmp_path, capsys):

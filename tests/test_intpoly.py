@@ -2,7 +2,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frobtorus.errors import NonIntegralCoefficient, ZeroPolynomial
@@ -18,7 +18,8 @@ from frobtorus.intpoly import (
     root_power_sums,
     squarefree_part,
 )
-from oracles import powmod_monic, sylvester_resultant
+from frobtorus import _fpx
+from oracles import ddf_by_pow_mod, powmod_monic, sylvester_resultant
 
 X = IntPoly([0, 1])
 
@@ -191,14 +192,60 @@ def test_factor_limits_and_errors():
     assert prod == X ** 16 - X ** 2 - IntPoly([1])
 
 
-def test_factor_matches_sympy_on_random_inputs():
-    x = sympy.Symbol("x")
+@st.composite
+def squarefree_monic_mod_p(draw):
+    """A monic squarefree polynomial of degree 2..16 over F_p, drawn as a
+    product of small factors so that blocks hold several factors."""
+    p = draw(st.sampled_from((17, 19, 23, 61)))
+    degrees = draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    assume(2 <= sum(degrees) <= 16)
+    a = [1]
+    for d in degrees:
+        low = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+        a = _fpx.mul(a, low + [1], p)
+    assume(_fpx.gcd(a, _fpx.deriv(a, p), p) == [1])
+    return p, a
+
+
+@given(squarefree_monic_mod_p())
+@settings(max_examples=150, deadline=None)
+def test_ddf_matches_the_pow_mod_reference(case):
+    p, a = case
+    assert _fpx.ddf(a, p) == ddf_by_pow_mod(a, p)
+
+
+def _random_poly(rng, deg, lc=1, bound=9):
+    return IntPoly([rng.randrange(-bound, bound + 1) for _ in range(deg)] + [lc])
+
+
+def _sympy_factor_inputs():
     rng = random.Random(2024)
     for _ in range(120):
         deg = rng.randrange(1, 9)
-        coeffs = [rng.randrange(-50, 51) for _ in range(deg)] + [1]
-        unit, fs = factor(IntPoly(coeffs))
-        s_unit, s_factors = sympy.Poly(list(reversed(coeffs)), x).factor_list()
+        yield IntPoly([rng.randrange(-50, 51) for _ in range(deg)] + [1])
+    # repeated factors, so Yun runs; a repeated factor whose leading
+    # coefficient vanishes mod 17 disappears there
+    for _ in range(40):
+        a = _random_poly(rng, rng.randrange(1, 4), lc=rng.choice([1, 1, 2, 17]))
+        b = _random_poly(rng, rng.randrange(0, 4))
+        yield a ** rng.randrange(2, 4) * b
+    # squarefree over Q but not mod 17, so Yun runs on a squarefree input
+    for k in range(1, 21):
+        yield (X ** 2 - IntPoly([17 * k])) * _random_poly(rng, rng.randrange(0, 5))
+    # non-monic, including leading coefficients that vanish mod 17
+    for _ in range(60):
+        lc = rng.choice([-34, -6, -1, 2, 3, 12, 17, 51])
+        f = _random_poly(rng, rng.randrange(1, 7), lc=lc, bound=30)
+        if rng.random() < 0.3:
+            f = f * _random_poly(rng, rng.randrange(1, 3), lc=rng.choice([1, 2, 17]))
+        yield f
+
+
+def test_factor_matches_sympy_on_random_inputs():
+    x = sympy.Symbol("x")
+    for f in _sympy_factor_inputs():
+        unit, fs = factor(f)
+        s_unit, s_factors = sympy.Poly(list(reversed(f.coeffs)), x).factor_list()
         want = sorted(
             (tuple(int(c) for c in reversed(p.all_coeffs())), int(m))
             for p, m in s_factors
@@ -208,10 +255,15 @@ def test_factor_matches_sympy_on_random_inputs():
 
 
 def test_factor_prime_choice_does_not_change_result():
-    f = (X ** 2 + X + IntPoly([1])) * (X ** 3 - IntPoly([2]))
-    base = factor(f)
-    for idx in (1, 2, 5):
-        assert factor(f, prime_index=idx) == base
+    # x^4 - 10x^2 + 1 splits into quadratics at every prime
+    sd4 = X ** 4 - IntPoly([10]) * X ** 2 + IntPoly([1])
+    for f in (
+        (X ** 2 + X + IntPoly([1])) * (X ** 3 - IntPoly([2])),
+        sd4 * (X ** 2 + X + IntPoly([3])),
+    ):
+        base = factor(f)
+        for idx in (1, 2, 5):
+            assert factor(f, prime_index=idx) == base
 
 
 @pytest.mark.parametrize(

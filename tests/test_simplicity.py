@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from frobtorus.curves import PointCounts
-from frobtorus.intpoly import IntPoly, squarefree_part
+from frobtorus.intpoly import IntPoly, cyclotomic, squarefree_part
 from frobtorus.simplicity import (
     ABSOLUTELY_SIMPLE,
     CLASSIFY_CACHE_SIZE,
@@ -18,6 +18,7 @@ from frobtorus.simplicity import (
     REASON_REPEATED_BASE,
     SimplicityVerdict,
     _torsion_candidates,
+    _torsion_prefilter,
     charpoly_power,
     classify,
     elliptic_torus_test,
@@ -159,6 +160,20 @@ def test_torsion_candidates_follow_from_the_two_bounds():
         )
         assert len(want) == size
         assert _torsion_candidates(g) == want
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_torsion_prefilter_roots_are_roots_of_the_cyclotomics(g):
+    # a zero residue R(w_m) mod ell is necessary for Phi_m | R only when
+    # w_m is a root of Phi_m mod ell, i.e. has exact order m in F_ell
+    ell, roots = _torsion_prefilter(g)
+    assert ell > 2 ** 31 and sympy.isprime(ell)
+    assert tuple(m for m, _ in roots) == _torsion_candidates(g)
+    for m, w in roots:
+        assert (ell - 1) % m == 0
+        assert pow(w, m, ell) == 1
+        assert all(pow(w, m // r, ell) != 1 for r in sympy.primefactors(m))
+        assert cyclotomic(m)(w) % ell == 0
 
 
 def _window_factor(draw, q, h):
