@@ -3,11 +3,12 @@
 Polynomials are plain lists of ints in [0, p), low-to-high, with no trailing
 zeros ([] is the zero polynomial).  The polynomial routines serve two
 internal clients: modulus selection for extension fields, and the modular
-stage of integer-polynomial factorization.  p is an odd prime ≥ 3 for the
-factorization routines; the irreducibility test works for any prime.
-prime_divisors, which the irreducibility test needs, is also the package's
-one trial-division routine (primality, prime powers, Euler's phi,
-primitive elements).
+stage of integer-polynomial factorization.  Both read factor degrees off
+the distinct-degree factorization ddf, which works for any prime; a
+candidate modulus of degree k is irreducible exactly when ddf returns it as
+one block of degree k.  Equal-degree splitting (factor_squarefree_monic)
+needs p odd.  prime_divisors is the package's one trial-division routine
+(primality, prime powers, Euler's phi, primitive elements).
 
 Distinct-degree factorization (ddf) builds the Frobenius matrix of the
 modulus once per prime, rows x**(i*p) mod a, so that each further power
@@ -112,26 +113,6 @@ def pow_mod(a, e: int, m, p):
 
 def deriv(a, p):
     return trim([(i * a[i]) % p for i in range(1, len(a))])
-
-
-def is_irreducible(m, p) -> bool:
-    """Rabin's test for a monic polynomial of degree ≥ 1 over F_p.
-
-    m is irreducible iff x**(p**k) ≡ x (mod m) and, for every prime r | k,
-    gcd(x**(p**(k//r)) - x, m) = 1.
-    """
-    k = len(m) - 1
-    if k < 1:
-        return False
-    if k == 1:
-        return True
-    x = [0, 1]
-    for r in prime_divisors(k):
-        h = pow_mod(x, p ** (k // r), m, p)
-        if len(gcd(sub(h, x, p), m, p)) > 1:
-            return False
-    h = pow_mod(x, p ** k, m, p)
-    return sub(h, x, p) == []
 
 
 def prime_divisors(n: int):

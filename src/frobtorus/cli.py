@@ -50,8 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="stop after this many valid curves")
     sv.add_argument("--out", default=None,
                     help="JSONL output path (resumable); default stdout")
-    sv.add_argument("--jobs", type=_positive_int, default=1,
-                    help="worker processes for curve analysis")
 
     fd = sub.add_parser("find", help="print absolutely simple curves as found")
     fd.add_argument("--p", type=int, required=True)
@@ -74,7 +72,7 @@ def main(argv=None) -> int:
     try:
         if args.cmd == "survey":
             cfg = SurveyConfig(p=args.p, genus=args.genus, degree=args.deg,
-                               limit=args.limit, jobs=args.jobs)
+                               limit=args.limit)
             summary = run_survey(cfg, out_path=args.out)
             if args.out is None:
                 print(json.dumps(summary, separators=(",", ":")))

@@ -76,11 +76,14 @@ def _field_create(p: int, k: int) -> FieldSpec:
         raise NonPrime(f"{p} is not prime")
     if k == 1:
         return FieldSpec(p, 1, (0, 1))
-    # constant term 0 means divisible by x; skipping keeps lex order intact
+    # constant term 0 means divisible by x; skipping keeps lex order intact.
+    # ddf assumes a squarefree input, but a square factor u**2 of m has
+    # deg u <= k/2, where ddf splits u off, so m comes back as one block of
+    # degree k only when it is irreducible
     for c0 in range(1, p):
         for rest in itertools.product(range(p), repeat=k - 1):
             m = [c0] + list(rest) + [1]
-            if _fpx.is_irreducible(m, p):
+            if _fpx.ddf(m, p) == [(k, m)]:
                 return FieldSpec(p, k, tuple(m))
     raise AssertionError("unreachable: every degree has an irreducible")
 

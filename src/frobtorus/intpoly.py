@@ -224,24 +224,12 @@ def from_power_sums(S) -> IntPoly:
 
 
 def _prem(a: IntPoly, b: IntPoly) -> IntPoly:
-    # signed pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b
+    # signed pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, an exact
+    # division over Z
     d = a.degree - b.degree
     if d < 0:
         return a
-    lcb = b.lc
-    rem = list((a * lcb ** (d + 1)).coeffs)
-    db = b.degree
-    while rem and len(rem) - 1 >= db:
-        c = rem[-1]
-        if c % lcb:
-            raise AssertionError("pseudo-remainder step not exact")
-        c //= lcb
-        k = len(rem) - 1 - db
-        for i, cb in enumerate(b.coeffs):
-            rem[k + i] -= c * cb
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return IntPoly(rem)
+    return divmod_exact(a * b.lc ** (d + 1), b)[1]
 
 
 def resultant(f: IntPoly, g: IntPoly) -> int:
@@ -436,12 +424,13 @@ def _squarefree_mod(F: IntPoly, p: int) -> list[int] | None:
     return a
 
 
-def _good_primes(F: IntPoly, prime_index: int):
+def _good_primes(F: IntPoly, prime_index: int, known: dict):
     # (p, F mod p) for the primes p >= 17 where F stays squarefree of its
-    # degree, lazily, after skipping the first prime_index of them
+    # degree, lazily, after skipping the first prime_index of them; known
+    # maps primes to _squarefree_mod(F, p) results computed before
     skipped = 0
     for p in _primes_from_17():
-        a = _squarefree_mod(F, p)
+        a = known[p] if p in known else _squarefree_mod(F, p)
         if a is None:
             continue
         if skipped < prime_index:
@@ -523,19 +512,22 @@ def _sym(c: int, m: int) -> int:
     return c - m if c > m // 2 else c
 
 
-def _zassenhaus_squarefree(F: IntPoly, prime_index: int) -> list[IntPoly]:
-    """Irreducible factors of a primitive squarefree positive-lc polynomial."""
+def _zassenhaus_squarefree(F: IntPoly, prime_index: int, known: dict) -> list[IntPoly]:
+    """Irreducible factors of a primitive squarefree positive-lc polynomial;
+    known as for _good_primes(F, ...)."""
     n = F.degree
     if n == 1:
         return [F]
     b = F.lc
     # monic transform: b^(n-1) * F(x/b); leading term becomes 1 exactly
     Fm = IntPoly([c * b ** (n - 1 - i) for i, c in enumerate(F.coeffs[:-1])] + [1])
+    if b != 1:
+        known = {}  # results for F, not for Fm
     # factor degrees allowed by the ddf of up to three primes; none left
     # proves F irreducible
     allowed = (1 << n) - 2
     first = None
-    for p, a in itertools.islice(_good_primes(Fm, prime_index), 3):
+    for p, a in itertools.islice(_good_primes(Fm, prime_index, known), 3):
         blocks = _fpx.ddf(a, p)
         first = first or (p, blocks)
         allowed &= _subset_sums(blocks, n)
@@ -597,15 +589,14 @@ def factor(f: IntPoly, prime_index: int = 0) -> tuple[int, list[tuple[IntPoly, i
     F = f.primitive()
     unit = f.lc // F.lc
     # squarefree modulo the first prime that keeps the degree means
-    # squarefree over Q, and Yun has nothing to split
+    # squarefree over Q, and Yun has nothing to split; Zassenhaus reuses
+    # that test when it gets F itself
     p = next((p for p in _primes_from_17() if F.lc % p), None)
-    if p is not None and _squarefree_mod(F, p) is not None:
-        parts = [(F, 1)]
-    else:
-        parts = _yun(F)
+    known = {} if p is None else {p: _squarefree_mod(F, p)}
+    parts = [(F, 1)] if known.get(p) is not None else _yun(F)
     out: list[tuple[IntPoly, int]] = []
     for sq, mult in parts:
-        for irr in _zassenhaus_squarefree(sq, prime_index):
+        for irr in _zassenhaus_squarefree(sq, prime_index, known if sq == F else {}):
             out.append((irr, mult))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     prod = IntPoly([unit])

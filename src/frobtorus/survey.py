@@ -5,9 +5,8 @@ Persistence is append-only JSONL with a config fingerprint header.  One
 reader serves both resume and report: an interrupted run resumes by skipping
 the keys already present (a partial trailing line from a kill mid-write is
 truncated), and neither accepts a repeated curve or a record from another
-family.  Output order is enumeration order even under worker-pool
-parallelism, keeping files byte-identical across runs up to the timing
-field.
+family.  Output order is enumeration order, keeping files byte-identical
+across runs up to the timing field.
 
 Surveys count equations, not isomorphism classes; summaries carry that bias
 note and label results as empirical fractions.
@@ -19,8 +18,6 @@ import itertools
 import json
 import sys
 import time
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import gf
@@ -65,7 +62,6 @@ class SurveyConfig:
     genus: int
     degree: int
     limit: int | None = None
-    jobs: int = 1
 
     def __post_init__(self):
         if self.genus < 1:
@@ -76,8 +72,6 @@ class SurveyConfig:
             )
         if self.limit is not None and self.limit < 1:
             raise ValueError("limit must be positive when given")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         if 2 * self.genus > FACTOR_DEGREE_CAP:
             raise SizeExceeded(
                 f"genus {self.genus}: Weil polynomials of degree {2 * self.genus} "
@@ -129,17 +123,6 @@ def curve_record(C) -> dict:
             "classify_s": t3 - t2,
         },
     }
-
-
-def _analyze_equation(args) -> tuple[str, dict | None]:
-    p, genus, h, f = args
-    base = gf.field_create(p, 1)
-    key = equation_text(base, h, f)
-    try:
-        C = validate_curve(base, h, f, genus)
-    except Singular:
-        return key, None
-    return key, curve_record(C)
 
 
 def _read_survey(data: bytes):
@@ -208,41 +191,19 @@ def _record_family(obj: dict) -> tuple:
 
 def _result_stream(cfg: SurveyConfig, skip_keys: dict[str, object]):
     """Yield ('skip', key, None) or ('new', key, record|None) in enumeration
-    order, analyzing concurrently when cfg.jobs > 1."""
+    order; the record is None for a singular equation."""
     base = gf.field_create(cfg.p, 1)
-    tasks = (
-        (cfg.p, cfg.genus, hv, fv)
-        for hv, fv in enumerate_equations(cfg)
-    )
-    if cfg.jobs == 1:
-        for args in tasks:
-            key = equation_text(base, args[2], args[3])
-            if key in skip_keys:
-                yield "skip", key, None
-            else:
-                yield ("new",) + _analyze_equation(args)
-        return
-    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-        window = cfg.jobs * 4
-        pending: deque = deque()
-        task_iter = iter(tasks)
-        while True:
-            while len(pending) < window:
-                args = next(task_iter, None)
-                if args is None:
-                    break
-                key = equation_text(base, args[2], args[3])
-                if key in skip_keys:
-                    pending.append(("skip", key, None))
-                else:
-                    pending.append(("fut", key, pool.submit(_analyze_equation, args)))
-            if not pending:
-                return
-            tag, key, payload = pending.popleft()
-            if tag == "skip":
-                yield "skip", key, None
-            else:
-                yield ("new",) + payload.result()
+    for h, f in enumerate_equations(cfg):
+        key = equation_text(base, h, f)
+        if key in skip_keys:
+            yield "skip", key, None
+            continue
+        try:
+            C = validate_curve(base, h, f, cfg.genus)
+        except Singular:
+            yield "new", key, None
+        else:
+            yield "new", key, curve_record(C)
 
 
 def run_survey(cfg: SurveyConfig, out_path: str | None = None, stream=None) -> dict:

@@ -183,11 +183,20 @@ def encode_int(v: int):
 
 def decode_int(v) -> int:
     if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise ParseError(f"expected integer or decimal string, got {v!r}")
+        raise ParseError(f"expected integer or decimal string, got {_clip(v)}")
     try:
         return int(v)
     except ValueError:
-        raise ParseError(f"bad integer literal {v!r}") from None
+        raise ParseError(f"bad integer literal {_clip(v)}") from None
+
+
+def _clip(v) -> str:
+    # the repr of a rejected value; a long one is cut to a prefix and its
+    # length, so an error names it in one short line
+    text = repr(v)
+    if len(text) <= 40:
+        return text
+    return f"{text[:40]}... ({len(text)} characters)"
 
 
 def weil_to_json(P: WeilPolynomial) -> dict:

@@ -6,8 +6,9 @@ only the canonical modulus with the package), a Sylvester-matrix resultant
 over Fraction arithmetic, a root-of-unity scan by explicit
 minimal-polynomial degree, the power charpoly and ratio polynomial as
 bivariate resultants, the torsion scan over every m with phi(m) <= (2g)^2,
-prime powers by trial division, and distinct-degree factorization by one
-modular exponentiation per degree.  Slow but hard to get wrong.
+prime powers by trial division, distinct-degree factorization by one
+modular exponentiation per degree, and Rabin's irreducibility test.  Slow
+but hard to get wrong.
 """
 
 import itertools
@@ -282,3 +283,19 @@ def ddf_by_pow_mod(a, p):
     if len(v) > 1:
         blocks.append((len(v) - 1, v))
     return blocks
+
+
+def is_irreducible_by_rabin(m, p) -> bool:
+    """Rabin's test for a monic polynomial m of degree >= 1 over F_p: m is
+    irreducible iff x**(p**k) = x (mod m) and, for every prime r | k,
+    gcd(x**(p**(k//r)) - x, m) = 1."""
+    k = len(m) - 1
+    if k == 1:
+        return True
+    x = [0, 1]
+    for r in _fpx.prime_divisors(k):
+        h = _fpx.pow_mod(x, p ** (k // r), m, p)
+        if len(_fpx.gcd(_fpx.sub(h, x, p), m, p)) > 1:
+            return False
+    h = _fpx.pow_mod(x, p ** k, m, p)
+    return _fpx.sub(h, x, p) == []

@@ -85,12 +85,15 @@ def test_report_corrupt_file_is_verification_failure(tmp_path, capsys):
     [
         lambda v: v.update(witness_n=200000),
         lambda v: v["factors"][0].update(mult=10 ** 7),
+        lambda v: v["factors"][0]["coeffs"].__setitem__(0, "7" * 5000),
+        lambda v: v["factors"][0]["coeffs"].__setitem__(0, [1] * 2000),
     ],
-    ids=["huge-witness", "huge-mult"],
+    ids=["huge-witness", "huge-mult", "long-digits", "long-list"],
 )
 def test_report_absurd_certificate_fails_fast(tmp_path, capsys, tamper):
     # replaying charpoly_power(P, 200000) or h ** 10**7 would not finish;
-    # the fresh classification rejects the record before either is built
+    # the fresh classification rejects the record before either is built.
+    # A rejected literal shows up clipped, so the error stays one short line
     out = tmp_path / "run.jsonl"
     assert main(["survey", "--p", "3", "--genus", "2", "--deg", "5",
                  "--limit", "3", "--out", str(out)]) == 0
@@ -104,7 +107,9 @@ def test_report_absurd_certificate_fails_fast(tmp_path, capsys, tamper):
     start = time.perf_counter()
     assert main(["report", "--in", str(out)]) == 3
     assert time.perf_counter() - start < 3
-    assert "line 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "line 2" in err
+    assert len(err.encode()) < 300
     with pytest.raises(CorruptRecord) as bad:
         report(str(out))
     assert bad.value.line == 2
@@ -134,7 +139,7 @@ def test_find_exhaustion_still_succeeds(capsys):
     "argv",
     [
         ["survey", "--p", "3", "--genus", "1", "--deg", "3", "--limit", "0"],
-        ["survey", "--p", "3", "--genus", "1", "--deg", "3", "--jobs", "0"],
+        ["survey", "--p", "3", "--genus", "1", "--deg", "3", "--limit", "-1"],
         ["find", "--p", "3", "--genus", "1", "--count", "0"],
     ],
 )

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobtorus import gf
+from frobtorus import _fpx, gf
 from frobtorus.errors import NonPrime, SizeExceeded
+from oracles import is_irreducible_by_rabin
 
 
 def test_prime_field_has_trivial_modulus():
@@ -22,10 +23,41 @@ def test_prime_field_has_trivial_modulus():
         (2, 3, (1, 0, 1, 1)),     # x^3 + x^2 + 1 beats x^3 + x + 1 in rep order
         (3, 2, (1, 0, 1)),        # x^2 + 1 is the first irreducible over F_3
         (5, 2, (1, 1, 1)),        # x^2 + x + 1; x^2 + 1 splits since -1 is square
+        # the other extension fields the benchmark workloads create
+        (2, 5, (1, 0, 0, 1, 0, 1)),
+        (2, 10, (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1)),
+        (3, 3, (1, 0, 2, 1)),
+        (3, 6, (1, 0, 0, 0, 1, 1, 1)),
+        (5, 4, (1, 0, 1, 1, 1)),
+        (7, 2, (1, 0, 1)),
+        (31, 2, (1, 0, 1)),
+        (37, 2, (1, 3, 1)),
+        (41, 2, (1, 1, 1)),
+        (43, 2, (1, 0, 1)),
+        (47, 2, (1, 0, 1)),
+        (53, 2, (1, 1, 1)),
+        (59, 2, (1, 0, 1)),
+        (61, 2, (1, 5, 1)),
     ],
 )
 def test_modulus_is_first_irreducible_in_lex_order(p, k, modulus):
     assert gf.field_create(p, k).modulus == modulus
+    assert is_irreducible_by_rabin(list(modulus), p)
+
+
+def test_one_block_ddf_is_rabins_irreducibility_test():
+    # field_create takes a modulus as irreducible when ddf returns it as one
+    # block; that must hold for non-squarefree candidates too
+    for p in (2, 3, 5, 7, 11, 13):
+        for k in range(2, 12):
+            if p ** k > 2048:
+                break
+            for c0 in range(1, p):
+                for rest in itertools.product(range(p), repeat=k - 1):
+                    m = [c0, *rest, 1]
+                    assert (_fpx.ddf(m, p) == [(k, m)]) == is_irreducible_by_rabin(
+                        m, p
+                    ), (p, m)
 
 
 def test_field_create_rejections():

@@ -18,7 +18,7 @@ from frobtorus.intpoly import (
     root_power_sums,
     squarefree_part,
 )
-from frobtorus import _fpx
+from frobtorus import _fpx, intpoly
 from oracles import ddf_by_pow_mod, powmod_monic, sylvester_resultant
 
 X = IntPoly([0, 1])
@@ -252,6 +252,24 @@ def test_factor_matches_sympy_on_random_inputs():
         )
         assert int(s_unit) == unit
         assert sorted((g.coeffs, m) for g, m in fs) == want
+
+
+def test_factor_tests_each_prime_once(monkeypatch):
+    # the squarefree test that lets factor skip Yun is handed on to the
+    # prime search, so no (polynomial, prime) pair is tested twice
+    tested = []
+    inner = intpoly._squarefree_mod
+
+    def record(F, p):
+        tested.append((F.coeffs, p))
+        return inner(F, p)
+
+    monkeypatch.setattr(intpoly, "_squarefree_mod", record)
+    for f in _sympy_factor_inputs():
+        for idx in (0, 2):
+            tested.clear()
+            factor(f, prime_index=idx)
+            assert len(tested) == len(set(tested)), f
 
 
 def test_factor_prime_choice_does_not_change_result():
