@@ -1,23 +1,31 @@
 """Polynomial arithmetic over prime fields F_p.
 
-Polynomials are plain lists of ints in [0, p), low-to-high, with no trailing
-zeros ([] is the zero polynomial).  The polynomial routines serve two
-internal clients: modulus selection for extension fields, and the modular
-stage of integer-polynomial factorization.  Both read factor degrees off
-the distinct-degree factorization ddf, which works for any prime; a
-candidate modulus of degree k is irreducible exactly when ddf returns it as
-one block of degree k.  Equal-degree splitting (factor_squarefree_monic)
-needs p odd.  prime_divisors is the package's one trial-division routine
-(primality, prime powers, Euler's phi, primitive elements).
+Polynomials are plain lists of ints in [0, p), low-to-high, with no
+trailing zeros ([] is the zero polynomial).  The polynomial routines serve
+three internal clients: the smoothness gcds of curve validation over prime
+fields (through gf), modulus selection for extension fields, and the
+modular stage of integer-polynomial factorization.  The last two read
+factor degrees off the distinct-degree factorization ddf, which works for
+any prime; a candidate modulus of degree k is irreducible exactly when ddf
+returns it as one block of degree k.  Equal-degree splitting
+(factor_squarefree_monic) needs p odd.  prime_divisors is the package's one
+trial-division routine (primality, prime powers, Euler's phi, primitive
+elements).
 
 Distinct-degree factorization (ddf) builds the Frobenius matrix of the
 modulus once per prime, rows x**(i*p) mod a, so that each further power
 h -> h**p is a row combination rather than a modular exponentiation.
 
+Division (div_rem, and rem, which builds no quotient) is one pass over a
+copy of the dividend that reduces mod p once per quotient digit.  gcd is
+the one F_p[x] gcd: a Euclid loop that reduces its two copies into each
+other in place, with one inversion per remainder.
+
 Hensel lifting also calls trim, add, sub, mul and div_rem with a composite
-modulus p**(2**k).  The first four work for any modulus; div_rem is correct
-there only when the divisor is monic, since it inverts the leading
-coefficient as if p were prime.
+modulus p**(2**k).  The first four work for any modulus; div_rem and rem
+are correct there only when the divisor is monic, since they invert the
+leading coefficient as if p were prime.  gcd, monic, pow_mod, bezout, ddf
+and the splitting routines need p prime.
 """
 
 from __future__ import annotations
@@ -62,26 +70,39 @@ def mul(a, b, p):
     return trim([c % p for c in out])
 
 
+def _reduce(a, b, p, q):
+    """The remainder of a by b (b nonzero), from one pass over a copy of a,
+    top coefficient down; the quotient digits go into q unless it is None.
+
+    The copy is reduced mod p once per quotient digit, at the coefficient
+    that digit is read from, and once at the end, not once per update.
+    """
+    nb = len(b) - 1
+    if nb < 0:
+        raise ZeroDivisionError("division by zero polynomial")
+    r = a[:]
+    inv_lc = pow(b[-1], p - 2, p)
+    low = b[:nb]
+    for top in range(len(r) - 1, nb - 1, -1):
+        c = r[top] % p * inv_lc % p
+        if c:
+            if q is not None:
+                q[top - nb] = c
+            for i, cb in enumerate(low, top - nb):
+                r[i] -= c * cb
+    return trim([c % p for c in r[:nb]])
+
+
 def div_rem(a, b, p):
     """Quotient and remainder of a by b (b nonzero)."""
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    a = a[:]
     q = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lc = pow(b[-1], p - 2, p)
-    db = len(b) - 1
-    while len(a) - 1 >= db and a:
-        c = (a[-1] * inv_lc) % p
-        d = len(a) - 1 - db
-        q[d] = c
-        for i, cb in enumerate(b):
-            a[d + i] = (a[d + i] - c * cb) % p
-        trim(a)
-    return trim(q), a
+    r = _reduce(a, b, p, q)
+    return trim(q), r
 
 
 def rem(a, b, p):
-    return div_rem(a, b, p)[1]
+    """The remainder of a by b (b nonzero); no quotient is built."""
+    return _reduce(a, b, p, None)
 
 
 def monic(a, p):
@@ -92,11 +113,28 @@ def monic(a, p):
 
 
 def gcd(a, b, p):
-    """Monic greatest common divisor."""
+    """Monic greatest common divisor.
+
+    One Euclid loop on copies of a and b, coefficients kept in [0, p): each
+    pass reduces a mod b in place, top coefficient down, with one inversion
+    of b's leading coefficient, drops a's zero top and swaps the two.
+    """
     a, b = a[:], b[:]
-    while b:
-        a, b = b, rem(a, b, p)
-    return monic(a, p)
+    if not b:
+        return monic(a, p)
+    while True:
+        nb = len(b) - 1
+        inv_lc = pow(b[-1], p - 2, p)
+        for top in range(len(a) - 1, nb - 1, -1):
+            c = a[top] * inv_lc % p
+            if c:
+                for i, cb in enumerate(b, top - nb):
+                    a[i] = (a[i] - c * cb) % p
+        del a[nb:]
+        trim(a)
+        if not a:
+            return [c * inv_lc % p for c in b]
+        a, b = b, a
 
 
 def pow_mod(a, e: int, m, p):

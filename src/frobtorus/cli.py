@@ -16,6 +16,8 @@ from .errors import (
     FrobtorusError,
     InvariantViolation,
     NonIntegralCoefficient,
+    Singular,
+    SizeExceeded,
     WeilBoundViolated,
 )
 from .survey import SurveyConfig, analyze_one, report, run_find, run_survey
@@ -94,6 +96,16 @@ def main(argv=None) -> int:
                 return 3
         elif args.cmd == "report":
             print(json.dumps(report(args.infile), indent=2))
+    except Singular as err:
+        # (m, x, y): a singular point over F_{q^m}, x and y as digit tuples;
+        # in characteristic 2 the search may need a field past the cap
+        try:
+            w = err.witness
+            at = "m={}, x={}, y={}".format(*w) if w else "no point over F_q"
+        except SizeExceeded as big:
+            at = f"not searched, {big}"
+        print(f"error: {err}; witness: {at}", file=sys.stderr)
+        return 2
     except FrobtorusError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3 if isinstance(err, _VERIFY_FAILURES) else 2

@@ -4,24 +4,28 @@ Coefficients are the integer codes of gf, low-to-high, everywhere: in the
 curve value, in validation, in embeddings and in the curve text.
 Validation enforces the smooth-affine-model conditions (squarefree f with
 h = 0 in odd characteristic; the h-root criterion in characteristic 2) by
-gcds in F_q[x] (gf.pgcd).  Counting evaluates h and f at every x of the
-field at once (gf.values, in the log domain of gf.log_tables) and counts
-the y over each x from the value alone: the quadratic character (parity of
-the log) in odd characteristic, the absolute trace of f/h^2 in
-characteristic 2.  The points at infinity of the smooth model are counted
-the same way from the leading coefficients.
+one gcd in F_q[x] (gf.pgcd), which decides singularity exactly.  A
+singular equation raises Singular at once; its witness point is searched
+for only when the exception's witness is first read, so a survey that
+skips singular equations never searches.  Counting evaluates h and f at
+every x of the field at once (gf.values, in the log domain of
+gf.log_tables) and counts the y over each x from the value alone: the
+quadratic character (parity of the log) in odd characteristic, the
+absolute trace of f/h^2 in characteristic 2.  The points at infinity of
+the smooth model are counted the same way from the leading coefficients.
 
 Counting over F_{q^i} builds F_{p^(k*i)} with its own canonical modulus and
 embeds coefficients by a code-to-code table that sends the generator to the
 lexicographically first root of the base modulus; for prime base fields the
-embedding is the identity on codes.  That root, and the singular point
-named as the witness of a singular curve, come from gf.poly_roots, which
-runs on the same whole-field evaluator.
+embedding is the identity on codes.  That root, and the roots behind a
+singular curve's witness, come from gf.poly_roots, which runs on the same
+whole-field evaluator.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -68,7 +72,10 @@ def validate_curve(base: gf.FieldSpec, h, f, g: int) -> HyperellipticCurve:
     """
     h = _fpx.trim(list(h))
     f = _fpx.trim(list(f))
-    if any(not (isinstance(c, int) and 0 <= c < base.q) for c in h + f):
+    cs = h + f
+    if not all(map(isinstance, cs, itertools.repeat(int))) or (
+        cs and (min(cs) < 0 or max(cs) >= base.q)
+    ):
         raise ValueError(f"coefficient codes must be ints in [0, {base.q})")
     if g < 1:
         raise BadDegrees(f"genus must be >= 1, got {g}")
@@ -83,38 +90,52 @@ def validate_curve(base: gf.FieldSpec, h, f, g: int) -> HyperellipticCurve:
         if h:
             raise BadDegrees("h must be zero in odd characteristic")
         d = gf.pgcd(base, f, gf.pderiv(base, f))
-        if len(d) - 1 > 0:
-            base_roots = gf.poly_roots(base, d)
-            witness = None
-            if base_roots:
-                witness = (1, gf.digits(base, base_roots[0]), (0,) * base.k)
-            raise Singular("f has a repeated root", witness=witness)
+        if len(d) > 1:
+            raise Singular(
+                "f has a repeated root",
+                witness=lambda: _repeated_root_witness(base, d),
+            )
     else:
         if not h:
             raise BadDegrees("h must be nonzero in characteristic 2")
         # the test below, squared, is h'(x0)^2 f(x0) = f'(x0)^2 at a root x0
-        # of h, and squaring is injective, so a curve with h coprime to
-        # h'^2 f + f'^2 is nonsingular; only the others search the
-        # extensions, for the first singular point as the witness
+        # of h, and squaring is injective, so the curve is singular exactly
+        # when h and h'^2 f + f'^2 have a common root x0; x0 has degree at
+        # most deg h over F_q, so _char2_witness always finds a point
         hd, fd = gf.pderiv(base, h), gf.pderiv(base, f)
         test = gf.padd(
             base, gf.pmul(base, gf.pmul(base, hd, hd), f), gf.pmul(base, fd, fd)
         )
-        deg_h = len(h) - 1 if len(gf.pgcd(base, h, test)) > 1 else 0
-        for m in range(1, deg_h + 1):
-            ext = gf.field_create(2, base.k * m)
-            hk, hdk, fk, fdk = (
-                [embed(base, ext, c) for c in a] for a in (h, hd, f, fd)
+        if len(gf.pgcd(base, h, test)) > 1:
+            raise Singular(
+                "singular point on the affine model",
+                witness=lambda: _char2_witness(base, h, hd, f, fd),
             )
-            for x0 in gf.poly_roots(ext, hk):
-                y0 = gf.power(ext, gf.evaluate(ext, fk, x0), ext.q // 2)
-                lhs = gf.mul(ext, gf.evaluate(ext, hdk, x0), y0)
-                if lhs == gf.evaluate(ext, fdk, x0):
-                    raise Singular(
-                        "singular point on the affine model",
-                        witness=(m, gf.digits(ext, x0), gf.digits(ext, y0)),
-                    )
     return HyperellipticCurve(base=base, h=tuple(h), f=tuple(f), genus=g)
+
+
+def _repeated_root_witness(base: gf.FieldSpec, d: list):
+    # the first root by rep of d = gcd(f, f'), with y = 0; None without one
+    roots = gf.poly_roots(base, d)
+    if not roots:
+        return None
+    return 1, gf.digits(base, roots[0]), (0,) * base.k
+
+
+def _char2_witness(base: gf.FieldSpec, h, hd, f, fd):
+    # the first singular point over F_{q^m}, m = 1 .. deg h: a root x0 of h
+    # with h'(x0) y0 = f'(x0), y0 the square root of f(x0)
+    for m in range(1, len(h)):
+        ext = gf.field_create(2, base.k * m)
+        hk, hdk, fk, fdk = (
+            [embed(base, ext, c) for c in a] for a in (h, hd, f, fd)
+        )
+        for x0 in gf.poly_roots(ext, hk):
+            y0 = gf.power(ext, gf.evaluate(ext, fk, x0), ext.q // 2)
+            lhs = gf.mul(ext, gf.evaluate(ext, hdk, x0), y0)
+            if lhs == gf.evaluate(ext, fdk, x0):
+                return m, gf.digits(ext, x0), gf.digits(ext, y0)
+    raise AssertionError("nontrivial smoothness gcd, but no singular point")
 
 
 @functools.lru_cache(maxsize=None)

@@ -21,13 +21,24 @@ class BadDegrees(FrobtorusError):
 class Singular(FrobtorusError):
     """The affine curve model has a singular point.
 
-    ``witness`` is the offending (x, y) pair when one was found in the
-    enumerated range, else None.
+    ``witness`` is (m, x, y): the first singular point, over F_{q^m}, with x
+    and y as digit tuples, or None when the search finds no point (odd
+    characteristic: a repeated root of f outside F_q).  The constructor
+    takes the witness value or a zero-argument callable that computes it;
+    the callable runs on the first read of ``witness``, once, so a caller
+    that only needs to know the model is singular never pays for the
+    search.
     """
 
     def __init__(self, message, witness=None):
         super().__init__(message)
-        self.witness = witness
+        self._witness = witness
+
+    @property
+    def witness(self):
+        if callable(self._witness):
+            self._witness = self._witness()
+        return self._witness
 
 
 class WeilBoundViolated(FrobtorusError):

@@ -78,11 +78,8 @@ class SurveyConfig:
                 f"exceed the factoring cap {FACTOR_DEGREE_CAP}"
             )
         gf.field_create(self.p, 1)  # NonPrime up front
-        # largest extensions touched: counting needs p^genus, and char-2
-        # validation enumerates roots of h over p^(deg h) with deg h <= g+1
+        # the largest extension a survey touches: counting needs p^genus
         gf.field_create(self.p, self.genus)
-        if self.p == 2:
-            gf.field_create(2, self.genus + 1)
 
 
 def enumerate_equations(cfg: SurveyConfig):
@@ -191,13 +188,17 @@ def _record_family(obj: dict) -> tuple:
 
 def _result_stream(cfg: SurveyConfig, skip_keys: dict[str, object]):
     """Yield ('skip', key, None) or ('new', key, record|None) in enumeration
-    order; the record is None for a singular equation."""
+    order; the record is None for a singular equation.  The key (the
+    equation text) is built only to look up skip_keys, so a new equation's
+    key is None when skip_keys is empty."""
     base = gf.field_create(cfg.p, 1)
+    key = None
     for h, f in enumerate_equations(cfg):
-        key = equation_text(base, h, f)
-        if key in skip_keys:
-            yield "skip", key, None
-            continue
+        if skip_keys:
+            key = equation_text(base, h, f)
+            if key in skip_keys:
+                yield "skip", key, None
+                continue
         try:
             C = validate_curve(base, h, f, cfg.genus)
         except Singular:

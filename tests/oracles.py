@@ -7,8 +7,9 @@ over Fraction arithmetic, a root-of-unity scan by explicit
 minimal-polynomial degree, the power charpoly and ratio polynomial as
 bivariate resultants, the torsion scan over every m with phi(m) <= (2g)^2,
 prime powers by trial division, distinct-degree factorization by one
-modular exponentiation per degree, and Rabin's irreducibility test.  Slow
-but hard to get wrong.
+modular exponentiation per degree, Rabin's irreducibility test, and
+F_p[x] division and gcd by long division with a trim after every
+quotient digit.  Slow but hard to get wrong.
 """
 
 import itertools
@@ -299,3 +300,39 @@ def is_irreducible_by_rabin(m, p) -> bool:
             return False
     h = _fpx.pow_mod(x, p ** k, m, p)
     return _fpx.sub(h, x, p) == []
+
+
+def div_rem_by_long_division(a, b, p):
+    """Quotient and remainder of a by b (b nonzero) over F_p: the top
+    coefficient of a copy of a is cancelled, every coefficient it touches
+    reduced and the copy trimmed, once per quotient digit.  Exact modulo a
+    composite p when b is monic."""
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    a = a[:]
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    inv_lc = pow(b[-1], p - 2, p)
+    db = len(b) - 1
+    while len(a) - 1 >= db and a:
+        c = (a[-1] * inv_lc) % p
+        d = len(a) - 1 - db
+        q[d] = c
+        for i, cb in enumerate(b):
+            a[d + i] = (a[d + i] - c * cb) % p
+        _fpx.trim(a)
+    return _fpx.trim(q), a
+
+
+def rem_by_long_division(a, b, p):
+    return div_rem_by_long_division(a, b, p)[1]
+
+
+def gcd_by_long_division(a, b, p):
+    """Monic gcd over F_p by Euclid on rem_by_long_division."""
+    a, b = a[:], b[:]
+    while b:
+        a, b = b, rem_by_long_division(a, b, p)
+    if not a or a[-1] == 1:
+        return a
+    inv_lc = pow(a[-1], p - 2, p)
+    return [(c * inv_lc) % p for c in a]

@@ -31,6 +31,26 @@ def test_analyze_singular_curve_is_input_error(capsys):
     assert main(["analyze", "--curve", "5; h=; f=0,0,1,1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "curve,witness",
+    [
+        ("5; h=; f=0,0,1,1", "m=1, x=(0,), y=(0,)"),
+        ("3; h=; f=0,1,0,2,0,1", "no point over F_q"),
+        ("2; h=1,1,1; f=0,0,0,0,0,1", "m=2, x=(0, 1), y=(0, 1)"),
+        ("2^2; h=(0,1),(1); f=(0),(0),(0),(0),(0),(1)", "m=1, x=(0, 1), y=(0, 1)"),
+        # h = x^3 + x + 1 stays irreducible over F_{2^7}: its roots, all
+        # singular, lie in F_{2^21}, past the field size cap
+        ("2^7; h=(1),(1),(0),(1); f=(0),(0),(1),(1),(1),(1)",
+         "not searched, field size 2^21 exceeds 2^20"),
+    ],
+    ids=["odd", "odd-none", "char2-ext", "char2-F4", "char2-past-cap"],
+)
+def test_analyze_singular_curve_names_its_witness(capsys, curve, witness):
+    assert main(["analyze", "--curve", curve]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"; witness: {witness}\n")
+
+
 def test_analyze_nonprime_field_is_input_error(capsys):
     assert main(["analyze", "--curve", "6; h=; f=0,1,0,1"]) == 2
 

@@ -81,6 +81,39 @@ def test_validate_rejects_singular_char2():
     assert exc.value.witness == (1, (0,), (0,))
 
 
+@pytest.mark.parametrize(
+    "p,h,f,g",
+    [
+        (5, [], [0, 0, 1, 1], 1),            # node at the origin
+        (3, [], [0, 1, 0, 2, 0, 1], 2),      # x (x^2 + 1)^2: no F_3 point
+        (2, [0, 1], [0, 0, 0, 0, 0, 1], 2),  # singular at (0, 0)
+        (2, [1, 1, 1], [0, 0, 0, 0, 0, 1], 2),  # singular over F_4 only
+    ],
+    ids=["odd", "odd-none", "char2", "char2-ext"],
+)
+def test_singular_witness_is_searched_once_on_first_read(monkeypatch, p, h, f, g):
+    spec = gf.field_create(p)
+    calls = []
+    poly_roots = gf.poly_roots
+    monkeypatch.setattr(
+        gf, "poly_roots", lambda *args: calls.append(args) or poly_roots(*args)
+    )
+    with pytest.raises(Singular) as exc:
+        validate_curve(spec, h, f, g)
+    assert calls == []  # raising searches nothing
+    first = exc.value.witness
+    searched = len(calls)
+    assert searched > 0
+    assert exc.value.witness == first
+    assert len(calls) == searched
+    assert first == naive_singular_point(spec, h, f)
+
+
+def test_singular_takes_a_witness_value():
+    assert Singular("x", witness=(1, (0,), (0,))).witness == (1, (0,), (0,))
+    assert Singular("x").witness is None
+
+
 def test_validate_char2_singularity_in_extension_only():
     spec = gf.field_create(2)
     # h = x^2 + x + 1 has no roots over F_2 but splits over F_4; pick f so

@@ -3,12 +3,17 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobtorus import _fpx, gf
 from frobtorus.errors import NonPrime, SizeExceeded
-from oracles import is_irreducible_by_rabin
+from oracles import (
+    div_rem_by_long_division,
+    gcd_by_long_division,
+    is_irreducible_by_rabin,
+    rem_by_long_division,
+)
 
 
 def test_prime_field_has_trivial_modulus():
@@ -228,6 +233,56 @@ def test_poly_divmod_and_gcd():
             if k == 1:
                 assert g == with_roots(A & B)
         assert gf.pgcd(spec, quad, []) == quad
+
+
+def _fpx_poly(m, max_degree):
+    # any coefficients in [0, m), trimmed: zero, constant, non-monic
+    return st.lists(st.integers(0, m - 1), max_size=max_degree + 1).map(_fpx.trim)
+
+
+@st.composite
+def _fpx_pairs(draw):
+    # degrees 0..16; half the pairs share a factor c, so gcds are nontrivial
+    p = draw(st.sampled_from([2, 3, 7, 17, 61]))
+    if draw(st.booleans()):
+        return p, draw(_fpx_poly(p, 16)), draw(_fpx_poly(p, 16))
+    a, b, c = (draw(_fpx_poly(p, 8)) for _ in range(3))
+    return p, _fpx.mul(a, c, p), _fpx.mul(b, c, p)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fpx_pairs())
+@example((7, [], []))
+@example((7, [3], []))
+@example((2, [], [1, 1]))
+@example((61, [5, 0, 2], [0, 0, 0, 4, 9]))  # deg a < deg b, non-monic
+@example((17, [1, 2, 3, 4, 5, 6], [9]))
+def test_fpx_division_and_gcd_match_long_division(case):
+    p, a, b = case
+    ab = (a[:], b[:])
+    assert _fpx.gcd(a, b, p) == gcd_by_long_division(a, b, p)
+    assert _fpx.gcd(b, a, p) == gcd_by_long_division(b, a, p)
+    if b:
+        assert _fpx.div_rem(a, b, p) == div_rem_by_long_division(a, b, p)
+        assert _fpx.rem(a, b, p) == rem_by_long_division(a, b, p)
+    assert (a, b) == ab  # inputs are not modified
+
+
+@st.composite
+def _monic_division_mod_17_powers(draw):
+    m = draw(st.sampled_from([17 ** 2, 17 ** 4]))
+    return m, draw(_fpx_poly(m, 16)), draw(_fpx_poly(m, 15)) + [1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monic_division_mod_17_powers())
+def test_fpx_division_by_a_monic_divisor_modulo_a_prime_power(case):
+    # Hensel lifting divides modulo p**(2**k) by monic divisors
+    m, a, b = case
+    q, r = _fpx.div_rem(a, b, m)
+    assert (q, r) == div_rem_by_long_division(a, b, m)
+    assert _fpx.rem(a, b, m) == r
+    assert len(r) < len(b) and _fpx.add(_fpx.mul(q, b, m), r, m) == a
 
 
 def test_field_create_is_cached():

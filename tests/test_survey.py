@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from frobtorus import gf
 from frobtorus.curves import curve_from_text, equation_text
 from frobtorus.errors import (
     BadDegrees,
@@ -104,6 +105,35 @@ def test_run_survey_to_stream_has_header_and_summary():
     ] == 5
     assert summary["config"]["limit"] == 5
     assert 0.0 <= summary["absolutely_simple_fraction"] <= 1.0
+
+
+@pytest.mark.parametrize(
+    "kw,expected",
+    [
+        (dict(p=7, genus=2, degree=6, limit=100),
+         dict(enumerated=2516, valid=100, singular_skipped=2416,
+              by_kind=[53, 29, 16, 2], absolutely_simple_fraction=0.53)),
+        (dict(p=2, genus=2, degree=5, limit=50),
+         dict(enumerated=114, valid=50, singular_skipped=64,
+              by_kind=[21, 21, 8, 0], absolutely_simple_fraction=0.42)),
+    ],
+    ids=["p7-sieve", "p2"],
+)
+def test_survey_rejects_singular_equations_without_a_witness_search(
+    monkeypatch, kw, expected
+):
+    # the gcd decides singularity; a survey never reads the witness, so the
+    # root search behind it (gf.poly_roots) never runs
+    calls = []
+    poly_roots = gf.poly_roots
+    monkeypatch.setattr(
+        gf, "poly_roots", lambda *args: calls.append(args) or poly_roots(*args)
+    )
+    summary = run_survey(SurveyConfig(**kw), stream=io.StringIO())
+    assert calls == []
+    got = {k: summary[k] for k in expected}
+    got["by_kind"] = list(got["by_kind"].values())
+    assert got == expected
 
 
 def test_run_survey_full_family_summary(tmp_path):
