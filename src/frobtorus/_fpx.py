@@ -8,9 +8,8 @@ modular stage of integer-polynomial factorization.  The last two read
 factor degrees off the distinct-degree factorization ddf, which works for
 any prime; a candidate modulus of degree k is irreducible exactly when ddf
 returns it as one block of degree k.  Equal-degree splitting
-(factor_squarefree_monic) needs p odd.  prime_divisors is the package's one
-trial-division routine (primality, prime powers, Euler's phi, primitive
-elements).
+(factor_squarefree_monic) needs p odd.  is_prime is the package's one
+primality test, and prime_divisors its one factorization of integers.
 
 Distinct-degree factorization (ddf) builds the Frobenius matrix of the
 modulus once per prime, rows x**(i*p) mod a, so that each further power
@@ -31,6 +30,13 @@ and the splitting routines need p prime.
 from __future__ import annotations
 
 import random
+
+from .errors import SizeExceeded
+
+# Miller-Rabin with the first 13 primes as bases decides primality of every
+# n below MR_BOUND (Sorenson and Webster, Math. Comp. 86 (2017), psi_13)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
 
 
 def trim(a: list[int]) -> list[int]:
@@ -151,6 +157,35 @@ def pow_mod(a, e: int, m, p):
 
 def deriv(a, p):
     return trim([(i * a[i]) % p for i in range(1, len(a))])
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime: division by the 13 bases decides an n with a
+    factor up to 41 at any size; a deterministic Miller-Rabin on them
+    decides the rest, and raises SizeExceeded past MR_BOUND (about 3.3e24).
+    """
+    if n < 2:
+        return False
+    for a in MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= MR_BOUND:
+        raise SizeExceeded(f"{n} is past the prime test bound {MR_BOUND}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def prime_divisors(n: int):

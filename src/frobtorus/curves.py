@@ -250,7 +250,10 @@ def _parse_coeff_list(spec: gf.FieldSpec, text: str) -> list:
         if not re.fullmatch(r"(\(-?\d+(,-?\d+)*\))(,\(-?\d+(,-?\d+)*\))*", body):
             raise ParseError(f"bad coefficient tuple list: {text!r}")
         for tup in re.findall(r"\(([^)]*)\)", body):
-            ints = [int(v) for v in tup.split(",")]
+            try:
+                ints = [int(v) for v in tup.split(",")]
+            except ValueError:  # past Python's int-string digit limit
+                raise ParseError(f"coefficient tuple of {len(tup)} characters") from None
             if len(ints) > spec.k:
                 raise ParseError(f"coefficient tuple longer than k={spec.k}: ({tup})")
             out.append(gf.code(spec, ints))
@@ -264,8 +267,9 @@ def _parse_coeff_list(spec: gf.FieldSpec, text: str) -> list:
     return out
 
 
-def curve_from_text(text: str) -> HyperellipticCurve:
-    """Parse and validate the curve text format."""
+def parse_curve_text(text: str) -> tuple[gf.FieldSpec, list, list]:
+    """(field, h, f) from the curve text format, f trimmed, without the
+    smoothness check; raises ParseError unless deg f >= 3."""
     parts = [p.strip() for p in text.split(";")]
     if len(parts) != 3:
         raise ParseError("curve text needs three ';'-separated parts")
@@ -284,5 +288,10 @@ def curve_from_text(text: str) -> HyperellipticCurve:
     f = _fpx.trim(_parse_coeff_list(spec, parts[2][2:]))
     if len(f) - 1 < 3:
         raise ParseError(f"deg f = {len(f) - 1} cannot carry genus >= 1")
-    g = genus_for_degree(len(f) - 1)
-    return validate_curve(spec, h, f, g)
+    return spec, h, f
+
+
+def curve_from_text(text: str) -> HyperellipticCurve:
+    """Parse and validate the curve text format."""
+    spec, h, f = parse_curve_text(text)
+    return validate_curve(spec, h, f, genus_for_degree(len(f) - 1))

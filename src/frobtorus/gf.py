@@ -35,10 +35,6 @@ from .errors import NonPrime, SizeExceeded
 SIZE_CAP = 1 << 20
 
 
-def is_prime(n: int) -> bool:
-    return n >= 2 and next(_fpx.prime_divisors(n)) == n
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """Immutable description of F_{p^k}; shared freely between threads."""
@@ -68,11 +64,11 @@ def field_create(p: int, k: int = 1) -> FieldSpec:
 def _field_create(p: int, k: int) -> FieldSpec:
     if k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
-    # the cap comes first, as is_prime trial-divides up to sqrt(p), and
-    # without p**k for a large k
+    # the cap comes first, so a field past it is refused by size whether or
+    # not p is prime, and p**k is never computed for a large k
     if p > 1 and (p > SIZE_CAP or k > 20 or p ** k > SIZE_CAP):
         raise SizeExceeded(f"field size {p}^{k} exceeds 2^20")
-    if not is_prime(p):
+    if not _fpx.is_prime(p):
         raise NonPrime(f"{p} is not prime")
     if k == 1:
         return FieldSpec(p, 1, (0, 1))

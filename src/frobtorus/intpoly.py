@@ -403,13 +403,8 @@ def _yun(F: IntPoly) -> list[tuple[IntPoly, int]]:
 
 @functools.lru_cache(maxsize=None)
 def _primes_from_17() -> list[int]:
-    out = []
-    n = 17
-    while len(out) < 64:
-        if next(_fpx.prime_divisors(n)) == n:
-            out.append(n)
-        n += 2
-    return out
+    # the 64 primes from 17 to 349
+    return [n for n in range(17, 350, 2) if _fpx.is_prime(n)]
 
 
 def _squarefree_mod(F: IntPoly, p: int) -> list[int] | None:
@@ -424,19 +419,13 @@ def _squarefree_mod(F: IntPoly, p: int) -> list[int] | None:
     return a
 
 
-def _good_primes(F: IntPoly, prime_index: int, known: dict):
+def _good_primes(F: IntPoly):
     # (p, F mod p) for the primes p >= 17 where F stays squarefree of its
-    # degree, lazily, after skipping the first prime_index of them; known
-    # maps primes to _squarefree_mod(F, p) results computed before
-    skipped = 0
+    # degree, lazily
     for p in _primes_from_17():
-        a = known[p] if p in known else _squarefree_mod(F, p)
-        if a is None:
-            continue
-        if skipped < prime_index:
-            skipped += 1
-            continue
-        yield p, a
+        a = _squarefree_mod(F, p)
+        if a is not None:
+            yield p, a
     raise AssertionError("ran out of candidate primes")
 
 
@@ -512,22 +501,19 @@ def _sym(c: int, m: int) -> int:
     return c - m if c > m // 2 else c
 
 
-def _zassenhaus_squarefree(F: IntPoly, prime_index: int, known: dict) -> list[IntPoly]:
-    """Irreducible factors of a primitive squarefree positive-lc polynomial;
-    known as for _good_primes(F, ...)."""
+def _zassenhaus_squarefree(F: IntPoly) -> list[IntPoly]:
+    """Irreducible factors of a primitive squarefree positive-lc polynomial."""
     n = F.degree
     if n == 1:
         return [F]
     b = F.lc
     # monic transform: b^(n-1) * F(x/b); leading term becomes 1 exactly
     Fm = IntPoly([c * b ** (n - 1 - i) for i, c in enumerate(F.coeffs[:-1])] + [1])
-    if b != 1:
-        known = {}  # results for F, not for Fm
     # factor degrees allowed by the ddf of up to three primes; none left
     # proves F irreducible
     allowed = (1 << n) - 2
     first = None
-    for p, a in itertools.islice(_good_primes(Fm, prime_index, known), 3):
+    for p, a in itertools.islice(_good_primes(Fm), 3):
         blocks = _fpx.ddf(a, p)
         first = first or (p, blocks)
         allowed &= _subset_sums(blocks, n)
@@ -572,13 +558,12 @@ def _zassenhaus_squarefree(F: IntPoly, prime_index: int, known: dict) -> list[In
     return out
 
 
-def factor(f: IntPoly, prime_index: int = 0) -> tuple[int, list[tuple[IntPoly, int]]]:
+def factor(f: IntPoly) -> tuple[int, list[tuple[IntPoly, int]]]:
     """Complete factorization over Q.
 
     Returns (unit, [(irreducible, multiplicity), ...]) with each irreducible
     primitive and positive-lc (monic when f is monic), sorted by (degree,
-    coeffs), and unit * product == f exactly.  prime_index shifts the choice
-    of modular primes; any value must reproduce the same factors.
+    coeffs), and unit * product == f exactly.
     """
     if f.is_zero:
         raise ZeroPolynomial("factor of zero polynomial")
@@ -589,14 +574,12 @@ def factor(f: IntPoly, prime_index: int = 0) -> tuple[int, list[tuple[IntPoly, i
     F = f.primitive()
     unit = f.lc // F.lc
     # squarefree modulo the first prime that keeps the degree means
-    # squarefree over Q, and Yun has nothing to split; Zassenhaus reuses
-    # that test when it gets F itself
+    # squarefree over Q, and Yun has nothing to split
     p = next((p for p in _primes_from_17() if F.lc % p), None)
-    known = {} if p is None else {p: _squarefree_mod(F, p)}
-    parts = [(F, 1)] if known.get(p) is not None else _yun(F)
+    squarefree = p is not None and _squarefree_mod(F, p) is not None
     out: list[tuple[IntPoly, int]] = []
-    for sq, mult in parts:
-        for irr in _zassenhaus_squarefree(sq, prime_index, known if sq == F else {}):
+    for sq, mult in [(F, 1)] if squarefree else _yun(F):
+        for irr in _zassenhaus_squarefree(sq):
             out.append((irr, mult))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     prod = IntPoly([unit])

@@ -52,10 +52,9 @@ from .intpoly import (
     factor,
     from_power_sums,
     root_power_sums,
-    squarefree_part,
 )
 from .intpoly import resultant_y  # noqa: F401  (perfbench/tracing.py hooks this name)
-from .zeta import WeilPolynomial, _is_prime, decode_int, encode_int, prime_power
+from .zeta import WeilPolynomial, decode_array, decode_int, encode_int, prime_power
 
 ABSOLUTELY_SIMPLE = "AbsolutelySimple"
 NOT_SIMPLE = "NotSimple"
@@ -101,11 +100,10 @@ def ratio_poly(P: WeilPolynomial) -> IntPoly:
     splits off from the diagonal pairs.  Content is not stripped.  Computed
     as R~(qx)/q^(2g^2), where R~ is the monic polynomial with roots the
     products alpha_i*alpha_j = q*alpha_i/conj(alpha_j): its power sums are
-    S_k^2.
+    S_k^2.  Power sums and Newton's identities work on the roots counted
+    with multiplicity, so the result is exact for repeated roots too.
     """
     Pp = IntPoly(P.coeffs)
-    if squarefree_part(Pp) != Pp:
-        raise ValueError("ratio_poly requires squarefree input")
     n = 2 * P.g
     Rt = from_power_sums([s * s for s in root_power_sums(Pp, n * n)])
     scaled = [c * P.q ** i for i, c in enumerate(Rt.coeffs)]
@@ -118,13 +116,6 @@ def ratio_poly(P: WeilPolynomial) -> IntPoly:
     return R
 
 
-def euler_phi(m: int) -> int:
-    out = m
-    for r in _fpx.prime_divisors(m):
-        out -= out // r
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _torsion_candidates(g: int) -> tuple[int, ...]:
     # the m >= 2 with phi(m) <= 2g(2g-1) and phi(m) | 2^g g! (module
@@ -133,7 +124,9 @@ def _torsion_candidates(g: int) -> tuple[int, ...]:
     group_order = math.factorial(g) << g
     out = []
     for m in range(2, 2 * bound * bound + 2):
-        phi = euler_phi(m)
+        phi = m
+        for r in _fpx.prime_divisors(m):
+            phi -= phi // r
         if phi <= bound and group_order % phi == 0:
             out.append(m)
     return tuple(out)
@@ -147,7 +140,7 @@ def _torsion_prefilter(g: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     orders = _torsion_candidates(g)
     L = math.lcm(*orders)
     ell = (2 ** 31 // L + 1) * L + 1
-    while not _is_prime(ell):
+    while not _fpx.is_prime(ell):
         ell += L
     primes = tuple(_fpx.prime_divisors(L))
     a = 2
@@ -286,13 +279,13 @@ def verdict_from_json(d) -> SimplicityVerdict:
         if "factors" in d:
             factors = tuple(
                 (
-                    IntPoly([decode_int(c) for c in item["coeffs"]]),
+                    IntPoly(map(decode_int, decode_array(item, "coeffs"))),
                     decode_int(item["mult"]),
                 )
-                for item in d["factors"]
+                for item in decode_array(d, "factors")
             )
         if "torsion_orders" in d:
-            torsion = tuple(decode_int(m) for m in d["torsion_orders"])
+            torsion = tuple(map(decode_int, decode_array(d, "torsion_orders")))
     except (TypeError, KeyError):
         raise ParseError("malformed verdict factors or torsion orders") from None
     if d.get("witness_n") is not None:

@@ -26,6 +26,8 @@ from .curves import (
     curve_from_text,
     curve_to_text,
     equation_text,
+    genus_for_degree,
+    parse_curve_text,
     validate_curve,
 )
 from .errors import (
@@ -48,7 +50,8 @@ from .simplicity import (
     verdict_to_json,
     verify_verdict,
 )
-from .zeta import decode_int, is_weil, weil_from_counts, weil_from_json, weil_to_json
+from .zeta import decode_array, decode_int, is_weil, weil_from_counts
+from .zeta import weil_from_json, weil_to_json
 from .curves import PointCounts
 
 FORMAT = "frobtorus-survey-v1"
@@ -132,7 +135,8 @@ def _read_survey(data: bytes):
     the first record, fixes the family (field, genus, deg f).  Raises
     CorruptRecord with the 1-based line for an unreadable line before the
     last, a record that is not an object with a string curve, a curve that
-    repeats an earlier line, or a record from another family.
+    does not parse or repeats an earlier line, counts that contradict the
+    record's curve, or a record from another family.
     """
     header = family = None
     records = []
@@ -161,7 +165,7 @@ def _read_survey(data: bytes):
                 raise CorruptRecord(
                     f"line {lineno} repeats the curve of line {first}", line=lineno
                 )
-            own = _record_family(obj)
+            own = _record_family(obj, lineno)
             family = family or own
             if own != family:
                 raise CorruptRecord(
@@ -175,15 +179,22 @@ def _read_survey(data: bytes):
     return header, records, keep
 
 
-def _record_family(obj: dict) -> tuple:
-    # (field, genus, deg f) from the curve key "p[^k]; h=...; f=..." and counts
-    field, _, rest = obj["curve"].partition(";")
-    f_text = rest.rpartition("f=")[2]
-    deg = (f_text.count("(") or f_text.count(",") + 1) - 1
-    counts = obj.get("counts")
-    genus = counts.get("g") if isinstance(counts, dict) else None
-    field = field.strip()
-    return int(field) if field.isdigit() else field, genus, deg
+def _record_family(obj: dict, lineno: int) -> tuple:
+    # (q, genus, deg f) of the curve key, read by the curve-text parser; the
+    # record's counts must be over that field and of that genus
+    try:
+        spec, _, f = parse_curve_text(obj["curve"])
+    except (ParseError, SizeExceeded) as bad:
+        raise CorruptRecord(f"line {lineno}: {bad}", line=lineno) from None
+    genus = genus_for_degree(len(f) - 1)
+    counts = obj["counts"] if isinstance(obj.get("counts"), dict) else {}
+    if (counts.get("q"), counts.get("g")) != (spec.q, genus):
+        raise CorruptRecord(
+            f"line {lineno} has counts that contradict its curve "
+            f"(q = {spec.q}, genus {genus})",
+            line=lineno,
+        )
+    return spec.q, genus, len(f) - 1
 
 
 def _result_stream(cfg: SurveyConfig, skip_keys: dict[str, object]):
@@ -386,7 +397,7 @@ def _verify_record(obj) -> None:
         counts = PointCounts(
             q=decode_int(c["q"]),
             g=decode_int(c["g"]),
-            counts=tuple(decode_int(n) for n in c["counts"]),
+            counts=tuple(map(decode_int, decode_array(c, "counts"))),
         )
     except (KeyError, TypeError):
         raise CorruptRecord("malformed counts") from None

@@ -16,37 +16,10 @@ from dataclasses import dataclass
 import numpy
 
 from . import intpoly
-from .errors import InvariantViolation, ParseError, SizeExceeded
+from ._fpx import MR_BOUND, is_prime  # noqa: F401  (MR_BOUND: prime_power's limit)
+from .errors import InvariantViolation, ParseError
 
 INT_JSON_CUTOFF = 1 << 53
-
-
-# Miller-Rabin with the first 13 primes as bases decides primality of every
-# n below MR_BOUND (Sorenson and Webster, Math. Comp. 86 (2017), psi_13)
-MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-MR_BOUND = 3317044064679887385961981
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 2 <= n < MR_BOUND."""
-    for a in MR_BASES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _iroot(n: int, k: int) -> int:
@@ -64,34 +37,22 @@ def _iroot(n: int, k: int) -> int:
 def prime_power(q: int) -> tuple[int, int]:
     """Split q into (p, k) with p prime; reject non prime powers.
 
-    Exact: a prime factor up to 41 settles q by division.  Otherwise, with
-    k the largest exponent making q a perfect k-th power (integer roots),
-    q is a prime power iff its k-th root p passes a deterministic
-    Miller-Rabin.  Raises SizeExceeded when that p is at least MR_BOUND
-    (about 3.3e24), past which the test is not proven.
+    Exact: with k the largest exponent making q a perfect k-th power
+    (integer roots), q is a prime power iff its k-th root p is prime, which
+    _fpx.is_prime decides.  Raises SizeExceeded when p has no prime factor
+    up to 41 and is at least MR_BOUND (about 3.3e24), past which that test
+    is not proven.
 
     >>> prime_power(3 ** 5)
     (3, 5)
     """
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    p = next((a for a in MR_BASES if q % a == 0), None)
-    if p is not None:
-        k, rest = 0, q
-        while rest % p == 0:
-            rest //= p
-            k += 1
-        if rest != 1:
-            raise ValueError(f"{q} is not a prime power")
-        return p, k
-    # every prime factor is at least 43, so q = p^k has k <= log_43(q) < bits/5
-    for k in range(q.bit_length() // 5, 0, -1):
+    for k in range(q.bit_length() - 1, 0, -1):
         p = _iroot(q, k)
         if p ** k == q:
             break
-    if p >= MR_BOUND:
-        raise SizeExceeded(f"{p} is past the prime test bound {MR_BOUND}")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{q} is not a prime power")
     return p, k
 
@@ -123,10 +84,6 @@ class WeilPolynomial:
                     f"functional equation fails at i={i}: "
                     f"{c[i]} != {q}^{g - i} * {c[2 * g - i]}"
                 )
-
-    @property
-    def p(self) -> int:
-        return prime_power(self.q)[0]
 
 
 def power_sums(counts) -> tuple[int, ...]:
@@ -190,6 +147,15 @@ def decode_int(v) -> int:
         raise ParseError(f"bad integer literal {_clip(v)}") from None
 
 
+def decode_array(d, key: str) -> list:
+    """d[key], which must be a JSON array: a string there is refused, not
+    read character by character."""
+    v = d[key]
+    if not isinstance(v, list):
+        raise ParseError(f"{key} must be a JSON array, got {_clip(v)}")
+    return v
+
+
 def _clip(v) -> str:
     # the repr of a rejected value; a long one is cut to a prefix and its
     # length, so an error names it in one short line
@@ -209,7 +175,7 @@ def weil_from_json(d) -> WeilPolynomial:
     try:
         q = decode_int(d["q"])
         g = decode_int(d["g"])
-        coeffs = tuple(decode_int(c) for c in d["coeffs"])
+        coeffs = tuple(map(decode_int, decode_array(d, "coeffs")))
     except KeyError as missing:
         raise ParseError(f"Weil polynomial JSON missing key {missing}") from None
     except TypeError:

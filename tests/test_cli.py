@@ -27,6 +27,13 @@ def test_analyze_bad_curve_text_is_input_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_analyze_overlong_tuple_coefficient_is_input_error(capsys):
+    # 5,000 digits is past Python's int-string limit, which raises ValueError
+    curve = "3^2; h=; f=(" + "1" * 5000 + ",0),(1),(0),(1)"
+    assert main(["analyze", "--curve", curve]) == 2
+    assert "coefficient tuple of 5002 characters" in capsys.readouterr().err
+
+
 def test_analyze_singular_curve_is_input_error(capsys):
     assert main(["analyze", "--curve", "5; h=; f=0,0,1,1"]) == 2
 
@@ -53,6 +60,12 @@ def test_analyze_singular_curve_names_its_witness(capsys, curve, witness):
 
 def test_analyze_nonprime_field_is_input_error(capsys):
     assert main(["analyze", "--curve", "6; h=; f=0,1,0,1"]) == 2
+
+
+def test_analyze_weil_coeffs_must_be_an_array(capsys):
+    # the string "221" was once read digit by digit as T^2 + 2T + 2
+    assert main(["analyze", "--weil", '{"q":2,"g":1,"coeffs":"221"}']) == 2
+    assert "coeffs must be a JSON array" in capsys.readouterr().err
 
 
 def test_analyze_fake_weil_is_verification_failure(capsys):

@@ -82,8 +82,9 @@ def test_size_cap_boundary_is_inclusive():
 
 
 def test_field_create_fails_fast_on_a_huge_field():
-    # the size cap comes before the trial division in is_prime and before
-    # p**k, which take hours and seconds here
+    # the size cap comes first: a prime p past it is refused by size, not
+    # by the primality test, and 3**(10**7), which takes seconds, is never
+    # computed
     with pytest.raises(SizeExceeded):
         gf.field_create(2305843009213693951)  # 2^61 - 1, prime
     with pytest.raises(SizeExceeded):

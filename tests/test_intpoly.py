@@ -18,7 +18,7 @@ from frobtorus.intpoly import (
     root_power_sums,
     squarefree_part,
 )
-from frobtorus import _fpx, intpoly
+from frobtorus import _fpx
 from oracles import ddf_by_pow_mod, powmod_monic, sylvester_resultant
 
 X = IntPoly([0, 1])
@@ -239,6 +239,10 @@ def _sympy_factor_inputs():
         if rng.random() < 0.3:
             f = f * _random_poly(rng, rng.randrange(1, 3), lc=rng.choice([1, 2, 17]))
         yield f
+    # x^4 - 10x^2 + 1 splits into quadratics at every prime, so only subset
+    # recombination over Z finds its factors
+    yield (X ** 2 + X + IntPoly([1])) * (X ** 3 - IntPoly([2]))
+    yield (X ** 4 - IntPoly([10]) * X ** 2 + IntPoly([1])) * (X ** 2 + X + IntPoly([3]))
 
 
 def test_factor_matches_sympy_on_random_inputs():
@@ -252,36 +256,6 @@ def test_factor_matches_sympy_on_random_inputs():
         )
         assert int(s_unit) == unit
         assert sorted((g.coeffs, m) for g, m in fs) == want
-
-
-def test_factor_tests_each_prime_once(monkeypatch):
-    # the squarefree test that lets factor skip Yun is handed on to the
-    # prime search, so no (polynomial, prime) pair is tested twice
-    tested = []
-    inner = intpoly._squarefree_mod
-
-    def record(F, p):
-        tested.append((F.coeffs, p))
-        return inner(F, p)
-
-    monkeypatch.setattr(intpoly, "_squarefree_mod", record)
-    for f in _sympy_factor_inputs():
-        for idx in (0, 2):
-            tested.clear()
-            factor(f, prime_index=idx)
-            assert len(tested) == len(set(tested)), f
-
-
-def test_factor_prime_choice_does_not_change_result():
-    # x^4 - 10x^2 + 1 splits into quadratics at every prime
-    sd4 = X ** 4 - IntPoly([10]) * X ** 2 + IntPoly([1])
-    for f in (
-        (X ** 2 + X + IntPoly([1])) * (X ** 3 - IntPoly([2])),
-        sd4 * (X ** 2 + X + IntPoly([3])),
-    ):
-        base = factor(f)
-        for idx in (1, 2, 5):
-            assert factor(f, prime_index=idx) == base
 
 
 @pytest.mark.parametrize(

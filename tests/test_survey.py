@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from frobtorus import gf
-from frobtorus.curves import curve_from_text, equation_text
+from frobtorus.curves import PointCounts, curve_from_text, equation_text
 from frobtorus.errors import (
     BadDegrees,
     CorruptRecord,
@@ -15,7 +15,7 @@ from frobtorus.errors import (
     SizeExceeded,
 )
 from frobtorus.gf import field_create
-from frobtorus.simplicity import classify
+from frobtorus.simplicity import classify, verdict_to_json
 from frobtorus.survey import (
     FORMAT,
     SurveyConfig,
@@ -26,6 +26,7 @@ from frobtorus.survey import (
     run_find,
     run_survey,
 )
+from frobtorus.zeta import weil_from_counts, weil_to_json
 
 
 def _strip_timing(lines):
@@ -217,9 +218,34 @@ def p3_limit5(tmp_path_factory):
     return path.read_bytes()
 
 
+def _recounted(line: str, **counts) -> str:
+    # the record with its counts changed and its Weil polynomial and verdict
+    # recomputed from them, so that only its curve contradicts it
+    doc = json.loads(line)
+    doc["counts"].update(counts)
+    P = weil_from_counts(PointCounts(**doc["counts"]))
+    doc["weil"], doc["verdict"] = weil_to_json(P), verdict_to_json(classify(P))
+    return json.dumps(doc)
+
+
 def _tampered(data: bytes, case: str) -> bytes:
     lines = data.decode().splitlines()
-    if case == "duplicate":
+    if case == "counts_q":
+        # 3; h=; f=0,1,0,0,0,1 is NotSimple over F_3; its counts over F_5
+        # give an AbsolutelySimple verdict
+        lines[1] = _recounted(lines[1], q=5)
+    elif case == "counts_g":
+        lines[1] = _recounted(lines[1], g=1, counts=[4])
+    elif case == "counts_g_headerless":
+        # alone in its file, the record fixes the family itself
+        lines = [_recounted(lines[1], g=1, counts=[4])]
+    elif case == "curve_key":
+        lines[1] = lines[1].replace('"3; h=; f=0,', '"3; h=; f=x,')
+    elif case == "curve_key_huge_field":
+        lines[1] = lines[1].replace('"3; h=; f=0,', '"3^30; h=; f=(0),')
+    elif case == "curve_key_long":
+        lines[1] = lines[1].replace('"3; h=; f=0,', '"3^2; h=; f=(' + "1" * 5000 + "),")
+    elif case == "duplicate":
         lines.append(lines[1])
     elif case == "foreign":
         p5 = curve_record(curve_from_text("5; h=; f=0,1,0,0,0,1"))
@@ -233,6 +259,16 @@ def _tampered(data: bytes, case: str) -> bytes:
 
 # (exception type, .line) per caller; None means resume recovers
 READ_EXPECTED = {
+    "counts_q": {"report": (CorruptRecord, 2), "resume": (CorruptRecord, 2)},
+    "counts_g": {"report": (CorruptRecord, 2), "resume": (CorruptRecord, 2)},
+    "counts_g_headerless": {
+        "report": (CorruptRecord, 1), "resume": (CorruptRecord, 1)
+    },
+    "curve_key": {"report": (CorruptRecord, 2), "resume": (CorruptRecord, 2)},
+    "curve_key_long": {"report": (CorruptRecord, 2), "resume": (CorruptRecord, 2)},
+    "curve_key_huge_field": {
+        "report": (CorruptRecord, 2), "resume": (CorruptRecord, 2)
+    },
     "duplicate": {"report": (CorruptRecord, 7), "resume": (CorruptRecord, 7)},
     "foreign": {"report": (CorruptRecord, 7), "resume": (CorruptRecord, 7)},
     "torn": {"report": (CorruptRecord, 6), "resume": None},
@@ -435,6 +471,39 @@ def test_report_rejects_malformed_record_fields(tmp_path, path, value):
     with pytest.raises(CorruptRecord) as exc:
         report(str(file))
     assert exc.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "genus,line,path,value",
+    [
+        (2, 4, ("weil", "coeffs"), "93211"),
+        (2, 4, ("verdict", "factors", 0, "coeffs"), "93211"),
+        (2, 4, ("verdict", "factors"), "x"),
+        (2, 4, ("verdict", "torsion_orders"), ""),
+        (1, 2, ("counts", "counts"), "4"),
+    ],
+    ids=["weil", "factor-coeffs", "factors", "torsion_orders", "counts"],
+)
+def test_report_rejects_a_string_where_an_array_belongs(
+    tmp_path, genus, line, path, value
+):
+    # each digit string, read character by character, rebuilds its array
+    _, file, _ = _run_to_file(tmp_path, p=3, genus=genus, degree=2 * genus + 1,
+                              limit=3)
+    lines = file.read_text().splitlines()
+    doc = json.loads(lines[line - 1])
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if path[-1] != "factors":
+        assert "".join(map(str, target[path[-1]])) == value
+    target[path[-1]] = value
+    lines[line - 1] = json.dumps(doc)
+    file.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptRecord) as exc:
+        report(str(file))
+    assert exc.value.line == line
+    assert "must be a JSON array" in str(exc.value)
 
 
 def test_report_flags_non_json_line(tmp_path):

@@ -11,6 +11,7 @@ from frobtorus.errors import (
     SizeExceeded,
     WeilBoundViolated,
 )
+from frobtorus import _fpx
 from frobtorus.curves import PointCounts
 from frobtorus.zeta import (
     MR_BOUND,
@@ -57,6 +58,26 @@ def test_prime_power_is_exact_up_to_the_miller_rabin_bound():
     for huge in (MR_BOUND, 2 ** 89 - 1, (2 ** 89 - 1) ** 2):
         with pytest.raises(SizeExceeded):
             prime_power(huge)
+    # a factor up to 41 refuses a huge q before the bound is consulted;
+    # 43 is not a base, so it leaves the root to the bound
+    with pytest.raises(ValueError):
+        prime_power(2 * (2 ** 89 - 1))
+    with pytest.raises(SizeExceeded):
+        prime_power(43 * (2 ** 89 - 1))
+
+
+def test_is_prime_matches_trial_division_below_2e5():
+    for n in range(200_000):
+        assert _fpx.is_prime(n) == (n >= 2 and next(_fpx.prime_divisors(n)) == n), n
+
+
+def test_is_prime_is_exact_up_to_the_miller_rabin_bound():
+    assert _fpx.is_prime(2 ** 61 - 1)
+    for spsp in (3825123056546413051, 318665857834031151167461):
+        assert not _fpx.is_prime(spsp)
+    assert not _fpx.is_prime(2 * (2 ** 89 - 1))  # decided by division
+    with pytest.raises(SizeExceeded):
+        _fpx.is_prime(2 ** 89 - 1)
 
 
 def test_power_sums():
@@ -150,6 +171,7 @@ def test_weil_json_big_integers_become_strings():
         {"q": 5, "g": 1, "coeffs": [5, True, 1]},
         {"q": 5, "g": 1, "coeffs": [5, 2.5, 1]},
         {"q": 5, "g": 1, "coeffs": [4, -2, 1]},  # fails Weil shape checks
+        {"q": 2, "g": 1, "coeffs": "221"},  # a string, not an array
         "not even an object",
     ],
 )
