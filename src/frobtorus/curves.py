@@ -7,19 +7,22 @@ h = 0 in odd characteristic; the h-root criterion in characteristic 2) by
 one gcd in F_q[x] (gf.pgcd), which decides singularity exactly.  A
 singular equation raises Singular at once; its witness point is searched
 for only when the exception's witness is first read, so a survey that
-skips singular equations never searches.  Counting evaluates h and f at
-every x of the field at once (gf.values, in the log domain of
-gf.log_tables) and counts the y over each x from the value alone: the
-quadratic character (parity of the log) in odd characteristic, the
-absolute trace of f/h^2 in characteristic 2.  The points at infinity of
-the smooth model are counted the same way from the leading coefficients.
+skips singular equations never searches.  Counting is batched
+(count_batch): the f (and h) of many curves are evaluated at every x of
+the field at once (gf.evaluations, one matmul per block of x), and the y
+over each x are counted from the value alone: the quadratic character
+(parity of the log) in odd characteristic, the absolute trace of f/h^2 in
+characteristic 2.  The points at infinity of the smooth model are counted
+the same way from the leading coefficients.  count_points and
+counts_up_to_genus are the batch of one.
 
 Counting over F_{q^i} builds F_{p^(k*i)} with its own canonical modulus and
 embeds coefficients by a code-to-code table that sends the generator to the
 lexicographically first root of the base modulus; for prime base fields the
-embedding is the identity on codes.  That root, and the roots behind a
-singular curve's witness, come from gf.poly_roots, which runs on the same
-whole-field evaluator.
+embedding is the identity on codes.  Counting needs only the images of
+t^0 .. t^(k-1), since the evaluator works on coordinates over them.  That
+root, and the roots behind a singular curve's witness, come from
+gf.poly_roots, which runs on the same whole-field evaluator.
 """
 
 from __future__ import annotations
@@ -163,57 +166,76 @@ def embed(src: gf.FieldSpec, dst: gf.FieldSpec, a: int) -> int:
     return int(_embedding(src, dst)[a])
 
 
-def _solutions(T: gf.LogTables, p: int, hv: np.ndarray, fv: np.ndarray) -> int:
-    """Sum over the given x of #{y : y^2 + h(x) y = f(x)}, from value logs."""
-    fzero = fv < 0
+def _solutions(T: gf.LogTables, p: int, hv, fv: np.ndarray) -> np.ndarray:
+    """Per row, the sum over its x of #{y : y^2 + h(x) y = f(x)}, from the
+    value codes hv and fv (hv is unused for odd p)."""
+    lf = T.log[fv]
     if p != 2:
         # y^2 = f(x): one root of 0, two of a nonzero square (even log)
-        return int(np.count_nonzero(fzero)) + 2 * int(
-            np.count_nonzero(~fzero & ((fv & 1) == 0))
-        )
+        return np.where(lf < 0, 1, 2 - 2 * (lf & 1)).sum(axis=1)
     # h(x) = 0: squaring is bijective, one y.  Otherwise y = h(x) z turns the
     # equation into z^2 + z = f/h^2, solvable (twice) iff Tr(f/h^2) = 0.
-    hzero = hv < 0
-    w = T.exp[(fv - 2 * hv) % len(T.exp)] & T.trace_mask
-    w[fzero] = 0
-    for shift in (16, 8, 4, 2, 1):  # parity of the bits below 2^32
-        w ^= w >> shift
-    return int(np.count_nonzero(hzero)) + 2 * int(
-        np.count_nonzero(~hzero & ((w & 1) == 0))
-    )
+    lh = T.log[hv]
+    trace = T.exp_trace[(lf - 2 * lh) % len(T.exp)]  # wrong where f or h is 0
+    return np.where(lh < 0, 1, np.where(lf < 0, 2, 2 - 2 * trace)).sum(axis=1)
+
+
+def count_batch(curves) -> list:
+    """(N_1, ..., N_g) of each curve, as int lists, without the Weil-bound
+    check; the curves share one base field and one genus.
+
+    F_{q^g} is built before any counting, so a batch whose largest field is
+    past the size cap raises SizeExceeded at once.
+    """
+    base, g = curves[0].base, curves[0].genus
+    gf.field_create(base.p, base.k * g)
+    return _counts(curves, range(1, g + 1)).tolist()
+
+
+def _counts(curves, indices) -> np.ndarray:
+    """N_i of each curve (rows) for each i in indices (columns).
+
+    For each i, every f, and every h for p = 2, is evaluated over F_{q^i}
+    at once (gf.evaluations), plus a column for x = infinity: a
+    degree-(2g+2) model has the fibre y^2 + h_{g+1} y = lead f = 1 there,
+    and a degree-(2g+1) model one point, which f = h = 0 gives.
+    """
+    base, g, B = curves[0].base, curves[0].genus, len(curves)
+    p = base.p
+    polys = [C.f for C in curves] + ([C.h for C in curves] if p == 2 else [])
+    codes = np.zeros((len(polys), max(map(len, polys))), dtype=np.int64)
+    for row, a in zip(codes, polys):
+        row[:len(a)] = a
+    # coordinates over t^0 .. t^(k-1), whose images span the embedding
+    coords = codes[..., None] // p ** np.arange(base.k) % p
+    # 1 for a degree-(2g+2) model, else 0; h_{g+1} of the former, else 0
+    wide = np.array([len(C.f) == 2 * g + 3 for C in curves], dtype=np.int64)
+    h_top = [C.h[g + 1] if w and len(C.h) > g + 1 else 0
+             for C, w in zip(curves, wide)] if p == 2 else []
+    out = []
+    for i in indices:
+        ext = gf.field_create(p, base.k * i)  # SizeExceeded past the cap
+        T = gf.log_tables(ext)
+        basis = [embed(base, ext, p ** t) for t in range(base.k)]
+        h_inf = [[embed(base, ext, c)] for c in h_top]
+        n = _solutions(T, p, h_inf, wide[:, None])
+        for _, vals in gf.evaluations(ext, basis, coords):
+            n += _solutions(T, p, vals[B:], vals[:B])
+        out.append(n)
+    return np.stack(out, axis=1)
 
 
 def count_points(C: HyperellipticCurve, i: int) -> int:
     """N_i = #C(F_{q^i}), affine solutions plus points at infinity."""
     if not 1 <= i <= C.genus:
         raise ValueError(f"extension index {i} outside 1..g")
-    base = C.base
-    ext = gf.field_create(base.p, base.k * i)  # SizeExceeded past the cap
-    T = gf.log_tables(ext)
-    hl = [int(T.log[embed(base, ext, c)]) for c in C.h]
-    fl = [int(T.log[embed(base, ext, c)]) for c in C.f]
-    g = C.genus
-    # x = 0 first; a degree-(2g+2) model adds the x = infinity fibre
-    # y^2 + h_{g+1} y = lead f, a degree-(2g+1) model one point
-    hs, fs, total = [hl[0] if hl else -1], [fl[0]], 1
-    if len(fl) - 1 == 2 * g + 2:
-        hs.append(hl[g + 1] if len(hl) > g + 1 else -1)
-        fs.append(fl[-1])
-        total = 0
-    hv = np.concatenate((np.array(hs, dtype=np.int32), gf.values(T, hl)))
-    fv = np.concatenate((np.array(fs, dtype=np.int32), gf.values(T, fl)))
-    return total + _solutions(T, base.p, hv, fv)
+    return int(_counts([C], [i])[0, 0])
 
 
 def counts_up_to_genus(C: HyperellipticCurve) -> PointCounts:
-    """(N_1, ..., N_g) with the Weil bound verified exactly.
-
-    F_{q^g} is built before any counting, so a curve whose largest field is
-    past the size cap raises SizeExceeded at once.
-    """
-    gf.field_create(C.base.p, C.base.k * C.genus)
-    ns = tuple(count_points(C, i) for i in range(1, C.genus + 1))
-    return PointCounts(q=C.base.q, g=C.genus, counts=ns)
+    """(N_1, ..., N_g) with the Weil bound verified exactly; raises
+    SizeExceeded before counting when F_{q^g} is past the size cap."""
+    return PointCounts(q=C.base.q, g=C.genus, counts=count_batch([C])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ over the field are lists of codes, low-to-high, trimmed; ``padd``,
 field and one schoolbook Euclid on the scalar operations otherwise, and the
 curve module runs its singularity checks on them.
 
-For whole-field work ``log_tables`` holds int32 exp/log/Zech tables to a
-fixed primitive element.  ``values`` evaluates a polynomial at every
-nonzero element at once by numpy Horner steps on those tables, with integer
-arithmetic only; point counting and root finding (``poly_roots``:
+For whole-field work ``log_tables`` holds int32 exp/log tables to a fixed
+primitive element and the digits of each power.  ``evaluations`` evaluates
+a batch of polynomials at every element, block by block of x, by one exact
+matmul per block; point counting and root finding (``poly_roots``:
 singularity witnesses, coefficient embeddings) both run on it.
 """
 
@@ -188,25 +188,26 @@ def pgcd(spec: FieldSpec, a: list, b: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Log tables for whole-field evaluation.
+# Whole-field evaluation.
 
 @dataclass(frozen=True, eq=False)
 class LogTables:
     """Discrete logarithms of F_q to a primitive element g, the first in code
     order (so exp[1] is its code when q > 2).
 
-    exp[n] is the code of g^n (n < q-1); log[c] is the n with exp[n] = c,
-    and log[0] = -1; zech[n] = log(1 + g^n), -1 where 1 + g^n = 0, so adding
-    a nonzero constant c to g^a is g^(log c + zech[a - log c]).  For p = 2,
-    bit i of trace_mask is Tr(t^i), so Tr(a) is the parity of
-    a & trace_mask for the code a; it is 0 for odd p.  The arrays are
-    read-only.
+    exp[n] is the code of g^n (n < q-1) and exp_digits[:, n] its rep, in
+    the narrowest unsigned dtype that holds p-1; log[c] is the n with
+    exp[n] = c, and log[0] = -1.  For p = 2, bit i of trace_mask is
+    Tr(t^i), so Tr(a) is the parity of a & trace_mask for the code a, and
+    exp_trace[n] is Tr(g^n); for odd p the mask is 0 and exp_trace is
+    None.  The arrays are read-only.
     """
 
     exp: np.ndarray
     log: np.ndarray
-    zech: np.ndarray
+    exp_digits: np.ndarray
     trace_mask: int
+    exp_trace: np.ndarray | None
 
 
 # the exp table grows in blocks of at most this many elements; each block
@@ -227,7 +228,9 @@ def linear_map(src: FieldSpec, dst: FieldSpec, codes: np.ndarray, images):
 
 @functools.lru_cache(maxsize=None)
 def log_tables(spec: FieldSpec) -> LogTables:
-    """Log tables of spec; built once per field, at most 12 q bytes."""
+    """Log tables of spec; built once per field: 8 q bytes, plus the q k
+    digits of exp_digits (one byte each for p < 256) and, for p = 2, the
+    q bytes of exp_trace."""
     p, k, q, m = spec.p, spec.k, spec.q, spec.q - 1
     for g in range(1, q):
         if all(power(spec, g, m // r) != 1 for r in _fpx.prime_divisors(m)):
@@ -243,10 +246,10 @@ def log_tables(spec: FieldSpec) -> LogTables:
         filled += step
     log = np.full(q, -1, dtype=np.int32)
     log[exp] = np.arange(m, dtype=np.int32)
-    # 1 + a changes the low digit only
-    low = exp % p
-    zech = log[np.where(low == p - 1, exp - low, exp + 1)]
-    mask = 0
+    exp_digits = np.empty((k, m), dtype=np.min_scalar_type(p - 1))
+    for r in range(k):
+        exp_digits[r] = exp // p ** r % p
+    mask, exp_trace = 0, None
     if p == 2:
         for i in range(k):
             a = tr = 1 << i  # t^i
@@ -254,40 +257,68 @@ def log_tables(spec: FieldSpec) -> LogTables:
                 a = mul(spec, a, a)
                 tr ^= a
             mask |= tr << i  # Tr(t^i) is 0 or 1
-    for arr in (exp, log, zech):
+        # Tr(g^n) is the parity of exp[n] & mask
+        bits = exp & mask
+        exp_trace = np.zeros(m, dtype=np.int8)
+        for i in range(k):
+            exp_trace ^= (bits >> i & 1).astype(np.int8)
+    for arr in (exp, log, exp_digits) + ((exp_trace,) if p == 2 else ()):
         arr.flags.writeable = False
-    return LogTables(exp=exp, log=log, zech=zech, trace_mask=mask)
+    return LogTables(exp, log, exp_digits, mask, exp_trace)
 
 
-def values(T: LogTables, logs: list) -> np.ndarray:
-    """log a(g^n) for n = 0..q-2 (-1 where a(g^n) = 0), g the primitive
-    element of T, by Horner's rule over all n at once.
+# evaluations takes x in blocks sized so that each transient array of a
+# block stays near this many bytes
+EVAL_BLOCK_BYTES = 1 << 20
 
-    logs are the coefficient logs of a, low-to-high, -1 for a zero
-    coefficient; a is trimmed, so the leading one is nonzero.
+
+def evaluations(spec: FieldSpec, basis, coeffs: np.ndarray):
+    """The values of a batch of polynomials at every x of spec, by blocks
+    of x in code order.
+
+    coeffs is a (B, D, k) int array: coeffs[b, j] holds the coordinates in
+    F_p, over the k F_p-independent codes basis, of the x^j coefficient of
+    polynomial b.  Yields (start, values), values[b, n] the code of
+    polynomial b at x = start + n, for start = 0, X, 2X, ... below q.
+
+    Multiplication by c is F_p-linear: digits(c y) = M(c) digits(y), with
+    M(c) = sum_t c_t M(basis_t).  So the digits of the values are one
+    matmul per block, the (B*K, K*D) matrix of the coefficients' M(c)
+    times the (K*D, X) digits of x^j, reduced mod p.  Every product and
+    sum is an integer below 2^24 (float32) or 2^53 (float64), so the float
+    matmul is exact; einsum runs it on one thread, where a BLAS call can
+    stall on waking idle threads.
     """
-    m = len(T.exp)
-    if not logs:
-        return np.full(m, -1, dtype=np.int32)
-    x = np.arange(m, dtype=np.int32)  # log of x = g^n
-    acc = np.full(m, logs[-1], dtype=np.int32)
-    for c in reversed(logs[:-1]):
-        zero = acc < 0
-        acc = (acc + x) % m  # acc * x; wrong where acc = 0, reset below
-        if c >= 0:
-            # acc + c = c * (1 + acc / c)
-            z = T.zech[(acc - c) % m]
-            acc = np.where(z < 0, z, (z + c) % m)
-        acc[zero] = c  # 0 * x + c
-    return acc
+    p, K, q = spec.p, spec.k, spec.q
+    B, D, k = coeffs.shape
+    T = log_tables(spec)
+    digits_of = T.exp_digits  # (K, q-1): digit r of g^n at [r, n]
+    # m_basis[t, r, s]: digit r of basis_t t^s, that is M(basis_t)[r, s]
+    logs = T.log[np.asarray(basis)][:, None] + T.log[p ** np.arange(K)]
+    m_basis = np.take(digits_of, logs % (q - 1), axis=1).transpose(1, 0, 2)
+    left = np.einsum("bjt,trs->brsj", coeffs, m_basis) % p
+    dtype = np.float32 if K * D * (p - 1) ** 2 < 1 << 24 else np.float64
+    left = left.reshape(B * K, K * D).astype(dtype)
+    js = np.arange(D, dtype=np.int32)[:, None]
+    powers = (p ** np.arange(K)).astype(dtype)
+    step = max(1, EVAL_BLOCK_BYTES // (8 * K * max(D, B)))
+    for start in range(0, q, step):
+        # the log of x^j; at x = 0 (log -1) it is right for j = 0 only, and
+        # the digits of 0^j, j > 0, are reset to 0
+        logs = js * T.log[start:start + step] % (q - 1)
+        right = np.take(digits_of, logs, axis=1)  # (K, D, X)
+        if start == 0:
+            right[:, 1:, 0] = 0
+        vals = np.einsum("ij,jk->ik", left, right.reshape(K * D, -1).astype(dtype))
+        vals -= p * np.floor(vals / p)
+        yield start, np.einsum("brx,r->bx", vals.reshape(B, K, -1), powers).astype(
+            np.intp
+        )
 
 
 def poly_roots(spec: FieldSpec, a: list) -> list:
     """The codes of all roots of a (a code list) in the field, without
-    multiplicity, sorted by rep.
-
-    a is evaluated at every nonzero element at once (values); 0 is a root
-    when the constant coefficient is.
+    multiplicity, sorted by rep, from a's value at every x (evaluations).
 
     >>> F = field_create(3, 2)
     >>> [digits(F, r) for r in poly_roots(F, [0, 1, 0, 1])]  # x^3 + x
@@ -296,9 +327,9 @@ def poly_roots(spec: FieldSpec, a: list) -> list:
     a = _fpx.trim(list(a))
     if not a:
         raise ValueError("zero polynomial has every root")
-    T = log_tables(spec)
-    logs = [int(T.log[c]) for c in a]
-    roots = [int(c) for c in T.exp[values(T, logs) < 0]]
-    if logs[0] < 0:
-        roots.append(0)
+    coeffs = np.array([[digits(spec, c) for c in a]], dtype=np.int64)
+    basis = [spec.p ** t for t in range(spec.k)]  # t^0 .. t^(k-1)
+    roots = []
+    for start, vals in evaluations(spec, basis, coeffs):
+        roots += (np.flatnonzero(vals[0] == 0) + start).tolist()
     return sorted(roots, key=lambda r: digits(spec, r))

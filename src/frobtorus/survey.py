@@ -1,5 +1,6 @@
-"""Curve-family surveys: enumerate equations, run the pipeline per curve,
-persist JSONL records, and aggregate verdict fractions.
+"""Curve-family surveys: enumerate equations, count the valid curves in
+batches, classify each curve, persist JSONL records, and aggregate verdict
+fractions.
 
 Persistence is append-only JSONL with a config fingerprint header.  One
 reader serves both resume and report: an interrupted run resumes by skipping
@@ -22,6 +23,8 @@ from dataclasses import dataclass
 
 from . import gf
 from .curves import (
+    PointCounts,
+    count_batch,
     counts_up_to_genus,
     curve_from_text,
     curve_to_text,
@@ -52,11 +55,12 @@ from .simplicity import (
 )
 from .zeta import decode_array, decode_int, is_weil, weil_from_counts
 from .zeta import weil_from_json, weil_to_json
-from .curves import PointCounts
 
 FORMAT = "frobtorus-survey-v1"
 KIND_ORDER = (ABSOLUTELY_SIMPLE, NOT_SIMPLE, NOT_ABSOLUTELY_SIMPLE, INCONCLUSIVE)
 BIAS_NOTE = "empirical fraction over equations, not isomorphism classes"
+# valid curves counted together by one count_batch call
+BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -107,6 +111,11 @@ def curve_record(C) -> dict:
     """Run counts -> Weil polynomial -> verdict on a validated curve."""
     t0 = time.perf_counter()
     counts = counts_up_to_genus(C)
+    return _record(C, counts, time.perf_counter() - t0)
+
+
+def _record(C, counts: PointCounts, count_s: float) -> dict:
+    # the record of C from its counts; count_s is the time they took
     t1 = time.perf_counter()
     P = weil_from_counts(counts)
     t2 = time.perf_counter()
@@ -118,7 +127,7 @@ def curve_record(C) -> dict:
         "weil": weil_to_json(P),
         "verdict": verdict_to_json(v),
         "timing": {
-            "count_s": t1 - t0,
+            "count_s": count_s,
             "zeta_s": t2 - t1,
             "classify_s": t3 - t2,
         },
@@ -135,8 +144,9 @@ def _read_survey(data: bytes):
     the first record, fixes the family (field, genus, deg f).  Raises
     CorruptRecord with the 1-based line for an unreadable line before the
     last, a record that is not an object with a string curve, a curve that
-    does not parse or repeats an earlier line, counts that contradict the
-    record's curve, or a record from another family.
+    does not parse, is not spelled as equation_text spells it, or repeats
+    an earlier line, counts that contradict the record's curve, or a record
+    from another family.
     """
     header = family = None
     records = []
@@ -181,11 +191,18 @@ def _read_survey(data: bytes):
 
 def _record_family(obj: dict, lineno: int) -> tuple:
     # (q, genus, deg f) of the curve key, read by the curve-text parser; the
-    # record's counts must be over that field and of that genus
+    # key must be the canonical text of its own parse, so one curve has one
+    # key, and the record's counts must be over that field and of that genus
     try:
-        spec, _, f = parse_curve_text(obj["curve"])
+        spec, h, f = parse_curve_text(obj["curve"])
     except (ParseError, SizeExceeded) as bad:
         raise CorruptRecord(f"line {lineno}: {bad}", line=lineno) from None
+    if obj["curve"] != equation_text(spec, h, f):
+        raise CorruptRecord(
+            f"line {lineno} spells its curve {obj['curve']!r}, not "
+            f"{equation_text(spec, h, f)!r}",
+            line=lineno,
+        )
     genus = genus_for_degree(len(f) - 1)
     counts = obj["counts"] if isinstance(obj.get("counts"), dict) else {}
     if (counts.get("q"), counts.get("g")) != (spec.q, genus):
@@ -197,25 +214,56 @@ def _record_family(obj: dict, lineno: int) -> tuple:
     return spec.q, genus, len(f) - 1
 
 
-def _result_stream(cfg: SurveyConfig, skip_keys: dict[str, object]):
+def _result_stream(cfg: SurveyConfig, skip_keys: dict[str, object], limit=None):
     """Yield ('skip', key, None) or ('new', key, record|None) in enumeration
     order; the record is None for a singular equation.  The key (the
     equation text) is built only to look up skip_keys, so a new equation's
-    key is None when skip_keys is empty."""
+    key is None when skip_keys is empty.
+
+    Valid curves are counted BATCH at a time (count_batch), and the events
+    up to the last curve of a batch are yielded after it is counted.  With
+    a limit, the stream ends at the limit-th valid curve, skipped keys
+    included, so no batch holds a curve past it.
+    """
     base = gf.field_create(cfg.p, 1)
     key = None
+    events, batch = [], []  # (tag, key, curve or None); the curves
+    valid = 0
     for h, f in enumerate_equations(cfg):
         if skip_keys:
             key = equation_text(base, h, f)
-            if key in skip_keys:
-                yield "skip", key, None
-                continue
-        try:
-            C = validate_curve(base, h, f, cfg.genus)
-        except Singular:
-            yield "new", key, None
+        if key in skip_keys:
+            events.append(("skip", key, None))
+            valid += 1
         else:
-            yield "new", key, curve_record(C)
+            try:
+                C = validate_curve(base, h, f, cfg.genus)
+            except Singular:
+                C = None
+            else:
+                batch.append(C)
+                valid += 1
+            events.append(("new", key, C))
+        if len(batch) == BATCH or valid == limit:
+            yield from _counted(events, batch)
+            events, batch = [], []
+            if valid == limit:
+                return
+    yield from _counted(events, batch)
+
+
+def _counted(events, batch):
+    # the events with each curve replaced by its record; every record's
+    # count_s is its share of the batch's count time
+    t0 = time.perf_counter()
+    counts = iter(count_batch(batch) if batch else ())
+    share = (time.perf_counter() - t0) / max(len(batch), 1)
+    for tag, key, C in events:
+        record = None
+        if C is not None:
+            ns = PointCounts(q=C.base.q, g=C.genus, counts=next(counts))
+            record = _record(C, ns, share)
+        yield tag, key, record
 
 
 def run_survey(cfg: SurveyConfig, out_path: str | None = None, stream=None) -> dict:
@@ -254,7 +302,7 @@ def run_survey(cfg: SurveyConfig, out_path: str | None = None, stream=None) -> d
     kinds = dict.fromkeys(KIND_ORDER, 0)
     enumerated = valid = singular = 0
     try:
-        for tag, key, record in _result_stream(cfg, stored):
+        for tag, key, record in _result_stream(cfg, stored, cfg.limit):
             enumerated += 1
             if tag == "skip":
                 kind = stored[key]
@@ -268,8 +316,6 @@ def run_survey(cfg: SurveyConfig, out_path: str | None = None, stream=None) -> d
             valid += 1
             if kind in KIND_ORDER:
                 kinds[kind] += 1
-            if cfg.limit is not None and valid >= cfg.limit:
-                break
     finally:
         if out_path is not None:
             fh.close()

@@ -5,6 +5,7 @@ import pytest
 from frobtorus import gf
 from frobtorus.curves import (
     HyperellipticCurve,
+    count_batch,
     count_points,
     counts_up_to_genus,
     curve_from_text,
@@ -14,6 +15,7 @@ from frobtorus.curves import (
     validate_curve,
 )
 from frobtorus.errors import BadDegrees, ParseError, Singular, SizeExceeded
+from frobtorus.survey import BATCH
 from oracles import naive_count, naive_singular_point
 
 
@@ -286,6 +288,92 @@ def test_counts_up_to_genus_matches_oracle_over_extension_fields(p, k, g, deg, h
     assert counts_up_to_genus(C).counts == tuple(
         naive_count(C, i) for i in range(1, g + 1)
     )
+
+
+def _every_shape(rng, spec, g):
+    # one nonsingular curve of each (deg f, deg h) that validate_curve
+    # accepts: deg f = 2g+1 or 2g+2, and in characteristic 2 deg h = 0..g+1
+    q = spec.q
+    hdegs = range(g + 2) if spec.p == 2 else [None]
+    out = []
+    for deg in (2 * g + 1, 2 * g + 2):
+        for dh in hdegs:
+            while True:
+                f = [rng.randrange(q) for _ in range(deg)] + [1]
+                h = []
+                if dh is not None:
+                    h = [rng.randrange(q) for _ in range(dh)] + [rng.randrange(1, q)]
+                try:
+                    out.append(validate_curve(spec, h, f, g))
+                    break
+                except Singular:
+                    continue
+    return out
+
+
+# the brute-force oracle tries every (x, y), so it runs on fields up to this
+NAIVE_CAP = 32
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (5, 2)])
+def test_count_batch_matches_batch_of_one_and_the_oracle(p, k, g):
+    spec = gf.field_create(p, k)
+    rng = random.Random(f"batch {p}^{k} g{g}")
+    batch = _every_shape(rng, spec, g) + _every_shape(rng, spec, g)
+    rng.shuffle(batch)
+    got = count_batch(batch)
+    for C, ns in zip(batch, got):
+        assert ns == [count_points(C, i) for i in range(1, g + 1)]
+        for i in range(1, g + 1):
+            if spec.q ** i <= NAIVE_CAP:
+                assert ns[i - 1] == naive_count(C, i)
+
+
+def test_count_batch_splits_at_the_survey_batch_size():
+    # the survey counts BATCH curves at a time; batches on either side of
+    # that boundary count each curve as the batch of one does
+    spec = gf.field_create(3)
+    rng = random.Random("boundary")
+    curves = []
+    while len(curves) < 2 * BATCH + 3:
+        curves += _every_shape(rng, spec, 1)
+    for lo, hi in [(0, BATCH - 1), (0, BATCH), (BATCH, 2 * BATCH + 1),
+                   (2 * BATCH + 1, 2 * BATCH + 3)]:
+        got = count_batch(curves[lo:hi])
+        assert got == [[count_points(C, 1)] for C in curves[lo:hi]]
+    assert [n for [n] in count_batch(curves[:9])] == [
+        naive_count(C, 1) for C in curves[:9]
+    ]
+
+
+@pytest.mark.parametrize("p,k,g", [(3, 2, 2), (2, 3, 2), (7, 1, 2)])
+def test_count_batch_over_many_x_blocks(monkeypatch, p, k, g):
+    # a block budget this small makes every field take several x-blocks
+    spec = gf.field_create(p, k)
+    batch = _every_shape(random.Random(f"blocks {p}^{k}"), spec, g)
+    whole = count_batch(batch)
+    blocks = []
+    evaluations = gf.evaluations
+
+    def counted(*args):
+        for start, vals in evaluations(*args):
+            blocks.append(start)
+            yield start, vals
+
+    monkeypatch.setattr(gf, "EVAL_BLOCK_BYTES", 1 << 9)
+    monkeypatch.setattr(gf, "evaluations", counted)
+    assert count_batch(batch) == whole
+    assert len(blocks) > 2 * g
+    for C, ns in zip(batch, whole):
+        assert ns[0] == naive_count(C, 1)
+
+
+def test_count_batch_over_many_x_blocks_at_the_default_budget():
+    # F_{1021^2} takes about a hundred x-blocks; the counts are those the
+    # log-domain Horner counter gave
+    C = curve_from_text("1021; h=; f=637,261,759,367,814,1")
+    assert counts_up_to_genus(C).counts == (1078, 1044334)
 
 
 def test_count_points_extension_base_field():

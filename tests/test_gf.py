@@ -132,21 +132,24 @@ def test_field_axioms_f27(a, b, c):
 
 @pytest.mark.parametrize("p,k", [(2, 4), (5, 2), (3, 3)])
 def test_scalar_ops_match_log_tables(p, k):
-    # every pair: mul against exp[log a + log b], add against Zech; the tables
-    # take k products per block of the exp table, the rest is numpy
+    # every pair: mul against exp[log a + log b], and add against the
+    # evaluation kernel's value of x + b at x = a; the tables take k
+    # products per block of the exp table, the rest is numpy
     spec = gf.field_create(p, k)
     T = gf.log_tables(spec)
     m = spec.q - 1
+    basis = [p ** t for t in range(k)]
+    coords = np.array([[gf.digits(spec, b), gf.digits(spec, 1)] for b in range(spec.q)])
+    sums = np.concatenate([v for _, v in gf.evaluations(spec, basis, coords)], axis=1)
     for a in range(spec.q):
         for b in range(spec.q):
+            assert gf.add(spec, a, b) == sums[b, a]
             la, lb = int(T.log[a]), int(T.log[b])
             if a == 0 or b == 0:
                 assert gf.mul(spec, a, b) == 0
                 assert gf.add(spec, a, b) == a + b
                 continue
             assert gf.mul(spec, a, b) == T.exp[(la + lb) % m]
-            z = int(T.zech[(lb - la) % m])  # a + b = a (1 + b/a)
-            assert gf.add(spec, a, b) == (0 if z < 0 else T.exp[(la + z) % m])
 
 
 def test_frobenius_is_additive_in_char_2():
@@ -185,8 +188,8 @@ def _rep_order(spec):
 @pytest.mark.parametrize("p,k", [(2, 4), (2, 7), (3, 2), (5, 2), (3, 3)])
 def test_poly_roots_char2_extension_matches_brute_force(p, k):
     # each trial has a root pair r, r + t^(k-1), which differ only in the top
-    # digit; every third trial also has the root 0, which is not among the
-    # x = g^n that gf.values evaluates at
+    # digit; every third trial also has the root 0, the one x whose log the
+    # evaluation kernel cannot use
     spec = gf.field_create(p, k)
     rng = random.Random(k)
     top = p ** (k - 1)
@@ -295,9 +298,9 @@ def test_log_tables_invariants(p, k):
     spec = gf.field_create(p, k)
     q = spec.q
     T = gf.log_tables(spec)
-    for arr in (T.exp, T.log, T.zech):
+    for arr in (T.exp, T.log):
         assert arr.dtype == np.int32 and not arr.flags.writeable
-    assert T.exp.nbytes + T.log.nbytes + T.zech.nbytes <= 12 * q
+    assert T.exp.nbytes + T.log.nbytes <= 8 * q
     # exp and log are inverse bijections between [0, q-1) and the nonzero codes
     assert np.array_equal(np.sort(T.exp), np.arange(1, q))
     assert np.array_equal(T.log[T.exp], np.arange(q - 1))
@@ -309,14 +312,13 @@ def test_log_tables_invariants(p, k):
     proper = [d for d in range(1, q - 1) if (q - 1) % d == 0]
     for c in range(1, g):
         assert any(gf.power(spec, c, d) == 1 for d in proper)
-    # exp[n] = g^n and zech[n] = log(1 + g^n), by the _fpx scalar arithmetic;
-    # the mid-size field checks a sample
+    # exp[n] = g^n, by the _fpx scalar arithmetic; the mid-size field checks
+    # a sample
     ns = range(q - 1) if q < 1000 else random.Random(q).sample(range(q - 1), 2000)
     for n in ns:
-        a = int(T.exp[n])
-        assert gf.mul(spec, a, g) == T.exp[(n + 1) % (q - 1)]
-        b = gf.add(spec, 1, a)
-        assert T.zech[n] == (T.log[b] if b else -1)
+        assert gf.mul(spec, int(T.exp[n]), g) == T.exp[(n + 1) % (q - 1)]
+        assert tuple(T.exp_digits[:, n]) == gf.digits(spec, int(T.exp[n]))
+    assert T.exp_digits.dtype == np.uint8 and not T.exp_digits.flags.writeable
 
 
 def test_code_round_trip():
@@ -348,6 +350,8 @@ def test_trace_mask_is_the_absolute_trace(k):
     assert tr(1) == k % 2
     for a in range(spec.q):
         assert _trace(spec, a) == tr(a)
+    T = gf.log_tables(spec)
+    assert [int(t) for t in T.exp_trace] == [tr(int(a)) for a in T.exp]
     for a in range(spec.q):
         for b in range(0, spec.q, max(1, spec.q // 16)):
             assert tr(gf.add(spec, a, b)) == tr(a) ^ tr(b)

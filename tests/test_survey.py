@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from frobtorus import gf
-from frobtorus.curves import PointCounts, curve_from_text, equation_text
+from frobtorus import gf, survey
+from frobtorus.curves import PointCounts, count_points, curve_from_text, equation_text
 from frobtorus.errors import (
     BadDegrees,
     CorruptRecord,
@@ -247,6 +247,10 @@ def _tampered(data: bytes, case: str) -> bytes:
         lines[1] = lines[1].replace('"3; h=; f=0,', '"3^2; h=; f=(' + "1" * 5000 + "),")
     elif case == "duplicate":
         lines.append(lines[1])
+    elif case in ("respelled", "respelled_field"):
+        # another spelling of line 2's curve, which is 3; h=; f=0,1,0,0,0,1
+        new = "3;h=;f=" if case == "respelled" else "3^1;h=;f="
+        lines.append(lines[1].replace('"3; h=; f=', '"' + new))
     elif case == "foreign":
         p5 = curve_record(curve_from_text("5; h=; f=0,1,0,0,0,1"))
         lines.append(json.dumps(p5))
@@ -270,6 +274,10 @@ READ_EXPECTED = {
         "report": (CorruptRecord, 2), "resume": (CorruptRecord, 2)
     },
     "duplicate": {"report": (CorruptRecord, 7), "resume": (CorruptRecord, 7)},
+    "respelled": {"report": (CorruptRecord, 7), "resume": (CorruptRecord, 7)},
+    "respelled_field": {
+        "report": (CorruptRecord, 7), "resume": (CorruptRecord, 7)
+    },
     "foreign": {"report": (CorruptRecord, 7), "resume": (CorruptRecord, 7)},
     "torn": {"report": (CorruptRecord, 6), "resume": None},
     "format": {"report": (CorruptRecord, 1), "resume": (ResumeMismatch, None)},
@@ -513,3 +521,78 @@ def test_report_flags_non_json_line(tmp_path):
     with pytest.raises(CorruptRecord) as exc:
         report(str(path))
     assert exc.value.line == 4
+
+
+# -- batched counting ------------------------------------------------------
+
+
+def _counting_curves(monkeypatch):
+    # the number of curves each count_batch call of the survey receives
+    sizes = []
+    count_batch = survey.count_batch
+
+    def counted(curves):
+        sizes.append(len(curves))
+        return count_batch(curves)
+
+    monkeypatch.setattr(survey, "count_batch", counted)
+    return sizes
+
+
+def _records(text: str):
+    return _strip_timing(text.splitlines()[1:])
+
+
+def test_survey_counts_no_curve_past_the_limit(monkeypatch):
+    sizes = _counting_curves(monkeypatch)
+    buf = io.StringIO()
+    summary = run_survey(SurveyConfig(p=7, genus=2, degree=6, limit=100), stream=buf)
+    assert sizes == [100] and summary["valid"] == 100
+    longer = io.StringIO()
+    run_survey(SurveyConfig(p=7, genus=2, degree=6, limit=250), stream=longer)
+    assert sizes == [100, 250]
+    assert _records(buf.getvalue()) == _records(longer.getvalue())[:100]
+
+
+def test_resume_counts_only_the_missing_curves(monkeypatch, tmp_path):
+    cfg = SurveyConfig(p=7, genus=2, degree=6, limit=100)
+    path = tmp_path / "s.jsonl"
+    run_survey(cfg, out_path=str(path))
+    whole = path.read_text()
+    lines = whole.splitlines(keepends=True)
+    path.write_text("".join(lines[:41]) + lines[41][:30])  # 40 records, torn
+    sizes = _counting_curves(monkeypatch)
+    run_survey(cfg, out_path=str(path))
+    assert sizes == [60]
+    assert _records(path.read_text()) == _records(whole)
+
+
+def test_survey_batches_split_at_the_batch_size(monkeypatch, tmp_path):
+    # p = 5, g = 1, deg 4 has 500 valid curves, two batches; a file cut in
+    # the middle of the second resumes to the same records, and each
+    # record's counts are the batch-of-one counts
+    cfg = SurveyConfig(p=5, genus=1, degree=4)
+    sizes = _counting_curves(monkeypatch)
+    _, path, summary = _run_to_file(tmp_path, p=5, genus=1, degree=4)
+    assert sizes == [survey.BATCH, summary["valid"] - survey.BATCH]
+    whole = path.read_text()
+    records = _records(whole)
+    for rec in records:
+        C = curve_from_text(rec["curve"])
+        assert rec["counts"]["counts"] == [count_points(C, 1)]
+    lines = whole.splitlines(keepends=True)
+    cut = 1 + survey.BATCH + 100
+    path.write_text("".join(lines[:cut]) + lines[cut][:25])
+    sizes.clear()
+    run_survey(cfg, out_path=str(path))
+    assert sizes == [summary["valid"] - (cut - 1)]
+    assert _records(path.read_text()) == records
+
+
+def test_find_hits_are_the_first_absolutely_simple_golden_records():
+    golden = Path(__file__).parent / "golden" / "p3_g2_deg5.jsonl"
+    hits = [r for r in _records(golden.read_text())
+            if r["verdict"]["kind"] == "AbsolutelySimple"]
+    buf = io.StringIO()
+    assert run_find(SurveyConfig(p=3, genus=2, degree=5), 7, stream=buf) == 7
+    assert _strip_timing(buf.getvalue().splitlines()) == hits[:7]
