@@ -16,14 +16,16 @@ modulus once per prime, rows x**(i*p) mod a, so that each further power
 h -> h**p is a row combination rather than a modular exponentiation.
 
 Division (div_rem, and rem, which builds no quotient) is one pass over a
-copy of the dividend that reduces mod p once per quotient digit.  gcd is
-the one F_p[x] gcd: a Euclid loop that reduces its two copies into each
-other in place, with one inversion per remainder.
+copy of the dividend that reduces mod p once per quotient digit.  mul_rem,
+the step of pow_mod and of the Frobenius rows, runs that pass on the
+unreduced product itself.  gcd is the one F_p[x] gcd: a Euclid loop that
+reduces its two copies into each other in place, with one inversion per
+remainder.
 
 Hensel lifting also calls trim, add, sub, mul and div_rem with a composite
-modulus p**(2**k).  The first four work for any modulus; div_rem and rem
-are correct there only when the divisor is monic, since they invert the
-leading coefficient as if p were prime.  gcd, monic, pow_mod, bezout, ddf
+modulus p**(2**k).  The first four work for any modulus; div_rem, rem and
+mul_rem are correct there only when the divisor is monic, since they invert
+the leading coefficient as if p were prime.  gcd, monic, pow_mod, bezout, ddf
 and the splitting routines need p prime.
 """
 
@@ -65,7 +67,8 @@ def sub(a, b, p):
     return trim(out)
 
 
-def mul(a, b, p):
+def _product(a, b):
+    # a*b with unreduced integer coefficients
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -73,20 +76,24 @@ def mul(a, b, p):
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-    return trim([c % p for c in out])
+    return out
 
 
-def _reduce(a, b, p, q):
-    """The remainder of a by b (b nonzero), from one pass over a copy of a,
+def mul(a, b, p):
+    return trim([c % p for c in _product(a, b)])
+
+
+def _reduce(r, b, p, q):
+    """The remainder of r by b (b nonzero), from one pass over r in place,
     top coefficient down; the quotient digits go into q unless it is None.
+    r may hold any integers, unreduced.
 
-    The copy is reduced mod p once per quotient digit, at the coefficient
-    that digit is read from, and once at the end, not once per update.
+    r is reduced mod p once per quotient digit, at the coefficient that
+    digit is read from, and once at the end, not once per update.
     """
     nb = len(b) - 1
     if nb < 0:
         raise ZeroDivisionError("division by zero polynomial")
-    r = a[:]
     inv_lc = pow(b[-1], p - 2, p)
     low = b[:nb]
     for top in range(len(r) - 1, nb - 1, -1):
@@ -102,13 +109,19 @@ def _reduce(a, b, p, q):
 def div_rem(a, b, p):
     """Quotient and remainder of a by b (b nonzero)."""
     q = [0] * max(len(a) - len(b) + 1, 0)
-    r = _reduce(a, b, p, q)
+    r = _reduce(a[:], b, p, q)
     return trim(q), r
 
 
 def rem(a, b, p):
     """The remainder of a by b (b nonzero); no quotient is built."""
-    return _reduce(a, b, p, None)
+    return _reduce(a[:], b, p, None)
+
+
+def mul_rem(a, b, m, p):
+    """rem(mul(a, b, p), m, p): the product is accumulated unreduced and
+    divided by m in place, with no reduced copy of it in between."""
+    return _reduce(_product(a, b), m, p, None)
 
 
 def monic(a, p):
@@ -149,8 +162,8 @@ def pow_mod(a, e: int, m, p):
     base = rem(a, m, p)
     while e:
         if e & 1:
-            result = rem(mul(result, base, p), m, p)
-        base = rem(mul(base, base, p), m, p)
+            result = mul_rem(result, base, m, p)
+        base = mul_rem(base, base, m, p)
         e >>= 1
     return result
 
@@ -224,7 +237,7 @@ def _frobenius_rows(a, p):
     xp = trim(xp)
     rows = [[1]]
     for _ in range(n - 1):
-        rows.append(rem(mul(rows[-1], xp, p), a, p))
+        rows.append(mul_rem(rows[-1], xp, a, p))
     return rows
 
 

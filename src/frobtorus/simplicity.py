@@ -32,15 +32,22 @@ nonzero residue proves Phi_m does not divide R.  A zero residue only sends m
 on to exact division over Z: no order is accepted or rejected on a residue
 alone.
 
-classify depends on P alone, so it is memoized per process: a survey, or
-report replaying one, classifies each distinct Weil polynomial once.
+classify depends on P alone, and P and its quadratic twist P(-x) get the
+same verdict up to their factors: the twist's Frobenius is -pi, with the
+same eigenvalue ratios, so kind, witness, torsion orders and reason agree.
+A factor h of P, or of an odd power charpoly, becomes (-1)^deg(h) h(-x);
+an even power charpoly is the same for both.  So the decision runs on the
+member of {P(x), P(-x)} with the smaller coefficient tuple, and the other
+member's verdict is derived from it.  classify is memoized per process: a
+survey, or report replaying one, classifies each distinct Weil polynomial
+once and decides each twist class once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import _fpx
 from .errors import InvariantViolation, ParseError, SizeExceeded
@@ -119,17 +126,20 @@ def ratio_poly(P: WeilPolynomial) -> IntPoly:
 @functools.lru_cache(maxsize=None)
 def _torsion_candidates(g: int) -> tuple[int, ...]:
     # the m >= 2 with phi(m) <= 2g(2g-1) and phi(m) | 2^g g! (module
-    # docstring); phi(m) >= sqrt(m/2) caps the scan
+    # docstring); phi(m) >= sqrt(m/2) caps the scan, and one sieve gives
+    # phi on all of it
     bound = 2 * g * (2 * g - 1)
     group_order = math.factorial(g) << g
-    out = []
-    for m in range(2, 2 * bound * bound + 2):
-        phi = m
-        for r in _fpx.prime_divisors(m):
-            phi -= phi // r
-        if phi <= bound and group_order % phi == 0:
-            out.append(m)
-    return tuple(out)
+    top = 2 * bound * bound + 1
+    phi = list(range(top + 1))
+    for r in range(2, top + 1):
+        if phi[r] == r:  # r is prime: no smaller prime has touched it
+            for m in range(r, top + 1, r):
+                phi[m] -= phi[m] // r
+    return tuple(
+        m for m in range(2, top + 1)
+        if phi[m] <= bound and group_order % phi[m] == 0
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -201,9 +211,37 @@ def classify(P: WeilPolynomial) -> SimplicityVerdict:
     and every witness charpoly have degree 2g.
 
     Memoized per process (an LRU of CLASSIFY_CACHE_SIZE verdicts, keyed on
-    the frozen P; exceptions are not cached).  Verdicts are immutable, so
-    callers share them.
+    the frozen P; exceptions are not cached).  The decision itself runs
+    only on the member of {P(x), P(-x)} with the smaller coefficient tuple;
+    the other member's verdict is derived from the memoized one exactly
+    (module docstring), so each twist class is decided once.  Verdicts are
+    immutable, so callers share them.
     """
+    twin = tuple(-c if i % 2 else c for i, c in enumerate(P.coeffs))
+    if twin < P.coeffs:
+        return _twist(_memo(WeilPolynomial(q=P.q, g=P.g, coeffs=twin)))
+    return _decide(P)
+
+
+# classify's memo under a name that a wrapper installed on classify (a
+# tracer) leaves alone, so a twin's lookup is not counted as a second call
+_memo = classify
+
+
+def _twist(v: SimplicityVerdict) -> SimplicityVerdict:
+    # the verdict of P(-x) from that of P (module docstring)
+    if v.factors is None or (v.witness_n or 1) % 2 == 0:
+        return v
+    factors = [
+        (IntPoly([-c if (i + h.degree) % 2 else c for i, c in enumerate(h.coeffs)]), e)
+        for h, e in v.factors
+    ]
+    factors.sort(key=lambda fe: (fe[0].degree, fe[0].coeffs))
+    return replace(v, factors=tuple(factors))
+
+
+def _decide(P: WeilPolynomial) -> SimplicityVerdict:
+    # classify's decision body, run on one member of each twist class
     if 2 * P.g > FACTOR_DEGREE_CAP:
         raise SizeExceeded(
             f"degree 2g = {2 * P.g} exceeds the factoring cap {FACTOR_DEGREE_CAP}"

@@ -289,6 +289,25 @@ def test_fpx_division_by_a_monic_divisor_modulo_a_prime_power(case):
     assert len(r) < len(b) and _fpx.add(_fpx.mul(q, b, m), r, m) == a
 
 
+@st.composite
+def _fpx_products_mod_monic(draw):
+    p = draw(st.sampled_from([2, 3, 17, 349]))
+    m = draw(_fpx_poly(p, 11)) + [1]
+    return p, draw(_fpx_poly(p, 16)), draw(_fpx_poly(p, 16)), m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fpx_products_mod_monic())
+@example((2, [1], [1], [1]))  # modulus of degree 0
+@example((349, [348] * 12, [348] * 12, [348, 0, 1]))
+def test_fpx_mul_rem_is_the_remainder_of_the_product(case):
+    # pow_mod and the Frobenius rows reduce each product as it is formed
+    p, a, b, m = case
+    abm = (a[:], b[:], m[:])
+    assert _fpx.mul_rem(a, b, m, p) == _fpx.rem(_fpx.mul(a, b, p), m, p)
+    assert (a, b, m) == abm  # inputs are not modified
+
+
 def test_field_create_is_cached():
     assert gf.field_create(3, 2) is gf.field_create(3, 2)
 

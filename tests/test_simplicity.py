@@ -1,11 +1,14 @@
+import contextlib
 import math
 import random
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from frobtorus import simplicity
 from frobtorus.curves import PointCounts
 from frobtorus.intpoly import IntPoly, cyclotomic, squarefree_part
 from frobtorus.simplicity import (
@@ -17,6 +20,7 @@ from frobtorus.simplicity import (
     REASON_PURE_POWER,
     REASON_REPEATED_BASE,
     SimplicityVerdict,
+    _decide,
     _torsion_candidates,
     _torsion_prefilter,
     charpoly_power,
@@ -211,15 +215,72 @@ def test_torsion_orders_match_the_full_phi_scan(P):
     assert ratio_torsion_orders(P) == ratio_torsion_orders_by_phi_scan(P)
 
 
+def _twin(P):
+    # the Weil polynomial P(-x) of the quadratic twist
+    return WeilPolynomial(
+        q=P.q, g=P.g, coeffs=tuple(-c if i % 2 else c for i, c in enumerate(P.coeffs))
+    )
+
+
+@contextlib.contextmanager
+def _decisions():
+    # counts the runs of classify's decision body
+    with mock.patch.object(simplicity, "_decide", wraps=simplicity._decide) as m:
+        yield m
+
+
 def test_classify_memo_is_bounded_and_serves_the_cold_verdict():
     assert 0 < CLASSIFY_CACHE_SIZE == classify.cache_info().maxsize
+    # P_ORD and P_AS2 have a twin with larger coefficients, so they are
+    # the members that get decided; the other three are their own twins
     pool = (P_ORD, P_SS, P_SPLIT2, P_INC2, P_AS2)
-    for P in pool:
-        cold = classify(P)
-        assert classify(WeilPolynomial(q=P.q, g=P.g, coeffs=P.coeffs)) is cold
-        assert classify.__wrapped__(P) == cold
+    with _decisions() as decide:
+        for P in pool:
+            twin = _twin(P)
+            twin_verdict = classify(twin)
+            cold = classify(P)
+            assert classify(WeilPolynomial(q=P.q, g=P.g, coeffs=P.coeffs)) is cold
+            assert classify(twin) is twin_verdict
+            assert _decide(P) == cold and _decide(twin) == twin_verdict
+    # one decision per twist class, whichever member came first; each
+    # member of a pair is memoized, a derived verdict included
+    assert decide.call_count == 5
     info = classify.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (5, 5, 5)
+    assert (info.misses, info.hits, info.currsize) == (7, 15, 7)
+
+
+@given(squarefree_weil_window(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_classify_derives_the_twin_verdict_exactly(P, twin_first):
+    classify.cache_clear()
+    pair = (_twin(P), P) if twin_first else (P, _twin(P))
+    with _decisions() as decide:
+        verdicts = [classify(X) for X in pair]
+    assert decide.call_count == 1
+    assert verdicts == [_decide(X) for X in pair]
+
+
+@pytest.mark.parametrize("q,coeffs,kind,witness_n", [
+    (2, (4, -2, -1, -1, 1), NOT_ABSOLUTELY_SIMPLE, 3),  # odd witness: factors move
+    (2, (4, -6, 5, -3, 1), NOT_ABSOLUTELY_SIMPLE, 6),
+    (3, (9, -12, 8, -4, 1), NOT_ABSOLUTELY_SIMPLE, 4),
+    (2, (4, -6, 6, -3, 1), NOT_SIMPLE, None),  # the twisted factors re-sort
+    (2, (4, -4, 5, -2, 1), NOT_ABSOLUTELY_SIMPLE, 1),
+    (2, (4, -8, 8, -4, 1), INCONCLUSIVE, None),
+])
+@pytest.mark.parametrize("twin_first", [False, True])
+def test_twin_verdicts_on_every_path(q, coeffs, kind, witness_n, twin_first):
+    P = WeilPolynomial(q=q, g=2, coeffs=coeffs)
+    pair = (_twin(P), P) if twin_first else (P, _twin(P))
+    with _decisions() as decide:
+        verdicts = [classify(X) for X in pair]
+    assert decide.call_count == 1
+    for X, v in zip(pair, verdicts):
+        assert v == _decide(X)
+        assert (v.kind, v.witness_n) == (kind, witness_n)
+        assert verify_verdict(X, v)
+    moved = witness_n is None or witness_n % 2 == 1
+    assert (verdicts[0].factors != verdicts[1].factors) == moved
 
 
 def test_classify_absolutely_simple():

@@ -1,10 +1,11 @@
 import io
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from frobtorus import gf, survey
+from frobtorus import gf, simplicity, survey
 from frobtorus.curves import PointCounts, count_points, curve_from_text, equation_text
 from frobtorus.errors import (
     BadDegrees,
@@ -399,15 +400,21 @@ def test_report_happy_path(tmp_path):
 
 
 def test_report_classifies_each_distinct_weil_polynomial_once():
+    # and decides it once per twist class {P(x), P(-x)}
     golden = Path(__file__).parent / "golden" / "p3_g2_deg5.jsonl"
     with open(golden) as fh:
         next(fh)
-        weils = [json.dumps(json.loads(line)["weil"]) for line in fh]
-    assert len(set(weils)) < len(weils)
-    rep = report(str(golden))
+        weils = [tuple(json.loads(line)["weil"]["coeffs"]) for line in fh]
+    classes = {min(c, tuple(-x if i % 2 else x for i, x in enumerate(c))) for c in weils}
+    assert (len(set(weils)), len(classes)) == (32, 18)
+    with mock.patch.object(simplicity, "_decide", wraps=simplicity._decide) as decide:
+        rep = report(str(golden))
     info = classify.cache_info()
     assert rep["records"] == len(weils)
-    assert (info.misses, info.hits) == (len(set(weils)), len(weils) - len(set(weils)))
+    # a lookup per record, and one more (for the twin) the first time a
+    # derived member is classified
+    assert (info.misses, info.misses + info.hits) == (32, len(weils) + 32 - 18)
+    assert decide.call_count == 18
 
 
 def test_report_single_record_fraction(tmp_path):
