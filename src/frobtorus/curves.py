@@ -4,25 +4,26 @@ Coefficients are the integer codes of gf, low-to-high, everywhere: in the
 curve value, in validation, in embeddings and in the curve text.
 Validation enforces the smooth-affine-model conditions (squarefree f with
 h = 0 in odd characteristic; the h-root criterion in characteristic 2) by
-one gcd in F_q[x] (gf.pgcd), which decides singularity exactly.  A
-singular equation raises Singular at once; its witness point is searched
-for only when the exception's witness is first read, so a survey that
-skips singular equations never searches.  Counting is batched
-(count_batch): the f (and h) of many curves are evaluated at every x of
-the field at once (gf.evaluations, one matmul per block of x), and the y
-over each x are counted from the value alone: the quadratic character
-(parity of the log) in odd characteristic, the absolute trace of f/h^2 in
-characteristic 2.  The points at infinity of the smooth model are counted
-the same way from the leading coefficients.  count_points and
-counts_up_to_genus are the batch of one.
+one gcd d in F_q[x] (gf.pgcd), whose roots are exactly the singular x.  A
+singular equation raises Singular at once; its witness point, the first
+root of d by rep over the first F_{q^m} that holds one, is searched for
+only when the exception's witness is first read, so a survey that skips
+singular equations never searches.  Counting is batched (count_batch):
+the f (and h) of many curves are evaluated at every x of the field at once
+(gf.evaluations, one matmul per block of x), and the y over each x are
+counted from the value alone: the quadratic character (parity of the log)
+in odd characteristic, the absolute trace of f/h^2 in characteristic 2.
+The points at infinity of the smooth model are counted the same way from
+the leading coefficients.  count_points and counts_up_to_genus are the
+batch of one.
 
-Counting over F_{q^i} builds F_{p^(k*i)} with its own canonical modulus and
-embeds coefficients by a code-to-code table that sends the generator to the
-lexicographically first root of the base modulus; for prime base fields the
-embedding is the identity on codes.  Counting needs only the images of
-t^0 .. t^(k-1), since the evaluator works on coordinates over them.  That
-root, and the roots behind a singular curve's witness, come from
-gf.poly_roots, which runs on the same whole-field evaluator.
+A base-field polynomial reaches F_{q^m} one way: embed maps its codes, one
+or an array at once, by a code-to-code table that sends the generator to
+the lexicographically first root of the base modulus (for prime base
+fields and for src == dst the identity on codes), and gf.evaluations and
+gf.poly_roots take the embedded codes.  That first root, and the roots
+behind a singular curve's witness, come from gf.poly_roots, which runs on
+the same whole-field evaluator.
 """
 
 from __future__ import annotations
@@ -93,52 +94,39 @@ def validate_curve(base: gf.FieldSpec, h, f, g: int) -> HyperellipticCurve:
         if h:
             raise BadDegrees("h must be zero in odd characteristic")
         d = gf.pgcd(base, f, gf.pderiv(base, f))
-        if len(d) > 1:
-            raise Singular(
-                "f has a repeated root",
-                witness=lambda: _repeated_root_witness(base, d),
-            )
+        why = "f has a repeated root"
     else:
         if not h:
             raise BadDegrees("h must be nonzero in characteristic 2")
         # the test below, squared, is h'(x0)^2 f(x0) = f'(x0)^2 at a root x0
-        # of h, and squaring is injective, so the curve is singular exactly
-        # when h and h'^2 f + f'^2 have a common root x0; x0 has degree at
-        # most deg h over F_q, so _char2_witness always finds a point
+        # of h, and squaring is injective, so the singular x are exactly the
+        # roots of gcd(h, h'^2 f + f'^2)
         hd, fd = gf.pderiv(base, h), gf.pderiv(base, f)
         test = gf.padd(
             base, gf.pmul(base, gf.pmul(base, hd, hd), f), gf.pmul(base, fd, fd)
         )
-        if len(gf.pgcd(base, h, test)) > 1:
-            raise Singular(
-                "singular point on the affine model",
-                witness=lambda: _char2_witness(base, h, hd, f, fd),
-            )
+        d = gf.pgcd(base, h, test)
+        why = "singular point on the affine model"
+    if len(d) > 1:
+        raise Singular(why, witness=lambda: _singular_point(base, d, f))
     return HyperellipticCurve(base=base, h=tuple(h), f=tuple(f), genus=g)
 
 
-def _repeated_root_witness(base: gf.FieldSpec, d: list):
-    # the first root by rep of d = gcd(f, f'), with y = 0; None without one
-    roots = gf.poly_roots(base, d)
-    if not roots:
-        return None
-    return 1, gf.digits(base, roots[0]), (0,) * base.k
-
-
-def _char2_witness(base: gf.FieldSpec, h, hd, f, fd):
-    # the first singular point over F_{q^m}, m = 1 .. deg h: a root x0 of h
-    # with h'(x0) y0 = f'(x0), y0 the square root of f(x0)
-    for m in range(1, len(h)):
-        ext = gf.field_create(2, base.k * m)
-        hk, hdk, fk, fdk = (
-            [embed(base, ext, c) for c in a] for a in (h, hd, f, fd)
-        )
-        for x0 in gf.poly_roots(ext, hk):
-            y0 = gf.power(ext, gf.evaluate(ext, fk, x0), ext.q // 2)
-            lhs = gf.mul(ext, gf.evaluate(ext, hdk, x0), y0)
-            if lhs == gf.evaluate(ext, fdk, x0):
-                return m, gf.digits(ext, x0), gf.digits(ext, y0)
-    raise AssertionError("nontrivial smoothness gcd, but no singular point")
+def _singular_point(base: gf.FieldSpec, d: list, f: list):
+    # (m, x, y): x the first root by rep of the smoothness gcd d over
+    # F_{q^m}, y = 0 in odd characteristic and sqrt(f(x)) in characteristic
+    # 2.  Odd characteristic searches F_q only (None without a root there);
+    # in characteristic 2 some m <= deg d has a root
+    for m in range(1, len(d) if base.p == 2 else 2):
+        ext = gf.field_create(base.p, base.k * m)
+        roots = gf.poly_roots(ext, embed(base, ext, np.array(d)))
+        if roots:
+            x0, y0 = roots[0], 0
+            if base.p == 2:
+                fx = gf.evaluate(ext, embed(base, ext, np.array(f)).tolist(), x0)
+                y0 = gf.power(ext, fx, ext.q // 2)
+            return m, gf.digits(ext, x0), gf.digits(ext, y0)
+    return None
 
 
 @functools.lru_cache(maxsize=None)
@@ -154,16 +142,15 @@ def _embedding(src: gf.FieldSpec, dst: gf.FieldSpec) -> np.ndarray:
     return image
 
 
-def embed(src: gf.FieldSpec, dst: gf.FieldSpec, a: int) -> int:
-    """Map the code a of F_{p^k} into F_{p^K} (k | K), generator to first
-    root."""
-    if src == dst:
-        return a
+def embed(src: gf.FieldSpec, dst: gf.FieldSpec, a):
+    """Map the code a of F_{p^k}, or an int array of such codes, into
+    F_{p^K} (k | K), generator to first root."""
     if src.p != dst.p or dst.k % src.k:
         raise ValueError(f"no embedding of {src!r} into {dst!r}")
-    if src.k == 1:
-        return a  # F_p scalars keep their code
-    return int(_embedding(src, dst)[a])
+    if src == dst or src.k == 1:
+        return a  # the identity: F_p scalars keep their code
+    image = _embedding(src, dst)[a]
+    return image if isinstance(a, np.ndarray) else int(image)
 
 
 def _solutions(T: gf.LogTables, p: int, hv, fv: np.ndarray) -> np.ndarray:
@@ -206,8 +193,6 @@ def _counts(curves, indices) -> np.ndarray:
     codes = np.zeros((len(polys), max(map(len, polys))), dtype=np.int64)
     for row, a in zip(codes, polys):
         row[:len(a)] = a
-    # coordinates over t^0 .. t^(k-1), whose images span the embedding
-    coords = codes[..., None] // p ** np.arange(base.k) % p
     # 1 for a degree-(2g+2) model, else 0; h_{g+1} of the former, else 0
     wide = np.array([len(C.f) == 2 * g + 3 for C in curves], dtype=np.int64)
     h_top = [C.h[g + 1] if w and len(C.h) > g + 1 else 0
@@ -216,10 +201,9 @@ def _counts(curves, indices) -> np.ndarray:
     for i in indices:
         ext = gf.field_create(p, base.k * i)  # SizeExceeded past the cap
         T = gf.log_tables(ext)
-        basis = [embed(base, ext, p ** t) for t in range(base.k)]
-        h_inf = [[embed(base, ext, c)] for c in h_top]
+        h_inf = embed(base, ext, np.array(h_top, dtype=np.int64))[:, None]
         n = _solutions(T, p, h_inf, wide[:, None])
-        for _, vals in gf.evaluations(ext, basis, coords):
+        for _, vals in gf.evaluations(ext, embed(base, ext, codes)):
             n += _solutions(T, p, vals[B:], vals[:B])
         out.append(n)
     return np.stack(out, axis=1)

@@ -15,8 +15,9 @@ field and one schoolbook Euclid on the scalar operations otherwise, and the
 curve module runs its singularity checks on them.
 
 For whole-field work ``log_tables`` holds int32 exp/log tables to a fixed
-primitive element and the digits of each power.  ``evaluations`` evaluates
-a batch of polynomials at every element, block by block of x, by one exact
+primitive element, the digits of each power and, for p = 2, its absolute
+trace.  ``evaluations`` evaluates a batch of polynomials, given as codes of
+the field itself, at every element, block by block of x, by one exact
 matmul per block; point counting and root finding (``poly_roots``:
 singularity witnesses, coefficient embeddings) both run on it.
 """
@@ -197,16 +198,13 @@ class LogTables:
 
     exp[n] is the code of g^n (n < q-1) and exp_digits[:, n] its rep, in
     the narrowest unsigned dtype that holds p-1; log[c] is the n with
-    exp[n] = c, and log[0] = -1.  For p = 2, bit i of trace_mask is
-    Tr(t^i), so Tr(a) is the parity of a & trace_mask for the code a, and
-    exp_trace[n] is Tr(g^n); for odd p the mask is 0 and exp_trace is
-    None.  The arrays are read-only.
+    exp[n] = c, and log[0] = -1.  For p = 2, exp_trace[n] is the absolute
+    trace Tr(g^n), 0 or 1; for odd p it is None.  The arrays are read-only.
     """
 
     exp: np.ndarray
     log: np.ndarray
     exp_digits: np.ndarray
-    trace_mask: int
     exp_trace: np.ndarray | None
 
 
@@ -249,22 +247,21 @@ def log_tables(spec: FieldSpec) -> LogTables:
     exp_digits = np.empty((k, m), dtype=np.min_scalar_type(p - 1))
     for r in range(k):
         exp_digits[r] = exp // p ** r % p
-    mask, exp_trace = 0, None
+    exp_trace = None
     if p == 2:
+        # the trace is F_2-linear, so Tr(g^n) is the parity of the digits
+        # of g^n at the i with Tr(t^i) = 1
+        exp_trace = np.zeros(m, dtype=np.int8)
         for i in range(k):
             a = tr = 1 << i  # t^i
             for _ in range(k - 1):
                 a = mul(spec, a, a)
                 tr ^= a
-            mask |= tr << i  # Tr(t^i) is 0 or 1
-        # Tr(g^n) is the parity of exp[n] & mask
-        bits = exp & mask
-        exp_trace = np.zeros(m, dtype=np.int8)
-        for i in range(k):
-            exp_trace ^= (bits >> i & 1).astype(np.int8)
+            if tr:  # Tr(t^i) is 0 or 1
+                exp_trace ^= exp_digits[i].astype(np.int8)
     for arr in (exp, log, exp_digits) + ((exp_trace,) if p == 2 else ()):
         arr.flags.writeable = False
-    return LogTables(exp, log, exp_digits, mask, exp_trace)
+    return LogTables(exp, log, exp_digits, exp_trace)
 
 
 # evaluations takes x in blocks sized so that each transient array of a
@@ -272,33 +269,33 @@ def log_tables(spec: FieldSpec) -> LogTables:
 EVAL_BLOCK_BYTES = 1 << 20
 
 
-def evaluations(spec: FieldSpec, basis, coeffs: np.ndarray):
+def evaluations(spec: FieldSpec, coeffs: np.ndarray):
     """The values of a batch of polynomials at every x of spec, by blocks
     of x in code order.
 
-    coeffs is a (B, D, k) int array: coeffs[b, j] holds the coordinates in
-    F_p, over the k F_p-independent codes basis, of the x^j coefficient of
-    polynomial b.  Yields (start, values), values[b, n] the code of
-    polynomial b at x = start + n, for start = 0, X, 2X, ... below q.
+    coeffs is a (B, D) int array of codes of spec: coeffs[b, j] is the x^j
+    coefficient of polynomial b.  Yields (start, values), values[b, n] the
+    code of polynomial b at x = start + n, for start = 0, X, 2X, ... below q.
 
-    Multiplication by c is F_p-linear: digits(c y) = M(c) digits(y), with
-    M(c) = sum_t c_t M(basis_t).  So the digits of the values are one
-    matmul per block, the (B*K, K*D) matrix of the coefficients' M(c)
-    times the (K*D, X) digits of x^j, reduced mod p.  Every product and
-    sum is an integer below 2^24 (float32) or 2^53 (float64), so the float
-    matmul is exact; einsum runs it on one thread, where a BLAS call can
-    stall on waking idle threads.
+    Multiplication by c is F_p-linear: digits(c y) = M(c) digits(y), where
+    column s of M(c) is the digits of c t^s, read off the log tables.  So
+    the digits of the values are one matmul per block, the (B*K, K*D)
+    matrix of the coefficients' M(c) times the (K*D, X) digits of x^j,
+    reduced mod p.  Every product and sum is an integer below 2^24
+    (float32) or 2^53 (float64), so the float matmul is exact; einsum runs
+    it on one thread, where a BLAS call can stall on waking idle threads.
     """
     p, K, q = spec.p, spec.k, spec.q
-    B, D, k = coeffs.shape
+    B, D = coeffs.shape
     T = log_tables(spec)
     digits_of = T.exp_digits  # (K, q-1): digit r of g^n at [r, n]
-    # m_basis[t, r, s]: digit r of basis_t t^s, that is M(basis_t)[r, s]
-    logs = T.log[np.asarray(basis)][:, None] + T.log[p ** np.arange(K)]
-    m_basis = np.take(digits_of, logs % (q - 1), axis=1).transpose(1, 0, 2)
-    left = np.einsum("bjt,trs->brsj", coeffs, m_basis) % p
+    # m[r, b, j, s]: digit r of coeffs[b, j] t^s, that is M(coeffs[b, j])[r, s]
+    lc = T.log[coeffs]
+    m = np.take(digits_of, (lc[..., None] + T.log[p ** np.arange(K)]) % (q - 1),
+                axis=1)
+    m[:, lc < 0] = 0
     dtype = np.float32 if K * D * (p - 1) ** 2 < 1 << 24 else np.float64
-    left = left.reshape(B * K, K * D).astype(dtype)
+    left = m.transpose(1, 0, 3, 2).reshape(B * K, K * D).astype(dtype)
     js = np.arange(D, dtype=np.int32)[:, None]
     powers = (p ** np.arange(K)).astype(dtype)
     step = max(1, EVAL_BLOCK_BYTES // (8 * K * max(D, B)))
@@ -327,9 +324,7 @@ def poly_roots(spec: FieldSpec, a: list) -> list:
     a = _fpx.trim(list(a))
     if not a:
         raise ValueError("zero polynomial has every root")
-    coeffs = np.array([[digits(spec, c) for c in a]], dtype=np.int64)
-    basis = [spec.p ** t for t in range(spec.k)]  # t^0 .. t^(k-1)
     roots = []
-    for start, vals in evaluations(spec, basis, coeffs):
+    for start, vals in evaluations(spec, np.array([a], dtype=np.int64)):
         roots += (np.flatnonzero(vals[0] == 0) + start).tolist()
     return sorted(roots, key=lambda r: digits(spec, r))

@@ -7,9 +7,9 @@ composed products reach (2g)^2), so the algorithms favor
   - Newton's identities between a monic polynomial and its root power sums,
   - modular Zassenhaus (Frobenius-matrix DDF at up to three primes as a
     degree sieve, Cantor-Zassenhaus, quadratic Hensel lifting, subset
-    recombination) for factorization over Q, with Yun's squarefree
-    decomposition only when F is not squarefree modulo the first prime
-    p >= 17 that keeps its degree,
+    recombination) for factorization over Q; when F is not squarefree
+    modulo the first prime p >= 17 that keeps its degree, its squarefree
+    part is factored and each multiplicity found by exact division,
 
 all of which are short enough to audit directly.  No resultant is on the
 factorization path: a prime is good when gcd(F, F') = 1 mod p.  resultant
@@ -382,23 +382,18 @@ def squarefree_part(f: IntPoly) -> IntPoly:
     return q.primitive()
 
 
-def _yun(F: IntPoly) -> list[tuple[IntPoly, int]]:
-    # squarefree decomposition of a primitive positive-lc polynomial
-    d = gcd(F, F.derivative())
-    b, _ = divmod_exact(F, d)
-    c, _ = divmod_exact(F.derivative(), d)
-    z = c - b.derivative()
-    out = []
-    i = 1
-    while b.degree > 0:
-        a = gcd(b, z)
-        if a.degree > 0:
-            out.append((a, i))
-        b, _ = divmod_exact(b, a)
-        c, _ = divmod_exact(z, a)
-        z = c - b.derivative()
-        i += 1
-    return out
+def _multiplicity(F: IntPoly, irr: IntPoly) -> int:
+    # the largest e with irr^e | F: exact divisions until one is inexact
+    # or leaves a remainder
+    e = 0
+    while True:
+        try:
+            quo, rem = divmod_exact(F, irr)
+        except ValueError:
+            return e
+        if not rem.is_zero:
+            return e
+        F, e = quo, e + 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -574,14 +569,14 @@ def factor(f: IntPoly) -> tuple[int, list[tuple[IntPoly, int]]]:
     F = f.primitive()
     unit = f.lc // F.lc
     # squarefree modulo the first prime that keeps the degree means
-    # squarefree over Q, and Yun has nothing to split
+    # squarefree over Q: every multiplicity is 1.  Otherwise the factors of
+    # the squarefree part are F's, each with its multiplicity in F
     p = next((p for p in _primes_from_17() if F.lc % p), None)
-    squarefree = p is not None and _squarefree_mod(F, p) is not None
-    out: list[tuple[IntPoly, int]] = []
-    for sq, mult in [(F, 1)] if squarefree else _yun(F):
-        for irr in _zassenhaus_squarefree(sq):
-            out.append((irr, mult))
-    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    if p is not None and _squarefree_mod(F, p) is not None:
+        out = [(irr, 1) for irr in _zassenhaus_squarefree(F)]
+    else:
+        out = [(irr, _multiplicity(F, irr))
+               for irr in _zassenhaus_squarefree(squarefree_part(F))]
     prod = IntPoly([unit])
     for irr, mult in out:
         prod = prod * irr ** mult

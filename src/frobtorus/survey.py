@@ -388,11 +388,10 @@ def analyze_one(curve_text: str | None = None, weil_json=None) -> dict:
     t0 = time.perf_counter()
     v = classify(P)
     t1 = time.perf_counter()
-    check = is_weil(P)
     return {
         "weil": weil_to_json(P),
         "verdict": verdict_to_json(v),
-        "weil_check": {"ok": check.ok, "max_rel_error": check.max_rel_error},
+        "weil_check": {"ok": is_weil(P)},
         "timing": {"classify_s": t1 - t0},
     }
 

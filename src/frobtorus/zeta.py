@@ -3,17 +3,16 @@
 The pipeline is: counts -> power sums -> upper half of P(T), the
 characteristic polynomial of Frobenius, through Newton's identities
 (intpoly.from_power_sums; each division must be exact over Z) -> functional
-equation for the lower half.  Everything on the verdict path is exact integer
-arithmetic; the root-modulus check is a numeric diagnostic only.
+equation for the lower half.  Everything here is exact integer arithmetic,
+the root-modulus check ``is_weil`` too: it decides whether every root of P
+has modulus sqrt(q) by Sturm sequences over Z, so ``analyze --weil``'s
+exit code never rests on floating point.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-
-import numpy
 
 from . import intpoly
 from ._fpx import MR_BOUND, is_prime  # noqa: F401  (MR_BOUND: prime_power's limit)
@@ -106,31 +105,50 @@ def weil_from_counts(counts) -> WeilPolynomial:
     return WeilPolynomial(q=q, g=g, coeffs=lower + upper)
 
 
-@dataclass(frozen=True)
-class RootModulusCheck:
-    ok: bool
-    max_rel_error: float
-    bad_root: complex | None
+def is_weil(P: WeilPolynomial) -> bool:
+    """Whether every root of P has modulus sqrt(q), decided exactly.
 
-
-def is_weil(P: WeilPolynomial, rel_tol: float = 1e-9) -> RootModulusCheck:
-    """Numeric diagnostic: every root has modulus sqrt(q) within rel_tol.
-
-    Roots are taken on the squarefree part (repeated roots degrade the
-    companion-matrix solver below the tolerance) in double precision.
+    P(x) = x^g h(x + q/x), and a root y of h gives the roots of
+    x^2 - y x + q, which have modulus sqrt(q) iff y is real with
+    |y| <= 2 sqrt(q).  With h(y) = E(y^2) + y O(y^2), the g roots of
+    H(u) = E(u)^2 - u O(u)^2 = h(y) h(-y) are the y^2, so P passes iff
+    every root of H lies in [0, 4q], that is iff all deg S distinct roots
+    of the squarefree part S of H do.  Sturm's theorem counts those in
+    (0, 4q], and S(0) = 0 adds one.
     """
-    sf = intpoly.squarefree_part(intpoly.IntPoly(P.coeffs))
-    roots = numpy.roots(list(map(float, reversed(sf.coeffs))))
-    target = math.sqrt(P.q)
-    worst = 0.0
-    bad = None
-    for r in roots:
-        err = abs(abs(complex(r)) - target) / target
-        if err > worst:
-            worst = err
-            if err > rel_tol:
-                bad = complex(r)
-    return RootModulusCheck(ok=worst <= rel_tol, max_rel_error=worst, bad_root=bad)
+    q, g, c = P.q, P.g, P.coeffs
+    # D_j(x + q/x) = x^j + (q/x)^j, and c_(g-j) = q^j c_(g+j)
+    y = intpoly.IntPoly([0, 1])
+    D = [intpoly.IntPoly([2]), y]
+    while len(D) <= g:
+        D.append(y * D[-1] - D[-2] * q)
+    h = intpoly.IntPoly([c[g]])
+    for j in range(1, g + 1):
+        h = h + D[j] * c[g + j]
+    E, O = intpoly.IntPoly(h.coeffs[0::2]), intpoly.IntPoly(h.coeffs[1::2])
+    S = intpoly.squarefree_part(E * E - y * O * O)
+    seq = _sturm(S)
+    inside = _variations(seq, 0) - _variations(seq, 4 * q) + (S(0) == 0)
+    return inside == S.degree
+
+
+def _sturm(f: intpoly.IntPoly) -> list:
+    # the Sturm sequence of a squarefree f, each remainder taken as a
+    # pseudo-remainder times a positive number, so every term has the
+    # signs of the remainder over Q
+    seq = [f, f.derivative()]
+    while seq[-1].degree > 0:
+        a, b = seq[-2], seq[-1]
+        r = intpoly.divmod_exact(a * abs(b.lc) ** (a.degree - b.degree + 1), b)[1]
+        c = r.content()
+        seq.append(intpoly.IntPoly([-v // c for v in r.coeffs]))
+    return seq
+
+
+def _variations(seq, x: int) -> int:
+    # sign changes of the sequence at x, zeros dropped
+    signs = [v > 0 for v in (f(x) for f in seq) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def encode_int(v: int):

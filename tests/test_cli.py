@@ -19,7 +19,18 @@ def test_analyze_curve_happy_path(capsys):
 def test_analyze_weil_happy_path(capsys):
     assert main(["analyze", "--weil", '{"q":5,"g":1,"coeffs":[5,-2,1]}']) == 0
     rec = json.loads(capsys.readouterr().out)
-    assert rec["weil_check"]["ok"] is True
+    assert rec["weil_check"] == {"ok": True}
+
+
+def test_analyze_weil_near_the_bound_is_accepted(capsys):
+    # (x^2 - 2000000x + q)(x^2 - 1999999x + q), both a^2 < 4q; a numeric
+    # root-modulus check once rejected it with exit 3
+    P = ('{"q":1000000000039,"g":2,"coeffs":[1000000000078000000001521,'
+         '-3999999000155999961,5999998000078,-3999999,1]}')
+    assert main(["analyze", "--weil", P]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert json.loads(out.out)["weil_check"] == {"ok": True}
 
 
 def test_analyze_bad_curve_text_is_input_error(capsys):

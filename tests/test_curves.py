@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from frobtorus import gf
@@ -480,6 +481,18 @@ def test_embed_extension_to_extension():
     # image satisfies the source modulus, and is its first root by rep
     assert gf.evaluate(dst, list(src.modulus), g_img) == 0
     assert g_img == gf.poly_roots(dst, list(src.modulus))[0]
+
+
+@pytest.mark.parametrize("src,dst", [((2, 1), (2, 4)), ((2, 2), (2, 4)),
+                                     ((3, 2), (3, 4)), ((3, 2), (3, 2))])
+def test_embed_maps_code_arrays_elementwise(src, dst):
+    src, dst = gf.field_create(*src), gf.field_create(*dst)
+    codes = np.arange(src.q).reshape(-1, 1).repeat(2, axis=1)
+    image = embed(src, dst, codes)
+    assert image.shape == codes.shape
+    assert image[:, 0].tolist() == [embed(src, dst, a) for a in range(src.q)]
+    if src == dst or src.k == 1:
+        assert image.tolist() == codes.tolist()
 
 
 def test_embed_rejects_incompatible_fields():

@@ -223,13 +223,14 @@ def _sympy_factor_inputs():
     for _ in range(120):
         deg = rng.randrange(1, 9)
         yield IntPoly([rng.randrange(-50, 51) for _ in range(deg)] + [1])
-    # repeated factors, so Yun runs; a repeated factor whose leading
-    # coefficient vanishes mod 17 disappears there
+    # repeated factors, so multiplicities come by division; a repeated
+    # factor whose leading coefficient vanishes mod 17 disappears there
     for _ in range(40):
         a = _random_poly(rng, rng.randrange(1, 4), lc=rng.choice([1, 1, 2, 17]))
         b = _random_poly(rng, rng.randrange(0, 4))
         yield a ** rng.randrange(2, 4) * b
-    # squarefree over Q but not mod 17, so Yun runs on a squarefree input
+    # squarefree over Q but not mod 17, so a squarefree input takes the
+    # squarefree-part path
     for k in range(1, 21):
         yield (X ** 2 - IntPoly([17 * k])) * _random_poly(rng, rng.randrange(0, 5))
     # non-monic, including leading coefficients that vanish mod 17

@@ -1,6 +1,10 @@
+import itertools
 import json
+import math
+import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +17,11 @@ from frobtorus.errors import (
 )
 from frobtorus import _fpx
 from frobtorus.curves import PointCounts
+from frobtorus.intpoly import IntPoly, squarefree_part
 from frobtorus.zeta import (
     MR_BOUND,
+    _sturm,
+    _variations,
     WeilPolynomial,
     is_weil,
     power_sums,
@@ -124,22 +131,61 @@ def test_weil_polynomial_validation():
 
 
 def test_is_weil_accepts_true_weil_polynomials():
-    chk = is_weil(WeilPolynomial(q=5, g=1, coeffs=(5, -2, 1)))
-    assert chk.ok and chk.max_rel_error < 1e-9
+    assert is_weil(WeilPolynomial(q=5, g=1, coeffs=(5, -2, 1))) is True
+    # (x^2 - 2000000x + q)(x^2 - 1999999x + q) with a^2 - 4q = -156 for the
+    # first factor: its roots are nearly a double root at sqrt(q), which
+    # double-precision root finding put off the circle |x| = sqrt(q) by 2e-5
+    q = 1000000000039
+    c2 = 2 * q + 2000000 * 1999999
+    P = WeilPolynomial(q=q, g=2, coeffs=(q * q, -3999999 * q, c2, -3999999, 1))
+    assert is_weil(P) is True
 
 
 def test_is_weil_accepts_repeated_root_case():
-    # (T^2 + 5)^2 has doubled roots; the check runs on the squarefree part
+    # (T^2 + 5)^2 has doubled roots; the count runs on the squarefree part
     P = WeilPolynomial(q=5, g=2, coeffs=(25, 0, 10, 0, 1))
-    assert is_weil(P).ok
+    assert is_weil(P) is True
+    # (T - 2)^2 (T + 2)^2 over F_4: the roots +-sqrt(q) make y = +-2 sqrt(q),
+    # the ends of the interval
+    P = WeilPolynomial(q=4, g=2, coeffs=(16, 0, -8, 0, 1))
+    assert is_weil(P) is True
 
 
 def test_is_weil_rejects_wrong_modulus():
     # T^2 - 5T + 5 satisfies the functional equation for g=1 (only the
     # constant is pinned) but has real roots of modulus != sqrt(5)
     P = WeilPolynomial(q=5, g=1, coeffs=(5, -5, 1))
-    chk = is_weil(P)
-    assert not chk.ok and chk.max_rel_error > 1e-3
+    assert is_weil(P) is False
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_is_weil_decides_products_of_quadratics(q):
+    # every product of x^2 - a x + q with |a| up to 2 past the bound, each
+    # multiset once: a Weil polynomial iff every a^2 <= 4q
+    r = math.isqrt(4 * q) + 2
+    for g in (1, 2, 3):
+        for a in itertools.combinations_with_replacement(range(-r, r + 1), g):
+            P = IntPoly([1])
+            for ai in a:
+                P = P * IntPoly([q, -ai, 1])
+            want = all(ai * ai <= 4 * q for ai in a)
+            assert is_weil(WeilPolynomial(q=q, g=g, coeffs=P.coeffs)) is want, a
+
+
+def test_sturm_count_matches_sympy():
+    # sparse coefficients make degree gaps in the remainder sequence, where
+    # a pseudo-remainder by a negative leading coefficient to an odd power
+    # would flip the sign of a term
+    x = sympy.Symbol("x")
+    rng = random.Random(5)
+    for _ in range(500):
+        d = rng.randrange(1, 8)
+        cs = [rng.choice([0, 0, 0, rng.randint(-9, 9)]) for _ in range(d)]
+        S = squarefree_part(IntPoly(cs + [rng.choice([1, -1, 2, -3])]))
+        a, b = sorted(rng.sample(range(-12, 13), 2))
+        want = sympy.Poly(S.coeffs[::-1], x).count_roots(a, b) - (S(a) == 0)
+        seq = _sturm(S)
+        assert _variations(seq, a) - _variations(seq, b) == want, (S, a, b)
 
 
 def test_weil_json_roundtrip_small():
