@@ -9,7 +9,8 @@ composed products reach (2g)^2), so the algorithms favor
     degree sieve, Cantor-Zassenhaus, quadratic Hensel lifting, subset
     recombination) for factorization over Q; when F is not squarefree
     modulo the first prime p >= 17 that keeps its degree, its squarefree
-    part is factored and each multiplicity found by exact division,
+    part is factored and each multiplicity found by exact division; a
+    squarefree quadratic is split by its discriminant alone,
 
 all of which are short enough to audit directly.  No resultant is on the
 factorization path: a prime is good when gcd(F, F') = 1 mod p.  resultant
@@ -108,8 +109,9 @@ class IntPoly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __call__(self, x):
@@ -414,11 +416,14 @@ def _squarefree_mod(F: IntPoly, p: int) -> list[int] | None:
     return a
 
 
-def _good_primes(F: IntPoly):
+def _good_primes(F: IntPoly, known: tuple[int, bool] | None):
     # (p, F mod p) for the primes p >= 17 where F stays squarefree of its
-    # degree, lazily
+    # degree, lazily; known = (p, good) is a prime already tested
     for p in _primes_from_17():
-        a = _squarefree_mod(F, p)
+        if known and p == known[0]:
+            a = [c % p for c in F.coeffs] if known[1] else None
+        else:
+            a = _squarefree_mod(F, p)
         if a is not None:
             yield p, a
     raise AssertionError("ran out of candidate primes")
@@ -496,11 +501,26 @@ def _sym(c: int, m: int) -> int:
     return c - m if c > m // 2 else c
 
 
-def _zassenhaus_squarefree(F: IntPoly) -> list[IntPoly]:
-    """Irreducible factors of a primitive squarefree positive-lc polynomial."""
+def _zassenhaus_squarefree(F: IntPoly, known: tuple[int, bool] | None) -> list[IntPoly]:
+    """Irreducible factors of a primitive squarefree positive-lc polynomial.
+
+    known = (p, good), when given, is a prime p not dividing lc(F) whose
+    squarefree test on F is already done; F's monic transform is
+    squarefree mod p exactly when F is.
+    """
     n = F.degree
     if n == 1:
         return [F]
+    if n == 2:
+        # a x^2 + b x + c splits over Q exactly when its discriminant is a
+        # square s^2 (s > 0, F being squarefree), into 2a x + b -+ s
+        c, b, a = F.coeffs
+        disc = b * b - 4 * a * c
+        s = math.isqrt(disc) if disc > 0 else 0
+        if s * s != disc:
+            return [F]
+        roots = (IntPoly([b - s, 2 * a]).primitive(), IntPoly([b + s, 2 * a]).primitive())
+        return sorted(roots, key=lambda h: h.coeffs)
     b = F.lc
     # monic transform: b^(n-1) * F(x/b); leading term becomes 1 exactly
     Fm = IntPoly([c * b ** (n - 1 - i) for i, c in enumerate(F.coeffs[:-1])] + [1])
@@ -508,7 +528,7 @@ def _zassenhaus_squarefree(F: IntPoly) -> list[IntPoly]:
     # proves F irreducible
     allowed = (1 << n) - 2
     first = None
-    for p, a in itertools.islice(_good_primes(Fm), 3):
+    for p, a in itertools.islice(_good_primes(Fm, known), 3):
         blocks = _fpx.ddf(a, p)
         first = first or (p, blocks)
         allowed &= _subset_sums(blocks, n)
@@ -570,13 +590,15 @@ def factor(f: IntPoly) -> tuple[int, list[tuple[IntPoly, int]]]:
     unit = f.lc // F.lc
     # squarefree modulo the first prime that keeps the degree means
     # squarefree over Q: every multiplicity is 1.  Otherwise the factors of
-    # the squarefree part are F's, each with its multiplicity in F
+    # the squarefree part are F's, each with its multiplicity in F.  Either
+    # way that prime is not tested again
     p = next((p for p in _primes_from_17() if F.lc % p), None)
     if p is not None and _squarefree_mod(F, p) is not None:
-        out = [(irr, 1) for irr in _zassenhaus_squarefree(F)]
+        out = [(irr, 1) for irr in _zassenhaus_squarefree(F, (p, True))]
     else:
-        out = [(irr, _multiplicity(F, irr))
-               for irr in _zassenhaus_squarefree(squarefree_part(F))]
+        S = squarefree_part(F)
+        known = (p, False) if S == F else None
+        out = [(irr, _multiplicity(F, irr)) for irr in _zassenhaus_squarefree(S, known)]
     prod = IntPoly([unit])
     for irr, mult in out:
         prod = prod * irr ** mult

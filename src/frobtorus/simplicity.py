@@ -32,6 +32,21 @@ nonzero residue proves Phi_m does not divide R.  A zero residue only sends m
 on to exact division over Z: no order is accepted or rejected on a residue
 alone.
 
+P, and each power charpoly, is factored at half its degree.  When P
+satisfies the Riemann hypothesis (zeta.is_weil, decided exactly),
+P(x) = x^g h(x + q/x) with h = zeta.real_poly(P) of degree g, every root of
+h real in [-2 sqrt(q), 2 sqrt(q)].  Each irreducible factor k of h, of
+multiplicity e, gives one irreducible factor of P:
+  - (x -+ sqrt(q)) with multiplicity 2e for k = y -+ 2 sqrt(q), q a square;
+  - (x^2 - q) with multiplicity 2e for k = y^2 - 4q, q not a square;
+  - x^deg(k) k(x + q/x) with multiplicity e for any other k.  The roots of
+    a rational factor of P are closed under complex conjugation, which maps
+    alpha to q/alpha, so that factor is x^d k'(x + q/x) for a rational
+    factor k' of k.
+A power charpoly of P is a Weil polynomial over q^n, so it qualifies when P
+does.  A P that fails is_weil is factored at full degree: for it the rule
+can be wrong.  Over q = 3, x^2 - 4x + 3 = (x - 1)(x - 3) has h = y - 4.
+
 classify depends on P alone, and P and its quadratic twist P(-x) get the
 same verdict up to their factors: the twist's Frobenius is -pi, with the
 same eigenvalue ratios, so kind, witness, torsion orders and reason agree.
@@ -61,7 +76,15 @@ from .intpoly import (
     root_power_sums,
 )
 from .intpoly import resultant_y  # noqa: F401  (perfbench/tracing.py hooks this name)
-from .zeta import WeilPolynomial, decode_array, decode_int, encode_int, prime_power
+from .zeta import (
+    WeilPolynomial,
+    decode_array,
+    decode_int,
+    encode_int,
+    is_weil,
+    prime_power,
+    real_poly,
+)
 
 ABSOLUTELY_SIMPLE = "AbsolutelySimple"
 NOT_SIMPLE = "NotSimple"
@@ -185,8 +208,37 @@ def ratio_torsion_orders(P: WeilPolynomial) -> set[int]:
 
 def elliptic_torus_test(P: WeilPolynomial) -> bool:
     """True iff P is irreducible over Q (Q[pi] has full degree 2g)."""
-    _, factors = factor(IntPoly(P.coeffs))
+    factors = _weil_factors(P)
     return len(factors) == 1 and factors[0][1] == 1
+
+
+def _weil_factors(P: WeilPolynomial) -> list[tuple[IntPoly, int]]:
+    # factor(P)'s irreducible factors, read off those of the real polynomial
+    # h when P satisfies the Riemann hypothesis (module docstring)
+    if not is_weil(P):
+        return factor(IntPoly(P.coeffs))[1]
+    q, r = P.q, math.isqrt(P.q)
+    out = []
+    for k, e in factor(real_poly(P))[1]:
+        if r * r == q and k.coeffs in ((-2 * r, 1), (2 * r, 1)):
+            out.append((IntPoly([k.coeffs[0] // 2, 1]), 2 * e))  # (x -+ r)^2
+        elif k.coeffs == (-4 * q, 0, 1):
+            out.append((IntPoly([-q, 0, 1]), 2 * e))  # (x^2 - q)^2
+        else:
+            # x^d k(x + q/x) = sum_j k_j x^(d-j) (x^2 + q)^j
+            d = k.degree
+            K = [0] * (2 * d + 1)
+            for j, kj in enumerate(k.coeffs):
+                for i in range(j + 1):
+                    K[d - j + 2 * i] += kj * math.comb(j, i) * q ** (j - i)
+            out.append((IntPoly(K), e))
+    out.sort(key=lambda fe: (fe[0].degree, fe[0].coeffs))
+    prod = IntPoly([1])
+    for K, e in out:
+        prod = prod * K ** e
+    if prod.coeffs != P.coeffs:
+        raise InvariantViolation("factors of h do not reproduce the Weil polynomial")
+    return out
 
 
 def _factor_is_ordinary(h: IntPoly, p: int) -> bool:
@@ -247,7 +299,7 @@ def _decide(P: WeilPolynomial) -> SimplicityVerdict:
             f"degree 2g = {2 * P.g} exceeds the factoring cap {FACTOR_DEGREE_CAP}"
         )
     p = prime_power(P.q)[0]
-    _, fs = factor(IntPoly(P.coeffs))
+    fs = _weil_factors(P)
     if len(fs) >= 2:
         return SimplicityVerdict(kind=NOT_SIMPLE, factors=tuple(fs))
     h, e = fs[0]
@@ -266,7 +318,7 @@ def _decide(P: WeilPolynomial) -> SimplicityVerdict:
         )
     for m in orders:
         cm = charpoly_power(P, m)
-        _, cfs = factor(cm)
+        cfs = _weil_factors(WeilPolynomial(q=P.q ** m, g=P.g, coeffs=cm.coeffs))
         if len(cfs) >= 2:
             return SimplicityVerdict(
                 kind=NOT_ABSOLUTELY_SIMPLE,

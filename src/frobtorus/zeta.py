@@ -6,7 +6,9 @@ characteristic polynomial of Frobenius, through Newton's identities
 equation for the lower half.  Everything here is exact integer arithmetic,
 the root-modulus check ``is_weil`` too: it decides whether every root of P
 has modulus sqrt(q) by Sturm sequences over Z, so ``analyze --weil``'s
-exit code never rests on floating point.
+exit code never rests on floating point.  Both ``is_weil`` and the
+factorization in ``simplicity`` work on the real polynomial h of
+``real_poly``, P(x) = x^g h(x + q/x), of half the degree of P.
 """
 
 from __future__ import annotations
@@ -105,41 +107,64 @@ def weil_from_counts(counts) -> WeilPolynomial:
     return WeilPolynomial(q=q, g=g, coeffs=lower + upper)
 
 
+def real_poly(P: WeilPolynomial) -> intpoly.IntPoly:
+    """The monic h of degree g with P(x) = x^g h(x + q/x).
+
+    The roots of P pair up as {alpha, q/alpha}, and the roots of h are the
+    g sums alpha + q/alpha.
+
+    >>> real_poly(WeilPolynomial(q=3, g=2, coeffs=(9, 0, 2, 0, 1)))
+    IntPoly([-4, 0, 1])
+    """
+    q, g, c = P.q, P.g, P.coeffs
+    # h = c_g + sum_j c_(g+j) D_j, where D_j(x + q/x) = x^j + (q/x)^j (and
+    # c_(g-j) = q^j c_(g+j)): D_1 = y, D_2 = y^2 - 2q, D_(j+1) = y D_j - q D_(j-1)
+    h = [c[g]] + [0] * g
+    prev, cur = [2], [0, 1]
+    for j in range(1, g + 1):
+        for i, d in enumerate(cur):
+            h[i] += c[g + j] * d
+        nxt = [0] + cur
+        for i, d in enumerate(prev):
+            nxt[i] -= q * d
+        prev, cur = cur, nxt
+    return intpoly.IntPoly(h)
+
+
 def is_weil(P: WeilPolynomial) -> bool:
     """Whether every root of P has modulus sqrt(q), decided exactly.
 
-    P(x) = x^g h(x + q/x), and a root y of h gives the roots of
+    P(x) = x^g h(x + q/x) (real_poly), and a root y of h gives the roots of
     x^2 - y x + q, which have modulus sqrt(q) iff y is real with
     |y| <= 2 sqrt(q).  With h(y) = E(y^2) + y O(y^2), the g roots of
     H(u) = E(u)^2 - u O(u)^2 = h(y) h(-y) are the y^2, so P passes iff
     every root of H lies in [0, 4q], that is iff all deg S distinct roots
     of the squarefree part S of H do.  Sturm's theorem counts those in
-    (0, 4q], and S(0) = 0 adds one.
+    (0, 4q], and S(0) = 0 adds one.  The Sturm sequence of H itself shows
+    whether H is squarefree, so S = H needs no gcd.
     """
-    q, g, c = P.q, P.g, P.coeffs
-    # D_j(x + q/x) = x^j + (q/x)^j, and c_(g-j) = q^j c_(g+j)
-    y = intpoly.IntPoly([0, 1])
-    D = [intpoly.IntPoly([2]), y]
-    while len(D) <= g:
-        D.append(y * D[-1] - D[-2] * q)
-    h = intpoly.IntPoly([c[g]])
-    for j in range(1, g + 1):
-        h = h + D[j] * c[g + j]
+    h = real_poly(P)
     E, O = intpoly.IntPoly(h.coeffs[0::2]), intpoly.IntPoly(h.coeffs[1::2])
-    S = intpoly.squarefree_part(E * E - y * O * O)
+    S = E * E - intpoly.IntPoly([0, 1]) * O * O
     seq = _sturm(S)
-    inside = _variations(seq, 0) - _variations(seq, 4 * q) + (S(0) == 0)
+    if seq is None:
+        S = intpoly.squarefree_part(S)
+        seq = _sturm(S)
+    inside = _variations(seq, 0) - _variations(seq, 4 * P.q) + (S(0) == 0)
     return inside == S.degree
 
 
-def _sturm(f: intpoly.IntPoly) -> list:
-    # the Sturm sequence of a squarefree f, each remainder taken as a
-    # pseudo-remainder times a positive number, so every term has the
-    # signs of the remainder over Q
+def _sturm(f: intpoly.IntPoly) -> list | None:
+    # the Sturm sequence of f, each remainder taken as a pseudo-remainder
+    # times a positive number, so every term has the signs of the remainder
+    # over Q; None when a remainder vanishes, that is when f is not
+    # squarefree
     seq = [f, f.derivative()]
     while seq[-1].degree > 0:
         a, b = seq[-2], seq[-1]
         r = intpoly.divmod_exact(a * abs(b.lc) ** (a.degree - b.degree + 1), b)[1]
+        if r.is_zero:
+            return None
         c = r.content()
         seq.append(intpoly.IntPoly([-v // c for v in r.coeffs]))
     return seq

@@ -240,6 +240,15 @@ def _sympy_factor_inputs():
         if rng.random() < 0.3:
             f = f * _random_poly(rng, rng.randrange(1, 3), lc=rng.choice([1, 2, 17]))
         yield f
+    # quadratics, which the discriminant decides: with content, negative and
+    # non-unit leading coefficients, split, square and irreducible
+    for _ in range(150):
+        k = rng.choice([-6, -1, 1, 1, 1, 4, 34])
+        lin = [_random_poly(rng, 1, lc=rng.choice([-12, -3, -1, 1, 2, 6, 17]), bound=40)
+               for _ in range(3)]
+        yield lin[0] * lin[1] * IntPoly([k])
+        yield lin[2] ** 2 * IntPoly([k])
+        yield _random_poly(rng, 2, lc=rng.choice([-5, 3, 12]), bound=60)
     # x^4 - 10x^2 + 1 splits into quadratics at every prime, so only subset
     # recombination over Z finds its factors
     yield (X ** 2 + X + IntPoly([1])) * (X ** 3 - IntPoly([2]))
@@ -257,6 +266,7 @@ def test_factor_matches_sympy_on_random_inputs():
         )
         assert int(s_unit) == unit
         assert sorted((g.coeffs, m) for g, m in fs) == want
+        assert fs == sorted(fs, key=lambda gm: (gm[0].degree, gm[0].coeffs))
 
 
 @pytest.mark.parametrize(

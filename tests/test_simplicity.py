@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from frobtorus import simplicity
 from frobtorus.curves import PointCounts
-from frobtorus.intpoly import IntPoly, cyclotomic, squarefree_part
+from frobtorus.intpoly import IntPoly, cyclotomic, factor, squarefree_part
 from frobtorus.simplicity import (
     ABSOLUTELY_SIMPLE,
     CLASSIFY_CACHE_SIZE,
@@ -33,12 +33,13 @@ from frobtorus.simplicity import (
     verify_verdict,
 )
 from frobtorus.errors import (
+    InvariantViolation,
     NonIntegralCoefficient,
     ParseError,
     SizeExceeded,
     WeilBoundViolated,
 )
-from frobtorus.zeta import WeilPolynomial, weil_from_counts
+from frobtorus.zeta import WeilPolynomial, is_weil, weil_from_counts
 from oracles import (
     charpoly_power_by_resultant,
     minpoly_degree_over_q,
@@ -356,6 +357,104 @@ def test_elliptic_torus_test_is_irreducibility():
     assert not elliptic_torus_test(split)  # (T^2-2T+5)(T^2+2T+5)
     repeated = WeilPolynomial(q=5, g=2, coeffs=(25, 0, 10, 0, 1))
     assert not elliptic_torus_test(repeated)
+
+
+# q for the Weil-path tests: squares and non-squares, primes and prime powers
+WEIL_PATH_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
+
+
+def _genus2_box(q):
+    # every x^4 + a x^3 + b x^2 + qa x + q^2 whose real polynomial
+    # y^2 + a y + (b - 2q) could have both roots in [-2 sqrt(q), 2 sqrt(q)]:
+    # |a| <= 4 sqrt(q), and -4q <= b - 2q <= a^2/4
+    top = math.isqrt(16 * q)
+    for a in range(-top, top + 1):
+        for b in range(-2 * q, a * a // 4 + 2 * q + 1):
+            yield WeilPolynomial(q=q, g=2, coeffs=(q * q, q * a, b, a, 1))
+
+
+def _generic_factors(P):
+    return factor(IntPoly(P.coeffs))[1]
+
+
+def test_weil_factors_equal_factor_on_the_whole_genus_2_box():
+    # every member that passes is_weil; for q <= 3 the others too, which
+    # must take the generic path
+    weil = 0
+    for q in WEIL_PATH_QS:
+        for P in _genus2_box(q):
+            ok = is_weil(P)
+            weil += ok
+            if ok or q <= 3:
+                assert simplicity._weil_factors(P) == _generic_factors(P), P
+    assert weil == 4698
+
+
+def _real_root_blocks(q):
+    # (x -+ sqrt(q))^2, whose real polynomial is y -+ 2 sqrt(q), for a square
+    # q; (x^2 - q)^2, from y^2 - 4q, otherwise; as (genus, factor)
+    r = math.isqrt(q)
+    if r * r == q:
+        return [(1, IntPoly([-r, 1])), (1, IntPoly([r, 1]))]
+    return [(2, IntPoly([-q, 0, 1]))]
+
+
+def _weil_product(rng, q, g, blocks):
+    # a Weil polynomial of genus g over q: a real-root factor to a random
+    # power, then random Weil blocks of genus 1 and 2, some of them repeated
+    genus, real = rng.choice(_real_root_blocks(q))
+    e = rng.randrange(1, g // genus + 1)
+    left, P = g - genus * e, real ** (2 * e)
+    while left:
+        genus, B = rng.choice([b for b in blocks if b[0] <= left])
+        e = rng.choice([1, 1, 1, 2]) if 2 * genus <= left else 1
+        left, P = left - genus * e, P * B ** e
+    return WeilPolynomial(q=q, g=g, coeffs=P.coeffs), real
+
+
+def test_weil_factors_equal_factor_on_seeded_products():
+    rng = random.Random(15)
+    powered = 0
+    for q in WEIL_PATH_QS:
+        bound = math.isqrt(4 * q)
+        blocks = [(1, IntPoly([q, -a, 1])) for a in range(-bound, bound + 1)]
+        blocks += [(2, IntPoly(P.coeffs)) for P in _genus2_box(q) if is_weil(P)]
+        for g in (3, 4):
+            for _ in range(12):
+                P, real = _weil_product(rng, q, g, blocks)
+                assert is_weil(P)
+                fs = simplicity._weil_factors(P)
+                assert fs == _generic_factors(P), P
+                powered += dict(fs)[real] >= 4
+    # 107 of the 240 hold (y -+ 2 sqrt(q))^e or (y^2 - 4q)^e with e >= 2
+    assert powered > 50
+
+
+# x^4 - 3x^3 + 2x^2 - 9x + 9 = (x - 1)(x - 3)(x^2 + x + 3) over q = 3: its
+# real polynomial (y - 4)(y + 1) lifts to the reducible x^2 - 4x + 3
+NON_WEIL_2 = WeilPolynomial(q=3, g=2, coeffs=(9, -9, 2, -3, 1))
+NON_WEIL_1 = WeilPolynomial(q=3, g=1, coeffs=(3, -4, 1))
+
+
+def test_non_weil_polynomials_are_factored_at_full_degree():
+    assert not is_weil(NON_WEIL_2) and not is_weil(NON_WEIL_1)
+    want = [(IntPoly([-3, 1]), 1), (IntPoly([-1, 1]), 1), (IntPoly([3, 1, 1]), 1)]
+    assert simplicity._weil_factors(NON_WEIL_2) == want
+    assert classify(NON_WEIL_2) == SimplicityVerdict(kind=NOT_SIMPLE, factors=tuple(want))
+    v = classify(NON_WEIL_1)
+    assert v == SimplicityVerdict(
+        kind=NOT_SIMPLE, factors=((IntPoly([-3, 1]), 1), (IntPoly([-1, 1]), 1))
+    )
+    assert verify_verdict(NON_WEIL_1, v)
+    assert not elliptic_torus_test(NON_WEIL_1)
+
+
+def test_weil_path_checks_the_product(monkeypatch):
+    # a factor of h that lifts wrongly is caught by the product check
+    P = WeilPolynomial(q=5, g=2, coeffs=(25, 0, 6, 0, 1))  # h = y^2 - 4
+    monkeypatch.setattr(simplicity, "factor", lambda f: (1, [(IntPoly([-2, 1]), 2)]))
+    with pytest.raises(InvariantViolation):
+        simplicity._weil_factors(P)
 
 
 def test_verdict_json_roundtrip():
