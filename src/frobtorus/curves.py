@@ -7,8 +7,11 @@ h = 0 in odd characteristic; the h-root criterion in characteristic 2) by
 one gcd d in F_q[x] (gf.pgcd), whose roots are exactly the singular x.  A
 singular equation raises Singular at once; its witness point, the first
 root of d by rep over the first F_{q^m} that holds one, is searched for
-only when the exception's witness is first read, so a survey that skips
-singular equations never searches.  Counting is batched (count_batch):
+only when the exception's witness is first read.  A survey screens its
+equations a block at a time instead (smoothness_gcd_degrees: the degree of
+the same gcd for every row of two coefficient arrays over F_p, by one
+lockstep Euclid in numpy) and validates only those that pass, so it builds
+no Singular and never searches.  Counting is batched (count_batch):
 the f (and h) of many curves are evaluated at every x of the field at once
 (gf.evaluations, one matmul per block of x), and the y over each x are
 counted from the value alone: the quadratic character (parity of the log)
@@ -127,6 +130,75 @@ def _singular_point(base: gf.FieldSpec, d: list, f: list):
                 y0 = gf.power(ext, fx, ext.q // 2)
             return m, gf.digits(ext, x0), gf.digits(ext, y0)
     return None
+
+
+def smoothness_gcd_degrees(p: int, h: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The degree of validate_curve's smoothness gcd over the prime field
+    F_p for each row of the (B, W) low-to-high code arrays h and f: a row's
+    equation is singular exactly when its degree is positive.
+
+    Odd p takes gcd(f, f') and ignores h; p = 2 takes gcd(h, h'^2 f + f'^2).
+    Rows may carry trailing zero coefficients, and the degrees of their
+    polynomials may differ from row to row.
+    """
+    fd = _rows_deriv(f, p)
+    if p != 2:
+        return _gcd_degrees(f, fd, p)
+    hd = _rows_deriv(h, p)
+    a, b = _rows_mul(_rows_mul(hd, hd, p), f, p), _rows_mul(fd, fd, p)
+    if a.shape[1] < b.shape[1]:
+        a, b = b, a
+    a[:, :b.shape[1]] += b
+    return _gcd_degrees(a % p, h, p)
+
+
+def _rows_deriv(a: np.ndarray, p: int) -> np.ndarray:
+    # the derivative of each row, one column narrower
+    return a[:, 1:] * np.arange(1, a.shape[1]) % p
+
+
+def _rows_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    # the product of each row of a with the same row of b, one column per
+    # term of a
+    out = np.zeros((len(a), max(a.shape[1] + b.shape[1] - 1, 0)), dtype=np.int64)
+    for i in range(a.shape[1]):
+        out[:, i:i + b.shape[1]] += a[:, i:i + 1] * b
+    return out % p
+
+
+def _gcd_degrees(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """deg gcd(a_r, b_r) over F_p for each row r (-1 where both are 0).
+
+    One Euclid runs on every row in lockstep, on formal degrees da and db,
+    with each row's coefficients held top first.  A step first swaps the
+    rows with da < db, then strips B's zero top where it has one, and
+    elsewhere replaces A by lead(B) A - lead(A) x^(da-db) B, whose x^da
+    term cancels; lead(B) is a unit, so the gcd is unchanged.  Either
+    action lowers da + db by one, so da + db + 2 steps empty every B, and
+    A is then the gcd.
+    """
+    n, da, db = len(a), a.shape[1] - 1, b.shape[1] - 1
+    steps = da + db + 2
+    A = np.zeros((n, max(da, db) + 1), dtype=np.int64)
+    B = np.zeros_like(A)
+    A[:, :da + 1] = a[:, ::-1]
+    B[:, :db + 1] = b[:, ::-1]
+    da, db = np.full(n, da), np.full(n, db)
+    zero = np.zeros((n, 1), dtype=np.int64)
+    for _ in range(steps):
+        swap = (da < db)[:, None]
+        A, B = np.where(swap, B, A), np.where(swap, A, B)
+        da, db = np.maximum(da, db), np.minimum(da, db)
+        la, lb = A[:, :1], B[:, :1]
+        strip = lb == 0
+        reduced = (lb * A[:, 1:] - la * B[:, 1:]) % p
+        A = np.where(strip, A, np.concatenate((reduced, zero), axis=1))
+        B = np.where(strip, np.concatenate((B[:, 1:], zero), axis=1), B)
+        strip = strip[:, 0]
+        da = da - ~strip
+        db = db - strip
+    nonzero = A != 0
+    return np.where(nonzero.any(axis=1), da - nonzero.argmax(axis=1), -1)
 
 
 @functools.lru_cache(maxsize=None)

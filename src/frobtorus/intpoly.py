@@ -45,7 +45,7 @@ class IntPoly:
                 raise TypeError(f"integer coefficients only, got {type(c).__name__}")
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _set_coeffs(self, tuple(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
@@ -75,36 +75,36 @@ class IntPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPoly(out)
+        return _poly(out)
 
     def __sub__(self, other):
         out = list(self.coeffs) + [0] * (len(other.coeffs) - len(self.coeffs))
         for i, c in enumerate(other.coeffs):
             out[i] -= c
-        return IntPoly(out)
+        return _poly(out)
 
     def __neg__(self):
-        return IntPoly([-c for c in self.coeffs])
+        return _poly([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntPoly([other * c for c in self.coeffs])
+            return _poly([other * c for c in self.coeffs])
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return IntPoly()
+            return _poly([])
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return IntPoly(out)
+        return _poly(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = IntPoly([1])
+        result = _poly([1])
         base = self
         while e:
             if e & 1:
@@ -130,7 +130,7 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)})"
 
     def derivative(self) -> "IntPoly":
-        return IntPoly([i * self.coeffs[i] for i in range(1, len(self.coeffs))])
+        return _poly([i * self.coeffs[i] for i in range(1, len(self.coeffs))])
 
     def content(self) -> int:
         return math.gcd(*self.coeffs) if self.coeffs else 0
@@ -142,11 +142,25 @@ class IntPoly:
         c = self.content()
         if self.lc < 0:
             c = -c
-        return IntPoly([x // c for x in self.coeffs])
+        return _poly([x // c for x in self.coeffs])
 
     def shift_scale(self, b: int) -> "IntPoly":
         """The polynomial f(b*x)."""
         return IntPoly([c * b ** i for i, c in enumerate(self.coeffs)])
+
+
+_new = object.__new__
+_set_coeffs = IntPoly.coeffs.__set__
+
+
+def _poly(cs: list) -> IntPoly:
+    """IntPoly(cs) for a list of ints that this module built itself: cs is
+    trimmed in place, and the public constructor's type check is skipped."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    out = _new(IntPoly)
+    _set_coeffs(out, tuple(cs))
+    return out
 
 
 def divmod_exact(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
@@ -168,7 +182,7 @@ def divmod_exact(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
     rem = list(a.coeffs)
     db, lc = b.degree, b.lc
     if len(rem) - 1 < db:
-        return IntPoly(), a
+        return _poly([]), a
     quo = [0] * (len(rem) - db)
     for d in range(len(rem) - 1 - db, -1, -1):
         c = rem[d + db]
@@ -180,7 +194,7 @@ def divmod_exact(a: IntPoly, b: IntPoly) -> tuple[IntPoly, IntPoly]:
             quo[d] = c
             for i, cb in enumerate(b.coeffs):
                 rem[d + i] -= c * cb
-    return IntPoly(quo), IntPoly(rem[:db])
+    return _poly(quo), _poly(rem[:db])
 
 
 def root_power_sums(f: IntPoly, K: int) -> list[int]:
@@ -250,8 +264,8 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
         return g.coeffs[0] ** f.degree
     a_cont = f.content() * (1 if f.lc > 0 else -1)
     b_cont = g.content() * (1 if g.lc > 0 else -1)
-    A = IntPoly([c // a_cont for c in f.coeffs])
-    B = IntPoly([c // b_cont for c in g.coeffs])
+    A = _poly([c // a_cont for c in f.coeffs])
+    B = _poly([c // b_cont for c in g.coeffs])
     t = a_cont ** g.degree * b_cont ** f.degree
     s = 1
     if A.degree < B.degree:
@@ -270,7 +284,7 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
         denom = gg * hh ** delta
         if any(c % denom for c in R.coeffs):
             raise AssertionError("subresultant division not exact")
-        B = IntPoly([c // denom for c in R.coeffs])
+        B = _poly([c // denom for c in R.coeffs])
         gg = A.lc
         if delta > 0:
             hh = gg ** delta // hh ** (delta - 1)
@@ -312,7 +326,7 @@ def resultant_y(f: IntPoly, g_y: list[IntPoly]) -> IntPoly:
             val = lcf ** m * gt[0] ** f.degree
         else:
             mp = len(gt) - 1
-            val = lcf ** (m - mp) * resultant(f, IntPoly(gt))
+            val = lcf ** (m - mp) * resultant(f, _poly(gt))
         pts.append((t, val))
         if len(pts) == npts:
             break
@@ -351,7 +365,7 @@ def _interpolate(points: list[tuple[int, int]]) -> IntPoly:
             acc[idx] += c * scale
     if any(c.denominator != 1 for c in acc):
         raise ValueError("division is not exact over the integers")
-    return IntPoly([c.numerator for c in acc])
+    return _poly([c.numerator for c in acc])
 
 
 def gcd(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -378,7 +392,7 @@ def squarefree_part(f: IntPoly) -> IntPoly:
     if f.is_zero:
         raise ZeroPolynomial("squarefree part of zero polynomial")
     if f.degree == 0:
-        return IntPoly([1])
+        return _poly([1])
     g = gcd(f, f.derivative())
     q, _ = divmod_exact(f, g)
     return q.primitive()
@@ -519,11 +533,11 @@ def _zassenhaus_squarefree(F: IntPoly, known: tuple[int, bool] | None) -> list[I
         s = math.isqrt(disc) if disc > 0 else 0
         if s * s != disc:
             return [F]
-        roots = (IntPoly([b - s, 2 * a]).primitive(), IntPoly([b + s, 2 * a]).primitive())
+        roots = (_poly([b - s, 2 * a]).primitive(), _poly([b + s, 2 * a]).primitive())
         return sorted(roots, key=lambda h: h.coeffs)
     b = F.lc
     # monic transform: b^(n-1) * F(x/b); leading term becomes 1 exactly
-    Fm = IntPoly([c * b ** (n - 1 - i) for i, c in enumerate(F.coeffs[:-1])] + [1])
+    Fm = _poly([c * b ** (n - 1 - i) for i, c in enumerate(F.coeffs[:-1])] + [1])
     # factor degrees allowed by the ddf of up to three primes; none left
     # proves F irreducible
     allowed = (1 << n) - 2
@@ -555,7 +569,7 @@ def _zassenhaus_squarefree(F: IntPoly, known: tuple[int, bool] | None) -> list[I
                 prod = [1]
                 for i in combo:
                     prod = _fpx.mul(prod, lifted[i], modulus)
-                cand = IntPoly([_sym(c, modulus) for c in prod])
+                cand = _poly([_sym(c, modulus) for c in prod])
                 quo, rem2 = divmod_exact(target, cand)
                 if rem2.is_zero:
                     found_monic.append(cand)
@@ -599,7 +613,7 @@ def factor(f: IntPoly) -> tuple[int, list[tuple[IntPoly, int]]]:
         S = squarefree_part(F)
         known = (p, False) if S == F else None
         out = [(irr, _multiplicity(F, irr)) for irr in _zassenhaus_squarefree(S, known)]
-    prod = IntPoly([unit])
+    prod = _poly([unit])
     for irr, mult in out:
         prod = prod * irr ** mult
     if prod != f:
@@ -617,8 +631,8 @@ def cyclotomic(m: int) -> IntPoly:
     if m < 1:
         raise ValueError("m must be positive")
     if m == 1:
-        return IntPoly([-1, 1])
-    num = IntPoly([0] * m + [1]) - IntPoly([1])
+        return _poly([-1, 1])
+    num = _poly([0] * m + [1]) - _poly([1])
     for d in range(1, m):
         if m % d == 0:
             num, r = divmod_exact(num, cyclotomic(d))

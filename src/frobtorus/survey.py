@@ -1,6 +1,6 @@
-"""Curve-family surveys: enumerate equations, count the valid curves in
-batches, classify each curve, persist JSONL records, and aggregate verdict
-fractions.
+"""Curve-family surveys: enumerate equations, screen them for smoothness a
+block at a time, count the valid curves in batches, classify each curve,
+persist JSONL records, and aggregate verdict fractions.
 
 Persistence is append-only JSONL with a config fingerprint header.  One
 reader serves both resume and report: an interrupted run resumes by skipping
@@ -21,6 +21,8 @@ import sys
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import gf
 from .curves import (
     PointCounts,
@@ -31,6 +33,7 @@ from .curves import (
     equation_text,
     genus_for_degree,
     parse_curve_text,
+    smoothness_gcd_degrees,
     validate_curve,
 )
 from .errors import (
@@ -39,7 +42,6 @@ from .errors import (
     FrobtorusError,
     ParseError,
     ResumeMismatch,
-    Singular,
     SizeExceeded,
 )
 from .intpoly import FACTOR_DEGREE_CAP
@@ -220,35 +222,39 @@ def _result_stream(cfg: SurveyConfig, skip_keys: dict[str, object], limit=None):
     equation text) is built only to look up skip_keys, so a new equation's
     key is None when skip_keys is empty.
 
-    Valid curves are counted BATCH at a time (count_batch), and the events
-    up to the last curve of a batch are yielded after it is counted.  With
-    a limit, the stream ends at the limit-th valid curve, skipped keys
-    included, so no batch holds a curve past it.
+    The equations are screened BATCH at a time by one smoothness kernel
+    (smoothness_gcd_degrees), and only those it passes are validated into
+    curves, so no Singular is raised for the rest.  Valid curves are
+    counted BATCH at a time (count_batch), and the events up to the last
+    curve of a batch are yielded after it is counted.  With a limit, the
+    stream ends at the limit-th valid curve, skipped keys included, so no
+    batch holds a curve past it.
     """
     base = gf.field_create(cfg.p, 1)
     key = None
     events, batch = [], []  # (tag, key, curve or None); the curves
     valid = 0
-    for h, f in enumerate_equations(cfg):
-        if skip_keys:
-            key = equation_text(base, h, f)
-        if key in skip_keys:
-            events.append(("skip", key, None))
-            valid += 1
-        else:
-            try:
-                C = validate_curve(base, h, f, cfg.genus)
-            except Singular:
-                C = None
-            else:
-                batch.append(C)
+    equations = enumerate_equations(cfg)
+    while block := list(itertools.islice(equations, BATCH)):
+        hs, fs = zip(*block)
+        degrees = smoothness_gcd_degrees(cfg.p, np.array(hs), np.array(fs))
+        for (h, f), singular in zip(block, (degrees > 0).tolist()):
+            if skip_keys:
+                key = equation_text(base, h, f)
+            if key in skip_keys:
+                events.append(("skip", key, None))
                 valid += 1
-            events.append(("new", key, C))
-        if len(batch) == BATCH or valid == limit:
-            yield from _counted(events, batch)
-            events, batch = [], []
-            if valid == limit:
-                return
+            else:
+                C = None if singular else validate_curve(base, h, f, cfg.genus)
+                if C is not None:
+                    batch.append(C)
+                    valid += 1
+                events.append(("new", key, C))
+            if len(batch) == BATCH or valid == limit:
+                yield from _counted(events, batch)
+                events, batch = [], []
+                if valid == limit:
+                    return
     yield from _counted(events, batch)
 
 

@@ -13,10 +13,11 @@ from frobtorus.curves import (
     curve_to_text,
     embed,
     genus_for_degree,
+    smoothness_gcd_degrees,
     validate_curve,
 )
 from frobtorus.errors import BadDegrees, ParseError, Singular, SizeExceeded
-from frobtorus.survey import BATCH
+from frobtorus.survey import BATCH, SurveyConfig, enumerate_equations
 from oracles import naive_count, naive_singular_point
 
 
@@ -155,6 +156,62 @@ def test_validate_char2_matches_brute_force_singular_search(k):
         assert found == expected, (h, f)
         outcomes.add(found is None)
     assert outcomes == {True, False}
+
+
+def _screen_disagreements(p, equations):
+    # the equations on which the batched smoothness kernel and
+    # validate_curve disagree about singularity
+    spec = gf.field_create(p)
+    hs, fs = zip(*equations)
+    degrees = smoothness_gcd_degrees(p, np.array(hs), np.array(fs)).tolist()
+    out = []
+    for (h, f), degree in zip(equations, degrees):
+        try:
+            validate_curve(spec, h, f, genus_for_degree(len(f) - 1))
+        except Singular:
+            singular = True
+        else:
+            singular = False
+        if singular != (degree > 0):
+            out.append((h, f))
+    return out
+
+
+@pytest.mark.parametrize(
+    "p,degree",
+    [(3, d) for d in range(3, 9)] + [(5, d) for d in range(3, 7)]
+    + [(7, d) for d in range(3, 6)] + [(2, d) for d in range(3, 9)],
+)
+def test_smoothness_kernel_matches_validate_curve_on_whole_families(p, degree):
+    # p | deg f (3 | 3, 6; 5 | 5) leaves f' a formal leading zero, and
+    # p | deg f - 1 (5 | 6 - 1) zeroes the coefficient of f' just below its
+    # top; in characteristic 2 every h vector of the enumerator is screened,
+    # trailing zeros included
+    cfg = SurveyConfig(p=p, genus=genus_for_degree(degree), degree=degree)
+    equations = list(enumerate_equations(cfg))
+    if p == 2:
+        assert len({h for h, _ in equations}) == 2 ** (cfg.genus + 2) - 1
+    assert _screen_disagreements(p, equations) == []
+
+
+def test_smoothness_kernel_on_f_with_vanishing_derivative():
+    # f = x^6 + a x^3 + b over F_3: f' = 0, so gcd(f, f') = f, degree 6
+    equations = [((), (b, 0, 0, a, 0, 0, 1)) for a in range(3) for b in range(3)]
+    hs, fs = zip(*equations)
+    degrees = smoothness_gcd_degrees(3, np.array(hs), np.array(fs))
+    assert degrees.tolist() == [6] * 9
+    assert _screen_disagreements(3, equations) == []
+
+
+def test_smoothness_kernel_gcd_degrees():
+    # (x - 1)^2 (x + 1) over F_5: gcd(f, f') = x - 1; x^3 - x is squarefree;
+    # y^2 + x y = x^5 over F_2 has gcd(h, h'^2 f + f'^2) = gcd(x, x^5 + x^4)
+    f = np.array([[1, 4, 4, 1], [0, 4, 0, 1]])
+    assert smoothness_gcd_degrees(5, np.zeros((2, 0), dtype=int), f).tolist() == [1, 0]
+    # y^2 + y = f has h' = 0 and gcd(1, f'^2) = 1
+    h = np.array([[0, 1], [1, 0]])
+    f = np.array([[0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 1]])
+    assert smoothness_gcd_degrees(2, h, f).tolist() == [1, 0]
 
 
 def _linear(spec, r):

@@ -6,7 +6,13 @@ from unittest import mock
 import pytest
 
 from frobtorus import gf, simplicity, survey
-from frobtorus.curves import PointCounts, count_points, curve_from_text, equation_text
+from frobtorus.curves import (
+    PointCounts,
+    count_points,
+    curve_from_text,
+    equation_text,
+    validate_curve,
+)
 from frobtorus.errors import (
     BadDegrees,
     CorruptRecord,
@@ -603,3 +609,92 @@ def test_find_hits_are_the_first_absolutely_simple_golden_records():
     buf = io.StringIO()
     assert run_find(SurveyConfig(p=3, genus=2, degree=5), 7, stream=buf) == 7
     assert _strip_timing(buf.getvalue().splitlines()) == hits[:7]
+
+
+# -- block screening -------------------------------------------------------
+
+
+def _oracle(cfg):
+    # the survey one equation at a time: validate_curve, then curve_record
+    # on each curve it accepts; (enumeration index, record) pairs
+    base = field_create(cfg.p)
+    out = []
+    for i, (h, f) in enumerate(enumerate_equations(cfg)):
+        try:
+            C = validate_curve(base, h, f, cfg.genus)
+        except Singular:
+            continue
+        out.append((i, curve_record(C)))
+    return out
+
+
+@pytest.fixture(scope="module", params=[(2, 2, 5), (5, 1, 4)], ids=["p2", "p5"])
+def screened_family(request):
+    p, genus, degree = request.param
+    cfg = SurveyConfig(p=p, genus=genus, degree=degree)
+    return cfg, _oracle(cfg)
+
+
+def test_screened_survey_matches_the_per_equation_path(screened_family):
+    cfg, oracle = screened_family
+    buf = io.StringIO()
+    summary = run_survey(cfg, stream=buf)
+    total = sum(1 for _ in enumerate_equations(cfg))
+    assert _records(buf.getvalue()) == _strip_timing(
+        json.dumps(rec) for _, rec in oracle)
+    assert (summary["enumerated"], summary["singular_skipped"]) == (
+        total, total - len(oracle))
+
+
+def test_screened_survey_limit_inside_a_later_block(screened_family):
+    # the limit-th curve lies past the first screening block: the survey
+    # stops at its equation
+    cfg, oracle = screened_family
+    limit = next(n for n, (i, _) in enumerate(oracle, 1) if i >= survey.BATCH + 3)
+    buf = io.StringIO()
+    summary = run_survey(
+        SurveyConfig(p=cfg.p, genus=cfg.genus, degree=cfg.degree, limit=limit),
+        stream=buf,
+    )
+    assert _records(buf.getvalue()) == _strip_timing(
+        json.dumps(rec) for _, rec in oracle[:limit])
+    assert summary["enumerated"] == oracle[limit - 1][0] + 1
+    assert summary["singular_skipped"] == summary["enumerated"] - limit
+
+
+def test_screened_survey_resumes_a_file_cut_inside_a_block(
+    screened_family, tmp_path
+):
+    cfg, oracle = screened_family
+    path = tmp_path / "s.jsonl"
+    run_survey(cfg, out_path=str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    # the cut record's equation lies inside the second screening block
+    cut = 1 + next(n for n, (i, _) in enumerate(oracle) if i > survey.BATCH + 5)
+    path.write_text("".join(lines[:cut]) + lines[cut][:20])
+    summary = run_survey(cfg, out_path=str(path))
+    assert _records(path.read_text()) == _strip_timing(
+        json.dumps(rec) for _, rec in oracle)
+    assert summary["singular_skipped"] == summary["enumerated"] - len(oracle)
+
+
+def test_screened_find_hits_match_the_per_equation_path(screened_family):
+    cfg, oracle = screened_family
+    hits = [rec for _, rec in oracle
+            if rec["verdict"]["kind"] == "AbsolutelySimple"]
+    buf = io.StringIO()
+    assert run_find(cfg, len(hits), stream=buf) == len(hits)
+    assert _strip_timing(buf.getvalue().splitlines()) == _strip_timing(
+        json.dumps(rec) for rec in hits)
+
+
+def test_survey_validates_only_the_equations_the_screen_passes(monkeypatch):
+    # survey_sieve's family: 2,516 equations to reach 100 curves
+    calls = []
+    validate = survey.validate_curve
+    monkeypatch.setattr(
+        survey, "validate_curve", lambda *args: calls.append(args) or validate(*args)
+    )
+    summary = run_survey(SurveyConfig(p=7, genus=2, degree=6, limit=100),
+                         stream=io.StringIO())
+    assert (summary["enumerated"], len(calls)) == (2516, 100)
