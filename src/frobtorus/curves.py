@@ -7,11 +7,12 @@ h = 0 in odd characteristic; the h-root criterion in characteristic 2) by
 one gcd d in F_q[x] (gf.pgcd), whose roots are exactly the singular x.  A
 singular equation raises Singular at once; its witness point, the first
 root of d by rep over the first F_{q^m} that holds one, is searched for
-only when the exception's witness is first read.  A survey screens its
-equations a block at a time instead (smoothness_gcd_degrees: the degree of
-the same gcd for every row of two coefficient arrays over F_p, by one
-lockstep Euclid in numpy) and validates only those that pass, so it builds
-no Singular and never searches.  Counting is batched (count_batch):
+only when the exception's witness is first read.  validate_curve is the
+door for outside input.  A survey decides its equations a block at a time
+instead (smooth_curves: one smoothness_gcd_degrees call, the degree of the
+same gcd for every row of two coefficient arrays over F_p by one lockstep
+Euclid in numpy, and a curve for each row it passes), so it builds no
+Singular and never searches.  Counting is batched (count_batch):
 the f (and h) of many curves are evaluated at every x of the field at once
 (gf.evaluations, one matmul per block of x), and the y over each x are
 counted from the value alone: the quadratic character (parity of the log)
@@ -74,14 +75,15 @@ def genus_for_degree(d: int) -> int:
 def validate_curve(base: gf.FieldSpec, h, f, g: int) -> HyperellipticCurve:
     """Check degrees and nonsingularity; normalize into a curve value.
 
-    h and f are sequences of coefficient codes in [0, q), low-to-high;
-    any other coefficient raises ValueError.
+    h and f are sequences of int coefficient codes in [0, q), low-to-high;
+    any other coefficient, a bool included, raises ValueError.
     """
     h = _fpx.trim(list(h))
     f = _fpx.trim(list(f))
     cs = h + f
     if not all(map(isinstance, cs, itertools.repeat(int))) or (
-        cs and (min(cs) < 0 or max(cs) >= base.q)
+        any(map(isinstance, cs, itertools.repeat(bool)))
+        or cs and (min(cs) < 0 or max(cs) >= base.q)
     ):
         raise ValueError(f"coefficient codes must be ints in [0, {base.q})")
     if g < 1:
@@ -150,6 +152,26 @@ def smoothness_gcd_degrees(p: int, h: np.ndarray, f: np.ndarray) -> np.ndarray:
         a, b = b, a
     a[:, :b.shape[1]] += b
     return _gcd_degrees(a % p, h, p)
+
+
+def smooth_curves(base: gf.FieldSpec, equations, g: int) -> list:
+    """The curve of each (h, f) of equations over the prime field base, or
+    None where the equation is singular, from one smoothness_gcd_degrees
+    call on the whole block.
+
+    The equations must meet validate_curve's degree rules for genus g, as
+    a survey's do by construction; h may carry trailing zeros and f must
+    be monic.  Each curve is the one validate_curve returns: h trimmed and
+    f a tuple.
+    """
+    hs, fs = zip(*equations)
+    degrees = smoothness_gcd_degrees(base.p, np.array(hs), np.array(fs))
+    return [
+        None if degree > 0
+        else HyperellipticCurve(base=base, h=tuple(_fpx.trim(list(h))),
+                                f=tuple(f), genus=g)
+        for (h, f), degree in zip(equations, degrees.tolist())
+    ]
 
 
 def _rows_deriv(a: np.ndarray, p: int) -> np.ndarray:

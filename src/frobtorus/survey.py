@@ -1,4 +1,4 @@
-"""Curve-family surveys: enumerate equations, screen them for smoothness a
+"""Curve-family surveys: enumerate equations, decide their smoothness a
 block at a time, count the valid curves in batches, classify each curve,
 persist JSONL records, and aggregate verdict fractions.
 
@@ -21,8 +21,6 @@ import sys
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import gf
 from .curves import (
     PointCounts,
@@ -33,8 +31,8 @@ from .curves import (
     equation_text,
     genus_for_degree,
     parse_curve_text,
-    smoothness_gcd_degrees,
-    validate_curve,
+    smooth_curves,
+    validate_curve,  # noqa: F401  (perfbench/tracing.py hooks this name)
 )
 from .errors import (
     BadDegrees,
@@ -61,7 +59,8 @@ from .zeta import weil_from_json, weil_to_json
 FORMAT = "frobtorus-survey-v1"
 KIND_ORDER = (ABSOLUTELY_SIMPLE, NOT_SIMPLE, NOT_ABSOLUTELY_SIMPLE, INCONCLUSIVE)
 BIAS_NOTE = "empirical fraction over equations, not isomorphism classes"
-# valid curves counted together by one count_batch call
+# equations screened together by one smooth_curves call, and valid curves
+# counted together by one count_batch call
 BATCH = 256
 
 
@@ -222,9 +221,9 @@ def _result_stream(cfg: SurveyConfig, skip_keys: dict[str, object], limit=None):
     equation text) is built only to look up skip_keys, so a new equation's
     key is None when skip_keys is empty.
 
-    The equations are screened BATCH at a time by one smoothness kernel
-    (smoothness_gcd_degrees), and only those it passes are validated into
-    curves, so no Singular is raised for the rest.  Valid curves are
+    The equations are decided BATCH at a time by one smooth_curves call,
+    which builds the curve of each one it passes; it is the stream's only
+    smoothness decision, and no Singular is raised.  Valid curves are
     counted BATCH at a time (count_batch), and the events up to the last
     curve of a batch are yielded after it is counted.  With a limit, the
     stream ends at the limit-th valid curve, skipped keys included, so no
@@ -236,16 +235,13 @@ def _result_stream(cfg: SurveyConfig, skip_keys: dict[str, object], limit=None):
     valid = 0
     equations = enumerate_equations(cfg)
     while block := list(itertools.islice(equations, BATCH)):
-        hs, fs = zip(*block)
-        degrees = smoothness_gcd_degrees(cfg.p, np.array(hs), np.array(fs))
-        for (h, f), singular in zip(block, (degrees > 0).tolist()):
+        for (h, f), C in zip(block, smooth_curves(base, block, cfg.genus)):
             if skip_keys:
                 key = equation_text(base, h, f)
             if key in skip_keys:
                 events.append(("skip", key, None))
                 valid += 1
             else:
-                C = None if singular else validate_curve(base, h, f, cfg.genus)
                 if C is not None:
                     batch.append(C)
                     valid += 1

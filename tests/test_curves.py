@@ -13,6 +13,7 @@ from frobtorus.curves import (
     curve_to_text,
     embed,
     genus_for_degree,
+    smooth_curves,
     smoothness_gcd_degrees,
     validate_curve,
 )
@@ -159,20 +160,21 @@ def test_validate_char2_matches_brute_force_singular_search(k):
 
 
 def _screen_disagreements(p, equations):
-    # the equations on which the batched smoothness kernel and
-    # validate_curve disagree about singularity
+    # the equations of one degree on which validate_curve disagrees with the
+    # batched smoothness kernel about singularity, or with smooth_curves
+    # about the curve (None where validate_curve raises Singular)
     spec = gf.field_create(p)
+    g = genus_for_degree(len(equations[0][1]) - 1)
     hs, fs = zip(*equations)
     degrees = smoothness_gcd_degrees(p, np.array(hs), np.array(fs)).tolist()
+    curves = smooth_curves(spec, equations, g)
     out = []
-    for (h, f), degree in zip(equations, degrees):
+    for (h, f), degree, C in zip(equations, degrees, curves):
         try:
-            validate_curve(spec, h, f, genus_for_degree(len(f) - 1))
+            expected = validate_curve(spec, h, f, g)
         except Singular:
-            singular = True
-        else:
-            singular = False
-        if singular != (degree > 0):
+            expected = None
+        if (expected is None) != (degree > 0) or C != expected:
             out.append((h, f))
     return out
 
@@ -186,11 +188,13 @@ def test_smoothness_kernel_matches_validate_curve_on_whole_families(p, degree):
     # p | deg f (3 | 3, 6; 5 | 5) leaves f' a formal leading zero, and
     # p | deg f - 1 (5 | 6 - 1) zeroes the coefficient of f' just below its
     # top; in characteristic 2 every h vector of the enumerator is screened,
-    # trailing zeros included
+    # and smooth_curves trims those with trailing zeros
     cfg = SurveyConfig(p=p, genus=genus_for_degree(degree), degree=degree)
     equations = list(enumerate_equations(cfg))
     if p == 2:
-        assert len({h for h, _ in equations}) == 2 ** (cfg.genus + 2) - 1
+        hs = {h for h, _ in equations}
+        assert len(hs) == 2 ** (cfg.genus + 2) - 1
+        assert sum(h[-1] == 0 for h in hs) == 2 ** (cfg.genus + 1) - 1
     assert _screen_disagreements(p, equations) == []
 
 
@@ -260,9 +264,13 @@ def test_validate_odd_char_extension_field(p, k):
 
 def test_validate_rejects_codes_outside_the_field():
     spec = gf.field_create(3, 2)
-    for bad in (9, -1):
+    # a bool is an int to isinstance, but no curve text spells True; in f's
+    # leading slot it would also pass the monic check (True == 1)
+    for bad in (9, -1, True):
         with pytest.raises(ValueError):
             validate_curve(spec, [], [bad, 1, 0, 1], 1)
+        with pytest.raises(ValueError):
+            validate_curve(spec, [], [1, 1, 0, bad], 1)
 
 
 def test_count_points_elliptic_known_values():

@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from frobtorus import gf, simplicity, survey
+from frobtorus import curves, gf, simplicity, survey
 from frobtorus.curves import (
     PointCounts,
     count_points,
@@ -688,13 +688,47 @@ def test_screened_find_hits_match_the_per_equation_path(screened_family):
         json.dumps(rec) for rec in hits)
 
 
-def test_survey_validates_only_the_equations_the_screen_passes(monkeypatch):
-    # survey_sieve's family: 2,516 equations to reach 100 curves
-    calls = []
-    validate = survey.validate_curve
-    monkeypatch.setattr(
-        survey, "validate_curve", lambda *args: calls.append(args) or validate(*args)
-    )
+def _smoothness_calls(monkeypatch):
+    # calls of the scalar validation (through either module), of the scalar
+    # gcd it runs, and of the batched kernel
+    calls = {"validate_curve": 0, "pgcd": 0, "smoothness_gcd_degrees": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, call)
+
+    counted(survey, "validate_curve")
+    counted(curves, "validate_curve")
+    counted(gf, "pgcd")
+    counted(curves, "smoothness_gcd_degrees")
+    return calls
+
+
+def test_survey_decides_smoothness_once_per_block(monkeypatch):
+    # survey_sieve's family: 2,516 equations to reach 100 curves, decided by
+    # one kernel call per block of BATCH and by nothing else
+    calls = _smoothness_calls(monkeypatch)
     summary = run_survey(SurveyConfig(p=7, genus=2, degree=6, limit=100),
                          stream=io.StringIO())
-    assert (summary["enumerated"], len(calls)) == (2516, 100)
+    assert summary["enumerated"] == 2516
+    assert calls == {"validate_curve": 0, "pgcd": 0, "smoothness_gcd_degrees": 10}
+
+
+@pytest.mark.parametrize("p,degree,blocks", [(3, 5, 1), (2, 5, 2)])
+def test_survey_and_find_decide_smoothness_once_per_block(
+    monkeypatch, p, degree, blocks
+):
+    # the golden family (243 equations) and p=2 g=2 deg5 (480), run through
+    # to the end by both survey and find
+    cfg = SurveyConfig(p=p, genus=2, degree=degree)
+    calls = _smoothness_calls(monkeypatch)
+    run_survey(cfg, stream=io.StringIO())
+    assert calls == {"validate_curve": 0, "pgcd": 0,
+                     "smoothness_gcd_degrees": blocks}
+    run_find(cfg, 10 ** 6, stream=io.StringIO())
+    assert calls == {"validate_curve": 0, "pgcd": 0,
+                     "smoothness_gcd_degrees": 2 * blocks}
