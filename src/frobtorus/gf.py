@@ -8,24 +8,31 @@ coefficients of t^0 .. t^(k-1) (``digits``), read as base-p digits, low
 digit first.  Over a prime field the code is the residue itself.
 
 Scalar arithmetic on codes (``add``, ``mul``, ``power``, ``evaluate``) is
-_fpx arithmetic on the digit lists modulo the field modulus.  Polynomials
+arithmetic mod p over a prime field.  Over F_{p^k} it is table lookups in
+the field's log tables (below): a product is exp[log a + log b] and a power
+exp[e log a], exponents mod q - 1; a sum is the XOR of the codes for p = 2,
+and g^i + g^j = g^i (1 + g^(j-i)) by the Zech table for odd p.  Polynomials
 over the field are lists of codes, low-to-high, trimmed; ``padd``,
 ``pmul``, ``pderiv`` and ``pgcd`` are _fpx's own routines over a prime
-field and one schoolbook Euclid on the scalar operations otherwise, and the
-curve module runs its singularity checks on them.
+field and schoolbook loops on the tables otherwise, fetched once per
+call; the curve module runs its singularity checks on them.
 
 For whole-field work ``log_tables`` holds int32 exp/log tables to a fixed
 primitive element, the digits of each power and, for p = 2, its absolute
-trace.  ``evaluations`` evaluates a batch of polynomials, given as codes of
-the field itself, at every element, block by block of x, by one exact
-matmul per block; point counting and root finding (``poly_roots``:
-singularity witnesses, coefficient embeddings) both run on it.
+trace; for odd p the Zech table is built on the first scalar addition.
+The tables are built by _fpx arithmetic on digit lists modulo the field
+modulus, the one place where the package still multiplies digit lists.
+``evaluations`` evaluates a batch of polynomials, given as codes of the
+field itself, at every element, block by block of x, by one exact matmul
+per block; point counting and root finding (``poly_roots``: singularity
+witnesses, coefficient embeddings) both run on it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +93,8 @@ def _field_create(p: int, k: int) -> FieldSpec:
 
 
 # ---------------------------------------------------------------------------
-# Elements as codes.  Every scalar operation is _fpx arithmetic on the digit
-# lists, modulo the field modulus.
+# Elements as codes.  Over a prime field a code is the residue itself; over
+# F_{p^k} every scalar operation reads the field's log tables.
 
 def code(spec: FieldSpec, coeffs) -> int:
     """Code of the element sum c_i t^i; the ints are reduced mod p, then
@@ -115,18 +122,55 @@ def digits(spec: FieldSpec, n: int) -> tuple:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _tables(spec: FieldSpec) -> tuple:
+    # (exp, log, q - 1) of a proper extension, the tables as memoryviews: a
+    # lookup returns a Python int, where a numpy scalar is several times
+    # slower and log a * e would wrap in int32
+    T = log_tables(spec)
+    return memoryview(T.exp), memoryview(T.log), spec.q - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _adder(spec: FieldSpec):
+    # addition on the codes of a proper extension: XOR of the digit bits for
+    # p = 2; for odd p, g^i + g^j = g^i (1 + g^(j-i)) through the Zech table
+    if spec.p == 2:
+        return operator.xor
+    exp, log, n = _tables(spec)
+    zech = memoryview(log_tables(spec).zech)
+
+    def add(a: int, b: int) -> int:
+        if not a or not b:
+            return a or b
+        la = log[a]
+        z = zech[(log[b] - la) % n]
+        return exp[(la + z) % n] if z >= 0 else 0
+
+    return add
+
+
 def add(spec: FieldSpec, a: int, b: int) -> int:
-    return code(spec, [x + y for x, y in zip(digits(spec, a), digits(spec, b))])
+    if spec.k == 1:
+        return (a + b) % spec.p
+    return _adder(spec)(a, b)
 
 
 def mul(spec: FieldSpec, a: int, b: int) -> int:
-    return code(spec, _fpx.mul(digits(spec, a), digits(spec, b), spec.p))
+    if spec.k == 1:
+        return a * b % spec.p
+    exp, log, n = _tables(spec)
+    return exp[(log[a] + log[b]) % n] if a and b else 0
 
 
 def power(spec: FieldSpec, a: int, e: int) -> int:
-    """a**e for e >= 0."""
-    m = list(spec.modulus)
-    return code(spec, _fpx.pow_mod(list(digits(spec, a)), e, m, spec.p))
+    """a**e for e >= 0, with 0**0 = 1."""
+    if spec.k == 1:
+        return pow(a, e, spec.p)
+    if not a:
+        return 0 if e else 1
+    exp, log, n = _tables(spec)
+    return exp[log[a] * e % n]
 
 
 def evaluate(spec: FieldSpec, a: list, x: int) -> int:
@@ -140,13 +184,13 @@ def evaluate(spec: FieldSpec, a: list, x: int) -> int:
 # ---------------------------------------------------------------------------
 # F_q[x] on code lists, low-to-high, trimmed.  Over a prime field a code is
 # the residue itself and these are _fpx's routines; over F_{p^k} they run
-# the same schoolbook loops on the scalar operations above.
+# schoolbook loops on the log tables, fetched once per call.
 
 def padd(spec: FieldSpec, a: list, b: list) -> list:
     if spec.k == 1:
         return _fpx.add(a, b, spec.p)
-    pairs = itertools.zip_longest(a, b, fillvalue=0)
-    return _fpx.trim([add(spec, x, y) for x, y in pairs])
+    add = _adder(spec)
+    return _fpx.trim([add(x, y) for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 
 def pmul(spec: FieldSpec, a: list, b: list) -> list:
@@ -154,38 +198,52 @@ def pmul(spec: FieldSpec, a: list, b: list) -> list:
         return _fpx.mul(a, b, spec.p)
     if not a or not b:
         return []
+    exp, log, n = _tables(spec)
+    add = _adder(spec)
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = add(spec, out[i + j], mul(spec, x, y))
+                if y:
+                    out[i + j] = add(out[i + j], exp[(log[x] + log[y]) % n])
     return _fpx.trim(out)
 
 
 def pderiv(spec: FieldSpec, a: list) -> list:
     if spec.k == 1:
         return _fpx.deriv(a, spec.p)
-    return _fpx.trim([mul(spec, i % spec.p, a[i]) for i in range(1, len(a))])
+    exp, log, n = _tables(spec)
+    p = spec.p
+    return _fpx.trim([
+        exp[(log[i % p] + log[a[i]]) % n] if i % p and a[i] else 0
+        for i in range(1, len(a))
+    ])
 
 
 def pgcd(spec: FieldSpec, a: list, b: list) -> list:
     """Monic greatest common divisor."""
     if spec.k == 1:
         return _fpx.gcd(a, b, spec.p)
-    a, b = list(a), list(b)
+    exp, log, n = _tables(spec)
+    add = _adder(spec)
+    minus_one = log[spec.p - 1]
+    a, b = _fpx.trim(list(a)), _fpx.trim(list(b))
     while b:
-        # a mod b: add c x^d b, c = -lead(a) / lead(b), until deg a < deg b
-        minus_inv = mul(spec, spec.p - 1, power(spec, b[-1], spec.q - 2))
+        # a mod b: add c x^d b, c = -lead(a) / lead(b), until deg a < deg b;
+        # logs throughout, -1 for a zero coefficient of b
+        lb = [log[y] for y in b]
+        shift = minus_one - lb[-1]
         while len(a) >= len(b):
-            c, d = mul(spec, a[-1], minus_inv), len(a) - len(b)
-            for i, y in enumerate(b):
-                a[d + i] = add(spec, a[d + i], mul(spec, c, y))
+            lc, d = log[a[-1]] + shift, len(a) - len(b)
+            for i, ly in enumerate(lb):
+                if ly >= 0:
+                    a[d + i] = add(a[d + i], exp[(lc + ly) % n])
             _fpx.trim(a)
         a, b = b, a
     if not a:
         return a
-    inv = power(spec, a[-1], spec.q - 2)
-    return [mul(spec, inv, c) for c in a]
+    shift = -log[a[-1]]
+    return [exp[(shift + log[c]) % n] if c else 0 for c in a]
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +257,25 @@ class LogTables:
     exp[n] is the code of g^n (n < q-1) and exp_digits[:, n] its rep, in
     the narrowest unsigned dtype that holds p-1; log[c] is the n with
     exp[n] = c, and log[0] = -1.  For p = 2, exp_trace[n] is the absolute
-    trace Tr(g^n), 0 or 1; for odd p it is None.  The arrays are read-only.
+    trace Tr(g^n), 0 or 1; for odd p it is None.  For odd p, zech[n] is
+    the Zech logarithm log(1 + g^n), -1 where g^n = -1: 4 q bytes of int32,
+    built on first read, which only scalar addition over a proper extension
+    makes.  The arrays are read-only.
     """
 
+    p: int
     exp: np.ndarray
     log: np.ndarray
     exp_digits: np.ndarray
     exp_trace: np.ndarray | None
+
+    @functools.cached_property
+    def zech(self) -> np.ndarray:
+        # 1 + g^n differs from g^n in digit 0 alone, which wraps mod p
+        d0 = self.exp_digits[0].astype(np.int32)
+        out = self.log[self.exp - d0 + (d0 + 1) % self.p]
+        out.flags.writeable = False
+        return out
 
 
 # the exp table grows in blocks of at most this many elements; each block
@@ -230,16 +300,24 @@ def log_tables(spec: FieldSpec) -> LogTables:
     digits of exp_digits (one byte each for p < 256) and, for p = 2, the
     q bytes of exp_trace."""
     p, k, q, m = spec.p, spec.k, spec.q, spec.q - 1
+    # the scalar operations read these tables, so their bootstrap multiplies
+    # digit lists with _fpx modulo the field modulus
+    modulus = list(spec.modulus)
+
+    def times(a: int, b: int) -> int:
+        return code(spec, _fpx.mul_rem(digits(spec, a), digits(spec, b), modulus, p))
+
     for g in range(1, q):
-        if all(power(spec, g, m // r) != 1 for r in _fpx.prime_divisors(m)):
+        if all(_fpx.pow_mod(list(digits(spec, g)), m // r, modulus, p) != [1]
+               for r in _fpx.prime_divisors(m)):
             break
     exp = np.empty(m, dtype=np.int32)
     exp[0] = 1
     filled = 1
     while filled < m:
         step = min(filled, _BLOCK, m - filled)
-        g_pow = mul(spec, int(exp[filled - 1]), g)  # g^filled
-        images = [mul(spec, g_pow, p ** i) for i in range(k)]
+        g_pow = times(int(exp[filled - 1]), g)  # g^filled
+        images = [times(g_pow, p ** i) for i in range(k)]
         exp[filled:filled + step] = linear_map(spec, spec, exp[:step], images)
         filled += step
     log = np.full(q, -1, dtype=np.int32)
@@ -250,18 +328,19 @@ def log_tables(spec: FieldSpec) -> LogTables:
     exp_trace = None
     if p == 2:
         # the trace is F_2-linear, so Tr(g^n) is the parity of the digits
-        # of g^n at the i with Tr(t^i) = 1
+        # of g^n at the i with Tr(t^i) = 1; Tr(t^i) is the sum of the k
+        # conjugates g^(n 2^j) of t^i = g^n, read off exp
         exp_trace = np.zeros(m, dtype=np.int8)
         for i in range(k):
-            a = tr = 1 << i  # t^i
-            for _ in range(k - 1):
-                a = mul(spec, a, a)
-                tr ^= a
+            n, tr = int(log[1 << i]), 0  # t^i = g^n
+            for _ in range(k):
+                tr ^= int(exp[n])
+                n = 2 * n % m
             if tr:  # Tr(t^i) is 0 or 1
                 exp_trace ^= exp_digits[i].astype(np.int8)
     for arr in (exp, log, exp_digits) + ((exp_trace,) if p == 2 else ()):
         arr.flags.writeable = False
-    return LogTables(exp, log, exp_digits, exp_trace)
+    return LogTables(p, exp, log, exp_digits, exp_trace)
 
 
 # evaluations takes x in blocks sized so that each transient array of a

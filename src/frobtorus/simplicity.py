@@ -250,14 +250,18 @@ def _factor_is_ordinary(h: IntPoly, p: int) -> bool:
 def classify(P: WeilPolynomial) -> SimplicityVerdict:
     """Decision procedure over the Weil polynomial alone.
 
-    NotSimple: P has two distinct irreducible factors.
+    NotSimple: P has two distinct irreducible factors.  For g = 1 only a
+        P that fails the Riemann hypothesis can have them.
+    AbsolutelySimple: g = 1, since an abelian variety of dimension 1 is
+        simple over every extension, with P's one factor (h, e) and the
+        ratio-torsion orders, which may be nonempty; or P irreducible and
+        no eigenvalue ratio is a root of unity, so every power of Frobenius
+        keeps full degree.
     NotAbsolutelySimple: a repeated ordinary factor at some n (n = 1, or a
         witness from the ratio-torsion orders), or distinct factors of a
         power charpoly.
-    AbsolutelySimple: P irreducible and no eigenvalue ratio is a root of
-        unity, so every power of Frobenius keeps full degree.
-    Inconclusive: pure repeated non-ordinary factors (possibly still simple
-        with a larger endomorphism algebra); never guessed.
+    Inconclusive: g >= 2 and pure repeated non-ordinary factors (possibly
+        still simple with a larger endomorphism algebra); never guessed.
 
     Raises SizeExceeded when 2g is past intpoly.FACTOR_DEGREE_CAP, since P
     and every witness charpoly have degree 2g.
@@ -303,6 +307,13 @@ def _decide(P: WeilPolynomial) -> SimplicityVerdict:
     if len(fs) >= 2:
         return SimplicityVerdict(kind=NOT_SIMPLE, factors=tuple(fs))
     h, e = fs[0]
+    if P.g == 1:
+        # an elliptic curve has no proper nonzero abelian subvariety, so it
+        # is simple over every extension, whatever its ratio orders
+        orders = tuple(sorted(ratio_torsion_orders(P)))
+        return SimplicityVerdict(
+            kind=ABSOLUTELY_SIMPLE, torsion_orders=orders, factors=((h, e),)
+        )
     if e >= 2:
         if _factor_is_ordinary(h, p):
             return SimplicityVerdict(

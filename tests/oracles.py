@@ -41,6 +41,16 @@ class _Field:
     def mul(self, a, b):
         return self.rep(_fpx.mul(a, b, self.p))
 
+    def power(self, a, e):
+        # square and multiply, with a**0 = 1 for every a
+        out, base = self.rep([1]), a
+        while e:
+            if e & 1:
+                out = self.mul(out, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return out
+
     def eval(self, poly, x):
         acc = self.zero
         for c in reversed(poly):
@@ -54,11 +64,16 @@ class _Field:
 def _lift(spec, ext, codes):
     """Coefficient codes over spec as reps of ext, a field containing it:
     the base-p digits of a code, with t sent to the first root of spec's
-    modulus in rep order, found by trial."""
+    modulus in rep order, found by trial, when ext is a proper extension,
+    and to t itself when ext is spec's own field.  (The first root of the
+    modulus of F_8 is t^2, and t -> t^2 is the Frobenius of F_8, not the
+    identity.)"""
     powers = [ext.rep([1])]
     if spec.k > 1:
         mod = [ext.rep([c]) for c in spec.modulus]
-        gamma = next(x for x in ext.elems if ext.eval(mod, x) == ext.zero)
+        gamma = ext.rep([0, 1]) if ext.k == spec.k else next(
+            x for x in ext.elems if ext.eval(mod, x) == ext.zero
+        )
         for _ in range(spec.k - 1):
             powers.append(ext.mul(powers[-1], gamma))
     out = []
@@ -105,11 +120,15 @@ def naive_singular_point(spec, h, f):
         ext = _Field(spec.p, spec.k * m)
         hk, fk = _lift(spec, ext, h), _lift(spec, ext, f)
         hd, fd = ext.deriv(hk), ext.deriv(fk)
+        doubles = [ext.add(y, y) for y in ext.elems]
         for x in ext.elems:
             hv, fv = ext.eval(hk, x), ext.eval(fk, x)
-            for y in ext.elems:
-                on_curve = ext.add(ext.mul(y, y), ext.mul(hv, y)) == fv
-                if (on_curve and ext.add(ext.add(y, y), hv) == ext.zero
+            minus_hv = tuple(-c % spec.p for c in hv)
+            for y, twice_y in zip(ext.elems, doubles):
+                # the cheap partial derivative 2y + h(x) first: in
+                # characteristic 2 it vanishes only where h(x) = 0
+                if (twice_y == minus_hv
+                        and ext.add(ext.mul(y, y), ext.mul(hv, y)) == fv
                         and ext.mul(ext.eval(hd, x), y) == ext.eval(fd, x)):
                     return m, x, y
     return None

@@ -137,7 +137,8 @@ def test_criterion_4_hand_verified_anchors():
     n1 = count_points(C2, 1)
     P2 = weil_from_counts(PointCounts(q=5, g=1, counts=(n1,)))
     v2 = classify(P2)
-    results.append(n1 == 6 and P2.coeffs == (5, 0, 1) and v2.kind == "Inconclusive")
+    # supersingular, and simple over every extension since g = 1
+    results.append(n1 == 6 and P2.coeffs == (5, 0, 1) and v2.kind == "AbsolutelySimple")
 
     P3 = WeilPolynomial(q=5, g=2, coeffs=(25, 0, 2, 0, 1))
     v3 = classify(P3)

@@ -133,7 +133,7 @@ def test_validate_char2_singularity_in_extension_only():
         assert C.genus == 2
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_validate_char2_matches_brute_force_singular_search(k):
     # the gcd pre-check must let through exactly the nonsingular curves, and
     # a singular one must still report the first singular point as witness
@@ -158,6 +158,32 @@ def test_validate_char2_matches_brute_force_singular_search(k):
         outcomes.add(found is None)
     assert outcomes == {True, False}
 
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3)])
+def test_validate_odd_char_matches_brute_force_singular_search(p, k):
+    # the odd-characteristic twin of the test above: random monic f, every
+    # third one with a square factor (x - r)^2, so both outcomes occur
+    spec = gf.field_create(p, k)
+    rng = random.Random(f"singular {p}^{k}")
+    outcomes = set()
+    for trial in range(30):
+        g = rng.choice([1, 2])
+        degree = rng.choice([2 * g + 1, 2 * g + 2])
+        f = [rng.randrange(spec.q) for _ in range(degree)] + [1]
+        if trial % 3 == 0:
+            r = rng.randrange(spec.q)
+            square = [gf.mul(spec, r, r), gf.mul(spec, p - 2, r), 1]
+            f = gf.pmul(spec, square, f[2:])
+        expected = naive_singular_point(spec, [], f)
+        try:
+            validate_curve(spec, [], f, g)
+            found = None
+        except Singular as exc:
+            found = exc.witness
+        assert found == expected, f
+        outcomes.add(found is None)
+    assert outcomes == {True, False}
 
 def _screen_disagreements(p, equations):
     # the equations of one degree on which validate_curve disagrees with the

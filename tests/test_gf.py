@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from frobtorus import _fpx, gf
 from frobtorus.errors import NonPrime, SizeExceeded
 from oracles import (
+    _Field,
     div_rem_by_long_division,
     gcd_by_long_division,
     is_irreducible_by_rabin,
@@ -130,25 +131,34 @@ def test_field_axioms_f27(a, b, c):
     assert mul(a, 1) == a and add(a, 0) == a
 
 
-@pytest.mark.parametrize("p,k", [(2, 4), (5, 2), (3, 3)])
-def test_scalar_ops_match_log_tables(p, k):
-    # every pair: mul against exp[log a + log b], and add against the
-    # evaluation kernel's value of x + b at x = a; the tables take k
-    # products per block of the exp table, the rest is numpy
+# F_2, F_3, F_4, F_8, F_9, F_16, F_25, F_27, F_32 and F_49
+_ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3),
+                  (2, 5), (7, 2)]
+
+
+@pytest.mark.parametrize("p,k", _ORACLE_FIELDS)
+def test_scalar_ops_match_the_rep_oracle(p, k):
+    # every pair, against products by _fpx reduced by the modulus on reps
     spec = gf.field_create(p, k)
-    T = gf.log_tables(spec)
-    m = spec.q - 1
-    rows = np.array([[b, 1] for b in range(spec.q)])
-    sums = np.concatenate([v for _, v in gf.evaluations(spec, rows)], axis=1)
-    for a in range(spec.q):
-        for b in range(spec.q):
-            assert gf.add(spec, a, b) == sums[b, a]
-            la, lb = int(T.log[a]), int(T.log[b])
-            if a == 0 or b == 0:
-                assert gf.mul(spec, a, b) == 0
-                assert gf.add(spec, a, b) == a + b
-                continue
-            assert gf.mul(spec, a, b) == T.exp[(la + lb) % m]
+    F = _Field(p, k)
+    reps = [gf.digits(spec, c) for c in range(spec.q)]
+    for a, ra in enumerate(reps):
+        for b, rb in enumerate(reps):
+            assert reps[gf.add(spec, a, b)] == F.add(ra, rb), (a, b)
+            assert reps[gf.mul(spec, a, b)] == F.mul(ra, rb), (a, b)
+
+
+@pytest.mark.parametrize("p,k", _ORACLE_FIELDS)
+def test_power_matches_the_rep_oracle(p, k):
+    # exponents at and around the group order q - 1, and every a, 0 included
+    spec = gf.field_create(p, k)
+    F = _Field(p, k)
+    q = spec.q
+    reps = [gf.digits(spec, c) for c in range(q)]
+    for e in (0, 1, 2, q - 2, q - 1, q, 5 * q + 3):
+        for a, ra in enumerate(reps):
+            assert reps[gf.power(spec, a, e)] == F.power(ra, e), (a, e)
+    assert gf.power(spec, 0, 0) == 1 and gf.power(spec, 0, q) == 0
 
 
 def test_frobenius_is_additive_in_char_2():
@@ -324,18 +334,22 @@ def test_log_tables_invariants(p, k):
     assert np.array_equal(T.log[T.exp], np.arange(q - 1))
     assert T.log[0] == -1
     # g = exp[1] has order q-1 (exp is a bijection and exp[n+1] = exp[n] g,
-    # below), and every element of smaller code has a smaller order
+    # below), and every element of smaller code has a smaller order; the
+    # scalar operations read these tables, so the checks run on the rep
+    # oracle's arithmetic
+    F = _Field(p, k)
     g = int(T.exp[1 % (q - 1)])
-    assert T.exp[0] == 1 and gf.power(spec, g, q - 1) == 1
+    rg = gf.digits(spec, g)
+    assert T.exp[0] == 1 and F.power(rg, q - 1) == F.rep([1])
     proper = [d for d in range(1, q - 1) if (q - 1) % d == 0]
     for c in range(1, g):
-        assert any(gf.power(spec, c, d) == 1 for d in proper)
-    # exp[n] = g^n, by the _fpx scalar arithmetic; the mid-size field checks
-    # a sample
+        assert any(F.power(gf.digits(spec, c), d) == F.rep([1]) for d in proper)
+    # exp[n] = g^n; the mid-size field checks a sample
     ns = range(q - 1) if q < 1000 else random.Random(q).sample(range(q - 1), 2000)
     for n in ns:
-        assert gf.mul(spec, int(T.exp[n]), g) == T.exp[(n + 1) % (q - 1)]
-        assert tuple(T.exp_digits[:, n]) == gf.digits(spec, int(T.exp[n]))
+        rn = gf.digits(spec, int(T.exp[n]))
+        assert F.mul(rn, rg) == gf.digits(spec, int(T.exp[(n + 1) % (q - 1)]))
+        assert tuple(T.exp_digits[:, n]) == rn
     assert T.exp_digits.dtype == np.uint8 and not T.exp_digits.flags.writeable
 
 
@@ -349,12 +363,13 @@ def test_code_round_trip():
     assert gf.code(spec, [0, 1]) == 3
 
 
-def _trace(spec, a):
+def _trace(F, a):
+    # a + a^2 + ... + a^(2^(k-1)), by the rep oracle; 0 or 1 as a code
     acc = t = a
-    for _ in range(spec.k - 1):
-        t = gf.mul(spec, t, t)
-        acc = gf.add(spec, acc, t)
-    return acc
+    for _ in range(F.k - 1):
+        t = F.mul(t, t)
+        acc = F.add(acc, t)
+    return acc[0]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
@@ -362,6 +377,9 @@ def test_trace_mask_is_the_absolute_trace(k):
     # exp_trace[n] is Tr(g^n), against the brute-force sum of conjugates
     spec = gf.field_create(2, k)
     T = gf.log_tables(spec)
-    assert [int(t) for t in T.exp_trace] == [_trace(spec, int(a)) for a in T.exp]
+    F = _Field(2, k)
+    assert [int(t) for t in T.exp_trace] == [
+        _trace(F, gf.digits(spec, int(a))) for a in T.exp
+    ]
     assert T.exp_trace[0] == k % 2  # Tr(1)
     assert T.exp_trace.dtype == np.int8 and not T.exp_trace.flags.writeable

@@ -335,10 +335,19 @@ def test_classify_pure_nonordinary_power_is_inconclusive():
     assert verify_verdict(P_INC2, v)
 
 
-def test_classify_supersingular_elliptic_is_inconclusive():
+def test_classify_supersingular_elliptic_is_absolutely_simple():
+    # dimension 1 is simple over every extension, supersingular or not
     v = classify(P_SS)
-    assert v.kind == INCONCLUSIVE
+    assert v.kind == ABSOLUTELY_SIMPLE
+    assert v.factors == ((IntPoly([5, 0, 1]), 1),)
+    assert v.torsion_orders == (2,)  # the eigenvalue ratio -1
     assert verify_verdict(P_SS, v)
+    # a repeated base: T^2 - 6T + 9 = (T - 3)^2 over F_9, and its twist
+    for Q, h in ((WeilPolynomial(q=9, g=1, coeffs=(9, -6, 1)), IntPoly([-3, 1])),
+                 (WeilPolynomial(q=9, g=1, coeffs=(9, 6, 1)), IntPoly([3, 1]))):
+        v = classify(Q)
+        assert (v.kind, v.factors) == (ABSOLUTELY_SIMPLE, ((h, 2),))
+        assert verify_verdict(Q, v)
 
 
 def test_classify_rejects_degree_past_the_factoring_cap():

@@ -316,16 +316,13 @@ def test_report_and_resume_read_with_one_set_of_rules(
 
 def test_genus1_survey_never_reports_not_simple():
     # degree-2 Weil polynomials cannot carry two distinct rational factors
-    # over a prime field, so g=1 verdicts stay in {AS, Inconclusive}
+    # over a prime field, and dimension 1 is simple over every extension, so
+    # every g=1 verdict is AS, the supersingular ones included
     cfg = SurveyConfig(p=5, genus=1, degree=3)
     buf = io.StringIO()
     summary = run_survey(cfg, out_path=None, stream=buf)
     assert summary["enumerated"] == 125
-    assert summary["by_kind"]["NotSimple"] == 0
-    assert summary["by_kind"]["NotAbsolutelySimple"] == 0
-    assert summary["valid"] == (
-        summary["by_kind"]["AbsolutelySimple"] + summary["by_kind"]["Inconclusive"]
-    )
+    assert summary["valid"] == summary["by_kind"]["AbsolutelySimple"]
 
 
 def test_find_first_matches_lexicographically_first_hit():
@@ -732,3 +729,22 @@ def test_survey_and_find_decide_smoothness_once_per_block(
     run_find(cfg, 10 ** 6, stream=io.StringIO())
     assert calls == {"validate_curve": 0, "pgcd": 0,
                      "smoothness_gcd_degrees": 2 * blocks}
+
+
+def test_prime_field_survey_builds_no_zech_table(monkeypatch):
+    # the Zech table serves scalar addition over a proper extension; a
+    # survey over F_p counts over F_{p^2} from exp and log alone, so the
+    # golden family reads no Zech table, with the tables built afresh
+    reads = []
+    zech = gf.LogTables.zech
+    monkeypatch.setattr(
+        gf.LogTables, "zech", property(lambda T: reads.append(T) or zech.func(T))
+    )
+    gf.log_tables.cache_clear()
+    summary = run_survey(SurveyConfig(p=3, genus=2, degree=5), stream=io.StringIO())
+    assert summary["valid"] == 162 and reads == []
+    # an addition over F_9 reads it, once per field
+    gf._adder.cache_clear()
+    F9 = field_create(3, 2)
+    assert gf.add(F9, 1, 2) == gf.add(F9, 2, 1) == 0
+    assert reads == [gf.log_tables(F9)]
