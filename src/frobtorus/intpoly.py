@@ -10,7 +10,9 @@ composed products reach (2g)^2), so the algorithms favor
     recombination) for factorization over Q; when F is not squarefree
     modulo the first prime p >= 17 that keeps its degree, its squarefree
     part is factored and each multiplicity found by exact division; a
-    squarefree quadratic is split by its discriminant alone,
+    squarefree quadratic is split by its discriminant alone, and a
+    squarefree cubic by an exact integer-root search (bisection over the
+    monotone runs of its monic transform inside Cauchy's bound),
 
 all of which are short enough to audit directly.  No resultant is on the
 factorization path: a prime is good when gcd(F, F') = 1 mod p.  resultant
@@ -515,29 +517,83 @@ def _sym(c: int, m: int) -> int:
     return c - m if c > m // 2 else c
 
 
+def _split_quadratic(F: IntPoly) -> list[IntPoly]:
+    # a x^2 + b x + c, primitive, squarefree and positive-lc, splits over Q
+    # exactly when its discriminant is a square s^2 (s > 0, F being
+    # squarefree), into 2a x + b -+ s
+    c, b, a = F.coeffs
+    disc = b * b - 4 * a * c
+    s = math.isqrt(disc) if disc > 0 else 0
+    if s * s != disc:
+        return [F]
+    roots = (_poly([b - s, 2 * a]).primitive(), _poly([b + s, 2 * a]).primitive())
+    return sorted(roots, key=lambda h: h.coeffs)
+
+
+def _cubic_integer_root(F: IntPoly) -> int | None:
+    """An integer root of the monic cubic F = x^3 + a x^2 + b x + c, or None.
+
+    Every root r has |r| < B = 1 + max(|a|, |b|, |c|) (Cauchy's bound).  F
+    is monotone between the integer neighbours of its critical points
+    t = (-a -+ sqrt(D)) / 3, D = a^2 - 3b, so a bisection over each
+    monotone run of [-B, B] finds r exactly:
+
+    >>> _cubic_integer_root(IntPoly([-6, 11, -6, 1]))  # (x - 1)(x - 2)(x - 3)
+    1
+    >>> _cubic_integer_root(IntPoly([-2, 0, 0, 1])) is None  # x^3 - 2
+    True
+    """
+    c, b, a = F.coeffs[:3]
+    B = 1 + max(abs(a), abs(b), abs(c))
+    D = a * a - 3 * b
+    if D <= 0:
+        runs = ((-B, B, 1),)  # F' = 3x^2 + 2ax + b >= 0: F increases
+    else:
+        # k1 = floor(t1) and k2 = ceil(t2), from ceil(sqrt(D)): with
+        # u = -a - sqrt(D), floor(u / 3) = floor(u) // 3
+        s = math.isqrt(D)
+        s += s * s != D
+        k1, k2 = (-a - s) // 3, -((a - s) // 3)
+        # F increases up to t1, decreases on (t1, t2), increases from t2
+        runs = ((-B, k1, 1), (k1 + 1, k2 - 1, -1), (k2, B, 1))
+    for lo, hi, sign in runs:
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            v = sign * (((mid + a) * mid + b) * mid + c)
+            if v == 0:
+                return mid
+            if v < 0:
+                lo = mid + 1
+            else:
+                hi = mid - 1
+    return None
+
+
 def _zassenhaus_squarefree(F: IntPoly, known: tuple[int, bool] | None) -> list[IntPoly]:
     """Irreducible factors of a primitive squarefree positive-lc polynomial.
 
-    known = (p, good), when given, is a prime p not dividing lc(F) whose
-    squarefree test on F is already done; F's monic transform is
-    squarefree mod p exactly when F is.
+    A quadratic splits by its discriminant, and a cubic by an integer root
+    of its monic transform, which _cubic_integer_root finds exactly: a
+    cubic is reducible over Q exactly when it has a rational root.  Higher
+    degrees take the modular path.  known = (p, good), when given, is a
+    prime p not dividing lc(F) whose squarefree test on F is already done;
+    F's monic transform is squarefree mod p exactly when F is.
     """
     n = F.degree
     if n == 1:
         return [F]
     if n == 2:
-        # a x^2 + b x + c splits over Q exactly when its discriminant is a
-        # square s^2 (s > 0, F being squarefree), into 2a x + b -+ s
-        c, b, a = F.coeffs
-        disc = b * b - 4 * a * c
-        s = math.isqrt(disc) if disc > 0 else 0
-        if s * s != disc:
-            return [F]
-        roots = (_poly([b - s, 2 * a]).primitive(), _poly([b + s, 2 * a]).primitive())
-        return sorted(roots, key=lambda h: h.coeffs)
+        return _split_quadratic(F)
     b = F.lc
     # monic transform: b^(n-1) * F(x/b); leading term becomes 1 exactly
     Fm = _poly([c * b ** (n - 1 - i) for i, c in enumerate(F.coeffs[:-1])] + [1])
+    if n == 3:
+        r = _cubic_integer_root(Fm)
+        if r is None:
+            return [F]
+        root = _poly([-r, 1])
+        quo = divmod_exact(Fm, root)[0]
+        return _undo_monic_transform([root] + _split_quadratic(quo), b)
     # factor degrees allowed by the ddf of up to three primes; none left
     # proves F irreducible
     allowed = (1 << n) - 2
@@ -581,7 +637,11 @@ def _zassenhaus_squarefree(F: IntPoly, known: tuple[int, bool] | None) -> list[I
         size += 1
     if target.degree > 0:
         found_monic.append(target)
-    # undo the monic transform: factors of F are primitive parts of h(b*x)
+    return _undo_monic_transform(found_monic, b)
+
+
+def _undo_monic_transform(found_monic: list[IntPoly], b: int) -> list[IntPoly]:
+    # the factors of F are the primitive parts of the h(b*x), sorted
     out = [h.shift_scale(b).primitive() for h in found_monic]
     out.sort(key=lambda h: (h.degree, h.coeffs))
     return out

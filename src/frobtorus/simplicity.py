@@ -22,15 +22,19 @@ from the emitted certificate.  The power charpolys and the ratio polynomial
 are rebuilt exactly from eigenvalue power sums by Newton's identities
 (intpoly.root_power_sums, from_power_sums).
 
-Most of those tests fail, and a residue modulo one prime proves it.  Per
-genus fix the first prime ell above 2^31 with ell = 1 modulo the lcm of the
-candidate orders (2147483713, 2147484721, 2154166561 and 2156394241 for
-g = 1..4), and an element w_m of exact order m in F_ell for each candidate
-m.  Since ell does not divide m, x^m - 1 is separable mod ell and w_m is a
-root of Phi_m mod ell; so Phi_m | R over Z forces R(w_m) = 0 mod ell, and a
-nonzero residue proves Phi_m does not divide R.  A zero residue only sends m
-on to exact division over Z: no order is accepted or rejected on a residue
-alone.
+Most of those tests fail, and a residue modulo a prime proves it.  Per
+genus split the candidate orders, in ascending order, into runs whose lcm L
+stays at most 2^24 (PREFILTER_LCM_CAP); fix per run the first prime ell
+above 2^31 with ell = 1 mod L, and an element w_m of exact order m in F_ell
+for each m of the run.  For g = 1..4, L <= 2^23, so one run and one prime
+serve all orders (2147483713, 2147484721, 2154166561 and 2156394241);
+g = 5..8 take 17, 39, 72 and 92 runs.  The lcm of all orders has 46 to 134
+bits for g = 5..8, and from g = 7 on a prime = 1 mod it is past the prime
+test bound.  Since ell does not divide m, x^m - 1 is separable mod ell and
+w_m is a root of Phi_m mod ell; so Phi_m | R over Z forces R(w_m) = 0 mod
+ell, and a nonzero residue proves Phi_m does not divide R.  A zero residue
+only sends m on to exact division over Z: no order is accepted or rejected
+on a residue alone.
 
 P, and each power charpoly, is factored at half its degree.  When P
 satisfies the Riemann hypothesis (zeta.is_weil, decided exactly),
@@ -165,24 +169,38 @@ def _torsion_candidates(g: int) -> tuple[int, ...]:
     )
 
 
+# the largest lcm of the candidate orders that one prefilter prime serves:
+# every prime ell stays near 2^31, far inside _fpx.MR_BOUND
+PREFILTER_LCM_CAP = 2 ** 24
+
+
 @functools.lru_cache(maxsize=None)
-def _torsion_prefilter(g: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    # a prime ell = 1 mod the lcm L of the candidate orders, the first such
-    # above 2^31, and for each candidate m an element w_m of exact order m
-    # in F_ell: w_m = w^(L/m) for w of exact order L
-    orders = _torsion_candidates(g)
-    L = math.lcm(*orders)
-    ell = (2 ** 31 // L + 1) * L + 1
-    while not _fpx.is_prime(ell):
-        ell += L
-    primes = tuple(_fpx.prime_divisors(L))
-    a = 2
-    while True:
-        w = pow(a, (ell - 1) // L, ell)
-        if all(pow(w, L // r, ell) != 1 for r in primes):
-            break
-        a += 1
-    return ell, tuple((m, pow(w, L // m, ell)) for m in orders)
+def _torsion_prefilter(g: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    # the candidate orders, in ascending runs whose lcm L stays at most
+    # PREFILTER_LCM_CAP; per run a prime ell = 1 mod L, the first such above
+    # 2^31, and for each m of the run an element w_m of exact order m in
+    # F_ell: w_m = w^(L/m) for w of exact order L
+    groups: list[list[int]] = []
+    for m in _torsion_candidates(g):
+        if groups and math.lcm(math.lcm(*groups[-1]), m) <= PREFILTER_LCM_CAP:
+            groups[-1].append(m)
+        else:
+            groups.append([m])
+    out = []
+    for orders in groups:
+        L = math.lcm(*orders)
+        ell = (2 ** 31 // L + 1) * L + 1
+        while not _fpx.is_prime(ell):
+            ell += L
+        primes = tuple(_fpx.prime_divisors(L))
+        a = 2
+        while True:
+            w = pow(a, (ell - 1) // L, ell)
+            if all(pow(w, L // r, ell) != 1 for r in primes):
+                break
+            a += 1
+        out.append((ell, tuple((m, pow(w, L // m, ell)) for m in orders)))
+    return tuple(out)
 
 
 def ratio_torsion_orders(P: WeilPolynomial) -> set[int]:
@@ -190,19 +208,19 @@ def ratio_torsion_orders(P: WeilPolynomial) -> set[int]:
 
     Empty exactly when [Q(pi^n) : Q] = 2g for every n >= 1.  Only the
     orders allowed by the two bounds in the module docstring are tested,
-    and only those whose residue R(w_m) mod ell is zero are divided out
-    exactly (module docstring).
+    and only those whose residue R(w_m) mod their prefilter prime ell is
+    zero are divided out exactly (module docstring).
     """
     R = ratio_poly(P)
-    ell, roots = _torsion_prefilter(P.g)
-    coeffs = [c % ell for c in reversed(R.coeffs)]
     out = set()
-    for m, w in roots:
-        acc = 0
-        for c in coeffs:
-            acc = (acc * w + c) % ell
-        if acc == 0 and divmod_exact(R, cyclotomic(m))[1].is_zero:
-            out.add(m)
+    for ell, roots in _torsion_prefilter(P.g):
+        coeffs = [c % ell for c in reversed(R.coeffs)]
+        for m, w in roots:
+            acc = 0
+            for c in coeffs:
+                acc = (acc * w + c) % ell
+            if acc == 0 and divmod_exact(R, cyclotomic(m))[1].is_zero:
+                out.add(m)
     return out
 
 

@@ -6,6 +6,7 @@ only the canonical modulus with the package), a Sylvester-matrix resultant
 over Fraction arithmetic, a root-of-unity scan by explicit
 minimal-polynomial degree, the power charpoly and ratio polynomial as
 bivariate resultants, the torsion scan over every m with phi(m) <= (2g)^2,
+a cubic's rational roots by trying every integer inside Cauchy's bound,
 prime powers by trial division, distinct-degree factorization by one
 modular exponentiation per degree, Rabin's irreducibility test, and
 F_p[x] division and gcd by long division with a trim after every
@@ -269,6 +270,33 @@ def ratio_torsion_orders_by_phi_scan(P) -> set[int]:
         m for m in range(2, 2 * bound * bound + 2)
         if _phi(m) <= bound and divmod_exact(R, cyclotomic(m))[1].is_zero
     }
+
+
+def factor_cubic_by_root_scan(f: IntPoly):
+    """factor(f) for a cubic f over Z.  A rational root of f is r/b, b the
+    leading coefficient of the primitive part F, for an integer root r of
+    the monic Fm(x) = b^2 F(x/b), and |r| < B = 1 + max |coefficient of Fm|
+    (Cauchy's bound).  Every integer in [-B, B] is tried, and each root is
+    divided out as often as it divides.  What is left has no rational root,
+    so it is 1 or irreducible."""
+    F = f.primitive()
+    b = F.lc
+    c0, c1, c2, _ = F.coeffs
+    Fm = IntPoly([c0 * b * b, c1 * b, c2, 1])
+    B = 1 + max(abs(c) for c in Fm.coeffs[:3])
+    monic, rest = [], Fm
+    for r in range(-B, B + 1):
+        while rest.degree > 0 and rest(r) == 0:
+            rest = divmod_exact(rest, IntPoly([-r, 1]))[0]
+            monic.append(IntPoly([-r, 1]))
+    if rest.degree > 0:
+        monic.append(rest)
+    mult = {}
+    for h in monic:
+        # the factor of F that h comes from: h(b x), primitive
+        k = IntPoly([c * b ** i for i, c in enumerate(h.coeffs)]).primitive()
+        mult[k] = mult.get(k, 0) + 1
+    return f.lc // b, sorted(mult.items(), key=lambda km: (km[0].degree, km[0].coeffs))
 
 
 def prime_power_by_trial_division(q: int):

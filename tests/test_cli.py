@@ -215,6 +215,22 @@ def test_genus_past_the_factoring_cap_is_input_error(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "curve,g",
+    [
+        ("3; h=; f=0,1,0,0,0,2,2,0,1,2,0,1,2,0,2,1", 7),
+        ("3; h=; f=1,2,0,1,0,2,2,0,1,2,0,1,2,0,2,1,1,1", 8),
+    ],
+)
+def test_genus_7_and_8_curves_get_a_verdict(curve, g, capsys):
+    # inside the factoring cap; the torsion prefilter once asked for a prime
+    # past the prime test bound here and exited 2
+    assert main(["analyze", "--curve", curve]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["counts"]["g"] == g
+    assert rec["verdict"]["kind"] == "AbsolutelySimple"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["analyze", "--curve", "2305843009213693951; h=; f=0,1,0,1"],  # 2^61 - 1

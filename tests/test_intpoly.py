@@ -1,9 +1,12 @@
+import itertools
+import math
 import random
 
 import pytest
-import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.factortools import dup_factor_list
 
 from frobtorus.errors import NonIntegralCoefficient, ZeroPolynomial
 from frobtorus.intpoly import (
@@ -19,7 +22,13 @@ from frobtorus.intpoly import (
     squarefree_part,
 )
 from frobtorus import _fpx
-from oracles import ddf_by_pow_mod, powmod_monic, sylvester_resultant
+from frobtorus.zeta import WeilPolynomial, is_weil
+from oracles import (
+    ddf_by_pow_mod,
+    factor_cubic_by_root_scan,
+    powmod_monic,
+    sylvester_resultant,
+)
 
 X = IntPoly([0, 1])
 
@@ -255,18 +264,100 @@ def _sympy_factor_inputs():
     yield (X ** 4 - IntPoly([10]) * X ** 2 + IntPoly([1])) * (X ** 2 + X + IntPoly([3]))
 
 
+def _assert_factor_matches_sympy(f):
+    unit, fs = factor(f)
+    s_unit, s_factors = dup_factor_list([ZZ(c) for c in reversed(f.coeffs)], ZZ)
+    want = sorted((tuple(int(c) for c in reversed(p)), int(m)) for p, m in s_factors)
+    assert int(s_unit) == unit, f
+    assert sorted((g.coeffs, m) for g, m in fs) == want, f
+    assert fs == sorted(fs, key=lambda gm: (gm[0].degree, gm[0].coeffs))
+
+
 def test_factor_matches_sympy_on_random_inputs():
-    x = sympy.Symbol("x")
     for f in _sympy_factor_inputs():
-        unit, fs = factor(f)
-        s_unit, s_factors = sympy.Poly(list(reversed(f.coeffs)), x).factor_list()
-        want = sorted(
-            (tuple(int(c) for c in reversed(p.all_coeffs())), int(m))
-            for p, m in s_factors
-        )
-        assert int(s_unit) == unit
-        assert sorted((g.coeffs, m) for g, m in fs) == want
-        assert fs == sorted(fs, key=lambda gm: (gm[0].degree, gm[0].coeffs))
+        _assert_factor_matches_sympy(f)
+
+
+def _genus3_real_polys(q):
+    """Every h = y^3 + a y^2 + b y + c whose P(x) = x^3 h(x + q/x) passes
+    is_weil, that is whose three roots are real in [-m, m], m = 2 sqrt(q).
+    Then a^2 <= 9 m^2, a^2 - 2b (the sum of the squared roots) <= 3 m^2 and
+    b <= a^2 / 3 (real critical points t1 <= t2 of y^3 + a y^2 + b y).  The
+    c left form the interval where h(t1) >= 0 >= h(t2) and h(-m) <= 0 <=
+    h(m); floating point finds it, one wider each way, and is_weil decides
+    each c exactly."""
+    m = 2 * math.sqrt(q)
+    top = math.isqrt(36 * q)
+    for a in range(-top, top + 1):
+        for b in range(-((12 * q - a * a) // 2), a * a // 3 + 1):
+            s = math.sqrt(a * a - 3 * b)
+            g = lambda t: ((t + a) * t + b) * t  # noqa: E731
+            lo = max(-g(m), -g((-a - s) / 3))
+            hi = min(-g(-m), -g((-a + s) / 3))
+            for c in range(math.floor(lo) - 1, math.ceil(hi) + 2):
+                # P = sum_j h_j x^(3-j) (x^2 + q)^j
+                P = [0] * 7
+                for j, hj in enumerate((c, b, a, 1)):
+                    for i in range(j + 1):
+                        P[3 - j + 2 * i] += hj * math.comb(j, i) * q ** (j - i)
+                if is_weil(WeilPolynomial(q=q, g=3, coeffs=tuple(P))):
+                    yield IntPoly([c, b, a, 1])
+
+
+# cubics for which one integer root decides the factorization, named by
+# where that root r lies among the integer-root search's runs: t1 < t2 are
+# the critical points, B is Cauchy's bound
+EDGE_CUBICS = [
+    (X + IntPoly([6])) * IntPoly([-6, 3, 1]),  # r = floor(t1)
+    (X + IntPoly([6])) * IntPoly([-6, 6, 1]),  # r = floor(t1) + 1
+    (X + IntPoly([2])) * IntPoly([2, 4, 1]),  # r = ceil(t2) - 1
+    (X + IntPoly([1])) * IntPoly([5, 5, 1]),  # r = ceil(t2)
+    (X - IntPoly([12])) * IntPoly([1, 0, 1]),  # r = B - 1
+    (X + IntPoly([12])) * IntPoly([1, 0, 1]),  # r = -(B - 1)
+    (X - IntPoly([100])) * IntPoly([1, 1, 1]),  # r = B - 1
+    X * IntPoly([-7, 0, 1]),  # c = 0, r = 0
+    X * (X + IntPoly([2])) * (X + IntPoly([3])),
+    # non-monic, with rational roots off Z: the monic transform's root
+    # is lc * (the rational root)
+    IntPoly([-1, 2]) * IntPoly([1, 0, 3]),  # (2x - 1)(3x^2 + 1)
+    IntPoly([-3, 5]) * IntPoly([2, 0, 1]),
+    IntPoly([2, 3]) * IntPoly([-5, 2]) * IntPoly([7, 1]),
+    IntPoly([-4]) * IntPoly([3, 2]) * IntPoly([1, 1, 1]),
+    IntPoly([-3, 0, 0, 2]),  # 2x^3 - 3, irreducible
+    IntPoly([0, 0, -1, 3]),  # x^2 (3x - 1)
+    # not squarefree: the squarefree part is factored instead
+    (X - IntPoly([2])) ** 2 * (X + IntPoly([3])),
+    (X + IntPoly([4])) ** 3,
+    IntPoly([-1, 2]) ** 2 * (X + IntPoly([1])),
+    IntPoly([2, 3]) ** 3,
+]
+
+
+def _monic_box():
+    for a, b, c in itertools.product(range(-12, 13), repeat=3):
+        yield IntPoly([c, b, a, 1])
+
+
+def _genus3_weil_real_polys():
+    # each h once: the set for q holds the sets for every smaller q
+    seen = {}
+    sizes = []
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        hs = list(_genus3_real_polys(q))
+        sizes.append(len(hs))
+        seen.update((h.coeffs, h) for h in hs)
+    assert sizes == [215, 677, 1641, 2953, 7979, 11823, 17121]
+    return seen.values()
+
+
+@pytest.mark.parametrize(
+    "family", [_monic_box, _genus3_weil_real_polys, lambda: EDGE_CUBICS],
+    ids=["monic-box", "genus3-weil", "edge"],
+)
+def test_factor_of_cubics_matches_the_root_scan_and_sympy(family):
+    for f in family():
+        assert factor(f) == factor_cubic_by_root_scan(f), f
+        _assert_factor_matches_sympy(f)
 
 
 @pytest.mark.parametrize(

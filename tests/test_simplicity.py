@@ -165,18 +165,25 @@ def test_torsion_candidates_follow_from_the_two_bounds():
         assert _torsion_candidates(g) == want
 
 
-@pytest.mark.parametrize("g", [1, 2, 3, 4])
+@pytest.mark.parametrize("g", range(1, 9))
 def test_torsion_prefilter_roots_are_roots_of_the_cyclotomics(g):
     # a zero residue R(w_m) mod ell is necessary for Phi_m | R only when
     # w_m is a root of Phi_m mod ell, i.e. has exact order m in F_ell
-    ell, roots = _torsion_prefilter(g)
-    assert ell > 2 ** 31 and sympy.isprime(ell)
-    assert tuple(m for m, _ in roots) == _torsion_candidates(g)
-    for m, w in roots:
-        assert (ell - 1) % m == 0
-        assert pow(w, m, ell) == 1
-        assert all(pow(w, m // r, ell) != 1 for r in sympy.primefactors(m))
-        assert cyclotomic(m)(w) % ell == 0
+    groups = _torsion_prefilter(g)
+    assert tuple(m for _, roots in groups for m, _ in roots) == _torsion_candidates(g)
+    for ell, roots in groups:
+        assert ell > 2 ** 31 and sympy.isprime(ell)
+        assert math.lcm(*(m for m, _ in roots)) <= 2 ** 24
+        for m, w in roots:
+            assert (ell - 1) % m == 0
+            assert pow(w, m, ell) == 1
+            assert all(pow(w, m // r, ell) != 1 for r in sympy.primefactors(m))
+            assert cyclotomic(m)(w) % ell == 0
+    if g <= 4:
+        # L <= 2^23: one run, one prime for every order
+        assert [ell for ell, _ in groups] == [
+            (2147483713, 2147484721, 2154166561, 2156394241)[g - 1]
+        ]
 
 
 def _window_factor(draw, q, h):
