@@ -18,9 +18,11 @@ eigenvalues alpha_1..alpha_2g:
 
 That turns "for every power of Frobenius" into a finite list of cyclotomic
 divisibility tests (4, 13, 39 and 57 orders for g = 1..4), each replayable
-from the emitted certificate.  The power charpolys and the ratio polynomial
-are rebuilt exactly from eigenvalue power sums by Newton's identities
-(intpoly.root_power_sums, from_power_sums).
+from the emitted certificate.  The power charpolys are rebuilt exactly from
+eigenvalue power sums by Newton's identities (intpoly.root_power_sums,
+from_power_sums).  So is the ratio polynomial R, of degree N = 4g^2, but
+from its top half alone: R is palindromic with R_0 = R_N = q^(2g^2)
+(ratio_poly), so Newton's identities run only up to 2g^2, over Z.
 
 Most of those tests fail, and a residue modulo a prime proves it.  Per
 genus split the candidate orders, in ascending order, into runs whose lcm L
@@ -32,9 +34,15 @@ g = 5..8 take 17, 39, 72 and 92 runs.  The lcm of all orders has 46 to 134
 bits for g = 5..8, and from g = 7 on a prime = 1 mod it is past the prime
 test bound.  Since ell does not divide m, x^m - 1 is separable mod ell and
 w_m is a root of Phi_m mod ell; so Phi_m | R over Z forces R(w_m) = 0 mod
-ell, and a nonzero residue proves Phi_m does not divide R.  A zero residue
+ell, and a nonzero residue proves Phi_m does not divide R.  This holds for
+any integer R, so ell dividing q needs no special case.  A zero residue
 only sends m on to exact division over Z: no order is accepted or rejected
-on a residue alone.
+on a residue alone.  By the palindrome, R(w) = w^H (R_H + sum_(t=1..H)
+R_(H+t) (w^t + w^-t)) with H = 2g^2, and w_m is a unit; so the residues of
+every order come from one int64 product of R's top half mod ell with a
+cached read-only matrix of the w_m^t + w_m^-t mod ell.  Every ell is below
+2^31.5, checked as the matrix is built, so no product of two residues
+reaches 2^63.
 
 P, and each power charpoly, is factored at half its degree.  When P
 satisfies the Riemann hypothesis (zeta.is_weil, decided exactly),
@@ -67,6 +75,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import _fpx
 from .errors import InvariantViolation, ParseError, SizeExceeded
@@ -128,24 +138,32 @@ def charpoly_power(P: WeilPolynomial, n: int) -> IntPoly:
 
 
 def ratio_poly(P: WeilPolynomial) -> IntPoly:
-    """R(x) = Res_y(P(y), sum_i c_i x^(2g-i) y^i), degree (2g)^2.
+    """R(x) = Res_y(P(y), sum_i c_i x^(2g-i) y^i), degree N = (2g)^2.
 
     R vanishes exactly at the eigenvalue ratios alpha_j/alpha_i; (x-1)^2g
-    splits off from the diagonal pairs.  Content is not stripped.  Computed
-    as R~(qx)/q^(2g^2), where R~ is the monic polynomial with roots the
-    products alpha_i*alpha_j = q*alpha_i/conj(alpha_j): its power sums are
-    S_k^2.  Power sums and Newton's identities work on the roots counted
-    with multiplicity, so the result is exact for repeated roots too.
+    splits off from the diagonal pairs.  Content is not stripped.  R is
+    R~(qx)/q^H with H = N/2 = 2g^2, where R~ is the monic polynomial with
+    roots the products alpha_i*alpha_j = q*alpha_i/conj(alpha_j): its power
+    sums are S_k^2.  Power sums and Newton's identities work on the roots
+    counted with multiplicity, so the result is exact for repeated roots too.
+
+    R is palindromic, R_j = R_(N-j), so Newton's identities run only up to
+    H.  Its roots are closed under inversion, alpha_j/alpha_i <->
+    alpha_i/alpha_j, and none is zero.  R_N = q^N/q^H = q^H, as R~ is monic,
+    and R_0 = R~_0/q^H = q^H too: R~_0 = prod_(i,j) alpha_i alpha_j =
+    (prod_i alpha_i)^(4g) = q^N, since a WeilPolynomial has c_0 = q^g.  So
+    x^N R(1/x), whose roots are the inverses of R's and whose leading
+    coefficient is R_0, is R.  The top coefficients a_0..a_H of R~, which
+    Newton's identities take from S_1^2..S_H^2, give R_(H+t) = a_(H-t) q^t
+    for t = 0..H, and the palindrome gives the rest: no division is left.
     """
-    Pp = IntPoly(P.coeffs)
-    n = 2 * P.g
-    Rt = from_power_sums([s * s for s in root_power_sums(Pp, n * n)])
-    scaled = [c * P.q ** i for i, c in enumerate(Rt.coeffs)]
-    den = P.q ** (n * n // 2)
-    if any(c % den for c in scaled):
-        raise InvariantViolation("ratio polynomial is not integral")
-    R = IntPoly([c // den for c in scaled])
-    if R.degree != n * n:
+    H = 2 * P.g * P.g
+    S = root_power_sums(IntPoly(P.coeffs), H)
+    # coefficient t of the degree-H result is a_(H-t)
+    a = from_power_sums([s * s for s in S]).coeffs
+    upper = [c * P.q ** t for t, c in enumerate(a)]
+    R = IntPoly(upper[:0:-1] + upper)
+    if R.degree != 2 * H:
         raise InvariantViolation(f"ratio polynomial degree {R.degree} != (2g)^2")
     return R
 
@@ -153,20 +171,27 @@ def ratio_poly(P: WeilPolynomial) -> IntPoly:
 @functools.lru_cache(maxsize=None)
 def _torsion_candidates(g: int) -> tuple[int, ...]:
     # the m >= 2 with phi(m) <= 2g(2g-1) and phi(m) | 2^g g! (module
-    # docstring); phi(m) >= sqrt(m/2) caps the scan, and one sieve gives
-    # phi on all of it
+    # docstring); phi(m) >= sqrt(m/2) caps the scan.  A numpy sieve gives
+    # phi on all of it: each prime r <= sqrt(top) scales its multiples by
+    # 1 - 1/r and divides itself out of rest, which then holds 1 or the one
+    # prime factor of m above sqrt(top)
     bound = 2 * g * (2 * g - 1)
     group_order = math.factorial(g) << g
     top = 2 * bound * bound + 1
-    phi = list(range(top + 1))
-    for r in range(2, top + 1):
-        if phi[r] == r:  # r is prime: no smaller prime has touched it
-            for m in range(r, top + 1, r):
-                phi[m] -= phi[m] // r
-    return tuple(
-        m for m in range(2, top + 1)
-        if phi[m] <= bound and group_order % phi[m] == 0
-    )
+    phi = np.arange(top + 1, dtype=np.int64)
+    rest = phi.copy()
+    for r in range(2, math.isqrt(top) + 1):
+        if rest[r] == r:  # r is prime: no smaller prime has touched it
+            phi[r::r] -= phi[r::r] // r
+            power = r
+            while power <= top:
+                rest[power::power] //= r
+                power *= r
+    big = rest > 1
+    phi[big] -= phi[big] // rest[big]
+    phi = phi[2:]
+    keep = (phi <= bound) & (group_order % phi == 0)
+    return tuple((np.flatnonzero(keep) + 2).tolist())
 
 
 # the largest lcm of the candidate orders that one prefilter prime serves:
@@ -203,25 +228,56 @@ def _torsion_prefilter(g: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]],
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _torsion_residue_matrix(g: int):
+    # the prefilter of genus g as arrays over its candidate orders, one row
+    # per order m, in _torsion_prefilter's order: the run index, ell and m
+    # of each row, and the read-only int64 matrix M whose row holds
+    # w_m^t + w_m^-t mod ell for t = 1..2g^2 after a 1 at t = 0
+    runs = _torsion_prefilter(g)
+    for p, _ in runs:
+        # each product of two residues is then below 2^63, and a row's sum
+        # of 2g^2 + 1 reduced products far below it
+        if p * p >= 2 ** 63:
+            raise InvariantViolation(f"prefilter prime {p} is not below 2^31.5")
+    rows = [(i, p, m, root) for i, (p, roots) in enumerate(runs) for m, root in roots]
+    run, ell, orders, w = (np.array(col, dtype=np.int64) for col in zip(*rows))
+    # w_m^-1 = w_m^(m-1)
+    w_inv = np.array([pow(root, m - 1, p) for _, p, m, root in rows], dtype=np.int64)
+    H = 2 * g * g
+    M = np.empty((len(orders), H + 1), dtype=np.int64)
+    M[:, 0] = 1
+    up, down = w, w_inv
+    for t in range(1, H + 1):
+        M[:, t] = (up + down) % ell
+        up = up * w % ell
+        down = down * w_inv % ell
+    M.flags.writeable = False
+    return run, ell, orders, M
+
+
 def ratio_torsion_orders(P: WeilPolynomial) -> set[int]:
     """{m >= 2 : the m-th cyclotomic polynomial divides ratio_poly(P)}.
 
     Empty exactly when [Q(pi^n) : Q] = 2g for every n >= 1.  Only the
     orders allowed by the two bounds in the module docstring are tested,
     and only those whose residue R(w_m) mod their prefilter prime ell is
-    zero are divided out exactly (module docstring).
+    zero are divided out exactly (module docstring).  As R is palindromic
+    of degree 2H (ratio_poly), R(w) = w^H (R_H + sum_(t>=1) R_(H+t) (w^t +
+    w^-t)), and w_m is a unit mod ell; so each bracket, for every order at
+    once, is one int64 product of R_H..R_2H mod ell with a cached matrix.
     """
     R = ratio_poly(P)
-    out = set()
-    for ell, roots in _torsion_prefilter(P.g):
-        coeffs = [c % ell for c in reversed(R.coeffs)]
-        for m, w in roots:
-            acc = 0
-            for c in coeffs:
-                acc = (acc * w + c) % ell
-            if acc == 0 and divmod_exact(R, cyclotomic(m))[1].is_zero:
-                out.add(m)
-    return out
+    run, ell, orders, M = _torsion_residue_matrix(P.g)
+    upper = R.coeffs[R.degree // 2:]
+    C = np.array(
+        [[c % p for c in upper] for p, _ in _torsion_prefilter(P.g)], dtype=np.int64
+    )[run]
+    residues = (M * C % ell[:, None]).sum(axis=1) % ell
+    return {
+        m for m in orders[residues == 0].tolist()
+        if divmod_exact(R, cyclotomic(m))[1].is_zero
+    }
 
 
 def elliptic_torus_test(P: WeilPolynomial) -> bool:

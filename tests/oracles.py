@@ -5,7 +5,8 @@ singular-point search on their own digit-tuple field arithmetic (they share
 only the canonical modulus with the package), a Sylvester-matrix resultant
 over Fraction arithmetic, a root-of-unity scan by explicit
 minimal-polynomial degree, the power charpoly and ratio polynomial as
-bivariate resultants, the torsion scan over every m with phi(m) <= (2g)^2,
+bivariate resultants, the ratio polynomial by Newton's identities at full
+length, the torsion scan over every m with phi(m) <= (2g)^2,
 a cubic's rational roots by trying every integer inside Cauchy's bound,
 prime powers by trial division, distinct-degree factorization by one
 modular exponentiation per degree, Rabin's irreducibility test, and
@@ -13,13 +14,20 @@ F_p[x] division and gcd by long division with a trim after every
 quotient digit.  Slow but hard to get wrong.
 """
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 from frobtorus import _fpx, gf
-from frobtorus.intpoly import IntPoly, cyclotomic, divmod_exact, resultant_y
-from frobtorus.simplicity import ratio_poly
+from frobtorus.intpoly import (
+    IntPoly,
+    cyclotomic,
+    divmod_exact,
+    from_power_sums,
+    resultant_y,
+    root_power_sums,
+)
 
 
 class _Field:
@@ -260,15 +268,36 @@ def _phi(m: int) -> int:
     return out - out // n if n > 1 else out
 
 
+def ratio_poly_by_full_newton(P) -> IntPoly:
+    """R~(qx)/q^(2g^2), R~ the monic polynomial of degree (2g)^2 whose
+    roots alpha_i*alpha_j have power sums S_k^2, by Newton's identities on
+    all (2g)^2 of them, without using that R is palindromic."""
+    n = 2 * P.g
+    Rt = from_power_sums([s * s for s in root_power_sums(IntPoly(P.coeffs), n * n)])
+    den = P.q ** (n * n // 2)
+    scaled = [c * P.q ** i for i, c in enumerate(Rt.coeffs)]
+    if any(c % den for c in scaled):
+        raise ValueError("ratio polynomial is not integral")
+    R = IntPoly([c // den for c in scaled])
+    if R.degree != n * n:
+        raise ValueError(f"ratio polynomial degree {R.degree} != (2g)^2")
+    return R
+
+
+@functools.lru_cache(maxsize=None)
+def _orders_with_phi_up_to(bound: int) -> tuple[int, ...]:
+    # every m >= 2 with phi(m) <= bound; phi(m) >= sqrt(m/2) caps the scan
+    return tuple(m for m in range(2, 2 * bound * bound + 2) if _phi(m) <= bound)
+
+
 def ratio_torsion_orders_by_phi_scan(P) -> set[int]:
-    """{m >= 2 : Phi_m divides ratio_poly(P)}, trying every m with
-    phi(m) <= (2g)^2, the degree of the ratio polynomial (phi(m) >=
-    sqrt(m/2) caps the scan)."""
-    R = ratio_poly(P)
-    bound = (2 * P.g) ** 2
+    """{m >= 2 : Phi_m divides the ratio polynomial}, trying every m with
+    phi(m) <= (2g)^2, the degree of the ratio polynomial, on R built by
+    ratio_poly_by_full_newton."""
+    R = ratio_poly_by_full_newton(P)
     return {
-        m for m in range(2, 2 * bound * bound + 2)
-        if _phi(m) <= bound and divmod_exact(R, cyclotomic(m))[1].is_zero
+        m for m in _orders_with_phi_up_to((2 * P.g) ** 2)
+        if divmod_exact(R, cyclotomic(m))[1].is_zero
     }
 
 

@@ -231,6 +231,19 @@ def test_genus_7_and_8_curves_get_a_verdict(curve, g, capsys):
 
 
 @pytest.mark.parametrize(
+    "coeffs,orders",
+    [([2147483713, 0, 1], [2]), ([2147483713, 1, 1], [])],
+)
+def test_analyze_weil_over_the_genus_1_prefilter_prime(coeffs, orders, capsys):
+    # q is the prime that the torsion prefilter reduces R modulo for g = 1
+    weil = json.dumps({"q": 2147483713, "g": 1, "coeffs": coeffs})
+    assert main(["analyze", "--weil", weil]) == 0
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert verdict["kind"] == "AbsolutelySimple"
+    assert verdict["torsion_orders"] == orders
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["analyze", "--curve", "2305843009213693951; h=; f=0,1,0,1"],  # 2^61 - 1

@@ -1,15 +1,23 @@
 import contextlib
+import itertools
 import math
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from frobtorus import simplicity
-from frobtorus.curves import PointCounts
+from frobtorus import gf, simplicity
+from frobtorus.curves import (
+    PointCounts,
+    count_batch,
+    counts_up_to_genus,
+    curve_from_text,
+    smooth_curves,
+)
 from frobtorus.intpoly import IntPoly, cyclotomic, factor, squarefree_part
 from frobtorus.simplicity import (
     ABSOLUTELY_SIMPLE,
@@ -23,6 +31,7 @@ from frobtorus.simplicity import (
     _decide,
     _torsion_candidates,
     _torsion_prefilter,
+    _torsion_residue_matrix,
     charpoly_power,
     classify,
     elliptic_torus_test,
@@ -39,11 +48,13 @@ from frobtorus.errors import (
     SizeExceeded,
     WeilBoundViolated,
 )
+from frobtorus.survey import SurveyConfig, enumerate_equations
 from frobtorus.zeta import WeilPolynomial, is_weil, weil_from_counts
 from oracles import (
     charpoly_power_by_resultant,
     minpoly_degree_over_q,
     powmod_monic,
+    ratio_poly_by_full_newton,
     ratio_poly_by_resultant,
     ratio_torsion_orders_by_phi_scan,
 )
@@ -154,12 +165,13 @@ def test_ratio_torsion_orders():
 def test_torsion_candidates_follow_from_the_two_bounds():
     # phi(m) >= sqrt(m) for m other than 2 and 6, so phi(m) <= B forces
     # m <= max(B^2, 6)
-    for g, size in zip(range(1, 5), (4, 13, 39, 57)):
+    for g, size in zip(range(1, 9), (4, 13, 39, 57, 102, 174, 257, 319)):
         bound = 2 * g * (2 * g - 1)  # degree of R / (x-1)^2g
         group_order = 2 ** g * math.factorial(g)  # |C_2 wr S_g|
+        phis = sympy.sieve.totientrange(2, max(bound * bound, 6) + 1)
         want = tuple(
-            m for m in range(2, max(bound * bound, 6) + 1)
-            if sympy.totient(m) <= bound and group_order % sympy.totient(m) == 0
+            m for m, phi in enumerate(phis, start=2)
+            if phi <= bound and group_order % phi == 0
         )
         assert len(want) == size
         assert _torsion_candidates(g) == want
@@ -184,6 +196,165 @@ def test_torsion_prefilter_roots_are_roots_of_the_cyclotomics(g):
         assert [ell for ell, _ in groups] == [
             (2147483713, 2147484721, 2154166561, 2156394241)[g - 1]
         ]
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_torsion_residue_matrix_is_exact_and_read_only(g):
+    # row i of M holds w^t + w^-t mod ell for the i-th candidate order,
+    # after a 1 at t = 0; every entry is a residue, so with ell < 2^31.5 no
+    # int64 product of two of them overflows
+    run, ell, orders, M = _torsion_residue_matrix(g)
+    runs = _torsion_prefilter(g)
+    rows = [(i, p, m, w) for i, (p, roots) in enumerate(runs) for m, w in roots]
+    assert list(zip(run.tolist(), ell.tolist(), orders.tolist())) == [
+        row[:3] for row in rows
+    ]
+    assert all(p * p < 2 ** 63 for p, _ in runs)
+    assert M.dtype == np.int64 and M.shape == (len(rows), 2 * g * g + 1)
+    assert ((M >= 0) & (M < ell[:, None])).all()
+    assert not M.flags.writeable
+    with pytest.raises(ValueError):
+        M[0, 0] = 0
+    for got, (_, p, m, w) in zip(M.tolist(), rows):
+        assert got == [1] + [
+            (pow(w, t, p) + pow(w, -t, p)) % p for t in range(1, 2 * g * g + 1)
+        ], (g, m)
+
+
+def test_torsion_residue_matrix_refuses_a_prime_past_2_to_the_31_5(monkeypatch):
+    # 3037000499^2 < 2^63 <= 3037000500^2; w = ell - 1 has order 2
+    build = simplicity._torsion_residue_matrix.__wrapped__
+    below, past = 3037000499, 3037000500
+    monkeypatch.setattr(simplicity, "_torsion_prefilter", lambda g: ((below, ((2, below - 1),)),))
+    assert build(1)[3].tolist() == [[1, below - 2, 2]]
+    monkeypatch.setattr(simplicity, "_torsion_prefilter", lambda g: ((past, ((2, past - 1),)),))
+    with pytest.raises(InvariantViolation, match="2\\^31.5"):
+        build(1)
+
+
+# survey families and the number of distinct Weil polynomials among their
+# curves
+RATIO_FAMILIES = {
+    (3, 2, 5, None): 32,
+    (3, 3, 7, 300): 90,
+    (5, 2, 5, None): 81,
+    (7, 2, 6, 300): 107,
+    (5, 3, 7, 200): 93,
+    (3, 4, 9, 60): 48,
+}
+
+
+def _family_weils(p, g, deg, limit):
+    # the distinct Weil polynomials of a survey family's first `limit` curves
+    base = gf.field_create(p, 1)
+    equations = enumerate_equations(SurveyConfig(p=p, genus=g, degree=deg))
+    curves = []
+    while limit is None or len(curves) < limit:
+        block = list(itertools.islice(equations, 256))
+        if not block:
+            break
+        curves += [C for C in smooth_curves(base, block, g) if C is not None]
+    return {
+        weil_from_counts(PointCounts(q=p, g=g, counts=c))
+        for c in count_batch(curves[:limit])
+    }
+
+
+def _check_half_length_ratio_poly(Ps):
+    # ratio_poly against the full-length construction, ratio_torsion_orders
+    # against the phi scan; the number of P with a nonempty torsion set
+    nonempty = 0
+    for P in Ps:
+        assert ratio_poly(P) == ratio_poly_by_full_newton(P), P
+        orders = ratio_torsion_orders(P)
+        assert orders == ratio_torsion_orders_by_phi_scan(P), P
+        nonempty += bool(orders)
+    return nonempty
+
+
+@pytest.mark.parametrize(
+    "family,distinct",
+    RATIO_FAMILIES.items(),
+    ids=[f"p{p}-g{g}-deg{d}-limit{n}" for p, g, d, n in RATIO_FAMILIES],
+)
+def test_half_length_ratio_poly_on_survey_families(family, distinct):
+    Ps = sorted(_family_weils(*family), key=lambda P: P.coeffs)
+    assert len(Ps) == distinct
+    assert _check_half_length_ratio_poly(Ps) > 0
+    if family[1] <= 3:
+        for P in Ps[::8]:
+            assert ratio_poly(P) == ratio_poly_by_resultant(P), P
+
+
+GENUS_7_CURVE = "3; h=; f=0,1,0,0,0,2,2,0,1,2,0,1,2,0,2,1"
+GENUS_8_CURVE = "3; h=; f=1,2,0,1,0,2,2,0,1,2,0,1,2,0,2,1,1,1"
+
+
+def _curve_weil(text):
+    return weil_from_counts(counts_up_to_genus(curve_from_text(text)))
+
+
+def _seeded_weils(g, count, seed):
+    # Weil polynomials of the first `count` smooth seeded random
+    # y^2 = f(x) over F_3 with f monic of degree 2g + 1
+    rng = random.Random(seed)
+    base = gf.field_create(3, 1)
+    curves = []
+    while len(curves) < count:
+        f = tuple(rng.randrange(3) for _ in range(2 * g + 1)) + (1,)
+        curves += [C for C in smooth_curves(base, [((), f)], g) if C is not None]
+    return [weil_from_counts(PointCounts(q=3, g=g, counts=c)) for c in count_batch(curves)]
+
+
+def _times_t2_plus_3(P):
+    # P * (T^2 + 3), a Weil polynomial of genus g + 1 with the ratio -1
+    F = IntPoly(P.coeffs) * IntPoly([3, 0, 1])
+    return WeilPolynomial(q=3, g=P.g + 1, coeffs=F.coeffs)
+
+
+def test_half_length_ratio_poly_on_seeded_genus_5_to_8():
+    genus_6 = _seeded_weils(6, 2, 6)
+    genus_7 = _curve_weil(GENUS_7_CURVE)
+    Ps = _seeded_weils(5, 3, 5) + genus_6 + [
+        genus_7,
+        _times_t2_plus_3(genus_6[0]),
+        _curve_weil(GENUS_8_CURVE),
+        _times_t2_plus_3(genus_7),
+    ]
+    assert [P.g for P in Ps] == [5, 5, 5, 6, 6, 7, 7, 8, 8]
+    assert _check_half_length_ratio_poly(Ps) >= 3
+
+
+# the prefilter primes of g = 1 and g = 2 as q: R_(H+t) = a_(H-t) q^t, so R
+# is R_H x^H mod ell and every order gets the residue R_H; none needs a
+# special case
+ELL_1, ELL_2 = 2147483713, 2147484721
+
+
+@pytest.mark.parametrize(
+    "P,kind,orders",
+    [
+        (WeilPolynomial(q=ELL_1, g=1, coeffs=(ELL_1, 0, 1)), ABSOLUTELY_SIMPLE, (2,)),
+        (WeilPolynomial(q=ELL_1, g=1, coeffs=(ELL_1, 1, 1)), ABSOLUTELY_SIMPLE, ()),
+        (
+            WeilPolynomial(q=ELL_2, g=2, coeffs=(ELL_2 ** 2, ELL_2, 1, 1, 1)),
+            ABSOLUTELY_SIMPLE,
+            (),
+        ),
+        (WeilPolynomial(q=ELL_2, g=2, coeffs=(ELL_2 ** 2, 0, 0, 0, 1)), INCONCLUSIVE, (2, 4)),
+        (
+            WeilPolynomial(q=ELL_2, g=2, coeffs=(ELL_2 ** 2, 0, ELL_2, 0, 1)),
+            INCONCLUSIVE,
+            (2, 3, 6),
+        ),
+    ],
+)
+def test_q_equal_to_a_prefilter_prime(P, kind, orders):
+    assert elliptic_torus_test(P)
+    v = classify(P)
+    assert (v.kind, v.torsion_orders) == (kind, orders)
+    assert set(orders) == ratio_torsion_orders_by_phi_scan(P)
+    assert verify_verdict(P, v)
 
 
 def _window_factor(draw, q, h):
