@@ -5,14 +5,17 @@ no floating point.  Degrees in scope are small (factorization caps at 16,
 composed products reach (2g)^2), so the algorithms favor
 
   - Newton's identities between a monic polynomial and its root power sums,
-  - modular Zassenhaus (Frobenius-matrix DDF at up to three primes as a
+  - factorization over Q through one monic core: factor removes content and
+    unit, and a leading coefficient b != 1 by the monic transform
+    b^(n-1) F(x/b), whose factors k map back to the primitive parts of
+    k(bx).  A monic F of degree <= 3 is split by its integer roots, each
+    divided out as often as it divides (a quadratic's read off a square
+    discriminant, a cubic's found by bisection over its monotone runs inside
+    Cauchy's bound).  Past degree 3 the squarefree F, or else F's
+    squarefree part with multiplicities by exact division, goes through
+    modular Zassenhaus (Frobenius-matrix DDF at up to three primes as a
     degree sieve, Cantor-Zassenhaus, quadratic Hensel lifting, subset
-    recombination) for factorization over Q; when F is not squarefree
-    modulo the first prime p >= 17 that keeps its degree, its squarefree
-    part is factored and each multiplicity found by exact division; a
-    squarefree quadratic is split by its discriminant alone, and a
-    squarefree cubic by an exact integer-root search (bisection over the
-    monotone runs of its monic transform inside Cauchy's bound),
+    recombination),
 
 all of which are short enough to audit directly.  No resultant is on the
 factorization path: a prime is good when gcd(F, F') = 1 mod p.  resultant
@@ -145,10 +148,6 @@ class IntPoly:
         if self.lc < 0:
             c = -c
         return _poly([x // c for x in self.coeffs])
-
-    def shift_scale(self, b: int) -> "IntPoly":
-        """The polynomial f(b*x)."""
-        return IntPoly([c * b ** i for i, c in enumerate(self.coeffs)])
 
 
 _new = object.__new__
@@ -401,14 +400,10 @@ def squarefree_part(f: IntPoly) -> IntPoly:
 
 
 def _multiplicity(F: IntPoly, irr: IntPoly) -> int:
-    # the largest e with irr^e | F: exact divisions until one is inexact
-    # or leaves a remainder
+    # the largest e with irr^e | F; irr is monic, so each division is exact
     e = 0
     while True:
-        try:
-            quo, rem = divmod_exact(F, irr)
-        except ValueError:
-            return e
+        quo, rem = divmod_exact(F, irr)
         if not rem.is_zero:
             return e
         F, e = quo, e + 1
@@ -421,26 +416,21 @@ def _primes_from_17() -> list[int]:
 
 
 def _squarefree_mod(F: IntPoly, p: int) -> list[int] | None:
-    # F mod p when lc(F) is a unit and gcd(F, F') = 1 mod p, else None.  For
-    # p > deg F, F' keeps its degree mod p, so the gcd decides whether F mod p
-    # is squarefree; and with lc(F) a unit, a repeated factor of F over Q
-    # stays a repeated factor of positive degree mod p.  So a non-None
-    # result proves F squarefree over Q.
+    # F mod p when gcd(F, F') = 1 mod p, else None.  F is monic and p > deg F,
+    # so F and F' keep their degrees mod p and the gcd decides whether F mod p
+    # is squarefree; and a repeated factor of F over Q stays a repeated
+    # factor of positive degree mod p.  So a non-None result proves F
+    # squarefree over Q.
     a = [c % p for c in F.coeffs]
-    if a[-1] == 0 or len(_fpx.gcd(a, _fpx.deriv(a, p), p)) > 1:
+    if len(_fpx.gcd(a, _fpx.deriv(a, p), p)) > 1:
         return None
     return a
 
 
-def _good_primes(F: IntPoly, known: tuple[int, bool] | None):
-    # (p, F mod p) for the primes p >= 17 where F stays squarefree of its
-    # degree, lazily; known = (p, good) is a prime already tested
+def _good_primes(F: IntPoly):
+    # (p, F mod p) for the primes p >= 17 where F stays squarefree, lazily
     for p in _primes_from_17():
-        if known and p == known[0]:
-            a = [c % p for c in F.coeffs] if known[1] else None
-        else:
-            a = _squarefree_mod(F, p)
-        if a is not None:
+        if (a := _squarefree_mod(F, p)) is not None:
             yield p, a
     raise AssertionError("ran out of candidate primes")
 
@@ -517,29 +507,25 @@ def _sym(c: int, m: int) -> int:
     return c - m if c > m // 2 else c
 
 
-def _split_quadratic(F: IntPoly) -> list[IntPoly]:
-    # a x^2 + b x + c, primitive, squarefree and positive-lc, splits over Q
-    # exactly when its discriminant is a square s^2 (s > 0, F being
-    # squarefree), into 2a x + b -+ s
-    c, b, a = F.coeffs
-    disc = b * b - 4 * a * c
-    s = math.isqrt(disc) if disc > 0 else 0
-    if s * s != disc:
-        return [F]
-    roots = (_poly([b - s, 2 * a]).primitive(), _poly([b + s, 2 * a]).primitive())
-    return sorted(roots, key=lambda h: h.coeffs)
-
-
 def _cubic_integer_root(F: IntPoly) -> int | None:
     """An integer root of the monic cubic F = x^3 + a x^2 + b x + c, or None.
 
     Every root r has |r| < B = 1 + max(|a|, |b|, |c|) (Cauchy's bound).  F
     is monotone between the integer neighbours of its critical points
     t = (-a -+ sqrt(D)) / 3, D = a^2 - 3b, so a bisection over each
-    monotone run of [-B, B] finds r exactly:
+    monotone run of [-B, B] finds r exactly.
+
+    So is a repeated root, a root of F' too.  At D > 0 an integer double
+    root is t1 or t2, so sqrt(D) is an integer and the root is k1 = t1, the
+    end of the first increasing run, or k2 = t2, the start of the last; F is
+    strictly increasing on both, endpoints included.  At D = 0, F' = 3 (x -
+    t1)^2 vanishes only at t1, so F is strictly increasing on the one run,
+    which holds the triple root t1.  At D < 0 no real root repeats.
 
     >>> _cubic_integer_root(IntPoly([-6, 11, -6, 1]))  # (x - 1)(x - 2)(x - 3)
     1
+    >>> _cubic_integer_root(IntPoly([-20, 24, -9, 1]))  # (x - 2)^2 (x - 5)
+    2
     >>> _cubic_integer_root(IntPoly([-2, 0, 0, 1])) is None  # x^3 - 2
     True
     """
@@ -569,50 +555,57 @@ def _cubic_integer_root(F: IntPoly) -> int | None:
     return None
 
 
-def _zassenhaus_squarefree(F: IntPoly, known: tuple[int, bool] | None) -> list[IntPoly]:
-    """Irreducible factors of a primitive squarefree positive-lc polynomial.
+def _integer_root(F: IntPoly) -> int | None:
+    # an integer root of the monic quadratic or cubic F, or None.  The roots
+    # of x^2 + b x + c are (-b -+ s) / 2 with s^2 = b^2 - 4c; they are
+    # rational exactly when s is an integer, and then s = b mod 2
+    if F.degree == 3:
+        return _cubic_integer_root(F)
+    c, b, _ = F.coeffs
+    disc = b * b - 4 * c
+    s = math.isqrt(disc) if disc >= 0 else -1
+    return (s - b) // 2 if s * s == disc else None
 
-    A quadratic splits by its discriminant, and a cubic by an integer root
-    of its monic transform, which _cubic_integer_root finds exactly: a
-    cubic is reducible over Q exactly when it has a rational root.  Higher
-    degrees take the modular path.  known = (p, good), when given, is a
-    prime p not dividing lc(F) whose squarefree test on F is already done;
-    F's monic transform is squarefree mod p exactly when F is.
-    """
+
+def _split_by_integer_roots(F: IntPoly) -> list[tuple[IntPoly, int]]:
+    # the factorization of the monic F of degree <= 3: integer roots are
+    # divided out one at a time, so a repeated root is found again in the
+    # quotient and its repeats count its multiplicity.  What is left has no
+    # rational root, so it is 1, linear, or an irreducible quadratic or cubic
+    roots = []
+    while F.degree > 1 and (r := _integer_root(F)) is not None:
+        roots.append(r)
+        F = divmod_exact(F, _poly([-r, 1]))[0]
+    if F.degree == 1:
+        roots.append(-F.coeffs[0])
+    out = [(_poly([-r, 1]), roots.count(r)) for r in set(roots)]
+    return out + [(F, 1)] if F.degree > 1 else out
+
+
+def _zassenhaus_squarefree(F: IntPoly) -> list[IntPoly]:
+    """Irreducible factors of a monic squarefree polynomial, by the modular
+    path: a degree sieve over the ddf of up to three primes, then
+    Cantor-Zassenhaus, Hensel lifting and subset recombination."""
     n = F.degree
-    if n == 1:
-        return [F]
-    if n == 2:
-        return _split_quadratic(F)
-    b = F.lc
-    # monic transform: b^(n-1) * F(x/b); leading term becomes 1 exactly
-    Fm = _poly([c * b ** (n - 1 - i) for i, c in enumerate(F.coeffs[:-1])] + [1])
-    if n == 3:
-        r = _cubic_integer_root(Fm)
-        if r is None:
-            return [F]
-        root = _poly([-r, 1])
-        quo = divmod_exact(Fm, root)[0]
-        return _undo_monic_transform([root] + _split_quadratic(quo), b)
     # factor degrees allowed by the ddf of up to three primes; none left
     # proves F irreducible
     allowed = (1 << n) - 2
     first = None
-    for p, a in itertools.islice(_good_primes(Fm, known), 3):
+    for p, a in itertools.islice(_good_primes(F), 3):
         blocks = _fpx.ddf(a, p)
         first = first or (p, blocks)
         allowed &= _subset_sums(blocks, n)
         if not allowed:
             return [F]
     p, blocks = first
-    rng = random.Random(f"{p}:{Fm.coeffs}")
+    rng = random.Random(f"{p}:{F.coeffs}")
     modular = _fpx.factor_squarefree_monic(blocks, p, rng)
-    bound = _mignotte_bound(Fm)
-    lifted, modulus = _hensel_lift_all(list(Fm.coeffs), modular, p, 2 * bound + 1)
+    bound = _mignotte_bound(F)
+    lifted, modulus = _hensel_lift_all(list(F.coeffs), modular, p, 2 * bound + 1)
     # subset recombination over the lifted factors
     remaining = list(range(len(lifted)))
-    target = Fm
-    found_monic: list[IntPoly] = []
+    target = F
+    found: list[IntPoly] = []
     size = 1
     while 2 * size <= len(remaining):
         retry = True
@@ -628,7 +621,7 @@ def _zassenhaus_squarefree(F: IntPoly, known: tuple[int, bool] | None) -> list[I
                 cand = _poly([_sym(c, modulus) for c in prod])
                 quo, rem2 = divmod_exact(target, cand)
                 if rem2.is_zero:
-                    found_monic.append(cand)
+                    found.append(cand)
                     for i in combo:
                         remaining.remove(i)
                     target = quo
@@ -636,15 +629,27 @@ def _zassenhaus_squarefree(F: IntPoly, known: tuple[int, bool] | None) -> list[I
                     break
         size += 1
     if target.degree > 0:
-        found_monic.append(target)
-    return _undo_monic_transform(found_monic, b)
+        found.append(target)
+    return found
 
 
-def _undo_monic_transform(found_monic: list[IntPoly], b: int) -> list[IntPoly]:
-    # the factors of F are the primitive parts of the h(b*x), sorted
-    out = [h.shift_scale(b).primitive() for h in found_monic]
-    out.sort(key=lambda h: (h.degree, h.coeffs))
-    return out
+def _factor_monic(F: IntPoly) -> list[tuple[IntPoly, int]]:
+    # [(irreducible, multiplicity)] of the monic F, unsorted.  Past degree 3,
+    # F squarefree mod 17 is squarefree over Q; otherwise its squarefree part
+    # is factored and each multiplicity found by exact division
+    if F.degree <= 3:
+        return _split_by_integer_roots(F)
+    if _squarefree_mod(F, 17) is not None:
+        return [(k, 1) for k in _zassenhaus_squarefree(F)]
+    return [(k, _multiplicity(F, k)) for k in _zassenhaus_squarefree(squarefree_part(F))]
+
+
+def factor_product(factors, unit: int = 1) -> IntPoly:
+    """unit times the product of h^e over the pairs (h, e) in factors."""
+    prod = _poly([unit])
+    for h, e in factors:
+        prod = prod * h ** e
+    return prod
 
 
 def factor(f: IntPoly) -> tuple[int, list[tuple[IntPoly, int]]]:
@@ -662,21 +667,17 @@ def factor(f: IntPoly) -> tuple[int, list[tuple[IntPoly, int]]]:
         return f.coeffs[0], []
     F = f.primitive()
     unit = f.lc // F.lc
-    # squarefree modulo the first prime that keeps the degree means
-    # squarefree over Q: every multiplicity is 1.  Otherwise the factors of
-    # the squarefree part are F's, each with its multiplicity in F.  Either
-    # way that prime is not tested again
-    p = next((p for p in _primes_from_17() if F.lc % p), None)
-    if p is not None and _squarefree_mod(F, p) is not None:
-        out = [(irr, 1) for irr in _zassenhaus_squarefree(F, (p, True))]
+    b, n = F.lc, F.degree
+    if b == 1:
+        out = _factor_monic(F)
     else:
-        S = squarefree_part(F)
-        known = (p, False) if S == F else None
-        out = [(irr, _multiplicity(F, irr)) for irr in _zassenhaus_squarefree(S, known)]
-    prod = _poly([unit])
-    for irr, mult in out:
-        prod = prod * irr ** mult
-    if prod != f:
+        # the monic transform b^(n-1) F(x/b) factors as F does, each factor
+        # k of it coming from the primitive part of k(bx)
+        Fm = _poly([c * b ** (n - 1 - i) for i, c in enumerate(F.coeffs[:-1])] + [1])
+        out = [(_poly([c * b ** i for i, c in enumerate(k.coeffs)]).primitive(), e)
+               for k, e in _factor_monic(Fm)]
+    out.sort(key=lambda ke: (ke[0].degree, ke[0].coeffs))
+    if factor_product(out, unit) != f:
         raise InvariantViolation("factor product does not reproduce the input")
     return unit, out
 

@@ -86,6 +86,7 @@ from .intpoly import (
     cyclotomic,
     divmod_exact,
     factor,
+    factor_product,
     from_power_sums,
     root_power_sums,
 )
@@ -307,10 +308,7 @@ def _weil_factors(P: WeilPolynomial) -> list[tuple[IntPoly, int]]:
                     K[d - j + 2 * i] += kj * math.comb(j, i) * q ** (j - i)
             out.append((IntPoly(K), e))
     out.sort(key=lambda fe: (fe[0].degree, fe[0].coeffs))
-    prod = IntPoly([1])
-    for K, e in out:
-        prod = prod * K ** e
-    if prod.coeffs != P.coeffs:
+    if factor_product(out).coeffs != P.coeffs:
         raise InvariantViolation("factors of h do not reproduce the Weil polynomial")
     return out
 
@@ -487,9 +485,6 @@ def verify_verdict(P: WeilPolynomial, v: SimplicityVerdict) -> bool:
         target = IntPoly(P.coeffs)
         if v.witness_n is not None and v.witness_n > 1:
             target = charpoly_power(P, v.witness_n)
-        prod = IntPoly([1])
-        for h, e in v.factors:
-            prod = prod * h ** e
-        if prod != target:
+        if factor_product(v.factors) != target:
             return False
     return True

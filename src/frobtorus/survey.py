@@ -384,7 +384,7 @@ def analyze_one(curve_text: str | None = None, weil_json=None) -> dict:
     if isinstance(weil_json, str):
         try:
             weil_json = json.loads(weil_json)
-        except json.JSONDecodeError as bad:
+        except ValueError as bad:  # JSONDecodeError, or an over-long int literal
             raise ParseError(f"bad Weil polynomial JSON: {bad}") from None
     P = weil_from_json(weil_json)
     t0 = time.perf_counter()

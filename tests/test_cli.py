@@ -79,6 +79,15 @@ def test_analyze_weil_coeffs_must_be_an_array(capsys):
     assert "coeffs must be a JSON array" in capsys.readouterr().err
 
 
+def test_analyze_weil_with_an_overlong_integer_literal_is_input_error(capsys):
+    # from Python 3.11 json.loads refuses int literals past 4,300 digits with
+    # a ValueError that is not a JSONDecodeError; before, the literal parses
+    # and q = 10^5000 is refused as no prime power
+    weil = '{"q": 1' + "0" * 5000 + ', "g": 1, "coeffs": [1, 0, 1]}'
+    assert main(["analyze", "--weil", weil]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_analyze_fake_weil_is_verification_failure(capsys):
     assert main(["analyze", "--weil", '{"q":5,"g":1,"coeffs":[5,-5,1]}']) == 3
     out = capsys.readouterr()

@@ -325,17 +325,29 @@ EDGE_CUBICS = [
     IntPoly([-4]) * IntPoly([3, 2]) * IntPoly([1, 1, 1]),
     IntPoly([-3, 0, 0, 2]),  # 2x^3 - 3, irreducible
     IntPoly([0, 0, -1, 3]),  # x^2 (3x - 1)
-    # not squarefree: the squarefree part is factored instead
+    # repeated roots, each peeled as often as it divides
     (X - IntPoly([2])) ** 2 * (X + IntPoly([3])),
-    (X + IntPoly([4])) ** 3,
+    (X + IntPoly([4])) ** 3,  # D = 0: the triple root in the single run
     IntPoly([-1, 2]) ** 2 * (X + IntPoly([1])),
     IntPoly([2, 3]) ** 3,
+    (X - IntPoly([2])) ** 2 * (X - IntPoly([5])),  # double root t1 = 2 = k1
+    (X - IntPoly([5])) ** 2 * (X - IntPoly([2])),  # double root t2 = 5 = k2
+    (X + IntPoly([2])) ** 2 * (X + IntPoly([5])),  # double root t2 = -2
+    (X + IntPoly([5])) ** 2 * (X + IntPoly([2])),  # double root t1 = -5
+    # non-monic with content and repeated rational roots
+    IntPoly([-2]) * IntPoly([-1, 3]) ** 2 * (X + IntPoly([5])),
+    IntPoly([4]) * IntPoly([1, 2]) ** 3,
 ]
 
 
 def _monic_box():
     for a, b, c in itertools.product(range(-12, 13), repeat=3):
         yield IntPoly([c, b, a, 1])
+
+
+def _monic_quadratic_box():
+    for b, c in itertools.product(range(-40, 41), repeat=2):
+        yield IntPoly([c, b, 1])
 
 
 def _genus3_weil_real_polys():
@@ -351,12 +363,14 @@ def _genus3_weil_real_polys():
 
 
 @pytest.mark.parametrize(
-    "family", [_monic_box, _genus3_weil_real_polys, lambda: EDGE_CUBICS],
-    ids=["monic-box", "genus3-weil", "edge"],
+    "family",
+    [_monic_box, _genus3_weil_real_polys, lambda: EDGE_CUBICS, _monic_quadratic_box],
+    ids=["monic-box", "genus3-weil", "edge", "monic-quadratic-box"],
 )
 def test_factor_of_cubics_matches_the_root_scan_and_sympy(family):
     for f in family():
-        assert factor(f) == factor_cubic_by_root_scan(f), f
+        if f.degree == 3:
+            assert factor(f) == factor_cubic_by_root_scan(f), f
         _assert_factor_matches_sympy(f)
 
 
