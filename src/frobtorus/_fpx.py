@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import SizeExceeded
+from .errors import SizeExceeded, clip
 
 # Miller-Rabin with the first 13 primes as bases decides primality of every
 # n below MR_BOUND (Sorenson and Webster, Math. Comp. 86 (2017), psi_13)
@@ -183,7 +183,7 @@ def is_prime(n: int) -> bool:
         if n % a == 0:
             return n == a
     if n >= MR_BOUND:
-        raise SizeExceeded(f"{n} is past the prime test bound {MR_BOUND}")
+        raise SizeExceeded(f"{clip(n)} is past the prime test bound {MR_BOUND}")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

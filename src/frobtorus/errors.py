@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the clipping of the
+values that their messages name."""
 
 
 class FrobtorusError(Exception):
@@ -74,3 +75,15 @@ class CorruptRecord(FrobtorusError):
     def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
+
+
+def clip(v) -> str:
+    """The repr of a rejected value; a long one is cut to a prefix and its
+    length, so an error names it in one short line."""
+    try:
+        text = repr(v)
+    except ValueError:  # an int past the interpreter's digit limit
+        return f"an integer of {v.bit_length()} bits"
+    if len(text) <= 40:
+        return text
+    return f"{text[:40]}... ({len(text)} characters)"

@@ -206,15 +206,16 @@ def _torsion_prefilter(g: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]],
     # PREFILTER_LCM_CAP; per run a prime ell = 1 mod L, the first such above
     # 2^31, and for each m of the run an element w_m of exact order m in
     # F_ell: w_m = w^(L/m) for w of exact order L
-    groups: list[list[int]] = []
+    runs: list[list] = []  # [L, orders] per run, L kept as a running lcm
     for m in _torsion_candidates(g):
-        if groups and math.lcm(math.lcm(*groups[-1]), m) <= PREFILTER_LCM_CAP:
-            groups[-1].append(m)
+        L = math.lcm(runs[-1][0], m) if runs else PREFILTER_LCM_CAP + 1
+        if L <= PREFILTER_LCM_CAP:
+            runs[-1][0] = L
+            runs[-1][1].append(m)
         else:
-            groups.append([m])
+            runs.append([m, [m]])
     out = []
-    for orders in groups:
-        L = math.lcm(*orders)
+    for L, orders in runs:
         ell = (2 ** 31 // L + 1) * L + 1
         while not _fpx.is_prime(ell):
             ell += L

@@ -9,17 +9,28 @@ truncated), and neither accepts a repeated curve or a record from another
 family.  Output order is enumeration order, keeping files byte-identical
 across runs up to the timing field.
 
+A record's counts, weil and verdict members are a function of its counts
+vector alone, so a survey encodes them once per distinct vector (an LRU of
+CLASSIFY_CACHE_SIZE encoded tails keyed on (q, g, counts)) and writes each
+record as its curve text, that tail and its timing: the bytes of
+json.dumps(record, separators=(",", ":")).  The first record of a vector
+times its Weil polynomial and its classification as zeta_s and
+classify_s; a later one records the lookup's time as zeta_s and 0.0 as
+classify_s.
+
 Surveys count equations, not isomorphism classes; summaries carry that bias
 note and label results as empirical fractions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import gf
 from .curves import (
@@ -45,6 +56,7 @@ from .errors import (
 from .intpoly import FACTOR_DEGREE_CAP
 from .simplicity import (
     ABSOLUTELY_SIMPLE,
+    CLASSIFY_CACHE_SIZE,
     INCONCLUSIVE,
     NOT_ABSOLUTELY_SIMPLE,
     NOT_SIMPLE,
@@ -112,27 +124,58 @@ def curve_record(C) -> dict:
     """Run counts -> Weil polynomial -> verdict on a validated curve."""
     t0 = time.perf_counter()
     counts = counts_up_to_genus(C)
-    return _record(C, counts, time.perf_counter() - t0)
-
-
-def _record(C, counts: PointCounts, count_s: float) -> dict:
-    # the record of C from its counts; count_s is the time they took
-    t1 = time.perf_counter()
-    P = weil_from_counts(counts)
-    t2 = time.perf_counter()
-    v = classify(P)
-    t3 = time.perf_counter()
+    count_s = time.perf_counter() - t0
+    members, zeta_s, classify_s = _content(counts)
     return {
         "curve": curve_to_text(C),
+        **members,
+        "timing": {"count_s": count_s, "zeta_s": zeta_s, "classify_s": classify_s},
+    }
+
+
+def _content(counts: PointCounts):
+    # the counts, weil and verdict members of a record with these counts,
+    # and the times weil_from_counts and classify took
+    t0 = time.perf_counter()
+    P = weil_from_counts(counts)
+    t1 = time.perf_counter()
+    v = classify(P)
+    t2 = time.perf_counter()
+    members = {
         "counts": {"q": counts.q, "g": counts.g, "counts": list(counts.counts)},
         "weil": weil_to_json(P),
         "verdict": verdict_to_json(v),
-        "timing": {
-            "count_s": count_s,
-            "zeta_s": t2 - t1,
-            "classify_s": t3 - t2,
-        },
     }
+    return members, t1 - t0, t2 - t1
+
+
+@functools.lru_cache(maxsize=CLASSIFY_CACHE_SIZE)
+def _record_tail(q: int, g: int, counts: tuple[int, ...]):
+    # the encoded members of every record with these counts (json.dumps of
+    # _content's dict, braces cut off), its verdict kind, and the zeta_s and
+    # classify_s of the record that encoded it.  PointCounts' Weil-bound
+    # check raises on a miss, and errors are not cached
+    members, zeta_s, classify_s = _content(PointCounts(q=q, g=g, counts=counts))
+    text = json.dumps(members, separators=(",", ":"))[1:-1]
+    return text, members["verdict"]["kind"], zeta_s, classify_s
+
+
+# a record as json.dumps(record, separators=(",", ":")) writes it, with the
+# curve encoded as json.dumps encodes a string and each time as its repr
+_LINE = '{"curve":%s,%s,"timing":{"count_s":%s,"zeta_s":%r,"classify_s":%r}}\n'
+
+
+def _line(C, counts, count_s: str) -> tuple[str, str]:
+    # the JSONL line of C's record and its verdict kind; count_s is already
+    # encoded.  A record whose tail an earlier record encoded takes the
+    # lookup's own time as zeta_s and 0.0 as classify_s
+    misses = _record_tail.cache_info().misses
+    t0 = time.perf_counter()
+    tail, kind, zeta_s, classify_s = _record_tail(C.base.q, C.genus, tuple(counts))
+    if _record_tail.cache_info().misses == misses:
+        zeta_s, classify_s = time.perf_counter() - t0, 0.0
+    curve = encode_basestring_ascii(curve_to_text(C))
+    return _LINE % (curve, tail, count_s, zeta_s, classify_s), kind
 
 
 def _read_survey(data: bytes):
@@ -217,7 +260,8 @@ def _record_family(obj: dict, lineno: int) -> tuple:
 
 def _result_stream(cfg: SurveyConfig, skip_keys: dict[str, object], limit=None):
     """Yield ('skip', key, None) or ('new', key, record|None) in enumeration
-    order; the record is None for a singular equation.  The key (the
+    order; a record is the (JSONL line, verdict kind) of a curve, and None
+    for a singular equation.  The key (the
     equation text) is built only to look up skip_keys, so a new equation's
     key is None when skip_keys is empty.
 
@@ -255,17 +299,13 @@ def _result_stream(cfg: SurveyConfig, skip_keys: dict[str, object], limit=None):
 
 
 def _counted(events, batch):
-    # the events with each curve replaced by its record; every record's
-    # count_s is its share of the batch's count time
+    # the events with each curve replaced by its record's (line, kind);
+    # every record's count_s is its share of the batch's count time
     t0 = time.perf_counter()
     counts = iter(count_batch(batch) if batch else ())
-    share = (time.perf_counter() - t0) / max(len(batch), 1)
+    count_s = repr((time.perf_counter() - t0) / max(len(batch), 1))
     for tag, key, C in events:
-        record = None
-        if C is not None:
-            ns = PointCounts(q=C.base.q, g=C.genus, counts=next(counts))
-            record = _record(C, ns, share)
-        yield tag, key, record
+        yield tag, key, None if C is None else _line(C, next(counts), count_s)
 
 
 def run_survey(cfg: SurveyConfig, out_path: str | None = None, stream=None) -> dict:
@@ -312,9 +352,9 @@ def run_survey(cfg: SurveyConfig, out_path: str | None = None, stream=None) -> d
                 singular += 1
                 continue
             else:
-                fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+                line, kind = record
+                fh.write(line)
                 fh.flush()
-                kind = record["verdict"]["kind"]
             valid += 1
             if kind in KIND_ORDER:
                 kinds[kind] += 1
@@ -362,11 +402,12 @@ def run_find(cfg: SurveyConfig, count: int, stream=None) -> int:
         raise ValueError("find needs a positive count")
     fh = stream if stream is not None else sys.stdout
     found = 0
-    for tag, key, record in _result_stream(cfg, {}):
+    for _, _, record in _result_stream(cfg, {}):
         if record is None:
             continue
-        if record["verdict"]["kind"] == ABSOLUTELY_SIMPLE:
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        line, kind = record
+        if kind == ABSOLUTELY_SIMPLE:
+            fh.write(line)
             found += 1
             if found >= count:
                 break

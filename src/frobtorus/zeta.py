@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import intpoly
 from ._fpx import MR_BOUND, is_prime  # noqa: F401  (MR_BOUND: prime_power's limit)
-from .errors import InvariantViolation, ParseError
+from .errors import InvariantViolation, ParseError, clip
 
 INT_JSON_CUTOFF = 1 << 53
 
@@ -38,23 +38,29 @@ def _iroot(n: int, k: int) -> int:
 def prime_power(q: int) -> tuple[int, int]:
     """Split q into (p, k) with p prime; reject non prime powers.
 
-    Exact: with k the largest exponent making q a perfect k-th power
-    (integer roots), q is a prime power iff its k-th root p is prime, which
-    _fpx.is_prime decides.  Raises SizeExceeded when p has no prime factor
-    up to 41 and is at least MR_BOUND (about 3.3e24), past which that test
-    is not proven.
+    Exact: p is q with every exact integer root taken out, and k the
+    product of the root exponents.  Only prime exponents e <= log2 p are
+    tried, each again after a root it gives, since a perfect (ab)-th power
+    is an a-th power of a b-th power.  q is a prime power iff that p is
+    prime, which _fpx.is_prime decides.  Raises SizeExceeded when p has no
+    prime factor up to 41 and is at least MR_BOUND (about 3.3e24), past
+    which that test is not proven.
 
     >>> prime_power(3 ** 5)
     (3, 5)
+    >>> prime_power(2 ** 12)
+    (2, 12)
     """
     if q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    for k in range(q.bit_length() - 1, 0, -1):
-        p = _iroot(q, k)
-        if p ** k == q:
-            break
+        raise ValueError(f"{clip(q)} is not a prime power")
+    p, k, e = q, 1, 2
+    while 1 << e <= p:
+        if is_prime(e) and (r := _iroot(p, e)) ** e == p:
+            p, k = r, k * e
+        else:
+            e += 1
     if not is_prime(p):
-        raise ValueError(f"{q} is not a prime power")
+        raise ValueError(f"{clip(q)} is not a prime power")
     return p, k
 
 
@@ -183,11 +189,11 @@ def encode_int(v: int):
 
 def decode_int(v) -> int:
     if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise ParseError(f"expected integer or decimal string, got {_clip(v)}")
+        raise ParseError(f"expected integer or decimal string, got {clip(v)}")
     try:
         return int(v)
     except ValueError:
-        raise ParseError(f"bad integer literal {_clip(v)}") from None
+        raise ParseError(f"bad integer literal {clip(v)}") from None
 
 
 def decode_array(d, key: str) -> list:
@@ -195,17 +201,8 @@ def decode_array(d, key: str) -> list:
     read character by character."""
     v = d[key]
     if not isinstance(v, list):
-        raise ParseError(f"{key} must be a JSON array, got {_clip(v)}")
+        raise ParseError(f"{key} must be a JSON array, got {clip(v)}")
     return v
-
-
-def _clip(v) -> str:
-    # the repr of a rejected value; a long one is cut to a prefix and its
-    # length, so an error names it in one short line
-    text = repr(v)
-    if len(text) <= 40:
-        return text
-    return f"{text[:40]}... ({len(text)} characters)"
 
 
 def weil_to_json(P: WeilPolynomial) -> dict:

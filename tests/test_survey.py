@@ -20,6 +20,7 @@ from frobtorus.errors import (
     ResumeMismatch,
     Singular,
     SizeExceeded,
+    WeilBoundViolated,
 )
 from frobtorus.gf import field_create
 from frobtorus.simplicity import classify, verdict_to_json
@@ -613,10 +614,13 @@ def test_find_hits_are_the_first_absolutely_simple_golden_records():
 
 def _oracle(cfg):
     # the survey one equation at a time: validate_curve, then curve_record
-    # on each curve it accepts; (enumeration index, record) pairs
+    # on each curve it accepts, up to the limit; (enumeration index, record)
+    # pairs
     base = field_create(cfg.p)
     out = []
     for i, (h, f) in enumerate(enumerate_equations(cfg)):
+        if len(out) == cfg.limit:
+            break
         try:
             C = validate_curve(base, h, f, cfg.genus)
         except Singular:
@@ -683,6 +687,138 @@ def test_screened_find_hits_match_the_per_equation_path(screened_family):
     assert run_find(cfg, len(hits), stream=buf) == len(hits)
     assert _strip_timing(buf.getvalue().splitlines()) == _strip_timing(
         json.dumps(rec) for rec in hits)
+
+
+# -- written lines and the record-tail memo ---------------------------------
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(2, 2, 5, None), (3, 2, 5, None), (3, 4, 9, 60), (7, 2, 6, 100)],
+    ids=["p2", "p3", "p3-g4", "p7-sieve"],
+)
+def line_family(request):
+    p, genus, degree, limit = request.param
+    cfg = SurveyConfig(p=p, genus=genus, degree=degree, limit=limit)
+    return cfg, [rec for _, rec in _oracle(cfg)]
+
+
+def _assert_compact_json(lines):
+    # each line is json.dumps, with compact separators, of what it decodes to
+    for line in lines:
+        assert json.dumps(json.loads(line), separators=(",", ":")) + "\n" == line
+
+
+def test_survey_lines_are_the_compact_json_of_the_per_equation_records(
+    line_family,
+):
+    cfg, oracle = line_family
+    buf = io.StringIO()
+    summary = run_survey(cfg, stream=buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    _assert_compact_json(lines)
+    records = _records(buf.getvalue())
+    assert records == _strip_timing(json.dumps(rec) for rec in oracle)
+    # the summary counts the kinds that the records hold
+    assert summary["by_kind"] == {
+        kind: sum(rec["verdict"]["kind"] == kind for rec in records)
+        for kind in survey.KIND_ORDER
+    }
+
+
+def test_each_counts_vector_is_encoded_once_and_timed_by_the_hit_rule(
+    line_family,
+):
+    # the first record of a counts vector times its decision; every later
+    # one takes its lookup's time as zeta_s and 0.0 as classify_s
+    cfg, oracle = line_family
+    buf = io.StringIO()
+    run_survey(cfg, stream=buf)
+    seen = set()
+    for line in buf.getvalue().splitlines()[1:]:
+        rec = json.loads(line)
+        timing = rec["timing"]
+        assert sorted(timing) == ["classify_s", "count_s", "zeta_s"]
+        assert all(type(v) is float and v >= 0.0 for v in timing.values())
+        vector = tuple(rec["counts"]["counts"])
+        if vector in seen:
+            assert timing["classify_s"] == 0.0
+        seen.add(vector)
+    info = survey._record_tail.cache_info()
+    assert (info.misses, info.hits) == (len(seen), len(oracle) - len(seen))
+
+
+def test_find_lines_are_the_matching_survey_lines(line_family):
+    # find runs first, from a cold memo; the survey after it reads the
+    # tails that find encoded
+    cfg, oracle = line_family
+    hits = [rec for rec in oracle if rec["verdict"]["kind"] == "AbsolutelySimple"]
+    found = io.StringIO()
+    assert run_find(cfg, len(hits), stream=found) == len(hits)
+    whole = io.StringIO()
+    run_survey(cfg, stream=whole)
+    lines = found.getvalue().splitlines(keepends=True)
+    _assert_compact_json(lines)
+    assert _strip_timing(lines) == [
+        rec for rec in _records(whole.getvalue())
+        if rec["verdict"]["kind"] == "AbsolutelySimple"
+    ]
+
+
+def test_resume_across_a_cut_line_writes_the_same_records(line_family, tmp_path):
+    cfg, oracle = line_family
+    path = tmp_path / "s.jsonl"
+    run_survey(cfg, out_path=str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    cut = 1 + len(oracle) // 2
+    path.write_text("".join(lines[:cut]) + lines[cut][: len(lines[cut]) // 2])
+    run_survey(cfg, out_path=str(path))
+    resumed = path.read_text().splitlines(keepends=True)
+    assert resumed[:cut] == lines[:cut]
+    _assert_compact_json(resumed)
+    assert _records("".join(resumed)) == _records("".join(lines))
+
+
+def test_families_that_share_counts_vectors_keep_their_own_records():
+    # the p = 2 and p = 3 genus-2 deg-5 families share 7 counts vectors
+    # (N_1, N_2); surveyed one after the other in one process, each family's
+    # records are its per-equation records, over its own field
+    runs = []
+    for p in (2, 3):
+        cfg = SurveyConfig(p=p, genus=2, degree=5)
+        buf = io.StringIO()
+        run_survey(cfg, stream=buf)
+        records = _records(buf.getvalue())
+        assert records == _strip_timing(json.dumps(rec) for _, rec in _oracle(cfg))
+        runs.append({tuple(rec["counts"]["counts"]) for rec in records})
+    assert len(runs[0] & runs[1]) == 7
+
+
+def test_a_mutated_curve_record_changes_no_later_record():
+    cfg = SurveyConfig(p=3, genus=2, degree=5)
+    before = io.StringIO()
+    run_survey(cfg, stream=before)
+    first = _records(before.getvalue())[0]
+    rec = curve_record(curve_from_text(first["curve"]))
+    rec["counts"]["counts"].append(0)
+    rec["weil"]["coeffs"][0] = -1
+    rec["verdict"]["kind"] = "Mutated"
+    again = curve_record(curve_from_text(first["curve"]))
+    assert _strip_timing([json.dumps(again)]) == [first]
+    after = io.StringIO()
+    run_survey(cfg, stream=after)
+    assert _records(after.getvalue()) == _records(before.getvalue())
+
+
+def test_a_counts_vector_past_the_weil_bound_raises_every_time(monkeypatch):
+    # the memo keeps no error: each survey that meets the vector raises
+    monkeypatch.setattr(survey, "count_batch", lambda curves: [[100, 0]] * len(curves))
+    cfg = SurveyConfig(p=3, genus=2, degree=5)
+    for _ in range(2):
+        with pytest.raises(WeilBoundViolated):
+            run_survey(cfg, stream=io.StringIO())
+    info = survey._record_tail.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
 
 
 def _smoothness_calls(monkeypatch):

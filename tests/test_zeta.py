@@ -51,6 +51,36 @@ def test_prime_power_matches_trial_division_below_1e5():
         assert got == prime_power_by_trial_division(q), q
 
 
+def test_prime_power_takes_composite_exponents_as_prime_roots():
+    for p, k in ((3, 40), (2, 60), (7, 6), (5, 12), (11, 9), (2, 97)):
+        assert prime_power.__wrapped__(p ** k) == (p, k)
+    with pytest.raises(ValueError):
+        prime_power.__wrapped__(6 ** 10)
+
+
+@pytest.mark.parametrize("untested", [False, True])
+def test_prime_power_refusal_clips_a_long_q(untested):
+    # 6 * 10^300 is even and not a power of 2; the other q has no prime
+    # factor up to 41, so the prime test refuses it past MR_BOUND
+    q = 6 * 10 ** 300
+    if untested:
+        q = next(n for n in range(q + 1, q + 10 ** 4)
+                 if all(n % a for a in _fpx.MR_BASES))
+    with pytest.raises(SizeExceeded if untested else ValueError) as refused:
+        prime_power.__wrapped__(q)
+    message = str(refused.value)
+    assert len(message) < 120
+    assert message.startswith(str(q)[:40]) and "(301 characters)" in message
+
+
+def test_prime_power_refuses_a_q_past_the_int_string_limit_by_name():
+    # 10^5000 has more digits than Python 3.11 turns into a string; the
+    # refusal still names it in one short line
+    with pytest.raises(ValueError, match="is not a prime power") as refused:
+        prime_power.__wrapped__(10 ** 5000)
+    assert len(str(refused.value)) < 120
+
+
 def test_prime_power_is_exact_up_to_the_miller_rabin_bound():
     M61 = 2 ** 61 - 1
     assert prime_power(M61) == (M61, 1)
