@@ -1,15 +1,12 @@
 """Polynomial arithmetic over prime fields F_p.
 
 Polynomials are plain lists of ints in [0, p), low-to-high, with no
-trailing zeros ([] is the zero polynomial).  The polynomial routines serve
-three internal clients: the smoothness gcds of curve validation over prime
-fields (through gf), modulus selection for extension fields, and the
-modular stage of integer-polynomial factorization.  The last two read
-factor degrees off the distinct-degree factorization ddf, which works for
-any prime; a candidate modulus of degree k is irreducible exactly when ddf
-returns it as one block of degree k.  Equal-degree splitting
-(factor_squarefree_monic) needs p odd.  is_prime is the package's one
-primality test, and prime_divisors its one factorization of integers.
+trailing zeros ([] is the zero polynomial).  Every routine that takes a
+modulus p needs p prime.  ddf works at p = 2 too; a polynomial of degree k
+is irreducible exactly when ddf returns it as one block of degree k.
+Equal-degree splitting (factor_squarefree_monic) needs p odd.  is_prime is
+the package's one primality test, and prime_divisors its one factorization
+of integers.
 
 Distinct-degree factorization (ddf) builds the Frobenius matrix of the
 modulus once per prime, rows x**(i*p) mod a, so that each further power
@@ -21,12 +18,6 @@ the step of pow_mod and of the Frobenius rows, runs that pass on the
 unreduced product itself.  gcd is the one F_p[x] gcd: a Euclid loop that
 reduces its two copies into each other in place, with one inversion per
 remainder.
-
-Hensel lifting also calls trim, add, sub, mul and div_rem with a composite
-modulus p**(2**k).  The first four work for any modulus; div_rem, rem and
-mul_rem are correct there only when the divisor is monic, since they invert
-the leading coefficient as if p were prime.  gcd, monic, pow_mod, bezout, ddf
-and the splitting routines need p prime.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ composed products reach (2g)^2), so the algorithms favor
     Cauchy's bound).  Past degree 3 the squarefree F, or else F's
     squarefree part with multiplicities by exact division, goes through
     modular Zassenhaus (Frobenius-matrix DDF at up to three primes as a
-    degree sieve, Cantor-Zassenhaus, quadratic Hensel lifting, subset
-    recombination),
+    degree sieve, Cantor-Zassenhaus, linear multifactor Hensel lifting
+    modulo p^k over Z, subset recombination),
 
 all of which are short enough to audit directly.  No resultant is on the
 factorization path: a prime is good when gcd(F, F') = 1 mod p.  resultant
@@ -409,12 +409,6 @@ def _multiplicity(F: IntPoly, irr: IntPoly) -> int:
         F, e = quo, e + 1
 
 
-@functools.lru_cache(maxsize=None)
-def _primes_from_17() -> list[int]:
-    # the 64 primes from 17 to 349
-    return [n for n in range(17, 350, 2) if _fpx.is_prime(n)]
-
-
 def _squarefree_mod(F: IntPoly, p: int) -> list[int] | None:
     # F mod p when gcd(F, F') = 1 mod p, else None.  F is monic and p > deg F,
     # so F and F' keep their degrees mod p and the gcd decides whether F mod p
@@ -428,11 +422,21 @@ def _squarefree_mod(F: IntPoly, p: int) -> list[int] | None:
 
 
 def _good_primes(F: IntPoly):
-    # (p, F mod p) for the primes p >= 17 where F stays squarefree, lazily
-    for p in _primes_from_17():
+    # (p, F mod p) for the primes p >= 17 where F stays squarefree, lazily.
+    # A rejected prime divides disc F, and |disc F| <= n^n ||F||_2^(2n-2)
+    # (Mahler), so once the rejected primes multiply past that bound F is
+    # not squarefree
+    n = F.degree
+    bound = n ** n * sum(c * c for c in F.coeffs) ** (n - 1)
+    rejected = 1
+    for p in filter(_fpx.is_prime, itertools.count(17, 2)):
         if (a := _squarefree_mod(F, p)) is not None:
             yield p, a
-    raise AssertionError("ran out of candidate primes")
+        else:
+            rejected *= p
+            if rejected > bound:
+                raise AssertionError("F is singular modulo primes whose product "
+                                     "exceeds its discriminant bound")
 
 
 def _subset_sums(blocks, n: int) -> int:
@@ -450,56 +454,41 @@ def _mignotte_bound(F: IntPoly) -> int:
     return (1 << F.degree) * norm2
 
 
-def _hensel_step(f, g, h, s, t, m):
-    # one quadratic lift: f = g*h and s*g + t*h = 1, mod m -> mod m*m
-    # (h monic, so _fpx.div_rem is exact modulo the composite m*m)
-    M = m * m
-    add, sub, mul = _fpx.add, _fpx.sub, _fpx.mul
-    e = sub([c % M for c in f], mul(g, h, M), M)
-    q, r = _fpx.div_rem(mul(s, e, M), h, M)
-    g_star = add(add(g, mul(t, e, M), M), mul(q, g, M), M)
-    h_star = add(h, r, M)
-    b = sub(add(mul(s, g_star, M), mul(t, h_star, M), M), [1], M)
-    c2, d2 = _fpx.div_rem(mul(s, b, M), h_star, M)
-    s_star = sub(s, d2, M)
-    t_star = sub(sub(t, mul(t, b, M), M), mul(c2, g_star, M), M)
-    return g_star, h_star, s_star, t_star
+def _product_mod(polys, m: int) -> list[int]:
+    # the product of coefficient lists over Z, reduced mod m after each factor
+    prod = [1]
+    for u in polys:
+        out = [0] * (len(prod) + len(u) - 1)
+        for i, a in enumerate(prod):
+            for j, b in enumerate(u):
+                out[i + j] += a * b
+        prod = [c % m for c in out]
+    return prod
 
 
-def _lift_split(f, left, right, p, target):
-    # f monic mod target^?; left/right are factor lists mod p
-    g = [1]
-    for u in left:
-        g = _fpx.mul(g, u, p)
-    h = [1]
-    for u in right:
-        h = _fpx.mul(h, u, p)
-    s, t = _fpx.bezout(g, h, p)
+def _hensel_lift(f: IntPoly, us: list[list[int]], p: int, target: int):
+    """Lift f = u_1 ... u_r mod p, for f monic and the u_i monic and coprime
+    mod p, to a factorization modulo m = p^k >= target.  Returns (lifted
+    factors, m).
+
+    Linear multifactor lifting: with a_i = (prod_{j != i} u_j)^-1 mod u_i
+    over F_p, fixed once, each step takes e = (f - prod u_i) / m mod p and
+    adds m (a_i e mod u_i) to each u_i, so that the product agrees with f
+    mod m p.  The corrections have degree < deg u_i: the factors stay monic.
+    """
+    cofactors = [_product_mod(us[:i] + us[i + 1:], p) for i in range(len(us))]
+    a = [_fpx.bezout(c, u, p)[0] for c, u in zip(cofactors, us)]
+    lifted = [u[:] for u in us]
     m = p
     while m < target:
-        fm = _fpx.trim([c % (m * m) for c in f])
-        g, h, s, t = _hensel_step(fm, g, h, s, t, m)
-        m *= m
-    return g, h, m
-
-
-def _hensel_lift_all(f, factors_p, p, target):
-    """Lift the mod-p factorization of monic f to modulus >= target.
-
-    Returns (lifted factor list, modulus).  Divide and conquer over the
-    factor list; each split is lifted quadratically.
-    """
-    if len(factors_p) == 1:
-        m = p
-        while m < target:
-            m *= m
-        return [_fpx.trim([c % m for c in f])], m
-    half = len(factors_p) // 2
-    left, right = factors_p[:half], factors_p[half:]
-    g, h, m = _lift_split(f, left, right, p, target)
-    lg, _ = _hensel_lift_all(g, left, p, target)
-    lh, _ = _hensel_lift_all(h, right, p, target)
-    return lg + lh, m
+        # f = prod lifted mod m, so each division by m is exact
+        prod = _product_mod(lifted, m * p)
+        e = _fpx.trim([(c - d) // m % p for c, d in zip(f.coeffs, prod)])
+        for u, ai, v in zip(us, a, lifted):
+            for i, c in enumerate(_fpx.mul_rem(ai, e, u, p)):
+                v[i] += m * c
+        m *= p
+    return lifted, m
 
 
 def _sym(c: int, m: int) -> int:
@@ -601,33 +590,27 @@ def _zassenhaus_squarefree(F: IntPoly) -> list[IntPoly]:
     rng = random.Random(f"{p}:{F.coeffs}")
     modular = _fpx.factor_squarefree_monic(blocks, p, rng)
     bound = _mignotte_bound(F)
-    lifted, modulus = _hensel_lift_all(list(F.coeffs), modular, p, 2 * bound + 1)
+    lifted, modulus = _hensel_lift(F, modular, p, 2 * bound + 1)
     # subset recombination over the lifted factors
     remaining = list(range(len(lifted)))
     target = F
     found: list[IntPoly] = []
     size = 1
     while 2 * size <= len(remaining):
-        retry = True
-        while retry:
-            retry = False
-            for combo in itertools.combinations(remaining, size):
-                dsum = sum(len(lifted[i]) - 1 for i in combo)
-                if not (allowed >> dsum) & 1:
-                    continue
-                prod = [1]
-                for i in combo:
-                    prod = _fpx.mul(prod, lifted[i], modulus)
-                cand = _poly([_sym(c, modulus) for c in prod])
-                quo, rem2 = divmod_exact(target, cand)
-                if rem2.is_zero:
-                    found.append(cand)
-                    for i in combo:
-                        remaining.remove(i)
-                    target = quo
-                    retry = True
-                    break
-        size += 1
+        for combo in itertools.combinations(remaining, size):
+            dsum = sum(len(lifted[i]) - 1 for i in combo)
+            if not (allowed >> dsum) & 1:
+                continue
+            prod = _product_mod([lifted[i] for i in combo], modulus)
+            cand = _poly([_sym(c, modulus) for c in prod])
+            quo, rem2 = divmod_exact(target, cand)
+            if rem2.is_zero:
+                found.append(cand)
+                remaining = [i for i in remaining if i not in combo]
+                target = quo
+                break
+        else:
+            size += 1
     if target.degree > 0:
         found.append(target)
     return found

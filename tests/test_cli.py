@@ -1,9 +1,11 @@
 import json
+import math
 import time
 
 import pytest
 
 from frobtorus import report
+from frobtorus._fpx import is_prime
 from frobtorus.cli import main
 from frobtorus.errors import CorruptRecord
 from frobtorus.intpoly import IntPoly
@@ -86,6 +88,23 @@ def test_analyze_weil_with_an_overlong_integer_literal_is_input_error(capsys):
     weil = '{"q": 1' + "0" * 5000 + ', "g": 1, "coeffs": [1, 0, 1]}'
     assert main(["analyze", "--weil", weil]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_analyze_weil_whose_h_is_singular_modulo_every_prime_to_349(capsys):
+    # P = x^4 h(x + 2/x) with h = x(x - M)(x - 2M)(x - 3M), M the product of
+    # the primes from 17 to 349: factor finds a good prime past 349
+    M = math.prod(p for p in range(17, 350) if is_prime(p))
+    P = IntPoly([1])
+    for k in range(4):
+        P = P * IntPoly([2, -k * M, 1])
+    weil = json.dumps({"q": 2, "g": 4, "coeffs": list(P.coeffs)})
+    assert main(["analyze", "--weil", weil]) == 3
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["weil_check"]["ok"] is False
+    assert rec["verdict"]["kind"] == "NotSimple"
+    # coefficients past 2^53 are written as decimal strings
+    assert [([int(c) for c in d["coeffs"]], d["mult"])
+            for d in rec["verdict"]["factors"]] == [([2, -k * M, 1], 1) for k in (3, 2, 1, 0)]
 
 
 def test_analyze_fake_weil_is_verification_failure(capsys):

@@ -290,7 +290,8 @@ def _monic_division_mod_17_powers(draw):
 @settings(max_examples=200, deadline=None)
 @given(_monic_division_mod_17_powers())
 def test_fpx_division_by_a_monic_divisor_modulo_a_prime_power(case):
-    # Hensel lifting divides modulo p**(2**k) by monic divisors
+    # _reduce inverts the divisor's leading coefficient as if the modulus
+    # were prime; for a monic divisor that inverse is 1 at any modulus
     m, a, b = case
     q, r = _fpx.div_rem(a, b, m)
     assert (q, r) == div_rem_by_long_division(a, b, m)

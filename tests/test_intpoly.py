@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import random
@@ -258,6 +259,16 @@ def _sympy_factor_inputs():
         yield lin[0] * lin[1] * IntPoly([k])
         yield lin[2] ** 2 * IntPoly([k])
         yield _random_poly(rng, 2, lc=rng.choice([-5, 3, 12]), bound=60)
+    # products of 3..6 monic factors, so that the lift carries r >= 3
+    # modular factors at once
+    for _ in range(40):
+        degrees = [rng.randrange(1, 5) for _ in range(rng.randrange(3, 7))]
+        while sum(degrees) > 16:
+            degrees.pop()
+        f = IntPoly([1])
+        for d in degrees:
+            f = f * _random_poly(rng, d, bound=rng.choice([9, 10 ** 4, 10 ** 9]))
+        yield f
     # x^4 - 10x^2 + 1 splits into quadratics at every prime, so only subset
     # recombination over Z finds its factors
     yield (X ** 2 + X + IntPoly([1])) * (X ** 3 - IntPoly([2]))
@@ -276,6 +287,41 @@ def _assert_factor_matches_sympy(f):
 def test_factor_matches_sympy_on_random_inputs():
     for f in _sympy_factor_inputs():
         _assert_factor_matches_sympy(f)
+
+
+def test_factor_calls_fpx_modulo_primes_only(monkeypatch):
+    # every _fpx routine that takes a modulus p gets a prime: the lift and
+    # the recombination compute modulo p^k over Z themselves
+    moduli = set()
+    names = []
+    for name, fn in list(vars(_fpx).items()):
+        if not (inspect.isfunction(fn) and fn.__module__ == _fpx.__name__):
+            continue
+        sig = inspect.signature(fn)
+        if "p" not in sig.parameters:
+            continue
+        names.append(name)
+
+        def checked(*args, _fn=fn, _sig=sig, **kwargs):
+            p = _sig.bind(*args, **kwargs).arguments["p"]
+            moduli.add(p)
+            assert _fpx.is_prime(p), f"{_fn.__name__} called modulo {p}"
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(_fpx, name, checked)
+    assert {"mul", "div_rem", "mul_rem", "bezout", "ddf"} <= set(names)
+    for f in _sympy_factor_inputs():
+        factor(f)
+    assert {17, 19, 23} <= moduli
+
+
+def test_factor_searches_past_349_for_a_good_prime():
+    # each of the 64 primes from 17 to 349 divides M, hence the
+    # discriminant of x(x - M)(x - 2M)(x - 3M): F is singular modulo all
+    # of them, and squarefree over Q
+    M = math.prod(p for p in range(17, 350) if _fpx.is_prime(p))
+    f = X * (X - IntPoly([M])) * (X - IntPoly([2 * M])) * (X - IntPoly([3 * M]))
+    assert factor(f) == (1, [(X - IntPoly([k * M]), 1) for k in (3, 2, 1, 0)])
 
 
 def _genus3_real_polys(q):
