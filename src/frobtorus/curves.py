@@ -8,18 +8,19 @@ one gcd d in F_q[x] (gf.pgcd), whose roots are exactly the singular x.  A
 singular equation raises Singular at once; its witness point, the first
 root of d by rep over the first F_{q^m} that holds one, is searched for
 only when the exception's witness is first read.  validate_curve is the
-door for outside input.  A survey decides its equations a block at a time
-instead (smooth_curves: one smoothness_gcd_degrees call, the degree of the
-same gcd for every row of two coefficient arrays over F_p by one lockstep
-Euclid in numpy, and a curve for each row it passes), so it builds no
-Singular and never searches.  Counting is batched (count_batch):
-the f (and h) of many curves are evaluated at every x of the field at once
-(gf.evaluations, one matmul per block of x), and the y over each x are
-counted from the value alone: the quadratic character (parity of the log)
-in odd characteristic, the absolute trace of f/h^2 in characteristic 2.
-The points at infinity of the smooth model are counted the same way from
-the leading coefficients.  count_points and counts_up_to_genus are the
-batch of one.
+door for outside input, and the only maker of HyperellipticCurve values.
+A survey decides its equations a block at a time instead, on coefficient
+arrays (smoothness_gcd_degrees: the degree of the same gcd for every row
+of two code arrays over F_p, by one lockstep Euclid in numpy), so it
+builds no curve, no Singular, and never searches.  Counting is batched on
+the same kind of arrays (count_batch(base, g, h, f)): the f (and h) rows
+are evaluated at every x of the field at once (gf.evaluations, one matmul
+per block of x), and the y over each x are counted from the value alone:
+the quadratic character (parity of the log) in odd characteristic, the
+absolute trace of f/h^2 in characteristic 2.  The points at infinity of
+the smooth model are counted the same way from column 2g+2 of f and
+column g+1 of h.  count_points and counts_up_to_genus pass the rows of
+their one curve.
 
 A base-field polynomial reaches F_{q^m} one way: embed maps its codes, one
 or an array at once, by a code-to-code table that sends the generator to
@@ -154,26 +155,6 @@ def smoothness_gcd_degrees(p: int, h: np.ndarray, f: np.ndarray) -> np.ndarray:
     return _gcd_degrees(a % p, h, p)
 
 
-def smooth_curves(base: gf.FieldSpec, equations, g: int) -> list:
-    """The curve of each (h, f) of equations over the prime field base, or
-    None where the equation is singular, from one smoothness_gcd_degrees
-    call on the whole block.
-
-    The equations must meet validate_curve's degree rules for genus g, as
-    a survey's do by construction; h may carry trailing zeros and f must
-    be monic.  Each curve is the one validate_curve returns: h trimmed and
-    f a tuple.
-    """
-    hs, fs = zip(*equations)
-    degrees = smoothness_gcd_degrees(base.p, np.array(hs), np.array(fs))
-    return [
-        None if degree > 0
-        else HyperellipticCurve(base=base, h=tuple(_fpx.trim(list(h))),
-                                f=tuple(f), genus=g)
-        for (h, f), degree in zip(equations, degrees.tolist())
-    ]
-
-
 def _rows_deriv(a: np.ndarray, p: int) -> np.ndarray:
     # the derivative of each row, one column narrower
     return a[:, 1:] * np.arange(1, a.shape[1]) % p
@@ -261,41 +242,44 @@ def _solutions(T: gf.LogTables, p: int, hv, fv: np.ndarray) -> np.ndarray:
     return np.where(lh < 0, 1, np.where(lf < 0, 2, 2 - 2 * trace)).sum(axis=1)
 
 
-def count_batch(curves) -> list:
-    """(N_1, ..., N_g) of each curve, as int lists, without the Weil-bound
-    check; the curves share one base field and one genus.
+def count_batch(base: gf.FieldSpec, g: int, h: np.ndarray, f: np.ndarray) -> list:
+    """(N_1, ..., N_g) of the curve of genus g over base on each row of the
+    int64 (B, W) code arrays h and f, as int lists, without the Weil-bound
+    check.
 
-    F_{q^g} is built before any counting, so a batch whose largest field is
-    past the size cap raises SizeExceeded at once.
+    Rows are low-to-high and may carry trailing zeros: each f row is monic
+    of degree 2g+1 or 2g+2, and in odd characteristic h is (B, 0).  F_{q^g}
+    is built before any counting, so a batch whose largest field is past
+    the size cap raises SizeExceeded at once.
     """
-    base, g = curves[0].base, curves[0].genus
     gf.field_create(base.p, base.k * g)
-    return _counts(curves, range(1, g + 1)).tolist()
+    return _counts(base, g, h, f, range(1, g + 1)).tolist()
 
 
-def _counts(curves, indices) -> np.ndarray:
-    """N_i of each curve (rows) for each i in indices (columns).
+def _counts(base: gf.FieldSpec, g: int, h: np.ndarray, f: np.ndarray,
+            indices) -> np.ndarray:
+    """N_i of each row (rows) for each i in indices (columns).
 
     For each i, every f, and every h for p = 2, is evaluated over F_{q^i}
     at once (gf.evaluations), plus a column for x = infinity: a
     degree-(2g+2) model has the fibre y^2 + h_{g+1} y = lead f = 1 there,
     and a degree-(2g+1) model one point, which f = h = 0 gives.
     """
-    base, g, B = curves[0].base, curves[0].genus, len(curves)
-    p = base.p
-    polys = [C.f for C in curves] + ([C.h for C in curves] if p == 2 else [])
-    codes = np.zeros((len(polys), max(map(len, polys))), dtype=np.int64)
-    for row, a in zip(codes, polys):
-        row[:len(a)] = a
-    # 1 for a degree-(2g+2) model, else 0; h_{g+1} of the former, else 0
-    wide = np.array([len(C.f) == 2 * g + 3 for C in curves], dtype=np.int64)
-    h_top = [C.h[g + 1] if w and len(C.h) > g + 1 else 0
-             for C, w in zip(curves, wide)] if p == 2 else []
+    p, B = base.p, len(f)
+    # 1 for a degree-(2g+2) model, else 0; h_{g+1} of the former, else 0.
+    # Past column 2g+2 of f and g+1 of h a row holds only zeros, so a row's
+    # sum from there on is that column's entry, and 0 where it is absent
+    wide = f[:, 2 * g + 2:].sum(axis=1)
+    h_top = wide * h[:, g + 1:].sum(axis=1)
+    codes = f
+    if p == 2:
+        codes = np.zeros((2 * B, max(f.shape[1], h.shape[1])), dtype=np.int64)
+        codes[:B, :f.shape[1]], codes[B:, :h.shape[1]] = f, h
     out = []
     for i in indices:
         ext = gf.field_create(p, base.k * i)  # SizeExceeded past the cap
         T = gf.log_tables(ext)
-        h_inf = embed(base, ext, np.array(h_top, dtype=np.int64))[:, None]
+        h_inf = embed(base, ext, h_top)[:, None]
         n = _solutions(T, p, h_inf, wide[:, None])
         for _, vals in gf.evaluations(ext, embed(base, ext, codes)):
             n += _solutions(T, p, vals[B:], vals[:B])
@@ -303,17 +287,23 @@ def _counts(curves, indices) -> np.ndarray:
     return np.stack(out, axis=1)
 
 
+def _rows(C: HyperellipticCurve):
+    # C's h and f as one-row code arrays
+    return np.array([C.h], dtype=np.int64), np.array([C.f], dtype=np.int64)
+
+
 def count_points(C: HyperellipticCurve, i: int) -> int:
     """N_i = #C(F_{q^i}), affine solutions plus points at infinity."""
     if not 1 <= i <= C.genus:
         raise ValueError(f"extension index {i} outside 1..g")
-    return int(_counts([C], [i])[0, 0])
+    return int(_counts(C.base, C.genus, *_rows(C), [i])[0, 0])
 
 
 def counts_up_to_genus(C: HyperellipticCurve) -> PointCounts:
     """(N_1, ..., N_g) with the Weil bound verified exactly; raises
     SizeExceeded before counting when F_{q^g} is past the size cap."""
-    return PointCounts(q=C.base.q, g=C.genus, counts=count_batch([C])[0])
+    counts = count_batch(C.base, C.genus, *_rows(C))[0]
+    return PointCounts(q=C.base.q, g=C.genus, counts=counts)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ composed products reach (2g)^2), so the algorithms favor
     divided out as often as it divides (a quadratic's read off a square
     discriminant, a cubic's found by bisection over its monotone runs inside
     Cauchy's bound).  Past degree 3 the squarefree F, or else F's
-    squarefree part with multiplicities by exact division, goes through
+    squarefree part S with multiplicities by exact division, goes through
     modular Zassenhaus (Frobenius-matrix DDF at up to three primes as a
     degree sieve, Cantor-Zassenhaus, linear multifactor Hensel lifting
-    modulo p^k over Z, subset recombination),
+    modulo p^k over Z, subset recombination); S of degree <= 3 is split by
+    its integer roots instead,
 
 all of which are short enough to audit directly.  No resultant is on the
 factorization path: a prime is good when gcd(F, F') = 1 mod p.  resultant
@@ -619,12 +620,17 @@ def _zassenhaus_squarefree(F: IntPoly) -> list[IntPoly]:
 def _factor_monic(F: IntPoly) -> list[tuple[IntPoly, int]]:
     # [(irreducible, multiplicity)] of the monic F, unsorted.  Past degree 3,
     # F squarefree mod 17 is squarefree over Q; otherwise its squarefree part
-    # is factored and each multiplicity found by exact division
+    # S is factored, by its integer roots when deg S <= 3, and each
+    # multiplicity found by exact division.  S is not sent back here: a
+    # squarefree S with 17 | disc S, such as x^4 + 17, would return forever
     if F.degree <= 3:
         return _split_by_integer_roots(F)
     if _squarefree_mod(F, 17) is not None:
         return [(k, 1) for k in _zassenhaus_squarefree(F)]
-    return [(k, _multiplicity(F, k)) for k in _zassenhaus_squarefree(squarefree_part(F))]
+    S = squarefree_part(F)
+    ks = [k for k, _ in _split_by_integer_roots(S)] if S.degree <= 3 else (
+        _zassenhaus_squarefree(S))
+    return [(k, _multiplicity(F, k)) for k in ks]
 
 
 def factor_product(factors, unit: int = 1) -> IntPoly:

@@ -1,6 +1,10 @@
 """Curve-family surveys: enumerate equations, decide their smoothness a
 block at a time, count the valid curves in batches, classify each curve,
-persist JSONL records, and aggregate verdict fractions.
+persist JSONL records, and aggregate verdict fractions.  An equation
+travels as coefficient rows, never as a curve object: a block's (h, f)
+int64 arrays go to one smoothness_gcd_degrees call, the new curves' rows
+to count_batch, and a smooth equation's text, built once, is both its
+record's curve and its resume key.
 
 Persistence is append-only JSONL with a config fingerprint header.  One
 reader serves both resume and report: an interrupted run resumes by skipping
@@ -15,8 +19,8 @@ CLASSIFY_CACHE_SIZE encoded tails keyed on (q, g, counts)) and writes each
 record as its curve text, that tail and its timing: the bytes of
 json.dumps(record, separators=(",", ":")).  The first record of a vector
 times its Weil polynomial and its classification as zeta_s and
-classify_s; a later one records the lookup's time as zeta_s and 0.0 as
-classify_s.
+classify_s; a later one, which finds the tail encoded before its lookup
+began, records the lookup's time as zeta_s and 0.0 as classify_s.
 
 Surveys count equations, not isomorphism classes; summaries carry that bias
 note and label results as empirical fractions.
@@ -32,6 +36,8 @@ import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from . import gf
 from .curves import (
     PointCounts,
@@ -42,7 +48,7 @@ from .curves import (
     equation_text,
     genus_for_degree,
     parse_curve_text,
-    smooth_curves,
+    smoothness_gcd_degrees,
     validate_curve,  # noqa: F401  (perfbench/tracing.py hooks this name)
 )
 from .errors import (
@@ -71,8 +77,8 @@ from .zeta import weil_from_json, weil_to_json
 FORMAT = "frobtorus-survey-v1"
 KIND_ORDER = (ABSOLUTELY_SIMPLE, NOT_SIMPLE, NOT_ABSOLUTELY_SIMPLE, INCONCLUSIVE)
 BIAS_NOTE = "empirical fraction over equations, not isomorphism classes"
-# equations screened together by one smooth_curves call, and valid curves
-# counted together by one count_batch call
+# equations screened together by one smoothness_gcd_degrees call, and valid
+# curves counted together by one count_batch call
 BATCH = 256
 
 
@@ -152,30 +158,17 @@ def _content(counts: PointCounts):
 @functools.lru_cache(maxsize=CLASSIFY_CACHE_SIZE)
 def _record_tail(q: int, g: int, counts: tuple[int, ...]):
     # the encoded members of every record with these counts (json.dumps of
-    # _content's dict, braces cut off), its verdict kind, and the zeta_s and
-    # classify_s of the record that encoded it.  PointCounts' Weil-bound
-    # check raises on a miss, and errors are not cached
+    # _content's dict, braces cut off), its verdict kind, the zeta_s and
+    # classify_s of the encoding, and the perf_counter reading that ends it.
+    # PointCounts' Weil-bound check raises on a miss; errors are not cached
     members, zeta_s, classify_s = _content(PointCounts(q=q, g=g, counts=counts))
     text = json.dumps(members, separators=(",", ":"))[1:-1]
-    return text, members["verdict"]["kind"], zeta_s, classify_s
+    return text, members["verdict"]["kind"], zeta_s, classify_s, time.perf_counter()
 
 
 # a record as json.dumps(record, separators=(",", ":")) writes it, with the
 # curve encoded as json.dumps encodes a string and each time as its repr
 _LINE = '{"curve":%s,%s,"timing":{"count_s":%s,"zeta_s":%r,"classify_s":%r}}\n'
-
-
-def _line(C, counts, count_s: str) -> tuple[str, str]:
-    # the JSONL line of C's record and its verdict kind; count_s is already
-    # encoded.  A record whose tail an earlier record encoded takes the
-    # lookup's own time as zeta_s and 0.0 as classify_s
-    misses = _record_tail.cache_info().misses
-    t0 = time.perf_counter()
-    tail, kind, zeta_s, classify_s = _record_tail(C.base.q, C.genus, tuple(counts))
-    if _record_tail.cache_info().misses == misses:
-        zeta_s, classify_s = time.perf_counter() - t0, 0.0
-    curve = encode_basestring_ascii(curve_to_text(C))
-    return _LINE % (curve, tail, count_s, zeta_s, classify_s), kind
 
 
 def _read_survey(data: bytes):
@@ -258,54 +251,61 @@ def _record_family(obj: dict, lineno: int) -> tuple:
     return spec.q, genus, len(f) - 1
 
 
-def _result_stream(cfg: SurveyConfig, skip_keys: dict[str, object], limit=None):
-    """Yield ('skip', key, None) or ('new', key, record|None) in enumeration
-    order; a record is the (JSONL line, verdict kind) of a curve, and None
-    for a singular equation.  The key (the
-    equation text) is built only to look up skip_keys, so a new equation's
-    key is None when skip_keys is empty.
+def _result_stream(cfg: SurveyConfig, skip_keys: dict[str, object]):
+    """Yield (key, record) per equation in enumeration order: key is the
+    equation's text, None when it is singular, and record the (JSONL line,
+    verdict kind) of a new curve, None for a singular equation or a key in
+    skip_keys.
 
-    The equations are decided BATCH at a time by one smooth_curves call,
-    which builds the curve of each one it passes; it is the stream's only
-    smoothness decision, and no Singular is raised.  Valid curves are
-    counted BATCH at a time (count_batch), and the events up to the last
-    curve of a batch are yielded after it is counted.  With a limit, the
-    stream ends at the limit-th valid curve, skipped keys included, so no
-    batch holds a curve past it.
+    Each block of BATCH equations is decided by one smoothness_gcd_degrees
+    call on its (h, f) arrays, the stream's only smoothness decision; no
+    Singular is raised.  The rows of new curves are counted BATCH at a time
+    (count_batch), and the equations up to the last curve of a batch are
+    yielded after it is counted.  With cfg.limit, the stream ends at the
+    limit-th valid curve, skipped keys included, so no batch holds a curve
+    past it.
     """
     base = gf.field_create(cfg.p, 1)
-    key = None
-    events, batch = [], []  # (tag, key, curve or None); the curves
+    keys, rows = [], []  # the keys since the last batch; its (h, f) rows
     valid = 0
     equations = enumerate_equations(cfg)
     while block := list(itertools.islice(equations, BATCH)):
-        for (h, f), C in zip(block, smooth_curves(base, block, cfg.genus)):
-            if skip_keys:
-                key = equation_text(base, h, f)
-            if key in skip_keys:
-                events.append(("skip", key, None))
-                valid += 1
-            else:
-                if C is not None:
-                    batch.append(C)
-                    valid += 1
-                events.append(("new", key, C))
-            if len(batch) == BATCH or valid == limit:
-                yield from _counted(events, batch)
-                events, batch = [], []
-                if valid == limit:
+        h, f = (np.array(a, dtype=np.int64) for a in zip(*block))
+        degrees = smoothness_gcd_degrees(cfg.p, h, f).tolist()
+        for (hv, fv), degree in zip(block, degrees):
+            key = equation_text(base, hv, fv) if degree <= 0 else None
+            keys.append(key)
+            valid += key is not None
+            if key is not None and key not in skip_keys:
+                rows.append((hv, fv))
+            if len(rows) == BATCH or valid == cfg.limit:
+                yield from _counted(base, cfg.genus, keys, rows, skip_keys)
+                keys, rows = [], []
+                if valid == cfg.limit:
                     return
-    yield from _counted(events, batch)
+    yield from _counted(base, cfg.genus, keys, rows, skip_keys)
 
 
-def _counted(events, batch):
-    # the events with each curve replaced by its record's (line, kind);
-    # every record's count_s is its share of the batch's count time
+def _counted(base, g, keys, rows, skip_keys):
+    # (key, record) for each key, record the (JSONL line, verdict kind) of a
+    # new curve's counts.  Every record's count_s is its share of the
+    # batch's count time; one whose tail an earlier record encoded (before
+    # this lookup began) takes the lookup's own time as zeta_s and 0.0 as
+    # classify_s
     t0 = time.perf_counter()
-    counts = iter(count_batch(batch) if batch else ())
-    count_s = repr((time.perf_counter() - t0) / max(len(batch), 1))
-    for tag, key, C in events:
-        yield tag, key, None if C is None else _line(C, next(counts), count_s)
+    codes = (np.array(a, dtype=np.int64) for a in zip(*rows))
+    counts = map(tuple, count_batch(base, g, *codes) if rows else ())
+    count_s = repr((time.perf_counter() - t0) / max(len(rows), 1))
+    for key in keys:
+        if key is None or key in skip_keys:
+            yield key, None
+            continue
+        t0 = time.perf_counter()
+        tail, kind, *times, encoded = _record_tail(base.q, g, next(counts))
+        if encoded < t0:
+            times = time.perf_counter() - t0, 0.0
+        line = _LINE % (encode_basestring_ascii(key), tail, count_s, *times)
+        yield key, (line, kind)
 
 
 def run_survey(cfg: SurveyConfig, out_path: str | None = None, stream=None) -> dict:
@@ -344,13 +344,13 @@ def run_survey(cfg: SurveyConfig, out_path: str | None = None, stream=None) -> d
     kinds = dict.fromkeys(KIND_ORDER, 0)
     enumerated = valid = singular = 0
     try:
-        for tag, key, record in _result_stream(cfg, stored, cfg.limit):
+        for key, record in _result_stream(cfg, stored):
             enumerated += 1
-            if tag == "skip":
-                kind = stored[key]
-            elif record is None:
+            if key is None:
                 singular += 1
                 continue
+            if record is None:
+                kind = stored[key]
             else:
                 line, kind = record
                 fh.write(line)
@@ -396,13 +396,14 @@ def _summary(cfg, enumerated, valid, singular, kinds, elapsed) -> dict:
 def run_find(cfg: SurveyConfig, count: int, stream=None) -> int:
     """Stream records of absolutely simple curves until count are found.
 
-    Returns how many were found (may fall short if the family is exhausted).
+    Returns how many were found (may fall short if the family, or its
+    first cfg.limit curves, holds fewer).
     """
     if count < 1:
         raise ValueError("find needs a positive count")
     fh = stream if stream is not None else sys.stdout
     found = 0
-    for _, _, record in _result_stream(cfg, {}):
+    for _, record in _result_stream(cfg, {}):
         if record is None:
             continue
         line, kind = record

@@ -13,7 +13,6 @@ from frobtorus.curves import (
     curve_to_text,
     embed,
     genus_for_degree,
-    smooth_curves,
     smoothness_gcd_degrees,
     validate_curve,
 )
@@ -187,20 +186,19 @@ def test_validate_odd_char_matches_brute_force_singular_search(p, k):
 
 def _screen_disagreements(p, equations):
     # the equations of one degree on which validate_curve disagrees with the
-    # batched smoothness kernel about singularity, or with smooth_curves
-    # about the curve (None where validate_curve raises Singular)
+    # batched smoothness kernel about singularity
     spec = gf.field_create(p)
     g = genus_for_degree(len(equations[0][1]) - 1)
     hs, fs = zip(*equations)
     degrees = smoothness_gcd_degrees(p, np.array(hs), np.array(fs)).tolist()
-    curves = smooth_curves(spec, equations, g)
     out = []
-    for (h, f), degree, C in zip(equations, degrees, curves):
+    for (h, f), degree in zip(equations, degrees):
         try:
-            expected = validate_curve(spec, h, f, g)
+            validate_curve(spec, h, f, g)
+            singular = False
         except Singular:
-            expected = None
-        if (expected is None) != (degree > 0) or C != expected:
+            singular = True
+        if singular != (degree > 0):
             out.append((h, f))
     return out
 
@@ -214,7 +212,7 @@ def test_smoothness_kernel_matches_validate_curve_on_whole_families(p, degree):
     # p | deg f (3 | 3, 6; 5 | 5) leaves f' a formal leading zero, and
     # p | deg f - 1 (5 | 6 - 1) zeroes the coefficient of f' just below its
     # top; in characteristic 2 every h vector of the enumerator is screened,
-    # and smooth_curves trims those with trailing zeros
+    # those with trailing zeros included
     cfg = SurveyConfig(p=p, genus=genus_for_degree(degree), degree=degree)
     equations = list(enumerate_equations(cfg))
     if p == 2:
@@ -407,6 +405,23 @@ def _every_shape(rng, spec, g):
 NAIVE_CAP = 32
 
 
+def _rows_of(curves):
+    # the h and f of curves of one genus over one base as int64 code arrays,
+    # each row zero-padded to the widest model: f to 2g+3 columns and, in
+    # characteristic 2, h to g+2, so narrower rows carry trailing zeros
+    g = curves[0].genus
+    h = np.zeros((len(curves), g + 2 if curves[0].base.p == 2 else 0), dtype=np.int64)
+    f = np.zeros((len(curves), 2 * g + 3), dtype=np.int64)
+    for i, C in enumerate(curves):
+        h[i, :len(C.h)] = C.h
+        f[i, :len(C.f)] = C.f
+    return h, f
+
+
+def _count(curves):
+    return count_batch(curves[0].base, curves[0].genus, *_rows_of(curves))
+
+
 @pytest.mark.parametrize("g", [1, 2, 3])
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (5, 2)])
 def test_count_batch_matches_batch_of_one_and_the_oracle(p, k, g):
@@ -414,9 +429,29 @@ def test_count_batch_matches_batch_of_one_and_the_oracle(p, k, g):
     rng = random.Random(f"batch {p}^{k} g{g}")
     batch = _every_shape(rng, spec, g) + _every_shape(rng, spec, g)
     rng.shuffle(batch)
-    got = count_batch(batch)
+    got = _count(batch)
     for C, ns in zip(batch, got):
         assert ns == [count_points(C, i) for i in range(1, g + 1)]
+        for i in range(1, g + 1):
+            if spec.q ** i <= NAIVE_CAP:
+                assert ns[i - 1] == naive_count(C, i)
+
+
+@pytest.mark.parametrize("p,k,g", [(2, 2, 1), (2, 2, 2), (3, 2, 1), (2, 1, 2)])
+def test_count_batch_on_one_mixed_padded_batch(p, k, g):
+    # deg f = 2g+1 and 2g+2 rows padded together, characteristic-2 rows
+    # whose h ends in zeros, over a prime and a proper-extension base: each
+    # row counts as counts_up_to_genus and the brute-force oracle count it
+    spec = gf.field_create(p, k)
+    rng = random.Random(f"mixed {p}^{k} g{g}")
+    batch = _every_shape(rng, spec, g) * 2
+    rng.shuffle(batch)
+    h, f = _rows_of(batch)
+    assert set(f[:, 2 * g + 2].tolist()) == {0, 1}
+    assert p != 2 or set(h[:, g + 1].tolist()) > {0}
+    got = count_batch(spec, g, h, f)
+    for C, ns in zip(batch, got):
+        assert tuple(ns) == counts_up_to_genus(C).counts
         for i in range(1, g + 1):
             if spec.q ** i <= NAIVE_CAP:
                 assert ns[i - 1] == naive_count(C, i)
@@ -432,9 +467,9 @@ def test_count_batch_splits_at_the_survey_batch_size():
         curves += _every_shape(rng, spec, 1)
     for lo, hi in [(0, BATCH - 1), (0, BATCH), (BATCH, 2 * BATCH + 1),
                    (2 * BATCH + 1, 2 * BATCH + 3)]:
-        got = count_batch(curves[lo:hi])
+        got = _count(curves[lo:hi])
         assert got == [[count_points(C, 1)] for C in curves[lo:hi]]
-    assert [n for [n] in count_batch(curves[:9])] == [
+    assert [n for [n] in _count(curves[:9])] == [
         naive_count(C, 1) for C in curves[:9]
     ]
 
@@ -444,7 +479,7 @@ def test_count_batch_over_many_x_blocks(monkeypatch, p, k, g):
     # a block budget this small makes every field take several x-blocks
     spec = gf.field_create(p, k)
     batch = _every_shape(random.Random(f"blocks {p}^{k}"), spec, g)
-    whole = count_batch(batch)
+    whole = _count(batch)
     blocks = []
     evaluations = gf.evaluations
 
@@ -455,7 +490,7 @@ def test_count_batch_over_many_x_blocks(monkeypatch, p, k, g):
 
     monkeypatch.setattr(gf, "EVAL_BLOCK_BYTES", 1 << 9)
     monkeypatch.setattr(gf, "evaluations", counted)
-    assert count_batch(batch) == whole
+    assert _count(batch) == whole
     assert len(blocks) > 2 * g
     for C, ns in zip(batch, whole):
         assert ns[0] == naive_count(C, 1)

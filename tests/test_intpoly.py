@@ -22,7 +22,7 @@ from frobtorus.intpoly import (
     root_power_sums,
     squarefree_part,
 )
-from frobtorus import _fpx
+from frobtorus import _fpx, intpoly
 from frobtorus.zeta import WeilPolynomial, is_weil
 from oracles import (
     ddf_by_pow_mod,
@@ -287,6 +287,46 @@ def _assert_factor_matches_sympy(f):
 def test_factor_matches_sympy_on_random_inputs():
     for f in _sympy_factor_inputs():
         _assert_factor_matches_sympy(f)
+
+
+def _small_squarefree_part_inputs():
+    # monic polynomials of degree 4..15 with a repeated factor whose
+    # squarefree part has degree <= 3: powers of up to three linear, or one
+    # linear and one quadratic, or one quadratic or cubic factor
+    rng = random.Random("squarefree part of degree <= 3")
+    shapes = ([1], [2], [3], [1, 1], [1, 2], [1, 1, 1])
+    while True:
+        f = IntPoly([1])
+        for d in rng.choice(shapes):
+            base = _random_poly(rng, d, bound=rng.choice([9, 10 ** 4]))
+            f = f * base ** rng.randrange(1, 6)
+        if f.degree > 3:
+            yield f
+
+
+def test_factor_splits_a_squarefree_part_of_degree_at_most_3_by_its_roots(
+    monkeypatch,
+):
+    # x^4 - 9x^2 = x^2 (x - 3)(x + 3): its squarefree part x^3 - 9x is
+    # split by its integer roots, and nothing is lifted
+    def refused(*args):
+        raise AssertionError("Zassenhaus called on a squarefree part of degree <= 3")
+
+    monkeypatch.setattr(intpoly, "_zassenhaus_squarefree", refused)
+    monkeypatch.setattr(intpoly, "_hensel_lift", refused)
+    assert factor(X ** 4 - IntPoly([9]) * X ** 2) == (
+        1, [(X - IntPoly([3]), 1), (X, 2), (X + IntPoly([3]), 1)]
+    )
+    for f in itertools.islice(_small_squarefree_part_inputs(), 300):
+        _assert_factor_matches_sympy(f)
+
+
+def test_factor_of_a_squarefree_input_singular_mod_17_returns():
+    # x^4 + 17 is squarefree over Q, and 17 | disc: it fails the mod-17
+    # squarefree test, and its squarefree part is itself (Eisenstein at 17)
+    f = X ** 4 + IntPoly([17])
+    assert factor(f) == (1, [(f, 1)])
+    assert factor(f * (X - IntPoly([1])) ** 2) == (1, [(X - IntPoly([1]), 2), (f, 1)])
 
 
 def test_factor_calls_fpx_modulo_primes_only(monkeypatch):

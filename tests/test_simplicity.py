@@ -16,7 +16,7 @@ from frobtorus.curves import (
     count_batch,
     counts_up_to_genus,
     curve_from_text,
-    smooth_curves,
+    smoothness_gcd_degrees,
 )
 from frobtorus.intpoly import IntPoly, cyclotomic, factor, squarefree_part
 from frobtorus.simplicity import (
@@ -244,20 +244,29 @@ RATIO_FAMILIES = {
 }
 
 
+def _smooth_odd_rows(p, fs):
+    # the rows f of fs, monic over F_p with p odd, whose y^2 = f is smooth
+    fs = np.array(fs, dtype=np.int64)
+    return fs[smoothness_gcd_degrees(p, np.zeros((len(fs), 0), dtype=np.int64), fs) <= 0]
+
+
+def _odd_weils(p, g, fs):
+    # the Weil polynomial of y^2 = f over F_p for each smooth row f of fs
+    h = np.zeros((len(fs), 0), dtype=np.int64)
+    return [weil_from_counts(PointCounts(q=p, g=g, counts=c))
+            for c in count_batch(gf.field_create(p, 1), g, h, fs)]
+
+
 def _family_weils(p, g, deg, limit):
     # the distinct Weil polynomials of a survey family's first `limit` curves
-    base = gf.field_create(p, 1)
     equations = enumerate_equations(SurveyConfig(p=p, genus=g, degree=deg))
-    curves = []
-    while limit is None or len(curves) < limit:
+    rows = []
+    while limit is None or sum(map(len, rows)) < limit:
         block = list(itertools.islice(equations, 256))
         if not block:
             break
-        curves += [C for C in smooth_curves(base, block, g) if C is not None]
-    return {
-        weil_from_counts(PointCounts(q=p, g=g, counts=c))
-        for c in count_batch(curves[:limit])
-    }
+        rows.append(_smooth_odd_rows(p, [f for _, f in block]))
+    return set(_odd_weils(p, g, np.concatenate(rows)[:limit]))
 
 
 def _check_half_length_ratio_poly(Ps):
@@ -298,12 +307,11 @@ def _seeded_weils(g, count, seed):
     # Weil polynomials of the first `count` smooth seeded random
     # y^2 = f(x) over F_3 with f monic of degree 2g + 1
     rng = random.Random(seed)
-    base = gf.field_create(3, 1)
-    curves = []
-    while len(curves) < count:
+    rows = []
+    while len(rows) < count:
         f = tuple(rng.randrange(3) for _ in range(2 * g + 1)) + (1,)
-        curves += [C for C in smooth_curves(base, [((), f)], g) if C is not None]
-    return [weil_from_counts(PointCounts(q=3, g=g, counts=c)) for c in count_batch(curves)]
+        rows += list(_smooth_odd_rows(3, [f]))
+    return _odd_weils(3, g, np.array(rows))
 
 
 def _times_t2_plus_3(P):

@@ -362,6 +362,20 @@ def test_run_find_reports_exhaustion():
     assert found == len(buf.getvalue().splitlines())
 
 
+def test_run_find_stops_at_the_configured_limit():
+    # find walks the limit's first curves, as the survey of the same
+    # configuration does: its hits are the survey's, and no more
+    cfg = SurveyConfig(p=3, genus=2, degree=5, limit=40)
+    buf = io.StringIO()
+    summary = run_survey(cfg, stream=buf)
+    hits = [rec for rec in _records(buf.getvalue())
+            if rec["verdict"]["kind"] == "AbsolutelySimple"]
+    assert summary["valid"] == 40 and 0 < len(hits) < 40
+    found = io.StringIO()
+    assert run_find(cfg, 10 ** 6, stream=found) == len(hits)
+    assert _strip_timing(found.getvalue().splitlines()) == hits
+
+
 def test_run_find_rejects_nonpositive_count():
     cfg = SurveyConfig(p=3, genus=1, degree=3)
     for count in (0, -1):
@@ -538,13 +552,14 @@ def test_report_flags_non_json_line(tmp_path):
 
 
 def _counting_curves(monkeypatch):
-    # the number of curves each count_batch call of the survey receives
+    # the number of curves (f rows) each count_batch call of the survey
+    # receives
     sizes = []
     count_batch = survey.count_batch
 
-    def counted(curves):
-        sizes.append(len(curves))
-        return count_batch(curves)
+    def counted(base, g, h, f):
+        sizes.append(len(f))
+        return count_batch(base, g, h, f)
 
     monkeypatch.setattr(survey, "count_batch", counted)
     return sizes
@@ -812,7 +827,7 @@ def test_a_mutated_curve_record_changes_no_later_record():
 
 def test_a_counts_vector_past_the_weil_bound_raises_every_time(monkeypatch):
     # the memo keeps no error: each survey that meets the vector raises
-    monkeypatch.setattr(survey, "count_batch", lambda curves: [[100, 0]] * len(curves))
+    monkeypatch.setattr(survey, "count_batch", lambda base, g, h, f: [[100, 0]] * len(f))
     cfg = SurveyConfig(p=3, genus=2, degree=5)
     for _ in range(2):
         with pytest.raises(WeilBoundViolated):
@@ -837,7 +852,7 @@ def _smoothness_calls(monkeypatch):
     counted(survey, "validate_curve")
     counted(curves, "validate_curve")
     counted(gf, "pgcd")
-    counted(curves, "smoothness_gcd_degrees")
+    counted(survey, "smoothness_gcd_degrees")
     return calls
 
 
@@ -865,6 +880,22 @@ def test_survey_and_find_decide_smoothness_once_per_block(
     run_find(cfg, 10 ** 6, stream=io.StringIO())
     assert calls == {"validate_curve": 0, "pgcd": 0,
                      "smoothness_gcd_degrees": 2 * blocks}
+
+
+@pytest.mark.parametrize("p,degree", [(3, 5), (2, 5)])
+def test_survey_and_find_build_no_curve_object(monkeypatch, p, degree):
+    # a survey carries each equation as coefficient rows and text from
+    # enumeration to record; curve objects come from validate_curve only
+    def refused(*args, **kwargs):
+        raise AssertionError("a survey built a HyperellipticCurve")
+
+    cfg = SurveyConfig(p=p, genus=2, degree=degree)
+    monkeypatch.setattr(curves.HyperellipticCurve, "__init__", refused)
+    summary = run_survey(cfg, stream=io.StringIO())
+    assert summary["valid"] > 0
+    assert run_find(cfg, 10 ** 6, stream=io.StringIO()) > 0
+    with pytest.raises(AssertionError, match="HyperellipticCurve"):
+        analyze_one("3; h=; f=0,1,0,0,1,1")
 
 
 def test_prime_field_survey_builds_no_zech_table(monkeypatch):
