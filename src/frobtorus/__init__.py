@@ -17,23 +17,14 @@ from .errors import (
     ZeroPolynomial,
 )
 from .gf import FieldSpec, field_create
-from .intpoly import IntPoly, cyclotomic, factor, squarefree_part
-from .zeta import (
-    WeilPolynomial,
-    is_weil,
-    power_sums,
-    weil_from_counts,
-    weil_from_json,
-    weil_to_json,
-)
+from .intpoly import IntPoly
+from .zeta import WeilPolynomial, weil_from_counts, weil_from_json
 from .curves import (
     HyperellipticCurve,
     PointCounts,
     count_points,
-    counts_up_to_genus,
     curve_from_text,
     curve_to_text,
-    genus_for_degree,
     validate_curve,
 )
 from .simplicity import (
@@ -44,22 +35,11 @@ from .simplicity import (
     SimplicityVerdict,
     charpoly_power,
     classify,
-    elliptic_torus_test,
-    ratio_poly,
     ratio_torsion_orders,
     verdict_from_json,
-    verdict_to_json,
     verify_verdict,
 )
-from .survey import (
-    SurveyConfig,
-    analyze_one,
-    curve_record,
-    enumerate_equations,
-    report,
-    run_find,
-    run_survey,
-)
+from .survey import SurveyConfig, analyze_one, report, run_survey
 
 __version__ = "0.1.0"
 
@@ -91,29 +71,15 @@ __all__ = [
     "charpoly_power",
     "classify",
     "count_points",
-    "counts_up_to_genus",
     "curve_from_text",
-    "curve_record",
     "curve_to_text",
-    "cyclotomic",
-    "elliptic_torus_test",
-    "enumerate_equations",
-    "factor",
     "field_create",
-    "genus_for_degree",
-    "is_weil",
-    "power_sums",
-    "ratio_poly",
     "ratio_torsion_orders",
     "report",
-    "run_find",
     "run_survey",
-    "squarefree_part",
     "validate_curve",
     "verdict_from_json",
-    "verdict_to_json",
     "verify_verdict",
     "weil_from_counts",
     "weil_from_json",
-    "weil_to_json",
 ]

@@ -18,11 +18,15 @@ eigenvalues alpha_1..alpha_2g:
 
 That turns "for every power of Frobenius" into a finite list of cyclotomic
 divisibility tests (4, 13, 39 and 57 orders for g = 1..4), each replayable
-from the emitted certificate.  The power charpolys are rebuilt exactly from
-eigenvalue power sums by Newton's identities (intpoly.root_power_sums,
-from_power_sums).  So is the ratio polynomial R, of degree N = 4g^2, but
-from its top half alone: R is palindromic with R_0 = R_N = q^(2g^2)
-(ratio_poly), so Newton's identities run only up to 2g^2, over Z.
+from the emitted certificate.  The list is walked from the primes that can
+divide such an m: a prime r | m has r - 1 | phi(m), so r - 1 divides 2^g g!
+and r <= 2g(2g-1) + 1, and the candidates are the products of powers of
+those primes that meet both bounds.  The power charpolys are rebuilt
+exactly from eigenvalue power sums by Newton's identities
+(intpoly.root_power_sums, from_power_sums).  So is the ratio polynomial R,
+of degree N = 4g^2, but from its top half alone: R is palindromic with
+R_0 = R_N = q^(2g^2) (ratio_poly), so Newton's identities run only up to
+2g^2, over Z.
 
 Most of those tests fail, and a residue modulo a prime proves it.  Per
 genus split the candidate orders, in ascending order, into runs whose lcm L
@@ -171,28 +175,25 @@ def ratio_poly(P: WeilPolynomial) -> IntPoly:
 
 @functools.lru_cache(maxsize=None)
 def _torsion_candidates(g: int) -> tuple[int, ...]:
-    # the m >= 2 with phi(m) <= 2g(2g-1) and phi(m) | 2^g g! (module
-    # docstring); phi(m) >= sqrt(m/2) caps the scan.  A numpy sieve gives
-    # phi on all of it: each prime r <= sqrt(top) scales its multiples by
-    # 1 - 1/r and divides itself out of rest, which then holds 1 or the one
-    # prime factor of m above sqrt(top)
+    # the m >= 2 with phi(m) <= 2g(2g-1) and phi(m) | 2^g g!, walked as
+    # products of powers of the primes r <= 2g(2g-1) + 1 with r - 1 | 2^g g!
+    # (module docstring).  phi only grows as a prime power is multiplied in,
+    # and a multiple of a non-divisor is none, so a product that fails
+    # either bound is dropped with every product it would grow into
     bound = 2 * g * (2 * g - 1)
     group_order = math.factorial(g) << g
-    top = 2 * bound * bound + 1
-    phi = np.arange(top + 1, dtype=np.int64)
-    rest = phi.copy()
-    for r in range(2, math.isqrt(top) + 1):
-        if rest[r] == r:  # r is prime: no smaller prime has touched it
-            phi[r::r] -= phi[r::r] // r
-            power = r
-            while power <= top:
-                rest[power::power] //= r
-                power *= r
-    big = rest > 1
-    phi[big] -= phi[big] // rest[big]
-    phi = phi[2:]
-    keep = (phi <= bound) & (group_order % phi == 0)
-    return tuple((np.flatnonzero(keep) + 2).tolist())
+    found = [(1, 1)]  # (m, phi(m)) over the primes walked so far
+    for r in range(2, bound + 2):
+        if group_order % (r - 1) or not _fpx.is_prime(r):
+            continue
+        grown = []
+        for m, phi in found:
+            m, phi = m * r, phi * (r - 1)
+            while phi <= bound and group_order % phi == 0:
+                grown.append((m, phi))
+                m, phi = m * r, phi * r
+        found += grown
+    return tuple(sorted(m for m, _ in found[1:]))
 
 
 # the largest lcm of the candidate orders that one prefilter prime serves:
@@ -280,12 +281,6 @@ def ratio_torsion_orders(P: WeilPolynomial) -> set[int]:
         m for m in orders[residues == 0].tolist()
         if divmod_exact(R, cyclotomic(m))[1].is_zero
     }
-
-
-def elliptic_torus_test(P: WeilPolynomial) -> bool:
-    """True iff P is irreducible over Q (Q[pi] has full degree 2g)."""
-    factors = _weil_factors(P)
-    return len(factors) == 1 and factors[0][1] == 1
 
 
 def _weil_factors(P: WeilPolynomial) -> list[tuple[IntPoly, int]]:

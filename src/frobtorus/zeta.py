@@ -9,6 +9,10 @@ has modulus sqrt(q) by Sturm sequences over Z, so ``analyze --weil``'s
 exit code never rests on floating point.  Both ``is_weil`` and the
 factorization in ``simplicity`` work on the real polynomial h of
 ``real_poly``, P(x) = x^g h(x + q/x), of half the degree of P.
+A WeilPolynomial's q is split into p^k by ``prime_power``, which takes an
+exact integer root only for exponents that a pretest by power residues
+modulo small primes leaves open; so a q of thousands of digits is refused
+without any root.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import functools
 from dataclasses import dataclass
 
 from . import intpoly
-from ._fpx import MR_BOUND, is_prime  # noqa: F401  (MR_BOUND: prime_power's limit)
+from ._fpx import is_prime
 from .errors import InvariantViolation, ParseError, clip
 
 INT_JSON_CUTOFF = 1 << 53
@@ -34,6 +38,24 @@ def _iroot(n: int, k: int) -> int:
         r = s
 
 
+def _maybe_power(n: int, e: int) -> bool:
+    """False when n provably is no e-th power, for a prime e.
+
+    For a prime ell = 1 mod e that does not divide n, the e-th powers of
+    F_ell^* are the kernel of x -> x^((ell-1)/e), so n^((ell-1)/e) != 1
+    mod ell rules n out.  Up to three such ell are tried; True only means
+    that none of them ruled n out.
+    """
+    tried, ell = 0, 1
+    while tried < 3:
+        ell += e
+        if is_prime(ell) and n % ell:
+            if pow(n, (ell - 1) // e, ell) != 1:
+                return False
+            tried += 1
+    return True
+
+
 @functools.lru_cache(maxsize=None)
 def prime_power(q: int) -> tuple[int, int]:
     """Split q into (p, k) with p prime; reject non prime powers.
@@ -41,10 +63,12 @@ def prime_power(q: int) -> tuple[int, int]:
     Exact: p is q with every exact integer root taken out, and k the
     product of the root exponents.  Only prime exponents e <= log2 p are
     tried, each again after a root it gives, since a perfect (ab)-th power
-    is an a-th power of a b-th power.  q is a prime power iff that p is
-    prime, which _fpx.is_prime decides.  Raises SizeExceeded when p has no
-    prime factor up to 41 and is at least MR_BOUND (about 3.3e24), past
-    which that test is not proven.
+    is an a-th power of a b-th power.  An exponent that _maybe_power rules
+    out by residues skips the integer root, so a q with thousands of digits
+    costs no root at all; the pretest never rules out a true power.  q is a
+    prime power iff that p is prime, which _fpx.is_prime decides.  Raises
+    SizeExceeded when p has no prime factor up to 41 and is at least
+    _fpx.MR_BOUND (about 3.3e24), past which that test is not proven.
 
     >>> prime_power(3 ** 5)
     (3, 5)
@@ -55,7 +79,7 @@ def prime_power(q: int) -> tuple[int, int]:
         raise ValueError(f"{clip(q)} is not a prime power")
     p, k, e = q, 1, 2
     while 1 << e <= p:
-        if is_prime(e) and (r := _iroot(p, e)) ** e == p:
+        if is_prime(e) and _maybe_power(p, e) and (r := _iroot(p, e)) ** e == p:
             p, k = r, k * e
         else:
             e += 1

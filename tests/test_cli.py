@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from frobtorus import report
+from frobtorus import report, zeta
 from frobtorus._fpx import is_prime
 from frobtorus.cli import main
 from frobtorus.errors import CorruptRecord
@@ -305,6 +305,25 @@ def test_weil_past_the_prime_test_bound_is_input_error_at_once(capsys):
     start = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - start < 3
+    assert "past the prime test bound" in capsys.readouterr().err
+
+
+def test_weil_over_a_q_of_4002_digits_is_input_error_without_integer_roots(
+        monkeypatch, capsys):
+    # q has no prime factor up to 41 and is past the prime test bound; its
+    # exponents are ruled out by power residues, not by integer roots
+    calls = []
+
+    def counted(n, k):
+        calls.append(k)
+        return iroot(n, k)
+
+    iroot = zeta._iroot
+    monkeypatch.setattr(zeta, "_iroot", counted)
+    q = 3 * 10 ** 4001 + 7
+    argv = ["analyze", "--weil", json.dumps({"q": q, "g": 1, "coeffs": [q, 0, 1]})]
+    assert main(argv) == 2
+    assert len(calls) <= 3
     assert "past the prime test bound" in capsys.readouterr().err
 
 

@@ -34,7 +34,6 @@ from frobtorus.simplicity import (
     _torsion_residue_matrix,
     charpoly_power,
     classify,
-    elliptic_torus_test,
     ratio_poly,
     ratio_torsion_orders,
     verdict_from_json,
@@ -358,7 +357,7 @@ ELL_1, ELL_2 = 2147483713, 2147484721
     ],
 )
 def test_q_equal_to_a_prefilter_prime(P, kind, orders):
-    assert elliptic_torus_test(P)
+    assert simplicity._weil_factors(P) == [(IntPoly(P.coeffs), 1)]  # irreducible
     v = classify(P)
     assert (v.kind, v.torsion_orders) == (kind, orders)
     assert set(orders) == ratio_torsion_orders_by_phi_scan(P)
@@ -543,15 +542,17 @@ def test_classify_rejects_degree_past_the_factoring_cap():
     assert classify.cache_info().currsize == 0  # errors are not memoized
 
 
-def test_elliptic_torus_test_is_irreducibility():
-    assert elliptic_torus_test(P_ORD)
-    assert elliptic_torus_test(P_SS)   # irreducible even though supersingular
-    assert elliptic_torus_test(P_AS2)
-    assert elliptic_torus_test(P_SPLIT2)  # irreducible; splits only at n=2
+def test_weil_factors_decide_irreducibility():
+    for P in (P_ORD, P_SS, P_AS2, P_SPLIT2):
+        # irreducible, P_SS even though supersingular, P_SPLIT2 though it
+        # splits at n = 2
+        assert simplicity._weil_factors(P) == [(IntPoly(P.coeffs), 1)]
     split = WeilPolynomial(q=5, g=2, coeffs=(25, 0, 6, 0, 1))
-    assert not elliptic_torus_test(split)  # (T^2-2T+5)(T^2+2T+5)
+    assert simplicity._weil_factors(split) == [
+        (IntPoly([5, -2, 1]), 1), (IntPoly([5, 2, 1]), 1)
+    ]
     repeated = WeilPolynomial(q=5, g=2, coeffs=(25, 0, 10, 0, 1))
-    assert not elliptic_torus_test(repeated)
+    assert simplicity._weil_factors(repeated) == [(IntPoly([5, 0, 1]), 2)]
 
 
 # q for the Weil-path tests: squares and non-squares, primes and prime powers
@@ -641,7 +642,9 @@ def test_non_weil_polynomials_are_factored_at_full_degree():
         kind=NOT_SIMPLE, factors=((IntPoly([-3, 1]), 1), (IntPoly([-1, 1]), 1))
     )
     assert verify_verdict(NON_WEIL_1, v)
-    assert not elliptic_torus_test(NON_WEIL_1)
+    assert simplicity._weil_factors(NON_WEIL_1) == [
+        (IntPoly([-3, 1]), 1), (IntPoly([-1, 1]), 1)
+    ]
 
 
 def test_weil_path_checks_the_product(monkeypatch):

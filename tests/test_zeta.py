@@ -15,11 +15,12 @@ from frobtorus.errors import (
     SizeExceeded,
     WeilBoundViolated,
 )
-from frobtorus import _fpx
+from frobtorus import _fpx, zeta
+from frobtorus._fpx import MR_BOUND
 from frobtorus.curves import PointCounts
 from frobtorus.intpoly import IntPoly, squarefree_part
 from frobtorus.zeta import (
-    MR_BOUND,
+    _maybe_power,
     _sturm,
     _variations,
     WeilPolynomial,
@@ -79,6 +80,30 @@ def test_prime_power_refuses_a_q_past_the_int_string_limit_by_name():
     with pytest.raises(ValueError, match="is not a prime power") as refused:
         prime_power.__wrapped__(10 ** 5000)
     assert len(str(refused.value)) < 120
+
+
+def test_the_power_residue_pretest_never_rules_out_a_true_power():
+    # the base 30030 is divisible by every prime up to 13, so the pretest
+    # must skip the primes ell that divide it
+    for r in (2, 3, 7, 30030, 2 ** 61 - 1, 10 ** 40 + 1):
+        for e in (2, 3, 5, 7, 11, 13, 31, 97):
+            assert _maybe_power(r ** e, e), (r, e)
+
+
+def test_a_huge_q_is_refused_without_integer_roots(monkeypatch):
+    # 3 * 10^4001 + 7 has about 13,300 bits, so about 1,580 prime exponents
+    # e <= log2 q; the power residue pretest rules every one of them out
+    calls = []
+
+    def counted(n, k):
+        calls.append(k)
+        return iroot(n, k)
+
+    iroot = zeta._iroot
+    monkeypatch.setattr(zeta, "_iroot", counted)
+    with pytest.raises(SizeExceeded):
+        prime_power.__wrapped__(3 * 10 ** 4001 + 7)
+    assert len(calls) <= 3
 
 
 def test_prime_power_is_exact_up_to_the_miller_rabin_bound():
