@@ -1,20 +1,28 @@
 """Absolute-simplicity classification of an isogeny class from its Weil
 polynomial.
 
-The decision rests on two exactly computable facts about the Frobenius
-eigenvalues alpha_1..alpha_2g:
+The decision rests on exactly computable facts about the Frobenius
+eigenvalues alpha_1..alpha_2g.  Let P_n and mu_n be the charpoly and the
+minimal polynomial of pi^n.
 
-  - P irreducible over Q makes Q[pi] a field of degree 2g, so Frobenius acts
-    irreducibly on the Tate module;
-  - the degree of Q(pi^n) drops below 2g for some n exactly when some
-    eigenvalue ratio alpha_i/alpha_j is a root of unity.  Such a ratio, of
-    order m >= 2, satisfies two proven bounds:
-      * phi(m) <= 2g(2g-1): the ratio polynomial is R = (x-1)^(2g) R_off,
-        the diagonal pairs giving (x-1)^(2g), and Phi_m is coprime to x-1,
-        so Phi_m divides R_off, of degree 2g(2g-1);
+  1. P irreducible over Q makes Q[pi] a field of degree 2g, so Frobenius
+     acts irreducibly on the Tate module.  Its roots are Galois-conjugate,
+     and so are their n-th powers, each the power of equally many roots:
+     P_n = mu_n^k, and Q(pi^n) has degree 2g/k.
+  2. That degree drops below 2g for some n exactly when some eigenvalue
+     ratio alpha_j/alpha_i, a root of the ratio polynomial R, is a root of
+     unity.  At an m >= 2 with Phi_m | R, a torsion order, one is of order
+     m, so i != j and P_m repeats the root alpha_i^m = alpha_j^m: k >= 2.
+     Such an m satisfies two proven bounds:
+      * phi(m) <= 2g(2g-1): R = (x-1)^(2g) R_off, the diagonal pairs
+        giving (x-1)^(2g), and Phi_m is coprime to x-1, so Phi_m divides
+        R_off, of degree 2g(2g-1);
       * phi(m) divides 2^g g!: Q(zeta_m) lies in the splitting field of P,
         and the Galois group of that field permutes the g pairs
         {alpha, q/alpha}, so it embeds in C_2 wr S_g, of order 2^g g!.
+  3. mu_n is ordinary exactly when P is: v(alpha^n)/v(q^n) = v(alpha)/v(q),
+     so mu_n has P's slopes at 1/k of the multiplicity, and the middle-
+     coefficient rule holds exactly when half the roots are p-adic units.
 
 That turns "for every power of Frobenius" into a finite list of cyclotomic
 divisibility tests (4, 13, 39 and 57 orders for g = 1..4), each replayable
@@ -167,10 +175,7 @@ def ratio_poly(P: WeilPolynomial) -> IntPoly:
     # coefficient t of the degree-H result is a_(H-t)
     a = from_power_sums([s * s for s in S]).coeffs
     upper = [c * P.q ** t for t, c in enumerate(a)]
-    R = IntPoly(upper[:0:-1] + upper)
-    if R.degree != 2 * H:
-        raise InvariantViolation(f"ratio polynomial degree {R.degree} != (2g)^2")
-    return R
+    return IntPoly(upper[:0:-1] + upper)
 
 
 @functools.lru_cache(maxsize=None)
@@ -325,9 +330,8 @@ def classify(P: WeilPolynomial) -> SimplicityVerdict:
         ratio-torsion orders, which may be nonempty; or P irreducible and
         no eigenvalue ratio is a root of unity, so every power of Frobenius
         keeps full degree.
-    NotAbsolutelySimple: a repeated ordinary factor at some n (n = 1, or a
-        witness from the ratio-torsion orders), or distinct factors of a
-        power charpoly.
+    NotAbsolutelySimple: a repeated ordinary factor at some n (n = 1, or
+        the smallest ratio-torsion order of an irreducible P).
     Inconclusive: g >= 2 and pure repeated non-ordinary factors (possibly
         still simple with a larger endomorphism algebra); never guessed.
 
@@ -395,26 +399,18 @@ def _decide(P: WeilPolynomial) -> SimplicityVerdict:
         return SimplicityVerdict(
             kind=ABSOLUTELY_SIMPLE, torsion_orders=(), factors=((h, 1),)
         )
-    for m in orders:
-        cm = charpoly_power(P, m)
-        cfs = _weil_factors(WeilPolynomial(q=P.q ** m, g=P.g, coeffs=cm.coeffs))
-        if len(cfs) >= 2:
-            return SimplicityVerdict(
-                kind=NOT_ABSOLUTELY_SIMPLE,
-                witness_n=m,
-                factors=tuple(cfs),
-                torsion_orders=orders,
-            )
-        hh, ee = cfs[0]
-        if ee >= 2 and _factor_is_ordinary(hh, p):
-            return SimplicityVerdict(
-                kind=NOT_ABSOLUTELY_SIMPLE,
-                witness_n=m,
-                factors=((hh, ee),),
-                torsion_orders=orders,
-            )
+    # P_m is mu_m^k, k >= 2, and mu_m is as ordinary as P (module docstring)
+    if not _factor_is_ordinary(h, p):
+        return SimplicityVerdict(
+            kind=INCONCLUSIVE, reason=REASON_PURE_POWER, torsion_orders=orders
+        )
+    m = orders[0]
+    cm = charpoly_power(P, m)
+    cfs = tuple(_weil_factors(WeilPolynomial(q=P.q ** m, g=P.g, coeffs=cm.coeffs)))
+    if len(cfs) != 1 or cfs[0][1] < 2:
+        raise InvariantViolation(f"P_{m} of an irreducible P factors as {cfs}")
     return SimplicityVerdict(
-        kind=INCONCLUSIVE, reason=REASON_PURE_POWER, torsion_orders=orders
+        kind=NOT_ABSOLUTELY_SIMPLE, witness_n=m, factors=cfs, torsion_orders=orders
     )
 
 

@@ -181,9 +181,9 @@ def _read_survey(data: bytes):
     the first record, fixes the family (field, genus, deg f).  Raises
     CorruptRecord with the 1-based line for an unreadable line before the
     last, a record that is not an object with a string curve, a curve that
-    does not parse, is not spelled as equation_text spells it, or repeats
-    an earlier line, counts that contradict the record's curve, or a record
-    from another family.
+    does not parse, is not spelled as equation_text spells it, is no
+    equation enumerate_equations yields, or repeats an earlier line, counts
+    that contradict the record's curve, or a record from another family.
     """
     header = family = None
     records = []
@@ -227,9 +227,9 @@ def _read_survey(data: bytes):
 
 
 def _record_family(obj: dict, lineno: int) -> tuple:
-    # (q, genus, deg f) of the curve key, read by the curve-text parser; the
-    # key must be the canonical text of its own parse, so one curve has one
-    # key, and the record's counts must be over that field and of that genus
+    # (q, genus, deg f) of the curve key, read by the curve-text parser: the
+    # key must be its parse's canonical text (one key per curve) and an
+    # equation enumerate_equations yields, the counts of that field and genus
     try:
         spec, h, f = parse_curve_text(obj["curve"])
     except (ParseError, SizeExceeded) as bad:
@@ -241,6 +241,9 @@ def _record_family(obj: dict, lineno: int) -> tuple:
             line=lineno,
         )
     genus = genus_for_degree(len(f) - 1)
+    h_ok = 0 < len(h) <= genus + 2 if spec.p == 2 else not h
+    if spec.k != 1 or f[-1] != 1 or not h_ok:
+        raise CorruptRecord(f"line {lineno} holds no survey's equation", line=lineno)
     counts = obj["counts"] if isinstance(obj.get("counts"), dict) else {}
     if (counts.get("q"), counts.get("g")) != (spec.q, genus):
         raise CorruptRecord(

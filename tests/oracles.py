@@ -9,9 +9,10 @@ bivariate resultants, the ratio polynomial by Newton's identities at full
 length, the torsion scan over every m with phi(m) <= (2g)^2,
 a cubic's rational roots by trying every integer inside Cauchy's bound,
 prime powers by trial division, distinct-degree factorization by one
-modular exponentiation per degree, Rabin's irreducibility test, and
+modular exponentiation per degree, Rabin's irreducibility test,
 F_p[x] division and gcd by long division with a trim after every
-quotient digit.  Slow but hard to get wrong.
+quotient digit, and classify's decision by a power charpoly at every
+torsion order.  Slow but hard to get wrong.
 """
 
 import functools
@@ -24,9 +25,21 @@ from frobtorus.intpoly import (
     IntPoly,
     cyclotomic,
     divmod_exact,
+    factor,
     from_power_sums,
     resultant_y,
     root_power_sums,
+)
+from frobtorus.simplicity import (
+    ABSOLUTELY_SIMPLE,
+    INCONCLUSIVE,
+    NOT_ABSOLUTELY_SIMPLE,
+    NOT_SIMPLE,
+    REASON_PURE_POWER,
+    REASON_REPEATED_BASE,
+    SimplicityVerdict,
+    charpoly_power,
+    ratio_torsion_orders,
 )
 
 
@@ -412,3 +425,51 @@ def gcd_by_long_division(a, b, p):
         return a
     inv_lc = pow(a[-1], p - 2, p)
     return [(c * inv_lc) % p for c in a]
+
+
+def _is_ordinary(h: IntPoly, p: int) -> bool:
+    # the middle-coefficient rule on h's own degree
+    return math.gcd(h.coeffs[h.degree // 2], p) == 1
+
+
+def decide_by_every_order(P) -> SimplicityVerdict:
+    """classify's verdict on P, with P and its power charpolys factored at
+    full degree, and, for an irreducible P of genus >= 2 with torsion
+    orders, a power charpoly built at every order in ascending order until
+    one has two distinct factors or one repeated ordinary factor; when none
+    has, Inconclusive."""
+    p = prime_power_by_trial_division(P.q)[0]
+    fs = factor(IntPoly(P.coeffs))[1]
+    if len(fs) >= 2:
+        return SimplicityVerdict(kind=NOT_SIMPLE, factors=tuple(fs))
+    h, e = fs[0]
+    if P.g == 1:
+        orders = tuple(sorted(ratio_torsion_orders(P)))
+        return SimplicityVerdict(
+            kind=ABSOLUTELY_SIMPLE, torsion_orders=orders, factors=((h, e),)
+        )
+    if e >= 2:
+        if _is_ordinary(h, p):
+            return SimplicityVerdict(
+                kind=NOT_ABSOLUTELY_SIMPLE, witness_n=1, factors=((h, e),)
+            )
+        return SimplicityVerdict(
+            kind=INCONCLUSIVE, reason=REASON_REPEATED_BASE, factors=((h, e),)
+        )
+    orders = tuple(sorted(ratio_torsion_orders(P)))
+    if not orders:
+        return SimplicityVerdict(
+            kind=ABSOLUTELY_SIMPLE, torsion_orders=(), factors=((h, 1),)
+        )
+    for m in orders:
+        cfs = tuple(factor(charpoly_power(P, m))[1])
+        if len(cfs) >= 2 or cfs[0][1] >= 2 and _is_ordinary(cfs[0][0], p):
+            return SimplicityVerdict(
+                kind=NOT_ABSOLUTELY_SIMPLE,
+                witness_n=m,
+                factors=cfs,
+                torsion_orders=orders,
+            )
+    return SimplicityVerdict(
+        kind=INCONCLUSIVE, reason=REASON_PURE_POWER, torsion_orders=orders
+    )

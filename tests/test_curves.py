@@ -534,9 +534,9 @@ def test_counts_up_to_genus_checks_the_largest_field_first(monkeypatch):
     assert C.genus == 13
 
     def no_counting(*args):
-        raise AssertionError("count_points called before the size check")
+        raise AssertionError("_counts called before the size check")
 
-    monkeypatch.setattr("frobtorus.curves.count_points", no_counting)
+    monkeypatch.setattr("frobtorus.curves._counts", no_counting)
     with pytest.raises(SizeExceeded):
         counts_up_to_genus(C)
 

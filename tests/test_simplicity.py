@@ -51,6 +51,7 @@ from frobtorus.survey import SurveyConfig, enumerate_equations
 from frobtorus.zeta import WeilPolynomial, is_weil, weil_from_counts
 from oracles import (
     charpoly_power_by_resultant,
+    decide_by_every_order,
     minpoly_degree_over_q,
     powmod_monic,
     ratio_poly_by_full_newton,
@@ -518,6 +519,62 @@ def test_classify_pure_nonordinary_power_is_inconclusive():
     assert v.reason == REASON_PURE_POWER
     assert sorted(v.torsion_orders) == [2, 4]
     assert verify_verdict(P_INC2, v)
+
+
+def test_a_pure_power_builds_no_witness_charpoly(monkeypatch):
+    # x^4 + 9 over F_3 is irreducible with torsion orders (2, 4) and not
+    # ordinary, and no power of it is: no witness charpoly is built.  An
+    # ordinary irreducible P with torsion orders builds one, at its
+    # smallest order
+    calls = []
+
+    def counted(P, n):
+        calls.append((P.coeffs, n))
+        return charpoly_power(P, n)
+
+    monkeypatch.setattr(simplicity, "charpoly_power", counted)
+    classify.cache_clear()
+    v = classify(P_INC2)
+    assert v == SimplicityVerdict(
+        kind=INCONCLUSIVE, reason=REASON_PURE_POWER, torsion_orders=(2, 4)
+    )
+    assert calls == []
+    P = WeilPolynomial(q=2, g=2, coeffs=(4, -6, 5, -3, 1))
+    v = classify(P)
+    assert v.kind == NOT_ABSOLUTELY_SIMPLE and v.witness_n == min(v.torsion_orders)
+    assert calls == [(P.coeffs, v.witness_n)]
+
+
+def _genus2_full_box(q):
+    # every x^4 + a1 x^3 + a2 x^2 + q a1 x + q^2 with |a1| <= 2(floor(2 sqrt(q))
+    # + 1) and |a2| <= 6q + 2, Weil or not: for q = 2..5 it holds 197
+    # irreducible P with torsion orders, where _genus2_box holds 80
+    top = 2 * (math.isqrt(4 * q) + 1)
+    for a1 in range(-top, top + 1):
+        for a2 in range(-6 * q - 2, 6 * q + 3):
+            yield WeilPolynomial(q=q, g=2, coeffs=(q * q, q * a1, a2, a1, 1))
+
+
+def test_classify_equals_the_decision_at_every_torsion_order():
+    # one witness charpoly, at the smallest order of an ordinary P, decides
+    # as the walk over every order does
+    Ps = [P for q in (2, 3, 4, 5) for P in _genus2_full_box(q)]
+    for family in ((3, 2, 5, None), (3, 3, 7, 300), (3, 4, 9, 60)):
+        Ps += sorted(_family_weils(*family), key=lambda P: P.coeffs)
+    paths = set()
+    for P in Ps:
+        v = classify(P)
+        assert v == decide_by_every_order(P), P
+        paths.add((v.kind, v.reason, (v.witness_n or 1) > 1))
+    # both ends of the torsion path occur, and the other verdicts too
+    assert paths >= {
+        (NOT_ABSOLUTELY_SIMPLE, None, True),
+        (INCONCLUSIVE, REASON_PURE_POWER, False),
+        (NOT_ABSOLUTELY_SIMPLE, None, False),
+        (INCONCLUSIVE, REASON_REPEATED_BASE, False),
+        (ABSOLUTELY_SIMPLE, None, False),
+        (NOT_SIMPLE, None, False),
+    }
 
 
 def test_classify_supersingular_elliptic_is_absolutely_simple():

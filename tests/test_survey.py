@@ -253,6 +253,12 @@ def _tampered(data: bytes, case: str) -> bytes:
         lines[1] = lines[1].replace('"3; h=; f=0,', '"3^30; h=; f=(0),')
     elif case == "curve_key_long":
         lines[1] = lines[1].replace('"3; h=; f=0,', '"3^2; h=; f=(' + "1" * 5000 + "),")
+    elif case in ("odd_h", "non_monic"):
+        # canonical keys that no p=3 survey enumerates: one with h = 1, one
+        # with f = 2x^5 + x, which is not monic
+        old = '"3; h=; f=0,1,0,0,0,1"'
+        new = '"3; h=1; f=0,1,0,0,0,1"' if case == "odd_h" else '"3; h=; f=0,1,0,0,0,2"'
+        lines[1] = lines[1].replace(old, new)
     elif case == "duplicate":
         lines.append(lines[1])
     elif case in ("respelled", "respelled_field"):
@@ -287,6 +293,8 @@ READ_EXPECTED = {
         "report": (CorruptRecord, 7), "resume": (CorruptRecord, 7)
     },
     "foreign": {"report": (CorruptRecord, 7), "resume": (CorruptRecord, 7)},
+    "odd_h": {"report": (CorruptRecord, 2), "resume": (CorruptRecord, 2)},
+    "non_monic": {"report": (CorruptRecord, 2), "resume": (CorruptRecord, 2)},
     "torn": {"report": (CorruptRecord, 6), "resume": None},
     "format": {"report": (CorruptRecord, 1), "resume": (ResumeMismatch, None)},
 }
