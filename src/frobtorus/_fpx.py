@@ -1,4 +1,5 @@
-"""Polynomial arithmetic over prime fields F_p.
+"""Polynomial arithmetic over prime fields F_p, and the integer sum and
+product of coefficient lists that it reduces.
 
 Polynomials are plain lists of ints in [0, p), low-to-high, with no
 trailing zeros ([] is the zero polynomial).  Every routine that takes a
@@ -7,6 +8,12 @@ is irreducible exactly when ddf returns it as one block of degree k.
 Equal-degree splitting (factor_squarefree_monic) needs p odd.  is_prime is
 the package's one primality test, and prime_divisors its one factorization
 of integers.
+
+zadd and zmul take no modulus: they are the package's one coefficient-wise
+integer sum and one schoolbook integer product, on lists of any ints, and
+return their result unreduced.  add, sub, mul and mul_rem reduce them mod
+p; intpoly's IntPoly arithmetic trims them over Z, and its Hensel lift
+reduces zmul mod p^k.
 
 Distinct-degree factorization (ddf) builds the Frobenius matrix of the
 modulus once per prime, rows x**(i*p) mod a, so that each further power
@@ -38,28 +45,18 @@ def trim(a: list[int]) -> list[int]:
     return a
 
 
-def add(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
+def zadd(a, b):
+    """a+b on integer coefficient lists, unreduced and untrimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
     for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return trim(out)
+        out[i] += c
+    return out
 
 
-def sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return trim(out)
-
-
-def _product(a, b):
-    # a*b with unreduced integer coefficients
+def zmul(a, b):
+    """a*b on integer coefficient lists, unreduced; [] when either is []."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -70,8 +67,16 @@ def _product(a, b):
     return out
 
 
+def add(a, b, p):
+    return trim([c % p for c in zadd(a, b)])
+
+
+def sub(a, b, p):
+    return add(a, [-c for c in b], p)
+
+
 def mul(a, b, p):
-    return trim([c % p for c in _product(a, b)])
+    return trim([c % p for c in zmul(a, b)])
 
 
 def _reduce(r, b, p, q):
@@ -112,7 +117,7 @@ def rem(a, b, p):
 def mul_rem(a, b, m, p):
     """rem(mul(a, b, p), m, p): the product is accumulated unreduced and
     divided by m in place, with no reduced copy of it in between."""
-    return _reduce(_product(a, b), m, p, None)
+    return _reduce(zmul(a, b), m, p, None)
 
 
 def monic(a, p):

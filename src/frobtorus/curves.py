@@ -41,7 +41,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fpx, gf
-from .errors import BadDegrees, NonPrime, ParseError, Singular, WeilBoundViolated
+from .errors import (
+    BadDegrees,
+    InvariantViolation,
+    NonPrime,
+    ParseError,
+    Singular,
+    WeilBoundViolated,
+)
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,10 @@ class PointCounts:
 
     def __post_init__(self):
         object.__setattr__(self, "counts", tuple(self.counts))
+        if len(self.counts) != self.g:
+            raise InvariantViolation(
+                f"genus {self.g} needs {self.g} point counts, not {len(self.counts)}"
+            )
         for i, n in enumerate(self.counts, start=1):
             qi = self.q ** i
             if (n - (qi + 1)) ** 2 > 4 * self.g * self.g * qi:

@@ -75,19 +75,10 @@ class IntPoly:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return _poly(out)
+        return _poly(_fpx.zadd(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        out = list(self.coeffs) + [0] * (len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return _poly(out)
+        return self + -other
 
     def __neg__(self):
         return _poly([-c for c in self.coeffs])
@@ -95,15 +86,7 @@ class IntPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return _poly([other * c for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _poly([])
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return _poly(out)
+        return _poly(_fpx.zmul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -459,11 +442,7 @@ def _product_mod(polys, m: int) -> list[int]:
     # the product of coefficient lists over Z, reduced mod m after each factor
     prod = [1]
     for u in polys:
-        out = [0] * (len(prod) + len(u) - 1)
-        for i, a in enumerate(prod):
-            for j, b in enumerate(u):
-                out[i + j] += a * b
-        prod = [c % m for c in out]
+        prod = [c % m for c in _fpx.zmul(prod, u)]
     return prod
 
 
@@ -633,6 +612,13 @@ def _factor_monic(F: IntPoly) -> list[tuple[IntPoly, int]]:
     return [(k, _multiplicity(F, k)) for k in ks]
 
 
+def factor_key(pair) -> tuple:
+    """The canonical order of (factor, multiplicity) pairs: by the factor's
+    degree, then its coefficients.  factor's result, and every factor list
+    that a verdict carries, is sorted by it."""
+    return pair[0].degree, pair[0].coeffs
+
+
 def factor_product(factors, unit: int = 1) -> IntPoly:
     """unit times the product of h^e over the pairs (h, e) in factors."""
     prod = _poly([unit])
@@ -645,8 +631,8 @@ def factor(f: IntPoly) -> tuple[int, list[tuple[IntPoly, int]]]:
     """Complete factorization over Q.
 
     Returns (unit, [(irreducible, multiplicity), ...]) with each irreducible
-    primitive and positive-lc (monic when f is monic), sorted by (degree,
-    coeffs), and unit * product == f exactly.
+    primitive and positive-lc (monic when f is monic), sorted by factor_key,
+    and unit * product == f exactly.
     """
     if f.is_zero:
         raise ZeroPolynomial("factor of zero polynomial")
@@ -665,7 +651,7 @@ def factor(f: IntPoly) -> tuple[int, list[tuple[IntPoly, int]]]:
         Fm = _poly([c * b ** (n - 1 - i) for i, c in enumerate(F.coeffs[:-1])] + [1])
         out = [(_poly([c * b ** i for i, c in enumerate(k.coeffs)]).primitive(), e)
                for k, e in _factor_monic(Fm)]
-    out.sort(key=lambda ke: (ke[0].degree, ke[0].coeffs))
+    out.sort(key=factor_key)
     if factor_product(out, unit) != f:
         raise InvariantViolation("factor product does not reproduce the input")
     return unit, out

@@ -98,6 +98,7 @@ from .intpoly import (
     cyclotomic,
     divmod_exact,
     factor,
+    factor_key,
     factor_product,
     from_power_sums,
     root_power_sums,
@@ -308,7 +309,7 @@ def _weil_factors(P: WeilPolynomial) -> list[tuple[IntPoly, int]]:
                 for i in range(j + 1):
                     K[d - j + 2 * i] += kj * math.comb(j, i) * q ** (j - i)
             out.append((IntPoly(K), e))
-    out.sort(key=lambda fe: (fe[0].degree, fe[0].coeffs))
+    out.sort(key=factor_key)
     if factor_product(out).coeffs != P.coeffs:
         raise InvariantViolation("factors of h do not reproduce the Weil polynomial")
     return out
@@ -364,7 +365,7 @@ def _twist(v: SimplicityVerdict) -> SimplicityVerdict:
         (IntPoly([-c if (i + h.degree) % 2 else c for i, c in enumerate(h.coeffs)]), e)
         for h, e in v.factors
     ]
-    factors.sort(key=lambda fe: (fe[0].degree, fe[0].coeffs))
+    factors.sort(key=factor_key)
     return replace(v, factors=tuple(factors))
 
 
@@ -379,14 +380,7 @@ def _decide(P: WeilPolynomial) -> SimplicityVerdict:
     if len(fs) >= 2:
         return SimplicityVerdict(kind=NOT_SIMPLE, factors=tuple(fs))
     h, e = fs[0]
-    if P.g == 1:
-        # an elliptic curve has no proper nonzero abelian subvariety, so it
-        # is simple over every extension, whatever its ratio orders
-        orders = tuple(sorted(ratio_torsion_orders(P)))
-        return SimplicityVerdict(
-            kind=ABSOLUTELY_SIMPLE, torsion_orders=orders, factors=((h, e),)
-        )
-    if e >= 2:
+    if P.g >= 2 and e >= 2:
         if _factor_is_ordinary(h, p):
             return SimplicityVerdict(
                 kind=NOT_ABSOLUTELY_SIMPLE, witness_n=1, factors=((h, e),)
@@ -395,9 +389,11 @@ def _decide(P: WeilPolynomial) -> SimplicityVerdict:
             kind=INCONCLUSIVE, reason=REASON_REPEATED_BASE, factors=((h, e),)
         )
     orders = tuple(sorted(ratio_torsion_orders(P)))
-    if not orders:
+    # an elliptic curve has no proper nonzero abelian subvariety, so it is
+    # simple over every extension, whatever its ratio orders
+    if P.g == 1 or not orders:
         return SimplicityVerdict(
-            kind=ABSOLUTELY_SIMPLE, torsion_orders=(), factors=((h, 1),)
+            kind=ABSOLUTELY_SIMPLE, torsion_orders=orders, factors=((h, e),)
         )
     # P_m is mu_m^k, k >= 2, and mu_m is as ordinary as P (module docstring)
     if not _factor_is_ordinary(h, p):

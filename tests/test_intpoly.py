@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.densearith import dup_add, dup_mul, dup_sub
 from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_factor_list
 
@@ -63,6 +64,23 @@ def test_ring_axioms(f, g, h):
     assert f * (g + h) == f * g + f * h
     assert (f * g) * h == f * (g * h)
     assert f * g == g * f
+
+
+@given(
+    st.lists(st.one_of(st.just(0), st.integers(-10 ** 20, 10 ** 20)), max_size=7),
+    st.lists(st.one_of(st.just(0), st.integers(-10 ** 20, 10 ** 20)), max_size=7),
+)
+@settings(max_examples=150)
+def test_sum_difference_and_product_match_sympy(a, b):
+    # lists of any two lengths, zeros anywhere (top ones trimmed), [] too
+    f, g = IntPoly(a), IntPoly(b)
+    dense_f, dense_g = list(f.coeffs[::-1]), list(g.coeffs[::-1])
+    for got, want in (
+        (f + g, dup_add(dense_f, dense_g, ZZ)),
+        (f - g, dup_sub(dense_f, dense_g, ZZ)),
+        (f * g, dup_mul(dense_f, dense_g, ZZ)),
+    ):
+        assert list(got.coeffs[::-1]) == want
 
 
 def test_divmod_monic_and_powmod():

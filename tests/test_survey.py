@@ -244,6 +244,10 @@ def _tampered(data: bytes, case: str) -> bytes:
         lines[1] = _recounted(lines[1], q=5)
     elif case == "counts_g":
         lines[1] = _recounted(lines[1], g=1, counts=[4])
+    elif case == "short_counts":
+        doc = json.loads(lines[1])
+        doc["counts"]["counts"] = doc["counts"]["counts"][:1]
+        lines[1] = json.dumps(doc)
     elif case == "counts_g_headerless":
         # alone in its file, the record fixes the family itself
         lines = [_recounted(lines[1], g=1, counts=[4])]
@@ -275,6 +279,9 @@ def _tampered(data: bytes, case: str) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+# resume replays no record, so it keeps one whose counts alone are wrong
+KEPT = "kept"
+
 # (exception type, .line) per caller; None means resume recovers
 READ_EXPECTED = {
     "counts_q": {"report": (CorruptRecord, 2), "resume": (CorruptRecord, 2)},
@@ -282,6 +289,7 @@ READ_EXPECTED = {
     "counts_g_headerless": {
         "report": (CorruptRecord, 1), "resume": (CorruptRecord, 1)
     },
+    "short_counts": {"report": (CorruptRecord, 2), "resume": KEPT},
     "curve_key": {"report": (CorruptRecord, 2), "resume": (CorruptRecord, 2)},
     "curve_key_long": {"report": (CorruptRecord, 2), "resume": (CorruptRecord, 2)},
     "curve_key_huge_field": {
@@ -306,11 +314,16 @@ def test_report_and_resume_read_with_one_set_of_rules(
     tmp_path, p3_limit5, case, caller
 ):
     path = tmp_path / "s.jsonl"
-    path.write_bytes(_tampered(p3_limit5, case))
+    tampered = _tampered(p3_limit5, case)
+    path.write_bytes(tampered)
     cfg = SurveyConfig(p=3, genus=2, degree=5, limit=5)
     run = {"report": lambda: report(str(path)),
            "resume": lambda: run_survey(cfg, out_path=str(path))}[caller]
     expected = READ_EXPECTED[case][caller]
+    if expected == KEPT:
+        run()
+        assert path.read_bytes() == tampered
+        return
     if expected is None:
         run()  # resume drops the torn line and recomputes its record
         assert _strip_timing(path.read_text().splitlines()) == _strip_timing(

@@ -171,6 +171,15 @@ def test_point_counts_enforce_weil_bound():
         PointCounts(q=4, g=1, counts=(10,))
 
 
+def test_point_counts_hold_one_count_per_genus():
+    # weil_from_counts reads N_1 .. N_g; a short vector used to reach it and
+    # fail there with an IndexError, a long one with a Newton error
+    with pytest.raises(InvariantViolation, match="genus 2 needs 2 point counts, not 1"):
+        PointCounts(q=3, g=2, counts=(4,))
+    with pytest.raises(InvariantViolation, match="not 3"):
+        PointCounts(q=3, g=2, counts=(4, 14, 28))
+
+
 def test_weil_polynomial_validation():
     WeilPolynomial(q=5, g=1, coeffs=(5, -2, 1))
     with pytest.raises(InvariantViolation):
