@@ -78,7 +78,7 @@ A factor h of P, or of an odd power charpoly, becomes (-1)^deg(h) h(-x);
 an even power charpoly is the same for both.  So the decision runs on the
 member of {P(x), P(-x)} with the smaller coefficient tuple, and the other
 member's verdict is derived from it.  classify is memoized per process: a
-survey, or report replaying one, classifies each distinct Weil polynomial
+survey, or report checking one, classifies each distinct Weil polynomial
 once and decides each twist class once.
 """
 
@@ -348,7 +348,7 @@ def classify(P: WeilPolynomial) -> SimplicityVerdict:
     """
     twin = tuple(-c if i % 2 else c for i, c in enumerate(P.coeffs))
     if twin < P.coeffs:
-        return _twist(_memo(WeilPolynomial(q=P.q, g=P.g, coeffs=twin)))
+        return _twist(_memo(WeilPolynomial(q=P.q, g=P.g, coeffs=twin)), P)
     return _decide(P)
 
 
@@ -357,15 +357,22 @@ def classify(P: WeilPolynomial) -> SimplicityVerdict:
 _memo = classify
 
 
-def _twist(v: SimplicityVerdict) -> SimplicityVerdict:
-    # the verdict of P(-x) from that of P (module docstring)
-    if v.factors is None or (v.witness_n or 1) % 2 == 0:
+def _twist(v: SimplicityVerdict, P: WeilPolynomial) -> SimplicityVerdict:
+    # the verdict of P from the verdict v of its twin P(-x) (module
+    # docstring).  The twisted factors are the only ones classify does not
+    # get from _weil_factors, so they are checked here: they must multiply
+    # to P, or to P_n at an odd witness n > 1
+    n = v.witness_n or 1
+    if v.factors is None or n % 2 == 0:
         return v
     factors = [
         (IntPoly([-c if (i + h.degree) % 2 else c for i, c in enumerate(h.coeffs)]), e)
         for h, e in v.factors
     ]
     factors.sort(key=factor_key)
+    target = P.coeffs if n == 1 else charpoly_power(P, n).coeffs
+    if factor_product(factors).coeffs != target:
+        raise InvariantViolation(f"twisted factors do not reproduce P_{n}")
     return replace(v, factors=tuple(factors))
 
 
@@ -461,18 +468,9 @@ def verdict_from_json(d) -> SimplicityVerdict:
 
 
 def verify_verdict(P: WeilPolynomial, v: SimplicityVerdict) -> bool:
-    """Replay the certificate: a fresh classification must agree exactly,
-    and the claimed factorizations must multiply back to their targets.
+    """Replay the certificate: a fresh classification must agree exactly.
 
-    The classification comes first, so a stored witness_n or multiplicity
-    is only ever replayed once it equals what classify computed itself.
+    classify checks every factorization it returns, so an equal verdict's
+    factors multiply back to P, or to P_n at its witness n.
     """
-    if classify(P) != v:
-        return False
-    if v.factors is not None:
-        target = IntPoly(P.coeffs)
-        if v.witness_n is not None and v.witness_n > 1:
-            target = charpoly_power(P, v.witness_n)
-        if factor_product(v.factors) != target:
-            return False
-    return True
+    return classify(P) == v

@@ -728,6 +728,51 @@ def test_verdict_json_rejections():
         verdict_from_json("AbsolutelySimple")
 
 
+# the Weil polynomial of 3; h=; f=0,1,0,0,2,1, P_AS2's twin: each string
+# below, read character by character, rebuilds the array of its verdict
+# that it replaces
+P_AS2_TWIN = WeilPolynomial(q=3, g=2, coeffs=(9, 3, 2, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("factors", 0, "coeffs"), "93211"),
+        (("factors",), "x"),
+        (("torsion_orders",), ""),
+    ],
+    ids=["factor-coeffs", "factors", "torsion_orders"],
+)
+def test_verdict_from_json_refuses_a_string_where_an_array_belongs(path, value):
+    doc = verdict_to_json(classify(P_AS2_TWIN))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if path[-1] != "factors":
+        assert "".join(map(str, target[path[-1]])) == value
+    target[path[-1]] = value
+    with pytest.raises(ParseError, match="must be a JSON array"):
+        verdict_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "decided,derived",
+    [
+        (P_AS2, P_AS2_TWIN),
+        # NotAbsolutelySimple at the odd witness 3
+        (WeilPolynomial(q=3, g=2, coeffs=(9, -3, -2, -1, 1)),
+         WeilPolynomial(q=3, g=2, coeffs=(9, 3, -2, 1, 1))),
+    ],
+    ids=["P", "witness-3"],
+)
+def test_twist_checks_its_factors_against_the_derived_polynomial(decided, derived):
+    v = classify(decided)
+    assert simplicity._twist(v, derived) == classify(derived) != v
+    # twisted factors of decided's verdict reproduce derived, not decided
+    with pytest.raises(InvariantViolation):
+        simplicity._twist(v, decided)
+
+
 def test_verify_verdict_rejects_tampering():
     v = classify(P_AS2)
     forged = SimplicityVerdict(

@@ -282,6 +282,8 @@ def test_weil_json_big_integers_become_strings():
         {"q": 5, "g": 1, "coeffs": [5, 2.5, 1]},
         {"q": 5, "g": 1, "coeffs": [4, -2, 1]},  # fails Weil shape checks
         {"q": 2, "g": 1, "coeffs": "221"},  # a string, not an array
+        # a p=3 genus-2 survey's x^4 + x^3 + 2x^2 + 3x + 9, read digit by digit
+        {"q": 3, "g": 2, "coeffs": "93211"},
         "not even an object",
     ],
 )
