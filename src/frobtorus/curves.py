@@ -48,6 +48,7 @@ from .errors import (
     ParseError,
     Singular,
     WeilBoundViolated,
+    clip,
 )
 
 
@@ -75,7 +76,7 @@ class PointCounts:
             qi = self.q ** i
             if (n - (qi + 1)) ** 2 > 4 * self.g * self.g * qi:
                 raise WeilBoundViolated(
-                    f"N_{i} = {n} violates |N - (q^{i}+1)| <= 2g*sqrt(q^{i})"
+                    f"N_{i} = {clip(n)} violates |N - (q^{i}+1)| <= 2g*sqrt(q^{i})"
                 )
 
 

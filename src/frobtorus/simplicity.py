@@ -57,7 +57,8 @@ cached read-only matrix of the w_m^t + w_m^-t mod ell.  Every ell is below
 reaches 2^63.
 
 P, and each power charpoly, is factored at half its degree.  When P
-satisfies the Riemann hypothesis (zeta.is_weil, decided exactly),
+satisfies the Riemann hypothesis (zeta.is_weil: exact, in closed form for
+g <= 3, run on the h that is then factored),
 P(x) = x^g h(x + q/x) with h = zeta.real_poly(P) of degree g, every root of
 h real in [-2 sqrt(q), 2 sqrt(q)].  Each irreducible factor k of h, of
 multiplicity e, gives one irreducible factor of P:
@@ -106,10 +107,10 @@ from .intpoly import (
 from .intpoly import resultant_y  # noqa: F401  (perfbench/tracing.py hooks this name)
 from .zeta import (
     WeilPolynomial,
+    _real_is_weil,
     decode_array,
     decode_int,
     encode_int,
-    is_weil,
     prime_power,
     real_poly,
 )
@@ -292,11 +293,12 @@ def ratio_torsion_orders(P: WeilPolynomial) -> set[int]:
 def _weil_factors(P: WeilPolynomial) -> list[tuple[IntPoly, int]]:
     # factor(P)'s irreducible factors, read off those of the real polynomial
     # h when P satisfies the Riemann hypothesis (module docstring)
-    if not is_weil(P):
+    h = real_poly(P)
+    if not _real_is_weil(h, P.q):
         return factor(IntPoly(P.coeffs))[1]
     q, r = P.q, math.isqrt(P.q)
     out = []
-    for k, e in factor(real_poly(P))[1]:
+    for k, e in factor(h)[1]:
         if r * r == q and k.coeffs in ((-2 * r, 1), (2 * r, 1)):
             out.append((IntPoly([k.coeffs[0] // 2, 1]), 2 * e))  # (x -+ r)^2
         elif k.coeffs == (-4 * q, 0, 1):

@@ -10,10 +10,10 @@ Persistence is append-only JSONL with a config fingerprint header.  One
 reader serves both resume and report: an interrupted run resumes by skipping
 the keys already present (a partial trailing line from a kill mid-write is
 truncated), and neither accepts a repeated curve, a record from another
-family, or a record that is not what a survey writes for its curve.  Its
-counts, weil and verdict members must re-encode, byte for byte, to the
-members its writer encodes for its counts at the field and genus of its
-curve.  Output order is enumeration order, keeping files byte-identical
+family, a singular equation, or a record that is not what a survey writes
+for its curve.  Its counts, weil and verdict members must re-encode, byte
+for byte, to the members its writer encodes for its counts at the field
+and genus of its curve.  Output order is enumeration order, keeping files byte-identical
 across runs up to the timing field.
 
 A record's counts, weil and verdict members are a function of its counts
@@ -191,12 +191,15 @@ def _read_survey(data: bytes):
     does not parse, is not spelled as equation_text spells it, is no
     equation enumerate_equations yields, or repeats an earlier line, a
     record without a timing or whose counts, weil and verdict members are
-    not those its writer encodes for its counts, or a record from another
-    family.
+    not those its writer encodes for its counts, a record from another
+    family, or a singular equation.  Smoothness is decided BATCH records
+    at a time, so a singular key is found once its block is read: a later
+    line of that block may fail another rule first.
     """
     header = family = None
     records = []
     seen: dict[str, int] = {}
+    rows = []  # (line, h, f) of the records since the last smoothness pass
     keep = 0
     for lineno, raw in enumerate(data.split(b"\n"), start=1):
         end = keep + len(raw) + 1
@@ -221,7 +224,7 @@ def _read_survey(data: bytes):
                 raise CorruptRecord(
                     f"line {lineno} repeats the curve of line {first}", line=lineno
                 )
-            own = _record_family(obj, lineno)
+            own, h, f = _record_family(obj, lineno)
             family = family or own
             if own != family:
                 raise CorruptRecord(
@@ -231,16 +234,36 @@ def _read_survey(data: bytes):
                     line=lineno,
                 )
             records.append(obj)
+            rows.append((lineno, h, f))
+            if len(rows) == BATCH:
+                _refuse_singular(family, rows)
+                rows = []
         keep = end
+    _refuse_singular(family, rows)
     return header, records, keep
 
 
+def _refuse_singular(family: tuple, rows: list) -> None:
+    # raise CorruptRecord for the first of the rows, (line, h, f) of records
+    # of one family, whose equation is singular: one smoothness_gcd_degrees
+    # call decides them all, h zero-padded to the g + 2 columns of p = 2
+    if not rows:
+        return
+    p, g = family[0], family[1]
+    h = np.array([hv + [0] * (g + 2 - len(hv)) for _, hv, _ in rows], dtype=np.int64)
+    f = np.array([fv for _, _, fv in rows], dtype=np.int64)
+    for (lineno, _, _), degree in zip(rows, smoothness_gcd_degrees(p, h, f).tolist()):
+        if degree > 0:
+            raise CorruptRecord(f"line {lineno}: its curve is singular", line=lineno)
+
+
 def _record_family(obj: dict, lineno: int) -> tuple:
-    # (q, genus, deg f) of the curve key, read by the curve-text parser: the
-    # key must be its parse's canonical text (one key per curve) and an
-    # equation enumerate_equations yields, and the record what a survey
-    # writes for it: a timing, and counts, weil and verdict members encoded
-    # as _record_tail encodes those of its counts at the key's q and genus
+    # (q, genus, deg f) of the curve key, read by the curve-text parser, and
+    # the key's h and f code lists: the key must be its parse's canonical
+    # text (one key per curve) and an equation enumerate_equations yields,
+    # and the record what a survey writes for it: a timing, and counts, weil
+    # and verdict members encoded as _record_tail encodes those of its
+    # counts at the key's q and genus
     try:
         spec, h, f = parse_curve_text(obj["curve"])
     except (ParseError, SizeExceeded) as bad:
@@ -276,7 +299,7 @@ def _record_family(obj: dict, lineno: int) -> tuple:
             f"line {lineno}: its {member} member is not what its counts give",
             line=lineno,
         )
-    return spec.q, genus, len(f) - 1
+    return (spec.q, genus, len(f) - 1), h, f
 
 
 def _result_stream(cfg: SurveyConfig, skip_keys: dict[str, object]):

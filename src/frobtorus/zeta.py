@@ -4,11 +4,16 @@ The pipeline is: counts -> power sums -> upper half of P(T), the
 characteristic polynomial of Frobenius, through Newton's identities
 (intpoly.from_power_sums; each division must be exact over Z) -> functional
 equation for the lower half.  Everything here is exact integer arithmetic,
-the root-modulus check ``is_weil`` too: it decides whether every root of P
-has modulus sqrt(q) by Sturm sequences over Z, so ``analyze --weil``'s
-exit code never rests on floating point.  Both ``is_weil`` and the
-factorization in ``simplicity`` work on the real polynomial h of
-``real_poly``, P(x) = x^g h(x + q/x), of half the degree of P.
+the root-modulus check ``is_weil`` too, so ``analyze --weil``'s exit code
+never rests on floating point.  Both ``is_weil`` and the factorization in
+``simplicity`` work on the real polynomial h of ``real_poly``,
+P(x) = x^g h(x + q/x), of half the degree of P: every root of P has
+modulus sqrt(q) iff every root of h is real in [-2 sqrt(q), 2 sqrt(q)].
+For g <= 3 closed forms decide that: a^2 <= 4q for h = y + a, four integer
+inequalities for a quadratic, and for a cubic its discriminant and the
+signs of the coefficients of h(y + 2 sqrt(q)) and -h(-y - 2 sqrt(q)), each
+an integer plus an integer multiple of 2 sqrt(q).  For g >= 4 Sturm
+sequences over Z count the roots of h(y) h(-y), in y^2, in [0, 4q].
 A WeilPolynomial's q is split into p^k by ``prime_power``, which takes an
 exact integer root only for exponents that a pretest by power residues
 modulo small primes leaves open; so a q of thousands of digits is refused
@@ -166,21 +171,92 @@ def is_weil(P: WeilPolynomial) -> bool:
 
     P(x) = x^g h(x + q/x) (real_poly), and a root y of h gives the roots of
     x^2 - y x + q, which have modulus sqrt(q) iff y is real with
-    |y| <= 2 sqrt(q).  With h(y) = E(y^2) + y O(y^2), the g roots of
-    H(u) = E(u)^2 - u O(u)^2 = h(y) h(-y) are the y^2, so P passes iff
+    |y| <= s = 2 sqrt(q).  So P passes iff every root of h is real and in
+    [-s, s], which _real_is_weil decides: in closed form for g <= 3, by
+    Sturm sequences for g >= 4.
+    """
+    return _real_is_weil(real_poly(P), P.q)
+
+
+def _real_is_weil(h: intpoly.IntPoly, q: int) -> bool:
+    """Whether every root of the monic h is real and in [-s, s],
+    s = 2 sqrt(q), decided exactly; s^2 = 4q.
+
+    g = deg h = 1: h = y + a has the root -a, and a^2 <= 4q decides.
+
+    g = 2: h = y^2 + b y + c has real roots r1 <= r2 iff b^2 >= 4c.  Those
+    lie in [-s, s] iff h(s) >= 0, h(-s) >= 0 and the midpoint -b/2 lies in
+    [-s, s].  The conditions are necessary.  They suffice: h(s) >= 0 puts
+    s outside (r1, r2), and s <= r1 would make the midpoint, at most s, equal
+    r1 = r2 = s; so r2 <= s, and r1 >= -s alike.  The midpoint condition is
+    b^2 <= 16q, and h(+-s) = 4q + c +- b s >= 0 both hold iff
+    4q + c >= |b| s, that is iff 4q + c >= 0 and (4q + c)^2 >= 4 b^2 q.
+
+    g = 3: h = y^3 + a y^2 + b y + c over R has three real roots iff
+    disc(h) >= 0; if disc(h) < 0 it has a pair of conjugate non-real roots,
+    and at disc(h) = 0 the repeated root is real, since a non-real one
+    would bring its conjugate twice too.  A real-rooted monic h has every
+    root r_i <= s iff h(y + s) = prod (y + s - r_i) has no negative
+    coefficient: with every s - r_i >= 0 the product has none, and a monic
+    polynomial with none is positive at every y > 0, so no r_i - s > 0 is
+    a root.  Likewise every r_i >= -s iff -h(-y - s) = prod (y + s + r_i)
+    has no negative coefficient.  With s^2 = 4q,
+        h(y + s) = y^3 + (a + 3s) y^2 + (12q + b + 2a s) y
+                   + (4q a + c + (4q + b) s),
+    and -h(-y - s) is the same with a and c negated.  Each coefficient is
+    A + B s with integers A and B, and _nonnegative gives its sign.
+
+    g >= 4: _sturm_is_weil.
+    """
+    g, cs = h.degree, h.coeffs
+    if g == 1:
+        return cs[0] * cs[0] <= 4 * q
+    if g == 2:
+        c, b = cs[0], cs[1]
+        t = 4 * q + c
+        return b * b >= 4 * c and b * b <= 16 * q and t >= 0 and t * t >= 4 * b * b * q
+    if g == 3:
+        c, b, a = cs[0], cs[1], cs[2]
+        disc = a * a * b * b - 4 * b ** 3 - 4 * a ** 3 * c - 27 * c * c + 18 * a * b * c
+        return disc >= 0 and all(
+            _nonnegative(A, B, q)
+            for A, B in (
+                (a, 3), (12 * q + b, 2 * a), (4 * q * a + c, 4 * q + b),
+                (-a, 3), (12 * q + b, -2 * a), (-4 * q * a - c, 4 * q + b),
+            )
+        )
+    return _sturm_is_weil(h, q)
+
+
+def _nonnegative(A: int, B: int, q: int) -> bool:
+    # A + 2 B sqrt(q) >= 0, exactly: true when neither term is negative,
+    # false when neither is positive and one is nonzero; otherwise the terms
+    # have opposite signs, and the one of larger square, A^2 against
+    # (2 B sqrt(q))^2 = 4 q B^2, decides
+    if A >= 0 and B >= 0:
+        return True
+    if A <= 0 and B <= 0:
+        return False
+    return A * A >= 4 * q * B * B if A > 0 else 4 * q * B * B >= A * A
+
+
+def _sturm_is_weil(h: intpoly.IntPoly, q: int) -> bool:
+    """_real_is_weil for any degree, by Sturm sequences over Z.
+
+    With h(y) = E(y^2) + y O(y^2), the g roots of
+    H(u) = E(u)^2 - u O(u)^2 = h(y) h(-y) are the y^2, so h passes iff
     every root of H lies in [0, 4q], that is iff all deg S distinct roots
     of the squarefree part S of H do.  Sturm's theorem counts those in
     (0, 4q], and S(0) = 0 adds one.  The Sturm sequence of H itself shows
     whether H is squarefree, so S = H needs no gcd.
     """
-    h = real_poly(P)
     E, O = intpoly.IntPoly(h.coeffs[0::2]), intpoly.IntPoly(h.coeffs[1::2])
     S = E * E - intpoly.IntPoly([0, 1]) * O * O
     seq = _sturm(S)
     if seq is None:
         S = intpoly.squarefree_part(S)
         seq = _sturm(S)
-    inside = _variations(seq, 0) - _variations(seq, 4 * P.q) + (S(0) == 0)
+    inside = _variations(seq, 0) - _variations(seq, 4 * q) + (S(0) == 0)
     return inside == S.degree
 
 

@@ -155,24 +155,26 @@ def test_report_corrupt_file_is_verification_failure(tmp_path, capsys):
 @pytest.mark.parametrize(
     "tamper",
     [
-        lambda v: v.update(witness_n=200000),
-        lambda v: v["factors"][0].update(mult=10 ** 7),
-        lambda v: v["factors"][0]["coeffs"].__setitem__(0, "7" * 5000),
-        lambda v: v["factors"][0]["coeffs"].__setitem__(0, [1] * 2000),
+        lambda r: r["verdict"].update(witness_n=200000),
+        lambda r: r["verdict"]["factors"][0].update(mult=10 ** 7),
+        lambda r: r["verdict"]["factors"][0]["coeffs"].__setitem__(0, "7" * 5000),
+        lambda r: r["verdict"]["factors"][0]["coeffs"].__setitem__(0, [1] * 2000),
+        lambda r: r["counts"]["counts"].__setitem__(0, "7" * 4000),
     ],
-    ids=["huge-witness", "huge-mult", "long-digits", "long-list"],
+    ids=["huge-witness", "huge-mult", "long-digits", "long-list", "long-count"],
 )
 def test_report_absurd_certificate_fails_fast(tmp_path, capsys, tamper):
     # replaying charpoly_power(P, 200000) or h ** 10**7 would not finish;
     # the fresh classification rejects the record before either is built.
-    # A rejected literal shows up clipped, so the error stays one short line
+    # A rejected literal shows up clipped, so the error stays one short line,
+    # a count of 4,000 digits past the Weil bound too
     out = tmp_path / "run.jsonl"
     assert main(["survey", "--p", "3", "--genus", "2", "--deg", "5",
                  "--limit", "3", "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     rec = json.loads(lines[1])
     assert rec["verdict"]["factors"]
-    tamper(rec["verdict"])
+    tamper(rec)
     lines[1] = json.dumps(rec)
     out.write_text("\n".join(lines) + "\n")
     capsys.readouterr()

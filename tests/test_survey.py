@@ -274,6 +274,10 @@ def _tampered(data: bytes, case: str) -> bytes:
         old = '"3; h=; f=0,1,0,0,0,1"'
         new = '"3; h=1; f=0,1,0,0,0,1"' if case == "odd_h" else '"3; h=; f=0,1,0,0,0,2"'
         lines[1] = lines[1].replace(old, new)
+    elif case == "singular_key":
+        # line 2's members under f = x^5, which has a repeated root: an
+        # equation the survey enumerates and skips as singular
+        lines[1] = lines[1].replace('"3; h=; f=0,1,0,0,0,1"', '"3; h=; f=0,0,0,0,0,1"')
     elif case == "duplicate":
         lines.append(lines[1])
     elif case in ("respelled", "respelled_field"):
@@ -313,6 +317,7 @@ READ_EXPECTED = {
     "foreign": {"report": (CorruptRecord, 7), "resume": (CorruptRecord, 7)},
     "odd_h": {"report": (CorruptRecord, 2), "resume": (CorruptRecord, 2)},
     "non_monic": {"report": (CorruptRecord, 2), "resume": (CorruptRecord, 2)},
+    "singular_key": {"report": (CorruptRecord, 2), "resume": (CorruptRecord, 2)},
     "torn": {"report": (CorruptRecord, 6), "resume": None},
     "format": {"report": (CorruptRecord, 1), "resume": (ResumeMismatch, None)},
 }
@@ -341,6 +346,22 @@ def test_report_and_resume_read_with_one_set_of_rules(
         run()
     assert getattr(exc.value, "line", None) == line
     assert path.read_bytes() == tampered
+
+
+def test_report_and_resume_refuse_a_singular_key_at_p2(tmp_path):
+    # the records' h = x^3 fill the g + 2 = 4 columns, and the singular
+    # y^2 + x y = x^5 is padded to them
+    cfg, path, _ = _run_to_file(tmp_path, p=2, genus=2, degree=5, limit=4)
+    lines = path.read_text().splitlines()
+    assert all('"2; h=0,0,0,1; f=' in line for line in lines[1:])
+    key = json.loads(lines[3])["curve"]
+    lines[3] = lines[3].replace(key, "2; h=0,1; f=0,0,0,0,0,1")
+    path.write_text("\n".join(lines) + "\n")
+    tampered = path.read_bytes()
+    for run in (lambda: report(str(path)), lambda: run_survey(cfg, out_path=str(path))):
+        with pytest.raises(CorruptRecord, match="line 4: its curve is singular"):
+            run()
+        assert path.read_bytes() == tampered
 
 
 def test_genus1_survey_never_reports_not_simple():

@@ -252,6 +252,145 @@ def test_sturm_count_matches_sympy():
         assert _variations(seq, a) - _variations(seq, b) == want, (S, a, b)
 
 
+def _weil_of(h: IntPoly, q: int) -> WeilPolynomial:
+    # the P with real_poly(P) = h: P = sum_j h_j x^(g-j) (x^2 + q)^j
+    g = h.degree
+    P = [0] * (2 * g + 1)
+    for j, hj in enumerate(h.coeffs):
+        for i in range(j + 1):
+            P[g - j + 2 * i] += hj * math.comb(j, i) * q ** (j - i)
+    return WeilPolynomial(q=q, g=g, coeffs=tuple(P))
+
+
+def _roots(*roots, squares=()):
+    # prod (y - r) over the roots times prod (y^2 - t) over the squares t
+    h = IntPoly([1])
+    for r in roots:
+        h = h * IntPoly([-r, 1])
+    for t in squares:
+        h = h * IntPoly([-t, 0, 1])
+    return h
+
+
+def test_closed_forms_match_sturm_on_the_genus2_box():
+    # P = x^4 + a1 x^3 + a2 x^2 + q a1 x + q^2 over the box |a1| <= 4q,
+    # |a2| <= 6q + 2, whose real polynomial is h = y^2 + a1 y + a2 - 2q; the
+    # box holds a double root just past 2 sqrt(q), (y - 3)^2 at q = 2
+    weil = 0
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+        for a1 in range(-4 * q, 4 * q + 1):
+            for a2 in range(-6 * q - 2, 6 * q + 3):
+                h = IntPoly([a2 - 2 * q, a1, 1])
+                ok = zeta._real_is_weil(h, q)
+                assert ok is zeta._sturm_is_weil(h, q), (q, h)
+                weil += ok
+    assert weil == 2013
+
+
+@pytest.mark.parametrize("q, weil", [(2, 215), (3, 677), (4, 1641)])
+def test_closed_form_matches_sturm_on_a_genus3_box(q, weil):
+    # every h = y^3 + a y^2 + b y + c with |a| <= 3s + 1, |b| <= 12q + 1 and
+    # |c| <= s^3 + 1, s = 2 sqrt(q): one past the coefficient bounds of a
+    # cubic with its roots in [-s, s].  The Sturm path decides each h that
+    # meets three necessary conditions of such roots: a^2 >= 3b (h' has
+    # real roots), a^2 - 2b <= 12q (the sum of the squared roots) and
+    # h(r) > 0 > h(-r) at the integer r = isqrt(4q) + 1 > s.  The rest must
+    # be refused
+    r = math.isqrt(4 * q) + 1
+    top_a, top_c = math.isqrt(36 * q) + 1, math.isqrt(64 * q ** 3) + 1
+    found = 0
+    for a in range(-top_a, top_a + 1):
+        for b in range(-12 * q - 1, 12 * q + 2):
+            for c in range(-top_c, top_c + 1):
+                h = IntPoly([c, b, a, 1])
+                ok = zeta._real_is_weil(h, q)
+                if a * a >= 3 * b and a * a - 2 * b <= 12 * q and h(r) > 0 > h(-r):
+                    assert ok is zeta._sturm_is_weil(h, q), (q, h)
+                else:
+                    assert ok is False, (q, h)
+                found += ok
+    assert found == weil
+
+
+def test_closed_forms_match_sympy_real_roots():
+    # a seeded sample of h of degree 1..3, half products of integer and
+    # quadratic factors, which put roots on and near +-2 sqrt(q); sympy
+    # finds the real roots with multiplicity, exactly
+    rng = random.Random(11)
+    y = sympy.Symbol("y")
+    for _ in range(150):
+        q = rng.choice([2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+        g = rng.randrange(1, 4)
+        top = math.isqrt(4 * q) + 1
+        if rng.random() < 0.5:
+            h = IntPoly([rng.randint(-top ** g, top ** g) for _ in range(g)] + [1])
+        else:
+            k = rng.randrange(g // 2 + 1)
+            h = _roots(*[rng.randint(-top, top) for _ in range(g - 2 * k)],
+                       squares=[rng.randint(-2, 4 * q + 2) for _ in range(k)])
+        roots = sympy.real_roots(sympy.Poly(h.coeffs[::-1], y))
+        want = len(roots) == h.degree and all(bool(r ** 2 <= 4 * q) for r in roots)
+        assert zeta._real_is_weil(h, q) is want, (q, h)
+        assert is_weil(_weil_of(h, q)) is want, (q, h)
+
+
+BIG_R = 20000000019
+BIG_Q = (BIG_R ** 2 - 5) // 4
+
+# (q, h, whether every root of h is real in [-2 sqrt(q), 2 sqrt(q)])
+WEIL_EDGES = [
+    # square q: roots exactly at +-2 sqrt(q), and one step past it
+    (4, _roots(4), True),
+    (4, _roots(5), False),
+    (4, _roots(4, -4), True),
+    (9, _roots(6, -6, 0), True),
+    (4, _roots(4, -4, 5), False),
+    (4, _roots(4, -5, 1), False),
+    # irrational ends: h(2 sqrt(2)) = 0, where A = B = 0
+    (2, _roots(1, squares=[8]), True),
+    (2, _roots(3, squares=[8]), False),
+    (2, _roots(1, squares=[9]), False),
+    (2, _roots(-2, squares=[7]), True),
+    # double roots, disc(h) = 0
+    (2, _roots(1, 1, -2), True),
+    (2, _roots(3, 3, 1), False),
+    (2, _roots(-3, -3, 0), False),
+    (4, _roots(4, 4, -4), True),
+    (4, _roots(-4, -4, 4), True),
+    (2, _roots(3, 3), False),
+    # triple roots
+    (2, _roots(2, 2, 2), True),
+    (2, _roots(3, 3, 3), False),
+    (4, _roots(-4, -4, -4), True),
+    # the prime q = (r^2 - 5) / 4 puts the root r of (y - r)(y^2 - 4q + 1)
+    # about 5 / (2r) past 2 sqrt(q) ~ 2e10: there a float sqrt(q) in
+    # _nonnegative gets the sign of h(2 sqrt(q)) wrong
+    (BIG_Q, _roots(BIG_R, squares=[4 * BIG_Q - 1]), False),
+    (BIG_Q, _roots(-BIG_R, squares=[4 * BIG_Q - 1]), False),
+]
+
+
+@pytest.mark.parametrize("q, h, want", WEIL_EDGES)
+def test_is_weil_edge_cases(q, h, want):
+    assert zeta._real_is_weil(h, q) is want
+    assert zeta._sturm_is_weil(h, q) is want
+    assert is_weil(_weil_of(h, q)) is want
+
+
+@pytest.mark.parametrize("h", [IntPoly([1, 0, 0, 1]), IntPoly([0, 1, 0, 1])])
+def test_genus3_negative_discriminant_fails_with_nonnegative_shifts(h):
+    # y^3 + 1 and y^3 + y have a pair of non-real roots, yet h(y + s) and
+    # -h(-y - s) have no negative coefficient: the discriminant decides
+    q = 2
+    c, b, a = h.coeffs[:3]
+    assert a * a * b * b - 4 * b ** 3 - 4 * a ** 3 * c - 27 * c * c + 18 * a * b * c < 0
+    shifts = [(a, 3), (12 * q + b, 2 * a), (4 * q * a + c, 4 * q + b),
+              (-a, 3), (12 * q + b, -2 * a), (-4 * q * a - c, 4 * q + b)]
+    assert all(zeta._nonnegative(A, B, q) for A, B in shifts)
+    assert zeta._real_is_weil(h, q) is False
+    assert is_weil(_weil_of(h, q)) is False
+
+
 def test_weil_json_roundtrip_small():
     P = WeilPolynomial(q=5, g=1, coeffs=(5, -2, 1))
     d = weil_to_json(P)
