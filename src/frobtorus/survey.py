@@ -1,9 +1,16 @@
 """Curve-family surveys: enumerate equations, decide their smoothness a
 block at a time, count the valid curves in batches, classify each curve,
-persist JSONL records, and aggregate verdict fractions.  An equation
-travels as coefficient rows, never as a curve object: a block's (h, f)
-int64 arrays go to one smoothness_gcd_degrees call, the new curves' rows
-to count_batch, and a smooth equation's text, built once, is both its
+persist JSONL records, and aggregate verdict fractions.
+
+Enumeration walks (h, f0, f1) prefixes, each the head of one contiguous
+run of p^(deg f - 2) equations.  The first prefix, (h, 0, 0) with h0 =
+h1 = 0, makes x = 0 a root of the smoothness gcd (curves.singular_at_zero)
+on its whole run, so that run is a slab: it is counted as singular in one
+step and never built, and singular_skipped and enumerated are exact
+integers however large p^deg is.  The other equations travel as
+coefficient rows, never as curve objects: a block's (h, f) int64 arrays
+go to one smoothness_gcd_degrees call, the new curves' rows to
+count_batch, and a smooth equation's text, built once, is both its
 record's curve and its resume key.
 
 Persistence is append-only JSONL with a config fingerprint header.  One
@@ -51,6 +58,7 @@ from .curves import (
     equation_text,
     genus_for_degree,
     parse_curve_text,
+    singular_at_zero,
     smoothness_gcd_degrees,
     validate_curve,  # noqa: F401  (perfbench/tracing.py hooks this name)
 )
@@ -116,16 +124,41 @@ def enumerate_equations(cfg: SurveyConfig):
     Odd p fixes h = 0; p = 2 walks nonzero h of degree <= g+1 in the outer
     loop.  f is monic of exactly the configured degree.
     """
+    yield from _equations(cfg, _prefixes(cfg))
+
+
+def _prefixes(cfg: SurveyConfig):
+    # the (h, (f0, f1)) prefixes in enumeration order; each heads one
+    # contiguous run of p^(deg f - 2) equations
     rng = range(cfg.p)
-    if cfg.p != 2:
-        for lows in itertools.product(rng, repeat=cfg.degree):
-            yield (), lows + (1,)
-    else:
-        for hv in itertools.product(rng, repeat=cfg.genus + 2):
-            if not any(hv):
-                continue
-            for lows in itertools.product(rng, repeat=cfg.degree):
-                yield hv, lows + (1,)
+    hs = [()]
+    if cfg.p == 2:
+        hs = filter(any, itertools.product(rng, repeat=cfg.genus + 2))
+    for hv in hs:
+        for head in itertools.product(rng, repeat=2):
+            yield hv, head
+
+
+def _equations(cfg: SurveyConfig, prefixes):
+    # the runs of the given prefixes, in enumeration order
+    for hv, head in prefixes:
+        for tail in itertools.product(range(cfg.p), repeat=cfg.degree - 2):
+            yield hv, head + tail + (1,)
+
+
+def _leading_slab(cfg: SurveyConfig):
+    # (n, equations): n counts the runs of the leading prefixes on which
+    # curves.singular_at_zero holds, so x = 0 is singular on all of their
+    # equations, which are never built; equations is the rest of the family
+    # in enumeration order.  That slab is the first run alone, (h, 0, 0) with
+    # h0 = h1 = 0 (h = 0 for odd p, x^(g+1) for p = 2), and it lies before
+    # every curve, so no limit cuts it
+    prefixes = _prefixes(cfg)
+    n = 0
+    for prefix in prefixes:
+        if not singular_at_zero(cfg.p, *prefix):
+            return n, _equations(cfg, itertools.chain([prefix], prefixes))
+        n += cfg.p ** (cfg.degree - 2)
 
 
 def curve_record(C) -> dict:
@@ -302,11 +335,12 @@ def _record_family(obj: dict, lineno: int) -> tuple:
     return (spec.q, genus, len(f) - 1), h, f
 
 
-def _result_stream(cfg: SurveyConfig, skip_keys: dict[str, object]):
-    """Yield (key, record) per equation in enumeration order: key is the
-    equation's text, None when it is singular, and record the (JSONL line,
-    verdict kind) of a new curve, None for a singular equation or a key in
-    skip_keys.
+def _result_stream(cfg: SurveyConfig, equations, skip_keys: dict[str, object]):
+    """Yield (key, record) per equation of equations, in their order: key
+    is the equation's text, None when it is singular, and record the (JSONL
+    line, verdict kind) of a new curve, None for a singular equation or a
+    key in skip_keys.  run_survey and run_find pass the equations after the
+    family's leading slab (_leading_slab), which they never screen.
 
     Each block of BATCH equations is decided by one smoothness_gcd_degrees
     call on its (h, f) arrays, the stream's only smoothness decision; no
@@ -319,7 +353,6 @@ def _result_stream(cfg: SurveyConfig, skip_keys: dict[str, object]):
     base = gf.field_create(cfg.p, 1)
     keys, rows = [], []  # the keys since the last batch; its (h, f) rows
     valid = 0
-    equations = enumerate_equations(cfg)
     while block := list(itertools.islice(equations, BATCH)):
         h, f = (np.array(a, dtype=np.int64) for a in zip(*block))
         degrees = smoothness_gcd_degrees(cfg.p, h, f).tolist()
@@ -390,9 +423,11 @@ def run_survey(cfg: SurveyConfig, out_path: str | None = None, stream=None) -> d
         fh = stream if stream is not None else sys.stdout
         fh.write(_header_line(cfg))
     kinds = dict.fromkeys(KIND_ORDER, 0)
-    enumerated = valid = singular = 0
+    slab, equations = _leading_slab(cfg)
+    enumerated = singular = slab
+    valid = 0
     try:
-        for key, record in _result_stream(cfg, stored):
+        for key, record in _result_stream(cfg, equations, stored):
             enumerated += 1
             if key is None:
                 singular += 1
@@ -450,7 +485,8 @@ def run_find(cfg: SurveyConfig, count: int, stream=None) -> int:
         raise ValueError("find needs a positive count")
     fh = stream if stream is not None else sys.stdout
     found = 0
-    for _, record in _result_stream(cfg, {}):
+    _, equations = _leading_slab(cfg)
+    for _, record in _result_stream(cfg, equations, {}):
         if record is None:
             continue
         line, kind = record

@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from frobtorus import curves, gf, simplicity, survey
@@ -749,6 +750,45 @@ def test_screened_survey_resumes_a_file_cut_inside_a_block(
     assert summary["singular_skipped"] == summary["enumerated"] - len(oracle)
 
 
+@pytest.mark.parametrize(
+    "p,genus,degree", [(2, 1, 3), (2, 2, 6), (3, 1, 4), (5, 2, 5), (7, 2, 6)]
+)
+def test_leading_slab_is_the_first_run_of_the_family(p, genus, degree):
+    # the slab holds the equations before the first screened one, all of
+    # them singular, and the stream gets the rest in enumeration order
+    cfg = SurveyConfig(p=p, genus=genus, degree=degree)
+    n, rest = survey._leading_slab(cfg)
+    equations = list(enumerate_equations(cfg))
+    assert n == p ** (degree - 2)
+    assert list(rest) == equations[n:]
+    h, f = (np.array(a, dtype=np.int64) for a in zip(*equations[:n]))
+    assert (survey.smoothness_gcd_degrees(p, h, f) > 0).all()
+
+
+@pytest.mark.parametrize(
+    "p,genus,degree,step",
+    [(2, 1, 3, 1), (2, 1, 4, 1), (3, 1, 3, 1), (3, 1, 4, 1), (5, 1, 3, 1),
+     (2, 2, 5, 7)],
+)
+def test_every_limit_cut_matches_the_per_equation_path(p, genus, degree, step):
+    # the leading slab is counted whole at every limit, and the screened
+    # equations after it only up to the limit-th curve
+    oracle = _oracle(SurveyConfig(p=p, genus=genus, degree=degree))
+    for limit in sorted({*range(1, len(oracle), step), len(oracle)}):
+        buf = io.StringIO()
+        summary = run_survey(
+            SurveyConfig(p=p, genus=genus, degree=degree, limit=limit), stream=buf
+        )
+        records = [rec for _, rec in oracle[:limit]]
+        kinds = [sum(rec["verdict"]["kind"] == k for rec in records)
+                 for k in survey.KIND_ORDER]
+        enumerated = oracle[limit - 1][0] + 1
+        assert _records(buf.getvalue()) == _strip_timing(map(json.dumps, records))
+        assert (summary["enumerated"], summary["singular_skipped"],
+                summary["valid"], list(summary["by_kind"].values())) == (
+            enumerated, enumerated - limit, limit, kinds), limit
+
+
 def test_screened_find_hits_match_the_per_equation_path(screened_family):
     cfg, oracle = screened_family
     hits = [rec for _, rec in oracle
@@ -912,13 +952,39 @@ def _smoothness_calls(monkeypatch):
 
 
 def test_survey_decides_smoothness_once_per_block(monkeypatch):
-    # survey_sieve's family: 2,516 equations to reach 100 curves, decided by
-    # one kernel call per block of BATCH and by nothing else
+    # survey_sieve's family: 2,516 equations to reach 100 curves.  The first
+    # 7^4, with f0 = f1 = 0, are one slab, counted without a row; the 115
+    # after it lie in the first block of BATCH rows, one kernel call
     calls = _smoothness_calls(monkeypatch)
+    rows = []
+    kernel = survey.smoothness_gcd_degrees
+    monkeypatch.setattr(survey, "smoothness_gcd_degrees",
+                        lambda p, h, f: rows.append(len(f)) or kernel(p, h, f))
     summary = run_survey(SurveyConfig(p=7, genus=2, degree=6, limit=100),
                          stream=io.StringIO())
-    assert summary["enumerated"] == 2516
-    assert calls == {"validate_curve": 0, "pgcd": 0, "smoothness_gcd_degrees": 10}
+    assert (summary["enumerated"], summary["singular_skipped"]) == (2516, 2416)
+    assert calls == {"validate_curve": 0, "pgcd": 0, "smoothness_gcd_degrees": 1}
+    assert rows == [survey.BATCH]
+
+
+def test_a_large_field_survey_counts_its_first_slab_whole(monkeypatch):
+    # p = 10007, g = 1, deg 4: the 10007^2 equations with f0 = f1 = 0 come
+    # first, and the three curves after them lie in one screened block, so a
+    # second kernel call means the slab was screened row by row
+    calls = []
+    kernel = survey.smoothness_gcd_degrees
+
+    def once(p, h, f):
+        calls.append(len(f))
+        if len(calls) > 1:
+            raise AssertionError(f"a second screening call, after {calls[0]} rows")
+        return kernel(p, h, f)
+
+    monkeypatch.setattr(survey, "smoothness_gcd_degrees", once)
+    summary = run_survey(SurveyConfig(p=10007, genus=1, degree=4, limit=3),
+                         stream=io.StringIO())
+    assert (summary["enumerated"], summary["singular_skipped"],
+            summary["valid"]) == (10007 ** 2 + 3, 10007 ** 2, 3)
 
 
 @pytest.mark.parametrize("p,degree,blocks", [(3, 5, 1), (2, 5, 2)])
