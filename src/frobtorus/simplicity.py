@@ -52,9 +52,9 @@ only sends m on to exact division over Z: no order is accepted or rejected
 on a residue alone.  By the palindrome, R(w) = w^H (R_H + sum_(t=1..H)
 R_(H+t) (w^t + w^-t)) with H = 2g^2, and w_m is a unit; so the residues of
 every order come from one int64 product of R's top half mod ell with a
-cached read-only matrix of the w_m^t + w_m^-t mod ell.  Every ell is below
-2^31.5, checked as the matrix is built, so no product of two residues
-reaches 2^63.
+read-only matrix of the w_m^t + w_m^-t mod ell, cached per genus with the
+primes and orders in one table.  Every ell is below 2^31.5, checked as it
+is picked, so no product of two residues reaches 2^63.
 
 P, and each power charpoly, is factored at half its degree.  When P
 satisfies the Riemann hypothesis (zeta.is_weil: exact, in closed form for
@@ -180,7 +180,6 @@ def ratio_poly(P: WeilPolynomial) -> IntPoly:
     return IntPoly(upper[:0:-1] + upper)
 
 
-@functools.lru_cache(maxsize=None)
 def _torsion_candidates(g: int) -> tuple[int, ...]:
     # the m >= 2 with phi(m) <= 2g(2g-1) and phi(m) | 2^g g!, walked as
     # products of powers of the primes r <= 2g(2g-1) + 1 with r - 1 | 2^g g!
@@ -209,11 +208,14 @@ PREFILTER_LCM_CAP = 2 ** 24
 
 
 @functools.lru_cache(maxsize=None)
-def _torsion_prefilter(g: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    # the candidate orders, in ascending runs whose lcm L stays at most
-    # PREFILTER_LCM_CAP; per run a prime ell = 1 mod L, the first such above
-    # 2^31, and for each m of the run an element w_m of exact order m in
-    # F_ell: w_m = w^(L/m) for w of exact order L
+def _torsion_table(g: int):
+    # the prefilter of genus g: the candidate orders, in ascending runs whose
+    # lcm L stays at most PREFILTER_LCM_CAP; per run a prime ell = 1 mod L,
+    # the first such above 2^31, and for each m of the run an element w_m of
+    # exact order m in F_ell, w_m = w^(L/m) for w of exact order L.  Returns
+    # the runs' primes and, one row per order, the read-only int64 arrays
+    # run (the run's index), ell, orders (m) and M, whose row holds
+    # w_m^t + w_m^-t mod ell for t = 1..2g^2 after a 1 at t = 0
     runs: list[list] = []  # [L, orders] per run, L kept as a running lcm
     for m in _torsion_candidates(g):
         L = math.lcm(runs[-1][0], m) if runs else PREFILTER_LCM_CAP + 1
@@ -222,35 +224,23 @@ def _torsion_prefilter(g: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]],
             runs[-1][1].append(m)
         else:
             runs.append([m, [m]])
-    out = []
-    for L, orders in runs:
-        ell = (2 ** 31 // L + 1) * L + 1
-        while not _fpx.is_prime(ell):
-            ell += L
-        primes = tuple(_fpx.prime_divisors(L))
-        a = 2
-        while True:
-            w = pow(a, (ell - 1) // L, ell)
-            if all(pow(w, L // r, ell) != 1 for r in primes):
-                break
-            a += 1
-        out.append((ell, tuple((m, pow(w, L // m, ell)) for m in orders)))
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _torsion_residue_matrix(g: int):
-    # the prefilter of genus g as arrays over its candidate orders, one row
-    # per order m, in _torsion_prefilter's order: the run index, ell and m
-    # of each row, and the read-only int64 matrix M whose row holds
-    # w_m^t + w_m^-t mod ell for t = 1..2g^2 after a 1 at t = 0
-    runs = _torsion_prefilter(g)
-    for p, _ in runs:
+    primes, rows = [], []  # rows: (run index, ell, m, w_m)
+    for i, (L, run_orders) in enumerate(runs):
+        p = (2 ** 31 // L + 1) * L + 1
+        while not _fpx.is_prime(p):
+            p += L
         # each product of two residues is then below 2^63, and a row's sum
         # of 2g^2 + 1 reduced products far below it
         if p * p >= 2 ** 63:
             raise InvariantViolation(f"prefilter prime {p} is not below 2^31.5")
-    rows = [(i, p, m, root) for i, (p, roots) in enumerate(runs) for m, root in roots]
+        # w = a^((p-1)/L) has exact order L when no a^((p-1)/r), r | L prime, is 1
+        divisors = tuple(_fpx.prime_divisors(L))
+        a = 2
+        while any(pow(a, (p - 1) // r, p) == 1 for r in divisors):
+            a += 1
+        w = pow(a, (p - 1) // L, p)
+        primes.append(p)
+        rows += [(i, p, m, pow(w, L // m, p)) for m in run_orders]
     run, ell, orders, w = (np.array(col, dtype=np.int64) for col in zip(*rows))
     # w_m^-1 = w_m^(m-1)
     w_inv = np.array([pow(root, m - 1, p) for _, p, m, root in rows], dtype=np.int64)
@@ -262,8 +252,9 @@ def _torsion_residue_matrix(g: int):
         M[:, t] = (up + down) % ell
         up = up * w % ell
         down = down * w_inv % ell
-    M.flags.writeable = False
-    return run, ell, orders, M
+    for table in (run, ell, orders, M):
+        table.flags.writeable = False
+    return tuple(primes), run, ell, orders, M
 
 
 def ratio_torsion_orders(P: WeilPolynomial) -> set[int]:
@@ -278,11 +269,9 @@ def ratio_torsion_orders(P: WeilPolynomial) -> set[int]:
     once, is one int64 product of R_H..R_2H mod ell with a cached matrix.
     """
     R = ratio_poly(P)
-    run, ell, orders, M = _torsion_residue_matrix(P.g)
+    primes, run, ell, orders, M = _torsion_table(P.g)
     upper = R.coeffs[R.degree // 2:]
-    C = np.array(
-        [[c % p for c in upper] for p, _ in _torsion_prefilter(P.g)], dtype=np.int64
-    )[run]
+    C = np.array([[c % p for c in upper] for p in primes], dtype=np.int64)[run]
     residues = (M * C % ell[:, None]).sum(axis=1) % ell
     return {
         m for m in orders[residues == 0].tolist()

@@ -220,14 +220,16 @@ def _read_survey(data: bytes):
     left out of keep without raising.  The header, or in a headerless file
     the first record, fixes the family (field, genus, deg f).  Raises
     CorruptRecord with the 1-based line for an unreadable line before the
-    last, a record that is not an object with a string curve, a curve that
-    does not parse, is not spelled as equation_text spells it, is no
-    equation enumerate_equations yields, or repeats an earlier line, a
-    record without a timing or whose counts, weil and verdict members are
-    not those its writer encodes for its counts, a record from another
-    family, or a singular equation.  Smoothness is decided BATCH records
-    at a time, so a singular key is found once its block is read: a later
-    line of that block may fail another rule first.
+    last, a header whose p, genus or degree is not a JSON integer, a record
+    that is not an object with a string curve, a curve that does not parse,
+    is not spelled as equation_text spells it, is no equation
+    enumerate_equations yields, or repeats an earlier line, a record whose
+    members are not curve, counts, weil, verdict and timing, in that order,
+    or whose counts, weil and verdict members are not those its writer
+    encodes for its counts, a record from another family, or a singular
+    equation.  Smoothness is decided BATCH records at a time, so a singular
+    key is found once its block is read: a later line of that block may
+    fail another rule first.
     """
     header = family = None
     records = []
@@ -246,7 +248,12 @@ def _read_survey(data: bytes):
             raise CorruptRecord(f"line {lineno} is not JSON", line=lineno) from None
         if lineno == 1 and isinstance(obj, dict) and "format" in obj:
             header = obj
-            family = (obj.get("p"), obj.get("genus"), obj.get("degree"))
+            family = tuple(obj.get(k) for k in ("p", "genus", "degree"))
+            if any(type(v) is not int for v in family):
+                raise CorruptRecord(
+                    f"line 1: header p, genus, degree {family!r} are not all integers",
+                    line=1,
+                )
         else:
             if not isinstance(obj, dict) or not isinstance(obj.get("curve"), str):
                 raise CorruptRecord(
@@ -261,10 +268,7 @@ def _read_survey(data: bytes):
             family = family or own
             if own != family:
                 raise CorruptRecord(
-                    "line {} is from family ({}, {}, {}), not ({}, {}, {})".format(
-                        lineno, *own, *family
-                    ),
-                    line=lineno,
+                    f"line {lineno} is from family {own!r}, not {family!r}", line=lineno
                 )
             records.append(obj)
             rows.append((lineno, h, f))
@@ -294,9 +298,10 @@ def _record_family(obj: dict, lineno: int) -> tuple:
     # (q, genus, deg f) of the curve key, read by the curve-text parser, and
     # the key's h and f code lists: the key must be its parse's canonical
     # text (one key per curve) and an equation enumerate_equations yields,
-    # and the record what a survey writes for it: a timing, and counts, weil
-    # and verdict members encoded as _record_tail encodes those of its
-    # counts at the key's q and genus
+    # and the record what a survey writes for it: the writer's members in
+    # its order, the counts, weil and verdict encoded as _record_tail
+    # encodes those of its counts at the key's q and genus, and a timing
+    # whose values are not checked
     try:
         spec, h, f = parse_curve_text(obj["curve"])
     except (ParseError, SizeExceeded) as bad:
@@ -311,9 +316,11 @@ def _record_family(obj: dict, lineno: int) -> tuple:
     h_ok = 0 < len(h) <= genus + 2 if spec.p == 2 else not h
     if spec.k != 1 or f[-1] != 1 or not h_ok:
         raise CorruptRecord(f"line {lineno} holds no survey's equation", line=lineno)
-    for member in ("counts", "weil", "verdict", "timing"):
-        if member not in obj:
-            raise CorruptRecord(f"line {lineno} has no {member} member", line=lineno)
+    members = ["curve", "counts", "weil", "verdict", "timing"]
+    if list(obj) != members:
+        raise CorruptRecord(
+            f"line {lineno} has the members {list(obj)}, not {members}", line=lineno
+        )
     try:
         counts = tuple(map(decode_int, decode_array(obj["counts"], "counts")))
         tail = _record_tail(spec.q, genus, counts)[0]

@@ -30,8 +30,7 @@ from frobtorus.simplicity import (
     SimplicityVerdict,
     _decide,
     _torsion_candidates,
-    _torsion_prefilter,
-    _torsion_residue_matrix,
+    _torsion_table,
     charpoly_power,
     classify,
     ratio_poly,
@@ -177,25 +176,56 @@ def test_torsion_candidates_follow_from_the_two_bounds():
         assert _torsion_candidates(g) == want
 
 
+def _prefilter_by_sympy(g):
+    # the prefilter table rebuilt with sympy: runs of ascending orders whose
+    # lcm L stays at most 2^24, per run the first prime ell = 1 mod L above
+    # 2^31 and w = a^((ell-1)/L) of order L for the least a >= 2; returns
+    # the runs' primes and per order m the row (run index, ell, m, w^(L/m))
+    runs = []
+    for m in _torsion_candidates(g):
+        if runs and math.lcm(runs[-1][0], m) <= 2 ** 24:
+            runs[-1] = (math.lcm(runs[-1][0], m), runs[-1][1] + [m])
+        else:
+            runs.append((m, [m]))
+    primes, rows = [], []
+    for i, (L, orders) in enumerate(runs):
+        ell = next(
+            p for p in itertools.count(2 ** 31 // L * L + 1, L)
+            if p > 2 ** 31 and sympy.isprime(p)
+        )
+        w = next(
+            w for a in itertools.count(2)
+            if sympy.n_order(w := pow(a, (ell - 1) // L, ell), ell) == L
+        )
+        primes.append(ell)
+        rows += [(i, ell, m, pow(w, L // m, ell)) for m in orders]
+    return tuple(primes), rows
+
+
 @pytest.mark.parametrize("g", range(1, 9))
 def test_torsion_prefilter_roots_are_roots_of_the_cyclotomics(g):
     # a zero residue R(w_m) mod ell is necessary for Phi_m | R only when
-    # w_m is a root of Phi_m mod ell, i.e. has exact order m in F_ell
-    groups = _torsion_prefilter(g)
-    assert tuple(m for _, roots in groups for m, _ in roots) == _torsion_candidates(g)
-    for ell, roots in groups:
-        assert ell > 2 ** 31 and sympy.isprime(ell)
-        assert math.lcm(*(m for m, _ in roots)) <= 2 ** 24
-        for m, w in roots:
-            assert (ell - 1) % m == 0
-            assert pow(w, m, ell) == 1
-            assert all(pow(w, m // r, ell) != 1 for r in sympy.primefactors(m))
-            assert cyclotomic(m)(w) % ell == 0
+    # w_m is a root of Phi_m mod ell, i.e. has exact order m in F_ell.  The
+    # table holds w_m through M[:, 1] = w_m + w_m^-1, which fixes it up to
+    # inversion, and the inverse has the same order
+    primes, run, ell, orders, M = _torsion_table(g)
+    want_primes, rows = _prefilter_by_sympy(g)
+    assert tuple(orders.tolist()) == _torsion_candidates(g)
+    assert list(zip(run.tolist(), ell.tolist(), orders.tolist())) == [
+        row[:3] for row in rows
+    ]
+    assert primes == want_primes
+    assert M[:, 1].tolist() == [(w + pow(w, -1, p)) % p for _, p, _, w in rows]
+    for _, p, m, w in rows:
+        assert p > 2 ** 31 and sympy.isprime(p)
+        assert (p - 1) % m == 0
+        assert sympy.n_order(w, p) == m
+        assert cyclotomic(m)(w) % p == 0
+    for i in range(len(primes)):
+        assert math.lcm(*(m for r, _, m, _ in rows if r == i)) <= 2 ** 24
     if g <= 4:
         # L <= 2^23: one run, one prime for every order
-        assert [ell for ell, _ in groups] == [
-            (2147483713, 2147484721, 2154166561, 2156394241)[g - 1]
-        ]
+        assert primes == ((2147483713, 2147484721, 2154166561, 2156394241)[g - 1],)
 
 
 @pytest.mark.parametrize("g", range(1, 9))
@@ -203,16 +233,12 @@ def test_torsion_residue_matrix_is_exact_and_read_only(g):
     # row i of M holds w^t + w^-t mod ell for the i-th candidate order,
     # after a 1 at t = 0; every entry is a residue, so with ell < 2^31.5 no
     # int64 product of two of them overflows
-    run, ell, orders, M = _torsion_residue_matrix(g)
-    runs = _torsion_prefilter(g)
-    rows = [(i, p, m, w) for i, (p, roots) in enumerate(runs) for m, w in roots]
-    assert list(zip(run.tolist(), ell.tolist(), orders.tolist())) == [
-        row[:3] for row in rows
-    ]
-    assert all(p * p < 2 ** 63 for p, _ in runs)
+    primes, run, ell, orders, M = _torsion_table(g)
+    _, rows = _prefilter_by_sympy(g)
+    assert all(p * p < 2 ** 63 for p in primes)
     assert M.dtype == np.int64 and M.shape == (len(rows), 2 * g * g + 1)
     assert ((M >= 0) & (M < ell[:, None])).all()
-    assert not M.flags.writeable
+    assert not any(a.flags.writeable for a in (run, ell, orders, M))
     with pytest.raises(ValueError):
         M[0, 0] = 0
     for got, (_, p, m, w) in zip(M.tolist(), rows):
@@ -222,12 +248,17 @@ def test_torsion_residue_matrix_is_exact_and_read_only(g):
 
 
 def test_torsion_residue_matrix_refuses_a_prime_past_2_to_the_31_5(monkeypatch):
-    # 3037000499^2 < 2^63 <= 3037000500^2; w = ell - 1 has order 2
-    build = simplicity._torsion_residue_matrix.__wrapped__
-    below, past = 3037000499, 3037000500
-    monkeypatch.setattr(simplicity, "_torsion_prefilter", lambda g: ((below, ((2, below - 1),)),))
-    assert build(1)[3].tolist() == [[1, below - 2, 2]]
-    monkeypatch.setattr(simplicity, "_torsion_prefilter", lambda g: ((past, ((2, past - 1),)),))
+    # 3037000493 is the last prime whose square is below 2^63, and
+    # 3037000507 the first past it; a run of the one order ell - 1 > 2^31
+    # takes ell as its prime.  Below the bound the int64 products stay
+    # exact: w^2 + w^-2 = (w + w^-1)^2 - 2
+    build = simplicity._torsion_table.__wrapped__
+    below, past = 3037000493, 3037000507
+    monkeypatch.setattr(simplicity, "_torsion_candidates", lambda g: (below - 1,))
+    primes, _, _, _, M = build(1)
+    s = M[0, 1].item()
+    assert primes == (below,) and M.tolist() == [[1, s, (s * s - 2) % below]]
+    monkeypatch.setattr(simplicity, "_torsion_candidates", lambda g: (past - 1,))
     with pytest.raises(InvariantViolation, match="2\\^31.5"):
         build(1)
 

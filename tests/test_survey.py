@@ -249,6 +249,14 @@ def _tampered(data: bytes, case: str) -> bytes:
         doc = json.loads(lines[1])
         doc["counts"]["counts"] = doc["counts"]["counts"][:1]
         lines[1] = json.dumps(doc)
+    elif case == "extra_member":
+        doc = json.loads(lines[1])
+        doc["extra"] = {"note": "no survey writes this member"}
+        lines[1] = json.dumps(doc)
+    elif case == "header_float_genus":
+        lines[0] = lines[0].replace('"genus":2,', '"genus":2.0,')
+    elif case == "header_string_p":
+        lines[0] = lines[0].replace('"p":3,', '"p":"3",')
     elif case == "string_count":
         doc = json.loads(lines[2])
         assert doc["counts"]["counts"] == [3, 13]
@@ -304,6 +312,11 @@ READ_EXPECTED = {
     },
     "short_counts": {"report": (CorruptRecord, 2), "resume": (CorruptRecord, 2)},
     "string_count": {"report": (CorruptRecord, 3), "resume": (CorruptRecord, 3)},
+    "extra_member": {"report": (CorruptRecord, 2), "resume": (CorruptRecord, 2)},
+    "header_float_genus": {
+        "report": (CorruptRecord, 1), "resume": (CorruptRecord, 1)
+    },
+    "header_string_p": {"report": (CorruptRecord, 1), "resume": (CorruptRecord, 1)},
     "trailing_zero": {"report": (CorruptRecord, 2), "resume": (CorruptRecord, 2)},
     "curve_key": {"report": (CorruptRecord, 2), "resume": (CorruptRecord, 2)},
     "curve_key_long": {"report": (CorruptRecord, 2), "resume": (CorruptRecord, 2)},
