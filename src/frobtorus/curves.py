@@ -12,9 +12,7 @@ door for outside input, and the only maker of HyperellipticCurve values.
 A survey decides its equations a block at a time instead, on coefficient
 arrays (smoothness_gcd_degrees: the degree of the same gcd for every row
 of two code arrays over F_p, by one lockstep Euclid in numpy), so it
-builds no curve, no Singular, and never searches; it counts the family's
-leading run of equations, on which x = 0 is singular (singular_at_zero),
-without screening it.  Counting is batched on
+builds no curve, no Singular, and never searches.  Counting is batched on
 the same kind of arrays (count_batch(base, g, h, f)): the f (and h) rows
 are evaluated at every x of the field at once (gf.evaluations, one matmul
 per block of x), and the y over each x are counted from the value alone:
@@ -167,23 +165,6 @@ def smoothness_gcd_degrees(p: int, h: np.ndarray, f: np.ndarray) -> np.ndarray:
         a, b = b, a
     a[:, :b.shape[1]] += b
     return _gcd_degrees(a % p, h, p)
-
-
-def singular_at_zero(p: int, h, f) -> bool:
-    """Whether x = 0 is a root of validate_curve's smoothness gcd over F_p,
-    read from four digits: h0, h1 of h and f0, f1 of f, low-to-high (odd p
-    reads f alone, and h may be empty).
-
-    Odd p: the gcd is gcd(f, f'), and 0 is its root exactly when f(0) = f0
-    and f'(0) = f1 both vanish.  p = 2: the gcd is gcd(h, h'^2 f + f'^2);
-    0 is a root of h exactly when h0 = 0, and h'^2 f + f'^2 takes the value
-    h1^2 f0 + f1^2 = h1 f0 + f1 at 0, since c^2 = c in F_2.  So every
-    equation with these four digits is singular, and one without them has
-    no singular point with x = 0.
-    """
-    if p != 2:
-        return f[0] == f[1] == 0
-    return h[0] == 0 and (h[1] * f[0] + f[1]) % 2 == 0
 
 
 def _rows_deriv(a: np.ndarray, p: int) -> np.ndarray:

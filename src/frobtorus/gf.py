@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fpx
-from .errors import NonPrime, SizeExceeded
+from .errors import NonPrime, SizeExceeded, clip
 
 SIZE_CAP = 1 << 20
 
@@ -75,9 +75,9 @@ def _field_create(p: int, k: int) -> FieldSpec:
     # the cap comes first, so a field past it is refused by size whether or
     # not p is prime, and p**k is never computed for a large k
     if p > 1 and (p > SIZE_CAP or k > 20 or p ** k > SIZE_CAP):
-        raise SizeExceeded(f"field size {p}^{k} exceeds 2^20")
+        raise SizeExceeded(f"field size {clip(p)}^{k} exceeds 2^20")
     if not _fpx.is_prime(p):
-        raise NonPrime(f"{p} is not prime")
+        raise NonPrime(f"{clip(p)} is not prime")
     if k == 1:
         return FieldSpec(p, 1, (0, 1))
     # constant term 0 means divisible by x; skipping keeps lex order intact.

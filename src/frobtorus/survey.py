@@ -4,14 +4,14 @@ persist JSONL records, and aggregate verdict fractions.
 
 Enumeration walks (h, f0, f1) prefixes, each the head of one contiguous
 run of p^(deg f - 2) equations.  The first prefix, (h, 0, 0) with h0 =
-h1 = 0, makes x = 0 a root of the smoothness gcd (curves.singular_at_zero)
-on its whole run, so that run is a slab: it is counted as singular in one
-step and never built, and singular_skipped and enumerated are exact
-integers however large p^deg is.  The other equations travel as
-coefficient rows, never as curve objects: a block's (h, f) int64 arrays
-go to one smoothness_gcd_degrees call, the new curves' rows to
-count_batch, and a smooth equation's text, built once, is both its
-record's curve and its resume key.
+h1 = 0, makes (0, 0) a singular point of every equation of its run, so
+that run is a slab: it is counted as singular in one step and never
+built, and singular_skipped and enumerated are exact integers however
+large p^deg is.  The other equations travel as coefficient rows, never as
+curve objects: a block's (h, f) int64 arrays go to one
+smoothness_gcd_degrees call, the new curves' rows to count_batch, and a
+smooth equation's text, built once, is both its record's curve and its
+resume key.
 
 Persistence is append-only JSONL with a config fingerprint header.  One
 reader serves both resume and report: an interrupted run resumes by skipping
@@ -58,7 +58,6 @@ from .curves import (
     equation_text,
     genus_for_degree,
     parse_curve_text,
-    singular_at_zero,
     smoothness_gcd_degrees,
     validate_curve,  # noqa: F401  (perfbench/tracing.py hooks this name)
 )
@@ -69,6 +68,7 @@ from .errors import (
     ParseError,
     ResumeMismatch,
     SizeExceeded,
+    clip,
 )
 from .intpoly import FACTOR_DEGREE_CAP
 from .simplicity import (
@@ -147,18 +147,16 @@ def _equations(cfg: SurveyConfig, prefixes):
 
 
 def _leading_slab(cfg: SurveyConfig):
-    # (n, equations): n counts the runs of the leading prefixes on which
-    # curves.singular_at_zero holds, so x = 0 is singular on all of their
-    # equations, which are never built; equations is the rest of the family
-    # in enumeration order.  That slab is the first run alone, (h, 0, 0) with
-    # h0 = h1 = 0 (h = 0 for odd p, x^(g+1) for p = 2), and it lies before
-    # every curve, so no limit cuts it
+    # (n, equations): n = p^(deg f - 2) counts the family's first run, which
+    # is never built, and equations is the rest of the family in enumeration
+    # order.  That run's prefix is (h, 0, 0) with h0 = h1 = 0 (h = 0 for odd
+    # p, x^(g+1) for p = 2), so (0, 0) is a singular point of each of its
+    # equations: for odd p, x^2 | f; for p = 2, f0 = 0 and both partials, h0
+    # and h1 y - f1, vanish there.  The run lies before every curve, so no
+    # limit cuts it
     prefixes = _prefixes(cfg)
-    n = 0
-    for prefix in prefixes:
-        if not singular_at_zero(cfg.p, *prefix):
-            return n, _equations(cfg, itertools.chain([prefix], prefixes))
-        n += cfg.p ** (cfg.degree - 2)
+    next(prefixes)
+    return cfg.p ** (cfg.degree - 2), _equations(cfg, prefixes)
 
 
 def curve_record(C) -> dict:
@@ -220,16 +218,17 @@ def _read_survey(data: bytes):
     left out of keep without raising.  The header, or in a headerless file
     the first record, fixes the family (field, genus, deg f).  Raises
     CorruptRecord with the 1-based line for an unreadable line before the
-    last, a header whose p, genus or degree is not a JSON integer, a record
-    that is not an object with a string curve, a curve that does not parse,
-    is not spelled as equation_text spells it, is no equation
-    enumerate_equations yields, or repeats an earlier line, a record whose
-    members are not curve, counts, weil, verdict and timing, in that order,
-    or whose counts, weil and verdict members are not those its writer
-    encodes for its counts, a record from another family, or a singular
-    equation.  Smoothness is decided BATCH records at a time, so a singular
-    key is found once its block is read: a later line of that block may
-    fail another rule first.
+    last, a header whose members are not format, p, genus and degree, in
+    that order, whose p, genus or degree is not a JSON integer, or whose
+    family SurveyConfig refuses, a record that is not an object with a
+    string curve, a curve that does not parse, is not spelled as
+    equation_text spells it, is no equation enumerate_equations yields, or
+    repeats an earlier line, a record whose members are not curve, counts,
+    weil, verdict and timing, in that order, or whose counts, weil and
+    verdict members are not those its writer encodes for its counts, a
+    record from another family, or a singular equation.  Smoothness is
+    decided BATCH records at a time, so a singular key is found once its
+    block is read: a later line of that block may fail another rule first.
     """
     header = family = None
     records = []
@@ -248,12 +247,25 @@ def _read_survey(data: bytes):
             raise CorruptRecord(f"line {lineno} is not JSON", line=lineno) from None
         if lineno == 1 and isinstance(obj, dict) and "format" in obj:
             header = obj
-            family = tuple(obj.get(k) for k in ("p", "genus", "degree"))
+            members = ["format", "p", "genus", "degree"]
+            if list(obj) != members:
+                raise CorruptRecord(
+                    f"line 1: the header has the members {list(obj)}, not {members}",
+                    line=1,
+                )
+            family = tuple(obj[k] for k in members[1:])
             if any(type(v) is not int for v in family):
                 raise CorruptRecord(
                     f"line 1: header p, genus, degree {family!r} are not all integers",
                     line=1,
                 )
+            try:
+                SurveyConfig(*family)
+            except FrobtorusError as bad:
+                raise CorruptRecord(
+                    f"line 1: the header's family {clip(family)} is no survey's: {bad}",
+                    line=1,
+                ) from None
         else:
             if not isinstance(obj, dict) or not isinstance(obj.get("curve"), str):
                 raise CorruptRecord(

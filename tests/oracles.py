@@ -156,6 +156,18 @@ def naive_singular_point(spec, h, f):
     return None
 
 
+def naive_singular_ys_over_zero(p, h, f):
+    """The y in F_p that make (0, y) a singular point of y^2 + h y = f over
+    F_p: on the curve, with 2y + h(0) = 0 and h'(0) y = f'(0).  Any such y
+    lies in F_p: it is -h(0)/2 for odd p, and a square root of f(0) in F_2
+    for p = 2.
+    """
+    h0, h1 = (tuple(h) + (0, 0))[:2]
+    return [y for y in range(p)
+            if (y * y + h0 * y - f[0]) % p == 0 and (2 * y + h0) % p == 0
+            and (h1 * y - f[1]) % p == 0]
+
+
 def sylvester_resultant(f: IntPoly, g: IntPoly) -> int:
     """Res(f, g) as the determinant of the Sylvester matrix, computed by
     fraction-free-enough Gaussian elimination over Fraction."""

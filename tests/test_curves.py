@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from frobtorus import gf
+from frobtorus import gf, survey
 from frobtorus.curves import (
     HyperellipticCurve,
     count_batch,
@@ -13,13 +13,12 @@ from frobtorus.curves import (
     curve_to_text,
     embed,
     genus_for_degree,
-    singular_at_zero,
     smoothness_gcd_degrees,
     validate_curve,
 )
 from frobtorus.errors import BadDegrees, ParseError, Singular, SizeExceeded
 from frobtorus.survey import BATCH, SurveyConfig, enumerate_equations
-from oracles import naive_count, naive_singular_point
+from oracles import naive_count, naive_singular_point, naive_singular_ys_over_zero
 
 
 def test_genus_for_degree():
@@ -223,38 +222,26 @@ def test_smoothness_kernel_matches_validate_curve_on_whole_families(p, degree):
     assert _screen_disagreements(p, equations) == []
 
 
-def _singular_ys_over_zero(p, h, f):
-    # the y in F_p that make (0, y) a singular point of y^2 + h y = f: on the
-    # curve, with 2y + h(0) = 0 and h'(0) y = f'(0).  Any such y lies in F_p:
-    # it is -h(0)/2 for odd p, and a square root of f(0) in F_2 for p = 2
-    h0, h1 = (tuple(h) + (0, 0))[:2]
-    return [y for y in range(p)
-            if (y * y + h0 * y - f[0]) % p == 0 and (2 * y + h0) % p == 0
-            and (h1 * y - f[1]) % p == 0]
-
-
 @pytest.mark.parametrize(
     "p,genus,degree",
     [(2, 1, 3), (2, 1, 4), (2, 2, 5), (2, 2, 6), (3, 1, 3), (3, 1, 4), (5, 1, 3)],
 )
 def test_singular_at_zero_matches_a_scan_of_the_points_over_zero(p, genus, degree):
-    # the rule, on every prefix of the family, not only the leading one a
-    # survey counts unscreened: each equation whose four lowest digits it
-    # holds for must raise Singular and have a singular point (0, y), and
-    # no other has one
+    # on every prefix of the family, not only the leading one a survey
+    # counts unscreened: each equation with a singular point (0, y) must
+    # raise Singular, the leading slab is a run of such equations, and the
+    # equation after it has none
+    cfg = SurveyConfig(p=p, genus=genus, degree=degree)
     spec = gf.field_create(p)
-    skipped = kept = 0
-    for h, f in enumerate_equations(SurveyConfig(p=p, genus=genus, degree=degree)):
-        ys = _singular_ys_over_zero(p, h, f)
-        if singular_at_zero(p, h, f[:2]):
-            skipped += 1
+    equations = list(enumerate_equations(cfg))
+    at_zero = [bool(naive_singular_ys_over_zero(p, h, f)) for h, f in equations]
+    n, _ = survey._leading_slab(cfg)
+    assert all(at_zero[:n]) and not at_zero[n]
+    for (h, f), singular in zip(equations, at_zero):
+        if singular:
             with pytest.raises(Singular):
                 validate_curve(spec, h, f, genus)
-            assert ys, (h, f)
-        else:
-            kept += 1
-            assert ys == [], (h, f)
-    assert skipped and kept
+    assert any(at_zero) and not all(at_zero)
 
 
 def test_smoothness_kernel_on_f_with_vanishing_derivative():

@@ -92,6 +92,16 @@ def test_field_create_fails_fast_on_a_huge_field():
         gf.field_create(3, 10 ** 7)
 
 
+def test_field_create_errors_clip_a_long_p():
+    # a survey header may carry a p of thousands of digits; the error names
+    # it in one short line
+    for p, error in ((10 ** 4000 + 7, SizeExceeded), (-(10 ** 3999), NonPrime)):
+        with pytest.raises(error) as exc:
+            gf.field_create(p)
+        assert "(4001 characters)" in str(exc.value)
+        assert len(str(exc.value)) < 100
+
+
 def test_element_coefficients_reduced_mod_p_and_modulus():
     spec = gf.field_create(3, 2)
     assert gf.digits(spec, gf.code(spec, [4, -1])) == (1, 2)

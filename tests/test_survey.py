@@ -36,6 +36,7 @@ from frobtorus.survey import (
     run_survey,
 )
 from frobtorus.zeta import weil_from_counts, weil_to_json
+from oracles import naive_singular_ys_over_zero
 
 
 def _strip_timing(lines):
@@ -253,6 +254,8 @@ def _tampered(data: bytes, case: str) -> bytes:
         doc = json.loads(lines[1])
         doc["extra"] = {"note": "no survey writes this member"}
         lines[1] = json.dumps(doc)
+    elif case == "header_extra_member":
+        lines[0] = lines[0].replace("}", ',"extra":1}')
     elif case == "header_float_genus":
         lines[0] = lines[0].replace('"genus":2,', '"genus":2.0,')
     elif case == "header_string_p":
@@ -313,6 +316,9 @@ READ_EXPECTED = {
     "short_counts": {"report": (CorruptRecord, 2), "resume": (CorruptRecord, 2)},
     "string_count": {"report": (CorruptRecord, 3), "resume": (CorruptRecord, 3)},
     "extra_member": {"report": (CorruptRecord, 2), "resume": (CorruptRecord, 2)},
+    "header_extra_member": {
+        "report": (CorruptRecord, 1), "resume": (CorruptRecord, 1)
+    },
     "header_float_genus": {
         "report": (CorruptRecord, 1), "resume": (CorruptRecord, 1)
     },
@@ -360,6 +366,26 @@ def test_report_and_resume_read_with_one_set_of_rules(
         run()
     assert getattr(exc.value, "line", None) == line
     assert path.read_bytes() == tampered
+
+
+def test_report_refuses_a_header_of_a_family_no_survey_runs(tmp_path):
+    # p = 4 is no prime, and deg f = 7 does not fit genus 2
+    path = tmp_path / "s.jsonl"
+    path.write_text('{"format":"%s","p":4,"genus":2,"degree":7}\n' % FORMAT)
+    with pytest.raises(CorruptRecord, match="line 1: the header's family") as exc:
+        report(str(path))
+    assert exc.value.line == 1
+
+
+def test_report_reads_find_output_without_a_header(tmp_path):
+    # find writes AbsolutelySimple records and no header; the first record
+    # fixes the family
+    path = tmp_path / "find.jsonl"
+    with path.open("w", encoding="utf-8") as fh:
+        assert run_find(SurveyConfig(p=3, genus=2, degree=5), 5, stream=fh) == 5
+    summary = report(str(path))
+    assert summary["records"] == 5
+    assert summary["by_kind"]["AbsolutelySimple"] == 5
 
 
 def test_report_and_resume_refuse_a_singular_key_at_p2(tmp_path):
@@ -764,16 +790,24 @@ def test_screened_survey_resumes_a_file_cut_inside_a_block(
 
 
 @pytest.mark.parametrize(
-    "p,genus,degree", [(2, 1, 3), (2, 2, 6), (3, 1, 4), (5, 2, 5), (7, 2, 6)]
+    "p,genus,degree",
+    [(2, 1, 3), (2, 1, 4), (2, 2, 5), (2, 2, 6), (2, 3, 7), (2, 3, 8),
+     (3, 1, 3), (3, 1, 4), (5, 1, 3), (5, 2, 5), (7, 2, 6)],
 )
 def test_leading_slab_is_the_first_run_of_the_family(p, genus, degree):
-    # the slab holds the equations before the first screened one, all of
-    # them singular, and the stream gets the rest in enumeration order
+    # the slab holds the equations before the first screened one, each of
+    # them singular with a singular point (0, y), and the stream gets the
+    # rest in enumeration order
     cfg = SurveyConfig(p=p, genus=genus, degree=degree)
     n, rest = survey._leading_slab(cfg)
     equations = list(enumerate_equations(cfg))
     assert n == p ** (degree - 2)
     assert list(rest) == equations[n:]
+    spec = field_create(p)
+    for h, f in equations[:n]:
+        with pytest.raises(Singular):
+            validate_curve(spec, h, f, genus)
+        assert naive_singular_ys_over_zero(p, h, f), (h, f)
     h, f = (np.array(a, dtype=np.int64) for a in zip(*equations[:n]))
     assert (survey.smoothness_gcd_degrees(p, h, f) > 0).all()
 
