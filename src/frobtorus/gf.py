@@ -8,20 +8,20 @@ coefficients of t^0 .. t^(k-1) (``digits``), read as base-p digits, low
 digit first.  Over a prime field the code is the residue itself.
 
 Scalar arithmetic on codes (``add``, ``mul``, ``power``, ``evaluate``) is
-arithmetic mod p over a prime field.  Over F_{p^k} it is table lookups in
-the field's log tables (below): a product is exp[log a + log b] and a power
-exp[e log a], exponents mod q - 1; a sum is the XOR of the codes for p = 2,
-and g^i + g^j = g^i (1 + g^(j-i)) by the Zech table for odd p.  Polynomials
-over the field are lists of codes, low-to-high, trimmed; ``padd``,
-``pmul``, ``pderiv`` and ``pgcd`` are _fpx's own routines over a prime
-field and schoolbook loops on the tables otherwise, fetched once per
-call; the curve module runs its singularity checks on them.
+arithmetic mod p over a prime field.  Over F_{p^k} a product is exp[log a +
+log b] and a power exp[e log a] in the field's log tables (below),
+exponents mod q - 1; a sum is the XOR of the codes for p = 2 and their
+digit-wise sum mod p for odd p.  Polynomials over the field are lists of
+codes, low-to-high, trimmed; ``padd``, ``pmul``, ``pderiv`` and ``pgcd``
+are _fpx's own routines over a prime field and schoolbook loops on the
+tables otherwise, fetched once per call; the curve module runs its
+singularity checks on them.
 
 For whole-field work ``log_tables`` holds int32 exp/log tables to a fixed
 primitive element, the digits of each power and, for p = 2, its absolute
-trace; for odd p the Zech table is built on the first scalar addition.
-The tables are built by _fpx arithmetic on digit lists modulo the field
-modulus, the one place where the package still multiplies digit lists.
+trace.  The tables are built by _fpx arithmetic on digit lists modulo the
+field modulus, the one place where the package still multiplies digit
+lists.
 ``evaluations`` evaluates a batch of polynomials, given as codes of the
 field itself, at every element, block by block of x, by one exact matmul
 per block; point counting and root finding (``poly_roots``: singularity
@@ -65,6 +65,9 @@ def field_create(p: int, k: int = 1) -> FieldSpec:
     >>> field_create(3, 2).modulus
     (1, 0, 1)
     """
+    # before the cache, which would file 3.0 or True under the key of 3 or 1
+    if type(p) is not int or type(k) is not int:
+        raise ValueError(f"p and k must be ints, got {clip(p)} and {clip(k)}")
     return _field_create(p, k)
 
 
@@ -94,7 +97,7 @@ def _field_create(p: int, k: int) -> FieldSpec:
 
 # ---------------------------------------------------------------------------
 # Elements as codes.  Over a prime field a code is the residue itself; over
-# F_{p^k} every scalar operation reads the field's log tables.
+# F_{p^k} every scalar operation but addition reads the field's log tables.
 
 def code(spec: FieldSpec, coeffs) -> int:
     """Code of the element sum c_i t^i; the ints are reduced mod p, then
@@ -134,18 +137,17 @@ def _tables(spec: FieldSpec) -> tuple:
 @functools.lru_cache(maxsize=None)
 def _adder(spec: FieldSpec):
     # addition on the codes of a proper extension: XOR of the digit bits for
-    # p = 2; for odd p, g^i + g^j = g^i (1 + g^(j-i)) through the Zech table
+    # p = 2; for odd p the digit-wise sum mod p, digit i of a being
+    # (a // p^i) mod p
     if spec.p == 2:
         return operator.xor
-    exp, log, n = _tables(spec)
-    zech = memoryview(log_tables(spec).zech)
+    p, places = spec.p, tuple(spec.p ** i for i in range(spec.k))
 
     def add(a: int, b: int) -> int:
-        if not a or not b:
-            return a or b
-        la = log[a]
-        z = zech[(log[b] - la) % n]
-        return exp[(la + z) % n] if z >= 0 else 0
+        out = 0
+        for m in places:
+            out += (a // m + b // m) % p * m
+        return out
 
     return add
 
@@ -257,25 +259,13 @@ class LogTables:
     exp[n] is the code of g^n (n < q-1) and exp_digits[:, n] its rep, in
     the narrowest unsigned dtype that holds p-1; log[c] is the n with
     exp[n] = c, and log[0] = -1.  For p = 2, exp_trace[n] is the absolute
-    trace Tr(g^n), 0 or 1; for odd p it is None.  For odd p, zech[n] is
-    the Zech logarithm log(1 + g^n), -1 where g^n = -1: 4 q bytes of int32,
-    built on first read, which only scalar addition over a proper extension
-    makes.  The arrays are read-only.
+    trace Tr(g^n), 0 or 1; for odd p it is None.  The arrays are read-only.
     """
 
-    p: int
     exp: np.ndarray
     log: np.ndarray
     exp_digits: np.ndarray
     exp_trace: np.ndarray | None
-
-    @functools.cached_property
-    def zech(self) -> np.ndarray:
-        # 1 + g^n differs from g^n in digit 0 alone, which wraps mod p
-        d0 = self.exp_digits[0].astype(np.int32)
-        out = self.log[self.exp - d0 + (d0 + 1) % self.p]
-        out.flags.writeable = False
-        return out
 
 
 # the exp table grows in blocks of at most this many elements; each block
@@ -340,7 +330,7 @@ def log_tables(spec: FieldSpec) -> LogTables:
                 exp_trace ^= exp_digits[i].astype(np.int8)
     for arr in (exp, log, exp_digits) + ((exp_trace,) if p == 2 else ()):
         arr.flags.writeable = False
-    return LogTables(p, exp, log, exp_digits, exp_trace)
+    return LogTables(exp, log, exp_digits, exp_trace)
 
 
 # evaluations takes x in blocks sized so that each transient array of a

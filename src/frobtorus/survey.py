@@ -100,14 +100,19 @@ class SurveyConfig:
     limit: int | None = None
 
     def __post_init__(self):
+        # first, so that no comparison below meets a str or a float; a bool
+        # is refused too, as its header would spell it true
+        family = (self.p, self.genus, self.degree)
+        if any(type(v) is not int for v in family):
+            raise BadDegrees(f"p, genus and degree must be ints, got {clip(family)}")
         if self.genus < 1:
             raise BadDegrees(f"genus must be >= 1, got {self.genus}")
         if self.degree not in (2 * self.genus + 1, 2 * self.genus + 2):
             raise BadDegrees(
                 f"deg f = {self.degree} incompatible with genus {self.genus}"
             )
-        if self.limit is not None and self.limit < 1:
-            raise ValueError("limit must be positive when given")
+        if self.limit is not None and (type(self.limit) is not int or self.limit < 1):
+            raise ValueError("limit must be a positive int when given")
         if 2 * self.genus > FACTOR_DEGREE_CAP:
             raise SizeExceeded(
                 f"genus {self.genus}: Weil polynomials of degree {2 * self.genus} "
@@ -219,9 +224,9 @@ def _read_survey(data: bytes):
     the first record, fixes the family (field, genus, deg f).  Raises
     CorruptRecord with the 1-based line for an unreadable line before the
     last, a header whose members are not format, p, genus and degree, in
-    that order, whose p, genus or degree is not a JSON integer, or whose
-    family SurveyConfig refuses, a record that is not an object with a
-    string curve, a curve that does not parse, is not spelled as
+    that order, or whose family SurveyConfig refuses (a p, genus or degree
+    that is not a JSON integer among them), a record that is not an object
+    with a string curve, a curve that does not parse, is not spelled as
     equation_text spells it, is no equation enumerate_equations yields, or
     repeats an earlier line, a record whose members are not curve, counts,
     weil, verdict and timing, in that order, or whose counts, weil and
@@ -254,11 +259,6 @@ def _read_survey(data: bytes):
                     line=1,
                 )
             family = tuple(obj[k] for k in members[1:])
-            if any(type(v) is not int for v in family):
-                raise CorruptRecord(
-                    f"line 1: header p, genus, degree {family!r} are not all integers",
-                    line=1,
-                )
             try:
                 SurveyConfig(*family)
             except FrobtorusError as bad:

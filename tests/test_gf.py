@@ -77,6 +77,16 @@ def test_field_create_rejections():
         gf.field_create(5, 0)
 
 
+@pytest.mark.parametrize("p,k", [(3.0, 1), (3, 2.0), (3, True), (True, 1), ("3", 1)])
+def test_field_create_refuses_a_non_int_before_the_cache(p, k):
+    # 3.0 == 3 and True == 1 hash alike: a cached FieldSpec(p=3.0) would be
+    # handed to every later field_create(3) in the process
+    with pytest.raises(ValueError, match="must be ints"):
+        gf.field_create(p, k)
+    F = gf.field_create(3)
+    assert type(F.p) is int and type(F.k) is int
+
+
 def test_size_cap_boundary_is_inclusive():
     spec = gf.field_create(2, 20)
     assert spec.q == 1 << 20

@@ -60,10 +60,22 @@ def test_survey_config_validation():
         SurveyConfig(p=3, genus=2, degree=4)
     with pytest.raises(BadDegrees):
         SurveyConfig(p=3, genus=0, degree=3)
-    with pytest.raises(ValueError):
-        SurveyConfig(p=3, genus=1, degree=3, limit=0)
+    for limit in (0, 5.0, "5", True):
+        with pytest.raises(ValueError, match="limit must be a positive int"):
+            SurveyConfig(p=3, genus=1, degree=3, limit=limit)
     with pytest.raises(SizeExceeded):
         SurveyConfig(p=1031, genus=2, degree=5)
+
+
+@pytest.mark.parametrize(
+    "family", [(3, True, 3), (3, 2.0, 5), (3, 2, 5.0), (True, 2, 5), ("3", 2, 5)]
+)
+def test_survey_config_refuses_a_family_its_header_reader_refuses(family):
+    # the header is written from these values, and report refuses a header
+    # whose p, genus or degree is not a JSON integer: the writer refuses
+    # them first, with the error report turns into CorruptRecord
+    with pytest.raises(BadDegrees, match="must be ints"):
+        SurveyConfig(*family)
 
 
 def test_survey_config_rejects_genus_past_the_factoring_cap():
@@ -1064,22 +1076,3 @@ def test_survey_and_find_build_no_curve_object(monkeypatch, p, degree):
     assert run_find(cfg, 10 ** 6, stream=io.StringIO()) > 0
     with pytest.raises(AssertionError, match="HyperellipticCurve"):
         analyze_one("3; h=; f=0,1,0,0,1,1")
-
-
-def test_prime_field_survey_builds_no_zech_table(monkeypatch):
-    # the Zech table serves scalar addition over a proper extension; a
-    # survey over F_p counts over F_{p^2} from exp and log alone, so the
-    # golden family reads no Zech table, with the tables built afresh
-    reads = []
-    zech = gf.LogTables.zech
-    monkeypatch.setattr(
-        gf.LogTables, "zech", property(lambda T: reads.append(T) or zech.func(T))
-    )
-    gf.log_tables.cache_clear()
-    summary = run_survey(SurveyConfig(p=3, genus=2, degree=5), stream=io.StringIO())
-    assert summary["valid"] == 162 and reads == []
-    # an addition over F_9 reads it, once per field
-    gf._adder.cache_clear()
-    F9 = field_create(3, 2)
-    assert gf.add(F9, 1, 2) == gf.add(F9, 2, 1) == 0
-    assert reads == [gf.log_tables(F9)]
