@@ -15,7 +15,9 @@ of two code arrays over F_p, by one lockstep Euclid in numpy), so it
 builds no curve, no Singular, and never searches.  Counting is batched on
 the same kind of arrays (count_batch(base, g, h, f)): the f (and h) rows
 are evaluated at every x of the field at once (gf.evaluations, one matmul
-per block of x), and the y over each x are counted from the value alone:
+per block of x, whose right-hand digits of x^j gf builds once per field,
+number of coefficients and block, and keeps in a 32-entry LRU of at most
+32 MB), and the y over each x are counted from the value alone:
 the quadratic character (parity of the log) in odd characteristic, the
 absolute trace of f/h^2 in characteristic 2.  The points at infinity of
 the smooth model are counted the same way from column 2g+2 of f and

@@ -25,7 +25,13 @@ lists.
 ``evaluations`` evaluates a batch of polynomials, given as codes of the
 field itself, at every element, block by block of x, by one exact matmul
 per block; point counting and root finding (``poly_roots``: singularity
-witnesses, coefficient embeddings) both run on it.
+witnesses, coefficient embeddings) both run on it.  The right-hand factor
+of each matmul, the digits of x^j over the block, depends on the field, the
+number D of coefficients and the block alone, so it is built once and kept
+read-only in an LRU of 32 entries keyed by (field, D, start, stop).  An
+entry holds at most EVAL_BLOCK_BYTES in float64 and half that in float32,
+so the cache holds at most 32 MB, and 16 MB while no cached block needs
+float64 (a large prime field, where k D (p-1)^2 >= 2^24).
 """
 
 from __future__ import annotations
@@ -338,6 +344,44 @@ def log_tables(spec: FieldSpec) -> LogTables:
 EVAL_BLOCK_BYTES = 1 << 20
 
 
+@functools.lru_cache(maxsize=None)
+def _eval_constants(spec: FieldSpec, D: int) -> tuple:
+    # (dtype, log t^s for s < k, the place values p^r in dtype) of every
+    # evaluation of D coefficients over spec.  Every product and sum of the
+    # matmul is an integer below 2^24 (float32) or 2^53 (float64), so it is
+    # exact
+    p, K = spec.p, spec.k
+    dtype = np.float32 if K * D * (p - 1) ** 2 < 1 << 24 else np.float64
+    basis = log_tables(spec).log[p ** np.arange(K)]
+    powers = (p ** np.arange(K)).astype(dtype)
+    for arr in (basis, powers):
+        arr.flags.writeable = False
+    return dtype, basis, powers
+
+
+@functools.lru_cache(maxsize=32)
+def _x_powers(spec: FieldSpec, D: int, start: int, stop: int) -> np.ndarray:
+    """The read-only (k D, stop - start) matrix whose row r D + j, column n,
+    is digit r of x^j at x = start + n, in the float dtype of (spec, D).
+
+    It depends on the field, D and the block alone, so every evaluation of D
+    coefficients over spec shares it: a one-block field's block is keyed
+    (0, q) whatever the batch size.  An entry holds at most EVAL_BLOCK_BYTES
+    (half of it in float32), so the 32 entries hold at most 32 MB.
+    """
+    K, q = spec.k, spec.q
+    T = log_tables(spec)
+    # the log of x^j; at x = 0 (log -1) it is right for j = 0 only, and the
+    # digits of 0^j, j > 0, are reset to 0
+    logs = np.arange(D, dtype=np.int32)[:, None] * T.log[start:stop] % (q - 1)
+    right = np.take(T.exp_digits, logs, axis=1)  # (K, D, X)
+    if start == 0:
+        right[:, 1:, 0] = 0
+    right = right.reshape(K * D, -1).astype(_eval_constants(spec, D)[0])
+    right.flags.writeable = False
+    return right
+
+
 def evaluations(spec: FieldSpec, coeffs: np.ndarray):
     """The values of a batch of polynomials at every x of spec, by blocks
     of x in code order.
@@ -350,36 +394,29 @@ def evaluations(spec: FieldSpec, coeffs: np.ndarray):
     column s of M(c) is the digits of c t^s, read off the log tables.  So
     the digits of the values are one matmul per block, the (B*K, K*D)
     matrix of the coefficients' M(c) times the (K*D, X) digits of x^j,
-    reduced mod p.  Every product and sum is an integer below 2^24
-    (float32) or 2^53 (float64), so the float matmul is exact; einsum runs
-    it on one thread, where a BLAS call can stall on waking idle threads.
+    reduced mod p.  The digits of x^j depend on the field, D and the block
+    alone: _x_powers caches them, read-only, keyed by (spec, D, start,
+    stop), in an LRU of 32 entries of at most EVAL_BLOCK_BYTES each, so a
+    call builds only its coefficients' matrix.  The matmul is exact in
+    floats (_eval_constants); einsum runs it on one thread, where a BLAS
+    call can stall on waking idle threads.
     """
     p, K, q = spec.p, spec.k, spec.q
     B, D = coeffs.shape
     T = log_tables(spec)
-    digits_of = T.exp_digits  # (K, q-1): digit r of g^n at [r, n]
+    dtype, basis, powers = _eval_constants(spec, D)
     # m[r, b, j, s]: digit r of coeffs[b, j] t^s, that is M(coeffs[b, j])[r, s]
     lc = T.log[coeffs]
-    m = np.take(digits_of, (lc[..., None] + T.log[p ** np.arange(K)]) % (q - 1),
-                axis=1)
+    m = np.take(T.exp_digits, (lc[..., None] + basis) % (q - 1), axis=1)
     m[:, lc < 0] = 0
-    dtype = np.float32 if K * D * (p - 1) ** 2 < 1 << 24 else np.float64
     left = m.transpose(1, 0, 3, 2).reshape(B * K, K * D).astype(dtype)
-    js = np.arange(D, dtype=np.int32)[:, None]
-    powers = (p ** np.arange(K)).astype(dtype)
     step = max(1, EVAL_BLOCK_BYTES // (8 * K * max(D, B)))
     for start in range(0, q, step):
-        # the log of x^j; at x = 0 (log -1) it is right for j = 0 only, and
-        # the digits of 0^j, j > 0, are reset to 0
-        logs = js * T.log[start:start + step] % (q - 1)
-        right = np.take(digits_of, logs, axis=1)  # (K, D, X)
-        if start == 0:
-            right[:, 1:, 0] = 0
-        vals = np.einsum("ij,jk->ik", left, right.reshape(K * D, -1).astype(dtype))
+        right = _x_powers(spec, D, start, min(start + step, q))
+        vals = np.einsum("ij,jk->ik", left, right)
         vals -= p * np.floor(vals / p)
-        yield start, np.einsum("brx,r->bx", vals.reshape(B, K, -1), powers).astype(
-            np.intp
-        )
+        yield start, np.einsum("brx,r->bx", vals.reshape(B, K, right.shape[1]),
+                               powers).astype(np.intp)
 
 
 def poly_roots(spec: FieldSpec, a: list) -> list:

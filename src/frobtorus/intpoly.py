@@ -405,8 +405,9 @@ def _squarefree_mod(F: IntPoly, p: int) -> list[int] | None:
     return a
 
 
-def _good_primes(F: IntPoly):
-    # (p, F mod p) for the primes p >= 17 where F stays squarefree, lazily.
+def _good_primes(F: IntPoly, known):
+    # (p, F mod p) for the primes p >= 17 where F stays squarefree, lazily;
+    # known maps a prime already tested to its _squarefree_mod result.
     # A rejected prime divides disc F, and |disc F| <= n^n ||F||_2^(2n-2)
     # (Mahler), so once the rejected primes multiply past that bound F is
     # not squarefree
@@ -414,7 +415,8 @@ def _good_primes(F: IntPoly):
     bound = n ** n * sum(c * c for c in F.coeffs) ** (n - 1)
     rejected = 1
     for p in filter(_fpx.is_prime, itertools.count(17, 2)):
-        if (a := _squarefree_mod(F, p)) is not None:
+        a = known[p] if p in known else _squarefree_mod(F, p)
+        if a is not None:
             yield p, a
         else:
             rejected *= p
@@ -551,16 +553,18 @@ def _split_by_integer_roots(F: IntPoly) -> list[tuple[IntPoly, int]]:
     return out + [(F, 1)] if F.degree > 1 else out
 
 
-def _zassenhaus_squarefree(F: IntPoly) -> list[IntPoly]:
+def _zassenhaus_squarefree(F: IntPoly, known) -> list[IntPoly]:
     """Irreducible factors of a monic squarefree polynomial, by the modular
     path: a degree sieve over the ddf of up to three primes, then
-    Cantor-Zassenhaus, Hensel lifting and subset recombination."""
+    Cantor-Zassenhaus, Hensel lifting and subset recombination.  known maps
+    each prime p whose residue F mod p the caller has already tested to
+    _squarefree_mod(F, p), so that no prime is tested twice."""
     n = F.degree
     # factor degrees allowed by the ddf of up to three primes; none left
     # proves F irreducible
     allowed = (1 << n) - 2
     first = None
-    for p, a in itertools.islice(_good_primes(F), 3):
+    for p, a in itertools.islice(_good_primes(F, known), 3):
         blocks = _fpx.ddf(a, p)
         first = first or (p, blocks)
         allowed &= _subset_sums(blocks, n)
@@ -604,11 +608,12 @@ def _factor_monic(F: IntPoly) -> list[tuple[IntPoly, int]]:
     # squarefree S with 17 | disc S, such as x^4 + 17, would return forever
     if F.degree <= 3:
         return _split_by_integer_roots(F)
-    if _squarefree_mod(F, 17) is not None:
-        return [(k, 1) for k in _zassenhaus_squarefree(F)]
+    known = {17: _squarefree_mod(F, 17)}
+    if known[17] is not None:
+        return [(k, 1) for k in _zassenhaus_squarefree(F, known)]
     S = squarefree_part(F)
     ks = [k for k, _ in _split_by_integer_roots(S)] if S.degree <= 3 else (
-        _zassenhaus_squarefree(S))
+        _zassenhaus_squarefree(S, known if S == F else {}))
     return [(k, _multiplicity(F, k)) for k in ks]
 
 

@@ -479,6 +479,13 @@ def test_count_batch_on_one_mixed_padded_batch(p, k, g):
                 assert ns[i - 1] == naive_count(C, i)
 
 
+@pytest.mark.parametrize("p,k,g", [(3, 1, 2), (2, 1, 2), (3, 2, 1), (2, 3, 2)])
+def test_count_batch_of_no_rows(p, k, g):
+    h = np.zeros((0, g + 2 if p == 2 else 0), dtype=np.int64)
+    f = np.zeros((0, 2 * g + 3), dtype=np.int64)
+    assert count_batch(gf.field_create(p, k), g, h, f) == []
+
+
 def test_count_batch_splits_at_the_survey_batch_size():
     # the survey counts BATCH curves at a time; batches on either side of
     # that boundary count each curve as the batch of one does

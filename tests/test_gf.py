@@ -210,6 +210,68 @@ def test_poly_roots_in_extension_field():
         assert gf.mul(spec, r, r) == 2  # -1
 
 
+def _evaluated(spec, coeffs):
+    # evaluations' blocks as one (B, q) array, and how many blocks there
+    # were; the blocks tile the field in code order
+    blocks = list(gf.evaluations(spec, coeffs))
+    widths = [vals.shape[1] for _, vals in blocks]
+    assert [start for start, _ in blocks] == [sum(widths[:i]) for i in range(len(blocks))]
+    assert sum(widths) == spec.q
+    return np.concatenate([vals for _, vals in blocks], axis=1), len(blocks)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 2), (3, 3), (7, 2), (2, 5)])
+def test_evaluations_match_scalar_evaluate(monkeypatch, p, k):
+    # at the default budget each field here is one x-block; at 64 bytes each
+    # but F_2 spans several, whose keys differ from the one-block key in
+    # stop, and F_49 more than the cache holds.  Two D share the field, and
+    # about half the coefficients are 0, so 0^j, j > 0, is read at x = 0 on
+    # most rows
+    spec = gf.field_create(p, k)
+    rng = random.Random(f"evaluations {p}^{k}")
+    batches = {}
+    for D in (6, 3):
+        coeffs = [[rng.choice([0, rng.randrange(spec.q)]) for _ in range(D)]
+                  for _ in range(256)]
+        batches[D] = coeffs, [[gf.evaluate(spec, a, x) for x in range(spec.q)]
+                              for a in coeffs]
+    gf._x_powers.cache_clear()
+    default = gf.EVAL_BLOCK_BYTES
+    for budget in (default, 1 << 6):
+        monkeypatch.setattr(gf, "EVAL_BLOCK_BYTES", budget)
+        for coeffs, expected in batches.values():
+            for B in (1, 256):
+                vals, n = _evaluated(spec, np.array(coeffs[:B], dtype=np.int64))
+                assert vals.tolist() == expected[:B]
+                assert (n > 1) == (budget < default) or spec.q == 2
+
+
+def test_a_one_block_field_shares_one_read_only_entry():
+    # a one-block field's block is keyed (0, q) at every batch size: analyze
+    # (B = 1), its characteristic-2 twin (B = 2) and a survey batch share it
+    spec = gf.field_create(3, 2)
+    gf._x_powers.cache_clear()
+    for B in (1, 2, 256):
+        list(gf.evaluations(spec, np.ones((B, 6), dtype=np.int64)))
+    info = gf._x_powers.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    right = gf._x_powers(spec, 6, 0, spec.q)
+    assert right.shape == (2 * 6, spec.q)
+    assert right.nbytes <= gf.EVAL_BLOCK_BYTES // 2  # float32 here
+    _, basis, powers = gf._eval_constants(spec, 6)
+    for arr in (right, basis, powers):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        right[0, 0] = 1
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (2, 1), (3, 2), (2, 3)])
+def test_evaluations_of_an_empty_batch(p, k):
+    spec = gf.field_create(p, k)
+    vals, _ = _evaluated(spec, np.zeros((0, 4), dtype=np.int64))
+    assert vals.shape == (0, spec.q)
+
+
 def _rep_order(spec):
     return sorted(range(spec.q), key=lambda c: gf.digits(spec, c))
 

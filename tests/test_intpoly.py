@@ -23,7 +23,7 @@ from frobtorus.intpoly import (
     root_power_sums,
     squarefree_part,
 )
-from frobtorus import _fpx, intpoly
+from frobtorus import _fpx, intpoly, simplicity, survey
 from frobtorus.zeta import WeilPolynomial, is_weil
 from oracles import (
     ddf_by_pow_mod,
@@ -345,6 +345,42 @@ def test_factor_of_a_squarefree_input_singular_mod_17_returns():
     f = X ** 4 + IntPoly([17])
     assert factor(f) == (1, [(f, 1)])
     assert factor(f * (X - IntPoly([1])) ** 2) == (1, [(X - IntPoly([1]), 2), (f, 1)])
+
+
+def test_factor_tests_each_residue_once(monkeypatch, tmp_path):
+    # within one factor call no (F, p) is tested for squarefreeness twice:
+    # F mod 17 is handed to the prime search when it is squarefree, and
+    # when it is not and F is its own squarefree part (x^4 + 17)
+    tested, calls = [], []
+    squarefree_mod = intpoly._squarefree_mod
+
+    def recorded(F, p):
+        tested.append((F.coeffs, p))
+        return squarefree_mod(F, p)
+
+    def one_call(f):
+        calls.append(f)
+        tested.clear()
+        out = factor(f)
+        assert len(set(tested)) == len(tested), tested
+        return out
+
+    monkeypatch.setattr(intpoly, "_squarefree_mod", recorded)
+    rng = random.Random("each residue once")
+    inputs = [X ** 4 + IntPoly([17]), (X ** 4 + IntPoly([17])) * (X - IntPoly([1])) ** 2,
+              IntPoly([4, 11, -8, -2, 1]), IntPoly([40, 10, -14, -1, 1])]
+    inputs += [_random_poly(rng, rng.randrange(4, 11)) for _ in range(40)]
+    for f in inputs:
+        assert one_call(f) == factor(f)
+    monkeypatch.setattr(simplicity, "factor", one_call)
+    simplicity.classify.cache_clear()
+    calls.clear()
+    survey.run_survey(survey.SurveyConfig(p=3, genus=4, degree=9, limit=60),
+                      str(tmp_path / "g4.jsonl"))
+    summary = survey.report(str(tmp_path / "g4.jsonl"))
+    assert summary["by_kind"] == {"AbsolutelySimple": 19, "NotSimple": 35,
+                                  "NotAbsolutelySimple": 3, "Inconclusive": 3}
+    assert calls
 
 
 def test_factor_calls_fpx_modulo_primes_only(monkeypatch):
