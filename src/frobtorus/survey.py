@@ -10,18 +10,15 @@ built, and singular_skipped and enumerated are exact integers however
 large p^deg is.  The other equations travel as coefficient rows, never as
 curve objects: a block's (h, f) int64 arrays go to one
 smoothness_gcd_degrees call, the new curves' rows to count_batch, and a
-smooth equation's text, built once, is both its record's curve and its
-resume key.
+smooth equation's text is built once, as its record's curve.
 
 Persistence is append-only JSONL with a config fingerprint header.  One
-reader serves both resume and report: an interrupted run resumes by skipping
-the keys already present (a partial trailing line from a kill mid-write is
-truncated), and neither accepts a repeated curve, a record from another
-family, a singular equation, or a record that is not what a survey writes
-for its curve.  Its counts, weil and verdict members must re-encode, byte
-for byte, to the members its writer encodes for its counts at the field
-and genus of its curve.  Output order is enumeration order, keeping files byte-identical
-across runs up to the timing field.
+rule serves report and resume: a survey file is what the survey writes.
+Each re-derives the file, comparing each line the header's survey (or,
+without a header, find) writes with the file's next line, byte for byte
+up to the timing (_Replay); resume then appends, after truncating a
+partial trailing line from a kill mid-write.  Output order is enumeration
+order, keeping files byte-identical across runs up to the timing field.
 
 A record's counts, weil and verdict members are a function of its counts
 vector alone, so a survey encodes them once per distinct vector (an LRU of
@@ -38,12 +35,14 @@ note and label results as empirical fractions.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import json
+import os
+import re
 import sys
 import time
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -81,8 +80,7 @@ from .simplicity import (
     verdict_to_json,
     verify_verdict,  # noqa: F401  (perfbench/tracing.py hooks this name)
 )
-from .zeta import decode_array, decode_int, is_weil, weil_from_counts
-from .zeta import weil_from_json, weil_to_json
+from .zeta import is_weil, weil_from_counts, weil_from_json, weil_to_json
 
 FORMAT = "frobtorus-survey-v1"
 KIND_ORDER = (ABSOLUTELY_SIMPLE, NOT_SIMPLE, NOT_ABSOLUTELY_SIMPLE, INCONCLUSIVE)
@@ -92,7 +90,7 @@ BIAS_NOTE = "empirical fraction over equations, not isomorphism classes"
 BATCH = 256
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SurveyConfig:
     p: int
     genus: int
@@ -200,13 +198,8 @@ def _record_tail(q: int, g: int, counts: tuple[int, ...]):
     # classify_s of the encoding, and the perf_counter reading that ends it.
     # PointCounts' Weil-bound check raises on a miss; errors are not cached
     members, zeta_s, classify_s = _content(PointCounts(q=q, g=g, counts=counts))
-    text = _members_text(members)
+    text = json.dumps(members, separators=(",", ":"))[1:-1]
     return text, members["verdict"]["kind"], zeta_s, classify_s, time.perf_counter()
-
-
-def _members_text(members: dict) -> str:
-    # the members as json.dumps(record, separators=(",", ":")) writes them
-    return json.dumps(members, separators=(",", ":"))[1:-1]
 
 
 # a record as json.dumps(record, separators=(",", ":")) writes it, with the
@@ -215,159 +208,126 @@ _LINE = '{"curve":%s,%s,"timing":{"count_s":%s,"zeta_s":%r,"classify_s":%r}}\n'
 
 
 def _read_survey(data: bytes):
-    """Parse survey-file bytes into (header, records, keep).
-
-    header is the header object, or None when line 1 is a record; records
-    are the record objects; keep is the byte length of the prefix made of
-    whole lines.  A half-written last line, with or without its newline, is
-    left out of keep without raising.  The header, or in a headerless file
-    the first record, fixes the family (field, genus, deg f).  Raises
-    CorruptRecord with the 1-based line for an unreadable line before the
-    last, a header whose members are not format, p, genus and degree, in
-    that order, or whose family SurveyConfig refuses (a p, genus or degree
-    that is not a JSON integer among them), a record that is not an object
-    with a string curve, a curve that does not parse, is not spelled as
-    equation_text spells it, is no equation enumerate_equations yields, or
-    repeats an earlier line, a record whose members are not curve, counts,
-    weil, verdict and timing, in that order, or whose counts, weil and
-    verdict members are not those its writer encodes for its counts, a
-    record from another family, or a singular equation.  Smoothness is
-    decided BATCH records at a time, so a singular key is found once its
-    block is read: a later line of that block may fail another rule first.
+    """Split survey-file bytes into (header, lines, keep): the header
+    object (None when line 1 is none), the whole lines, newlines cut off,
+    and their byte length.  A half-written last line, with or without its
+    newline, is left out; only it and line 1 are decoded.  Raises
+    CorruptRecord (line 1) for a header whose members are not format, p,
+    genus and degree, in that order, or whose family SurveyConfig refuses.
     """
-    header = family = None
-    records = []
-    seen: dict[str, int] = {}
-    rows = []  # (line, h, f) of the records since the last smoothness pass
-    keep = 0
-    for lineno, raw in enumerate(data.split(b"\n"), start=1):
-        end = keep + len(raw) + 1
-        if end > len(data):
-            break  # no newline: empty tail or half-written last line
-        try:
-            obj = json.loads(raw)
-        except ValueError:
-            if end == len(data):
-                break  # half-written last line that still got its newline
-            raise CorruptRecord(f"line {lineno} is not JSON", line=lineno) from None
-        if lineno == 1 and isinstance(obj, dict) and "format" in obj:
-            header = obj
-            members = ["format", "p", "genus", "degree"]
-            if list(obj) != members:
-                raise CorruptRecord(
-                    f"line 1: the header has the members {list(obj)}, not {members}",
-                    line=1,
-                )
-            family = tuple(obj[k] for k in members[1:])
-            try:
-                SurveyConfig(*family)
-            except FrobtorusError as bad:
-                raise CorruptRecord(
-                    f"line 1: the header's family {clip(family)} is no survey's: {bad}",
-                    line=1,
-                ) from None
-        else:
-            if not isinstance(obj, dict) or not isinstance(obj.get("curve"), str):
-                raise CorruptRecord(
-                    f"line {lineno} is not a record with a curve key", line=lineno
-                )
-            first = seen.setdefault(obj["curve"], lineno)
-            if first != lineno:
-                raise CorruptRecord(
-                    f"line {lineno} repeats the curve of line {first}", line=lineno
-                )
-            own, h, f = _record_family(obj, lineno)
-            family = family or own
-            if own != family:
-                raise CorruptRecord(
-                    f"line {lineno} is from family {own!r}, not {family!r}", line=lineno
-                )
-            records.append(obj)
-            rows.append((lineno, h, f))
-            if len(rows) == BATCH:
-                _refuse_singular(family, rows)
-                rows = []
-        keep = end
-    _refuse_singular(family, rows)
-    return header, records, keep
-
-
-def _refuse_singular(family: tuple, rows: list) -> None:
-    # raise CorruptRecord for the first of the rows, (line, h, f) of records
-    # of one family, whose equation is singular: one smoothness_gcd_degrees
-    # call decides them all, h zero-padded to the g + 2 columns of p = 2
-    if not rows:
-        return
-    p, g = family[0], family[1]
-    h = np.array([hv + [0] * (g + 2 - len(hv)) for _, hv, _ in rows], dtype=np.int64)
-    f = np.array([fv for _, _, fv in rows], dtype=np.int64)
-    for (lineno, _, _), degree in zip(rows, smoothness_gcd_degrees(p, h, f).tolist()):
-        if degree > 0:
-            raise CorruptRecord(f"line {lineno}: its curve is singular", line=lineno)
-
-
-def _record_family(obj: dict, lineno: int) -> tuple:
-    # (q, genus, deg f) of the curve key, read by the curve-text parser, and
-    # the key's h and f code lists: the key must be its parse's canonical
-    # text (one key per curve) and an equation enumerate_equations yields,
-    # and the record what a survey writes for it: the writer's members in
-    # its order, the counts, weil and verdict encoded as _record_tail
-    # encodes those of its counts at the key's q and genus, and a timing
-    # whose values are not checked
+    lines = data.split(b"\n")
+    keep = len(data) - len(lines.pop())  # no newline: empty or half-written
     try:
-        spec, h, f = parse_curve_text(obj["curve"])
-    except (ParseError, SizeExceeded) as bad:
-        raise CorruptRecord(f"line {lineno}: {bad}", line=lineno) from None
-    if obj["curve"] != equation_text(spec, h, f):
-        raise CorruptRecord(
-            f"line {lineno} spells its curve {obj['curve']!r}, not "
-            f"{equation_text(spec, h, f)!r}",
-            line=lineno,
-        )
-    genus = genus_for_degree(len(f) - 1)
-    h_ok = 0 < len(h) <= genus + 2 if spec.p == 2 else not h
-    if spec.k != 1 or f[-1] != 1 or not h_ok:
-        raise CorruptRecord(f"line {lineno} holds no survey's equation", line=lineno)
-    members = ["curve", "counts", "weil", "verdict", "timing"]
-    if list(obj) != members:
-        raise CorruptRecord(
-            f"line {lineno} has the members {list(obj)}, not {members}", line=lineno
-        )
+        lines and json.loads(lines[-1])
+    except ValueError:
+        keep -= len(lines.pop()) + 1  # half-written last line with its newline
     try:
-        counts = tuple(map(decode_int, decode_array(obj["counts"], "counts")))
-        tail = _record_tail(spec.q, genus, counts)[0]
-    except (KeyError, TypeError, FrobtorusError) as bad:
+        header = json.loads(lines[0]) if lines else None
+    except ValueError:
+        header = None
+    if not (isinstance(header, dict) and "format" in header):
+        return None, lines, keep
+    members = ["format", "p", "genus", "degree"]
+    if list(header) != members:
         raise CorruptRecord(
-            f"line {lineno}: its counts member gives no record: {bad}", line=lineno
+            f"line 1: the header has the members {list(header)}, not {members}", line=1
+        )
+    family = tuple(header[k] for k in members[1:])
+    try:
+        SurveyConfig(*family)
+    except FrobtorusError as bad:
+        raise CorruptRecord(
+            f"line 1: the header's family {clip(family)} is no survey's: {bad}", line=1
         ) from None
-    stored = {m: obj[m] for m in ("counts", "weil", "verdict")}
-    if _members_text(stored) != tail:
-        written = json.loads("{%s}" % tail)
-        member = next(
-            m for m in stored
-            if _members_text({m: stored[m]}) != _members_text({m: written[m]})
-        )
-        raise CorruptRecord(
-            f"line {lineno}: its {member} member is not what its counts give",
-            line=lineno,
-        )
-    return (spec.q, genus, len(f) - 1), h, f
+    return header, lines, keep
 
 
-def _result_stream(cfg: SurveyConfig, equations, skip_keys: dict[str, object]):
-    """Yield (key, record) per equation of equations, in their order: key
-    is the equation's text, None when it is singular, and record the (JSONL
-    line, verdict kind) of a new curve, None for a singular equation or a
-    key in skip_keys.  run_survey and run_find pass the equations after the
-    family's leading slab (_leading_slab), which they never screen.
+class _Replay:
+    """A stream for the writer that holds it to a file's whole lines: each
+    line written must be the file's next line, byte for byte up to
+    ,"timing":, and the rest _TIMING, whose numbers are not checked.  A line
+    past the file's lines goes to out once the file is cut to keep.
+    """
+
+    # what follows ,"timing": in a record: three JSON numbers (N), then braces
+    _TIMING = re.compile(
+        rb'\{"count_s":N,"zeta_s":N,"classify_s":N\}\}'.replace(
+            b"N", rb"-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][+-]?\d+)?"
+        )
+    )
+
+    def __init__(self, lines: list[bytes], out=None, keep: int | None = None):
+        self.lines, self.out, self.keep, self.matched = lines, out, keep, 0
+
+    def write(self, line: str) -> None:
+        if self.matched == len(self.lines):
+            self.close()
+            self.out.write(line)
+            self.out.flush()
+            return
+        stored = self.lines[self.matched]
+        self.matched = n = self.matched + 1
+        head, timing, _ = line.rpartition(',"timing":')
+        if timing:
+            head = (head + timing).encode()
+            ok = stored.startswith(head) and self._TIMING.fullmatch(stored, len(head))
+        else:  # the header line
+            ok = stored == line[:-1].encode()
+        if not ok:
+            at = len(os.path.commonprefix([stored, line.encode()]))
+            raise CorruptRecord(
+                f"line {n} is not what the survey writes: from byte {at + 1}, "
+                f"it writes {clip(line[at:])}",
+                line=n,
+            )
+
+    def close(self) -> None:  # refuse a line the writer did not reach
+        if self.matched < len(self.lines):
+            n = self.matched + 1
+            raise CorruptRecord(f"line {n} lies past its family's end", line=n)
+        if self.keep is not None:
+            self.out.truncate(self.keep)
+            self.keep = None
+
+
+def _rederive(header, lines: list[bytes]) -> dict:
+    # the kind counts of a file's whole lines, which must be what the
+    # header's survey writes, limited to their records, or else what find
+    # writes for the family of the first key, with deg f = 2g+1
+    records = len(lines) - (header is not None)
+    kinds = dict.fromkeys(KIND_ORDER, 0)
+    sink = _Replay(lines)
+    if header is not None:
+        cfg = SurveyConfig(header["p"], header["genus"], header["degree"],
+                           limit=records or None)
+        if records:
+            kinds = run_survey(cfg, stream=sink)["by_kind"]
+        else:
+            sink.write(_header_line(cfg))
+    elif lines:
+        try:  # the family is only read off line 1; the compare decides
+            spec, _, f = parse_curve_text(str(json.loads(lines[0])["curve"]))
+            genus = genus_for_degree(len(f) - 1)
+            cfg = SurveyConfig(spec.p, genus, 2 * genus + 1)
+        except (ValueError, LookupError, TypeError, FrobtorusError):
+            raise CorruptRecord("line 1 is no header and no record", line=1) from None
+        kinds[ABSOLUTELY_SIMPLE] = run_find(cfg, records, stream=sink)
+    sink.close()
+    return kinds
+
+
+def _result_stream(cfg: SurveyConfig, equations):
+    """Yield, per equation of equations in their order, None when it is
+    singular and the (JSONL line, verdict kind) of its record when it is a
+    curve.  run_survey and run_find pass the equations after the family's
+    leading slab (_leading_slab), which they never screen.
 
     Each block of BATCH equations is decided by one smoothness_gcd_degrees
     call on its (h, f) arrays, the stream's only smoothness decision; no
-    Singular is raised.  The rows of new curves are counted BATCH at a time
-    (count_batch), and the equations up to the last curve of a batch are
-    yielded after it is counted.  With cfg.limit, the stream ends at the
-    limit-th valid curve, skipped keys included, so no batch holds a curve
-    past it.
+    Singular is raised.  The rows of the curves are counted BATCH at a
+    time (count_batch), and the equations up to the last curve of a batch
+    are yielded after it is counted.  With cfg.limit, the stream ends at
+    the limit-th curve, so no batch holds a curve past it.
     """
     base = gf.field_create(cfg.p, 1)
     keys, rows = [], []  # the keys since the last batch; its (h, f) rows
@@ -378,20 +338,20 @@ def _result_stream(cfg: SurveyConfig, equations, skip_keys: dict[str, object]):
         for (hv, fv), degree in zip(block, degrees):
             key = equation_text(base, hv, fv) if degree <= 0 else None
             keys.append(key)
-            valid += key is not None
-            if key is not None and key not in skip_keys:
+            if key is not None:
                 rows.append((hv, fv))
+                valid += 1
             if len(rows) == BATCH or valid == cfg.limit:
-                yield from _counted(base, cfg.genus, keys, rows, skip_keys)
+                yield from _counted(base, cfg.genus, keys, rows)
                 keys, rows = [], []
                 if valid == cfg.limit:
                     return
-    yield from _counted(base, cfg.genus, keys, rows, skip_keys)
+    yield from _counted(base, cfg.genus, keys, rows)
 
 
-def _counted(base, g, keys, rows, skip_keys):
-    # (key, record) for each key, record the (JSONL line, verdict kind) of a
-    # new curve's counts.  Every record's count_s is its share of the
+def _counted(base, g, keys, rows):
+    # None for each singular key (None), and the (JSONL line, verdict kind)
+    # of each curve's counts.  Every record's count_s is its share of the
     # batch's count time; one whose tail an earlier record encoded (before
     # this lookup began) takes the lookup's own time as zeta_s and 0.0 as
     # classify_s
@@ -400,15 +360,14 @@ def _counted(base, g, keys, rows, skip_keys):
     counts = map(tuple, count_batch(base, g, *codes) if rows else ())
     count_s = repr((time.perf_counter() - t0) / max(len(rows), 1))
     for key in keys:
-        if key is None or key in skip_keys:
-            yield key, None
+        if key is None:
+            yield None
             continue
         t0 = time.perf_counter()
         tail, kind, *times, encoded = _record_tail(base.q, g, next(counts))
         if encoded < t0:
             times = time.perf_counter() - t0, 0.0
-        line = _LINE % (encode_basestring_ascii(key), tail, count_s, *times)
-        yield key, (line, kind)
+        yield _LINE % (encode_basestring_ascii(key), tail, count_s, *times), kind
 
 
 def run_survey(cfg: SurveyConfig, out_path: str | None = None, stream=None) -> dict:
@@ -417,81 +376,63 @@ def run_survey(cfg: SurveyConfig, out_path: str | None = None, stream=None) -> d
     Records go to out_path (resumable JSONL) or to the stream (default
     stdout) when no path is given.
     """
-    t_start = time.perf_counter()
-    stored: dict[str, object] = {}
     if out_path is not None:
-        try:
-            with open(out_path, "rb") as fh:
-                data = fh.read()
-        except FileNotFoundError:
-            data = b""
-        header, records, keep = _read_survey(data)
-        if keep and header != _header(cfg):
-            raise ResumeMismatch(
-                f"existing file {out_path} holds a different survey "
-                f"(header {header!r})"
-            )
-        for obj in records:
-            stored[obj["curve"]] = obj["verdict"]["kind"]
-        fh = open(out_path, "a", encoding="utf-8")
-        fh.truncate(keep)
-        if not keep:
-            fh.write(_header_line(cfg))
-            fh.flush()
-    else:
-        fh = stream if stream is not None else sys.stdout
-        fh.write(_header_line(cfg))
+        return _resume(cfg, out_path)
+    t_start = time.perf_counter()
+    fh = stream if stream is not None else sys.stdout
+    fh.write(_header_line(cfg))
     kinds = dict.fromkeys(KIND_ORDER, 0)
     slab, equations = _leading_slab(cfg)
     enumerated = singular = slab
     valid = 0
-    try:
-        for key, record in _result_stream(cfg, equations, stored):
-            enumerated += 1
-            if key is None:
-                singular += 1
-                continue
-            if record is None:
-                kind = stored[key]
-            else:
-                line, kind = record
-                fh.write(line)
-                fh.flush()
-            valid += 1
-            kinds[kind] += 1
-    finally:
-        if out_path is not None:
-            fh.close()
-    elapsed = time.perf_counter() - t_start
-    return _summary(cfg, enumerated, valid, singular, kinds, elapsed)
-
-
-def _header(cfg: SurveyConfig) -> dict:
-    return {"format": FORMAT, "p": cfg.p, "genus": cfg.genus, "degree": cfg.degree}
-
-
-def _header_line(cfg: SurveyConfig) -> str:
-    return json.dumps(_header(cfg), separators=(",", ":")) + "\n"
-
-
-def _summary(cfg, enumerated, valid, singular, kinds, elapsed) -> dict:
-    frac = kinds[ABSOLUTELY_SIMPLE] / valid if valid else 0.0
+    for record in _result_stream(cfg, equations):
+        enumerated += 1
+        if record is None:
+            singular += 1
+            continue
+        fh.write(record[0])
+        valid += 1
+        kinds[record[1]] += 1
     return {
         "format": FORMAT,
-        "config": {
-            "p": cfg.p,
-            "genus": cfg.genus,
-            "degree": cfg.degree,
-            "limit": cfg.limit,
-        },
+        "config": dataclasses.asdict(cfg),
         "enumerated": enumerated,
         "valid": valid,
         "singular_skipped": singular,
-        "by_kind": {k: kinds[k] for k in KIND_ORDER},
-        "absolutely_simple_fraction": frac,
+        "by_kind": kinds,
+        "absolutely_simple_fraction": kinds[ABSOLUTELY_SIMPLE] / max(valid, 1),
         "note": BIAS_NOTE,
-        "elapsed_s": elapsed,
+        "elapsed_s": time.perf_counter() - t_start,
     }
+
+
+def _resume(cfg: SurveyConfig, out_path: str) -> dict:
+    # re-derive the file's whole lines as report does, then append
+    try:
+        with open(out_path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        data = b""
+    header, lines, keep = _read_survey(data)
+    if header is None and lines:
+        _rederive(None, lines)  # a line that find does not write is corrupt
+    if keep and lines[0] != _header_line(cfg)[:-1].encode():
+        raise ResumeMismatch(
+            f"existing file {out_path} holds a different survey (header {header!r})"
+        )
+    if cfg.limit is not None and len(lines) - 1 > cfg.limit:
+        _rederive(header, lines)  # the records past the limit, checked all the same
+        del lines[cfg.limit + 1:]
+    with open(out_path, "a", encoding="utf-8") as fh:
+        sink = _Replay(lines, fh, keep)
+        summary = run_survey(cfg, stream=sink)
+        sink.close()
+    return summary
+
+
+def _header_line(cfg: SurveyConfig) -> str:
+    header = {"format": FORMAT, "p": cfg.p, "genus": cfg.genus, "degree": cfg.degree}
+    return json.dumps(header, separators=(",", ":")) + "\n"
 
 
 def run_find(cfg: SurveyConfig, count: int, stream=None) -> int:
@@ -505,12 +446,9 @@ def run_find(cfg: SurveyConfig, count: int, stream=None) -> int:
     fh = stream if stream is not None else sys.stdout
     found = 0
     _, equations = _leading_slab(cfg)
-    for _, record in _result_stream(cfg, equations, {}):
-        if record is None:
-            continue
-        line, kind = record
-        if kind == ABSOLUTELY_SIMPLE:
-            fh.write(line)
+    for record in _result_stream(cfg, equations):
+        if record is not None and record[1] == ABSOLUTELY_SIMPLE:
+            fh.write(record[0])
             found += 1
             if found >= count:
                 break
@@ -543,27 +481,29 @@ def analyze_one(curve_text: str | None = None, weil_json=None) -> dict:
 
 
 def report(path: str) -> dict:
-    """Aggregate the records of a survey file, each checked as it is read.
+    """Aggregate the records of a survey file, checked by re-deriving it.
 
-    Raises CorruptRecord (with the offending line number) when a line is
-    torn, the header has another format, or a line breaks one of the
-    reader's rules (_read_survey): among them, a record must be what a
-    survey writes for its curve, byte for byte up to its timing.
+    The file must be what a survey writes: run_survey of the header's
+    family, with limit the file's record count, must write each of its
+    lines, byte for byte up to its timing (_Replay); a headerless file
+    must be run_find output for the family of its first key.  Raises
+    CorruptRecord (with the offending line number) at the first line that
+    differs or lies past the family's end, for a header that _read_survey
+    refuses or whose format is another, and for a torn last line.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    header, records, keep = _read_survey(data)
-    if keep < len(data):
-        lineno = data.count(b"\n", 0, keep) + 1
-        raise CorruptRecord(f"line {lineno} is torn", line=lineno)
+    header, lines, keep = _read_survey(data)
     if header is not None and header["format"] != FORMAT:
         raise CorruptRecord(f"unknown format {header['format']!r}", line=1)
-    kinds = dict.fromkeys(KIND_ORDER, 0)
-    for obj in records:
-        kinds[obj["verdict"]["kind"]] += 1
-    frac = kinds[ABSOLUTELY_SIMPLE] / len(records) if records else 0.0
+    kinds = _rederive(header, lines)
+    if keep < len(data):
+        lineno = len(lines) + 1
+        raise CorruptRecord(f"line {lineno} is torn", line=lineno)
+    records = sum(kinds.values())
+    frac = kinds[ABSOLUTELY_SIMPLE] / records if records else 0.0
     return {
-        "records": len(records),
+        "records": records,
         "by_kind": {k: kinds[k] for k in KIND_ORDER},
         "absolutely_simple_fraction": frac,
         "verified": True,

@@ -246,6 +246,25 @@ def test_evaluations_match_scalar_evaluate(monkeypatch, p, k):
                 assert (n > 1) == (budget < default) or spec.q == 2
 
 
+@pytest.mark.parametrize(
+    "D,p,dtype",
+    [(4, 2039, np.float32), (4, 2053, np.float64),
+     (7, 1549, np.float32), (7, 1553, np.float64),
+     (10, 1291, np.float32), (10, 1297, np.float64)],
+)
+def test_evaluations_are_exact_at_the_float_dtype_boundary(D, p, dtype):
+    # the largest prime whose products D (p-1)^2 stay below 2^24 runs the
+    # matmul in float32, the next prime in float64; an all-(p-1) row meets
+    # the largest sums, and random rows the rest
+    spec = gf.field_create(p)
+    assert gf._eval_constants(spec, D)[0] is dtype
+    rng = random.Random(f"dtype boundary {p} {D}")
+    coeffs = [[p - 1] * D] + [[rng.randrange(p) for _ in range(D)] for _ in range(3)]
+    vals, _ = _evaluated(spec, np.array(coeffs, dtype=np.int64))
+    assert vals.tolist() == [[gf.evaluate(spec, a, x) for x in range(p)]
+                             for a in coeffs]
+
+
 def test_a_one_block_field_shares_one_read_only_entry():
     # a one-block field's block is keyed (0, q) at every batch size: analyze
     # (B = 1), its characteristic-2 twin (B = 2) and a survey batch share it

@@ -401,8 +401,8 @@ def test_report_reads_find_output_without_a_header(tmp_path):
 
 
 def test_report_and_resume_refuse_a_singular_key_at_p2(tmp_path):
-    # the records' h = x^3 fill the g + 2 = 4 columns, and the singular
-    # y^2 + x y = x^5 is padded to them
+    # the singular y^2 + x y = x^5 in place of a p = 2 record's curve,
+    # whose h = x^3 fills the g + 2 = 4 columns
     cfg, path, _ = _run_to_file(tmp_path, p=2, genus=2, degree=5, limit=4)
     lines = path.read_text().splitlines()
     assert all('"2; h=0,0,0,1; f=' in line for line in lines[1:])
@@ -411,8 +411,9 @@ def test_report_and_resume_refuse_a_singular_key_at_p2(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     tampered = path.read_bytes()
     for run in (lambda: report(str(path)), lambda: run_survey(cfg, out_path=str(path))):
-        with pytest.raises(CorruptRecord, match="line 4: its curve is singular"):
+        with pytest.raises(CorruptRecord) as exc:
             run()
+        assert exc.value.line == 4
         assert path.read_bytes() == tampered
 
 
@@ -541,9 +542,9 @@ def test_report_classifies_each_distinct_weil_polynomial_once():
 
 
 def test_report_single_record_fraction(tmp_path):
-    rec = curve_record(curve_from_text("5; h=; f=0,1,0,1"))
     path = tmp_path / "one.jsonl"
-    path.write_text(json.dumps(rec) + "\n")
+    with path.open("w", encoding="utf-8") as fh:
+        assert run_find(SurveyConfig(p=5, genus=1, degree=3), 1, stream=fh) == 1
     rep = report(str(path))
     assert rep["records"] == 1
     assert rep["absolutely_simple_fraction"] == 1.0
@@ -625,9 +626,9 @@ def test_report_rejects_malformed_record_fields(tmp_path, path, value):
 def test_report_rejects_a_string_where_an_array_belongs(
     tmp_path, genus, line, path, value
 ):
-    # each digit string, read character by character, rebuilds its array;
-    # the decoders' own refusals are tested with them (test_zeta,
-    # test_simplicity)
+    # each digit string, read character by character, rebuilds its array,
+    # but it is not what the survey writes; the decoders' own refusals are
+    # tested with them (test_zeta, test_simplicity)
     _, file, _ = _run_to_file(tmp_path, p=3, genus=genus, degree=2 * genus + 1,
                               limit=3)
     lines = file.read_text().splitlines()
@@ -643,7 +644,6 @@ def test_report_rejects_a_string_where_an_array_belongs(
     with pytest.raises(CorruptRecord) as exc:
         report(str(file))
     assert exc.value.line == line
-    assert f"its {path[0]} member" in str(exc.value)
 
 
 def test_report_flags_non_json_line(tmp_path):
@@ -653,6 +653,137 @@ def test_report_flags_non_json_line(tmp_path):
     with pytest.raises(CorruptRecord) as exc:
         report(str(path))
     assert exc.value.line == 4
+
+
+# -- a survey file is what the survey writes --------------------------------
+
+GOLDEN = Path(__file__).parent / "golden" / "p3_g2_deg5.jsonl"
+
+
+def _golden_variant(case: str) -> bytes:
+    # the golden file with its records cut, reordered or edited; each record
+    # left as it is stays byte for byte a line the survey writes
+    head, *records = GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True)
+    if case == "cut":
+        # its 84 AbsolutelySimple records, whose fraction would read 1.0
+        records = [r for r in records
+                   if json.loads(r)["verdict"]["kind"] == "AbsolutelySimple"]
+    elif case == "reversed":
+        records.reverse()
+    elif case == "swapped":
+        # lines 2 and 3 trade their counts, weil and verdict members; each
+        # record stays self-consistent
+        a, b = json.loads(records[0]), json.loads(records[1])
+        for member in ("counts", "weil", "verdict"):
+            a[member], b[member] = b[member], a[member]
+        records[:2] = (json.dumps(d, separators=(",", ":")) + "\n" for d in (a, b))
+    elif case == "dropped":
+        del records[50]  # line 52
+    return "".join([head, *records]).encode()
+
+
+@pytest.mark.parametrize(
+    "case,line", [("cut", 2), ("reversed", 2), ("swapped", 2), ("dropped", 52)]
+)
+def test_report_refuses_a_file_that_is_not_the_surveys_output(tmp_path, case, line):
+    path = tmp_path / "s.jsonl"
+    path.write_bytes(_golden_variant(case))
+    with pytest.raises(CorruptRecord) as exc:
+        report(str(path))
+    assert exc.value.line == line
+
+
+def test_report_and_resume_refuse_a_line_past_the_familys_end(tmp_path):
+    # the golden file holds the whole family; a copy of its last record
+    # after it is a 163rd record, which no survey writes
+    cfg = SurveyConfig(p=3, genus=2, degree=5)
+    data = GOLDEN.read_bytes()
+    path = tmp_path / "s.jsonl"
+    path.write_bytes(data + data[data.rindex(b"\n", 0, -1) + 1:])
+    longer = path.read_bytes()
+    for run in (lambda: report(str(path)), lambda: run_survey(cfg, out_path=str(path))):
+        with pytest.raises(CorruptRecord, match="past its family's end") as exc:
+            run()
+        assert exc.value.line == 164
+        assert path.read_bytes() == longer
+    # find output: every hit of the genus-1 family over F_2, then one more
+    with path.open("w", encoding="utf-8") as fh:
+        hits = run_find(SurveyConfig(p=2, genus=1, degree=3), 10 ** 6, stream=fh)
+    path.write_bytes(path.read_bytes() + path.read_bytes().splitlines(True)[-1])
+    with pytest.raises(CorruptRecord, match="past its family's end") as exc:
+        report(str(path))
+    assert exc.value.line == hits + 1
+
+
+def test_resume_refuses_a_cut_file_and_leaves_it(tmp_path):
+    path = tmp_path / "s.jsonl"
+    cut = _golden_variant("cut")
+    path.write_bytes(cut)
+    with pytest.raises(CorruptRecord) as exc:
+        run_survey(SurveyConfig(p=3, genus=2, degree=5), out_path=str(path))
+    assert exc.value.line == 2
+    assert path.read_bytes() == cut
+
+
+@pytest.mark.parametrize(
+    "timing,ok",
+    [('{"count_s":1,"zeta_s":2.5e-07,"classify_s":-0.0}', True),
+     ('{"count_s":"0.1","zeta_s":0.0,"classify_s":0.0}', False),
+     ('{"count_s":0.1,"zeta_s":0.0}', False),
+     ('{"count_s":0.1, "zeta_s":0.0,"classify_s":0.0}', False),
+     ('{"count_s":NaN,"zeta_s":0.0,"classify_s":0.0}', False)],
+    ids=["other-numbers", "string", "missing-key", "space", "nan"],
+)
+def test_report_reads_timing_as_three_numbers_it_does_not_check(
+    tmp_path, timing, ok
+):
+    lines = GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True)
+    head, _, _ = lines[2].rpartition(',"timing":')
+    lines[2] = head + ',"timing":' + timing + "}\n"
+    path = tmp_path / "s.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    if ok:
+        assert report(str(path)) == report(str(GOLDEN))
+        return
+    with pytest.raises(CorruptRecord) as exc:
+        report(str(path))
+    assert exc.value.line == 3
+
+
+def test_a_header_only_file_reports_nothing_and_resumes_whole(tmp_path):
+    cfg = SurveyConfig(p=3, genus=2, degree=5)
+    path = tmp_path / "s.jsonl"
+    path.write_bytes(GOLDEN.read_bytes().split(b"\n")[0] + b"\n")
+    rep = report(str(path))
+    assert (rep["records"], rep["absolutely_simple_fraction"]) == (0, 0.0)
+    summary = run_survey(cfg, out_path=str(path))
+    assert summary["valid"] == 162
+    assert _records(path.read_text()) == _records(GOLDEN.read_text())
+
+
+def test_resume_with_a_lower_limit_leaves_the_file(tmp_path):
+    _, path, _ = _run_to_file(tmp_path, p=3, genus=2, degree=5, limit=9)
+    data = path.read_bytes()
+    cfg = SurveyConfig(p=3, genus=2, degree=5, limit=4)
+    resumed = run_survey(cfg, out_path=str(path))
+    assert path.read_bytes() == data
+    fresh = run_survey(cfg, stream=io.StringIO())
+    assert {k: v for k, v in resumed.items() if k != "elapsed_s"} == {
+        k: v for k, v in fresh.items() if k != "elapsed_s"
+    }
+
+
+def test_resume_with_a_lower_limit_checks_the_records_past_it(tmp_path):
+    # lines 9 and 10 of a limit-9 file trade places; a limit-4 resume
+    # writes nothing, but refuses the file all the same
+    _, path, _ = _run_to_file(tmp_path, p=3, genus=2, degree=5, limit=9)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:8] + lines[9:] + lines[8:9]))
+    swapped = path.read_bytes()
+    with pytest.raises(CorruptRecord) as exc:
+        run_survey(SurveyConfig(p=3, genus=2, degree=5, limit=4), out_path=str(path))
+    assert exc.value.line == 9
+    assert path.read_bytes() == swapped
 
 
 # -- batched counting ------------------------------------------------------
@@ -687,7 +818,9 @@ def test_survey_counts_no_curve_past_the_limit(monkeypatch):
     assert _records(buf.getvalue()) == _records(longer.getvalue())[:100]
 
 
-def test_resume_counts_only_the_missing_curves(monkeypatch, tmp_path):
+def test_resume_counts_each_curve_of_the_limit_once(monkeypatch, tmp_path):
+    # resume re-derives the 40 stored records to check them, and counts
+    # them with the 60 missing ones, in the fresh survey's one batch
     cfg = SurveyConfig(p=7, genus=2, degree=6, limit=100)
     path = tmp_path / "s.jsonl"
     run_survey(cfg, out_path=str(path))
@@ -696,14 +829,16 @@ def test_resume_counts_only_the_missing_curves(monkeypatch, tmp_path):
     path.write_text("".join(lines[:41]) + lines[41][:30])  # 40 records, torn
     sizes = _counting_curves(monkeypatch)
     run_survey(cfg, out_path=str(path))
-    assert sizes == [60]
+    assert sizes == [100]
+    assert path.read_text().splitlines(keepends=True)[:41] == lines[:41]
     assert _records(path.read_text()) == _records(whole)
 
 
 def test_survey_batches_split_at_the_batch_size(monkeypatch, tmp_path):
     # p = 5, g = 1, deg 4 has 500 valid curves, two batches; a file cut in
-    # the middle of the second resumes to the same records, and each
-    # record's counts are the batch-of-one counts
+    # the middle of the second resumes to the same records, re-deriving the
+    # stored ones in the same batches, and each record's counts are the
+    # batch-of-one counts
     cfg = SurveyConfig(p=5, genus=1, degree=4)
     sizes = _counting_curves(monkeypatch)
     _, path, summary = _run_to_file(tmp_path, p=5, genus=1, degree=4)
@@ -718,7 +853,7 @@ def test_survey_batches_split_at_the_batch_size(monkeypatch, tmp_path):
     path.write_text("".join(lines[:cut]) + lines[cut][:25])
     sizes.clear()
     run_survey(cfg, out_path=str(path))
-    assert sizes == [summary["valid"] - (cut - 1)]
+    assert sizes == [survey.BATCH, summary["valid"] - survey.BATCH]
     assert _records(path.read_text()) == records
 
 
