@@ -139,7 +139,7 @@ def _singular_point(base: gf.FieldSpec, d: list, f: list):
     # in characteristic 2 some m <= deg d has a root
     for m in range(1, len(d) if base.p == 2 else 2):
         ext = gf.field_create(base.p, base.k * m)
-        roots = gf.poly_roots(ext, embed(base, ext, np.array(d)))
+        roots = gf.poly_roots(base, d, m)
         if roots:
             x0, y0 = roots[0], 0
             if base.p == 2:
@@ -222,7 +222,7 @@ def _gcd_degrees(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def _embedding(src: gf.FieldSpec, dst: gf.FieldSpec) -> np.ndarray:
     # the dst code of every src code; src's generator goes to the first root
     # of src's modulus by rep
-    gamma = gf.poly_roots(dst, list(src.modulus))[0]
+    gamma = gf.generator_image(src, dst)
     powers = [1]
     for _ in range(src.k - 1):
         powers.append(gf.mul(dst, powers[-1], gamma))
@@ -242,16 +242,22 @@ def embed(src: gf.FieldSpec, dst: gf.FieldSpec, a):
     return image if isinstance(a, np.ndarray) else int(image)
 
 
-def _solutions(T: gf.LogTables, p: int, hv, fv: np.ndarray) -> np.ndarray:
-    """Per row, the sum over its x of #{y : y^2 + h(x) y = f(x)}, from the
-    value codes hv and fv (hv is unused for odd p)."""
-    lf = T.log[fv]
-    if p != 2:
-        # y^2 = f(x): one root of 0, two of a nonzero square (even log)
-        return np.where(lf < 0, 1, 2 - 2 * (lf & 1)).sum(axis=1)
+@functools.lru_cache(maxsize=None)
+def _square_roots(ext: gf.FieldSpec) -> np.ndarray:
+    # n[c] = #{y : y^2 = c} over ext, odd p: one root of 0, two of a nonzero
+    # square (even log), none otherwise; read-only int8
+    log = gf.log_tables(ext).log
+    n = np.where(log < 0, 1, 2 - 2 * (log & 1)).astype(np.int8)
+    n.flags.writeable = False
+    return n
+
+
+def _trace_solutions(T: gf.LogTables, hv, fv) -> np.ndarray:
+    """Per row, the sum over its x of #{y : y^2 + h(x) y = f(x)} in
+    characteristic 2, from the value codes hv and fv."""
     # h(x) = 0: squaring is bijective, one y.  Otherwise y = h(x) z turns the
     # equation into z^2 + z = f/h^2, solvable (twice) iff Tr(f/h^2) = 0.
-    lh = T.log[hv]
+    lf, lh = T.log[fv], T.log[hv]
     trace = T.exp_trace[(lf - 2 * lh) % len(T.exp)]  # wrong where f or h is 0
     return np.where(lh < 0, 1, np.where(lf < 0, 2, 2 - 2 * trace)).sum(axis=1)
 
@@ -264,7 +270,9 @@ def count_batch(base: gf.FieldSpec, g: int, h: np.ndarray, f: np.ndarray) -> lis
     Rows are low-to-high and may carry trailing zeros: each f row is monic
     of degree 2g+1 or 2g+2, and in odd characteristic h is (B, 0).  F_{q^g}
     is built before any counting, so a batch whose largest field is past
-    the size cap raises SizeExceeded at once.
+    the size cap raises SizeExceeded at once.  All g fields are counted by
+    one gf.evaluations call, whose plan for (base, 1..g, W) is cached when
+    it fits gf.PLAN_BYTES (_counts).
     """
     gf.field_create(base.p, base.k * g)
     return _counts(base, g, h, f, range(1, g + 1)).tolist()
@@ -274,10 +282,13 @@ def _counts(base: gf.FieldSpec, g: int, h: np.ndarray, f: np.ndarray,
             indices) -> np.ndarray:
     """N_i of each row (rows) for each i in indices (columns).
 
-    For each i, every f, and every h for p = 2, is evaluated over F_{q^i}
-    at once (gf.evaluations), plus a column for x = infinity: a
-    degree-(2g+2) model has the fibre y^2 + h_{g+1} y = lead f = 1 there,
-    and a degree-(2g+1) model one point, which f = h = 0 gives.
+    Every f, and every h for p = 2, is evaluated over each F_{q^i} by one
+    gf.evaluations call on the base-field codes, so no coefficient array
+    is embedded; the y over each x are then counted from the value codes:
+    for odd p by the table n[c] = #{y : y^2 = c} of F_{q^i}, for p = 2 by
+    the trace rule.  A column for x = infinity is added: a degree-(2g+2)
+    model has the fibre y^2 + h_{g+1} y = lead f = 1 there, and a
+    degree-(2g+1) model one point, which f = h = 0 gives.
     """
     p, B = base.p, len(f)
     # 1 for a degree-(2g+2) model, else 0; h_{g+1} of the former, else 0.
@@ -289,16 +300,21 @@ def _counts(base: gf.FieldSpec, g: int, h: np.ndarray, f: np.ndarray,
     if p == 2:
         codes = np.zeros((2 * B, max(f.shape[1], h.shape[1])), dtype=np.int64)
         codes[:B, :f.shape[1]], codes[B:, :h.shape[1]] = f, h
-    out = []
-    for i in indices:
-        ext = gf.field_create(p, base.k * i)  # SizeExceeded past the cap
-        T = gf.log_tables(ext)
-        h_inf = embed(base, ext, h_top)[:, None]
-        n = _solutions(T, p, h_inf, wide[:, None])
-        for _, vals in gf.evaluations(ext, embed(base, ext, codes)):
-            n += _solutions(T, p, vals[B:], vals[:B])
-        out.append(n)
-    return np.stack(out, axis=1)
+    indices = tuple(indices)
+    exts = {i: gf.field_create(p, base.k * i) for i in indices}  # SizeExceeded
+    if p != 2:
+        tables = {i: _square_roots(ext) for i, ext in exts.items()}
+        n = {i: tables[i][wide].astype(np.int64) for i in indices}
+    else:
+        tables = {i: gf.log_tables(ext) for i, ext in exts.items()}
+        n = {i: _trace_solutions(tables[i], embed(base, exts[i], h_top)[:, None],
+                                 wide[:, None]) for i in indices}
+    for i, _, vals in gf.evaluations(base, indices, codes):
+        if p != 2:
+            n[i] += tables[i][vals].sum(axis=1)
+        else:
+            n[i] += _trace_solutions(tables[i], vals[B:], vals[:B])
+    return np.stack([n[i] for i in indices], axis=1)
 
 
 def _rows(C: HyperellipticCurve):

@@ -343,94 +343,166 @@ def log_tables(spec: FieldSpec) -> LogTables:
 # block stays near this many bytes
 EVAL_BLOCK_BYTES = 1 << 20
 
+# the most bytes one cached plan may hold (_plan); a larger right-hand
+# factor is built block by block in each call instead
+PLAN_BYTES = 1 << 22
+
+# (base, exts, D) -> the read-only plan of that key, for each key whose plan
+# fits PLAN_BYTES
+_PLANS: dict = {}
+
 
 @functools.lru_cache(maxsize=None)
-def _eval_constants(spec: FieldSpec, D: int) -> tuple:
-    # (dtype, log t^s for s < k, the place values p^r in dtype) of every
-    # evaluation of D coefficients over spec.  Every product and sum of the
-    # matmul is an integer below 2^24 (float32) or 2^53 (float64), so it is
-    # exact
-    p, K = spec.p, spec.k
-    dtype = np.float32 if K * D * (p - 1) ** 2 < 1 << 24 else np.float64
-    basis = log_tables(spec).log[p ** np.arange(K)]
-    powers = (p ** np.arange(K)).astype(dtype)
-    for arr in (basis, powers):
-        arr.flags.writeable = False
-    return dtype, basis, powers
+def generator_image(base: FieldSpec, ext: FieldSpec) -> int:
+    """The code in ext of the image of base's generator t under the
+    embedding of base (k > 1) into its extension ext: t itself when ext is
+    base, else the first root by rep of base's modulus in ext."""
+    if ext == base:
+        return code(ext, [0, 1])
+    return poly_roots(field_create(base.p), base.modulus, ext.k)[0]
 
 
-@functools.lru_cache(maxsize=32)
-def _x_powers(spec: FieldSpec, D: int, start: int, stop: int) -> np.ndarray:
-    """The read-only (k D, stop - start) matrix whose row r D + j, column n,
-    is digit r of x^j at x = start + n, in the float dtype of (spec, D).
+def _dtype(base: FieldSpec, D: int):
+    # every product and partial sum of evaluations' matmul is an integer,
+    # exact below 2^24 in float32 and 2^53 in float64.  A sum has D k digit
+    # products of at most (p-1)^2, but the x^0 t^0 row holds the digits of
+    # 1, so its product is at most p-1
+    p = base.p
+    top = (p - 1) * ((D * base.k - 1) * (p - 1) + 1)
+    return np.float32 if top < 1 << 24 else np.float64
 
-    It depends on the field, D and the block alone, so every evaluation of D
-    coefficients over spec shares it: a one-block field's block is keyed
-    (0, q) whatever the batch size.  An entry holds at most EVAL_BLOCK_BYTES
-    (half of it in float32), so the 32 entries hold at most 32 MB.
-    """
-    K, q = spec.k, spec.q
-    T = log_tables(spec)
-    # the log of x^j; at x = 0 (log -1) it is right for j = 0 only, and the
-    # digits of 0^j, j > 0, are reset to 0
-    logs = np.arange(D, dtype=np.int32)[:, None] * T.log[start:stop] % (q - 1)
-    right = np.take(T.exp_digits, logs, axis=1)  # (K, D, X)
+
+def _fill(out: np.ndarray, base: FieldSpec, i: int, start: int) -> None:
+    # out[j k + s, r, n] = digit r of gamma^s x^j in F_{q^i}, x = start + n
+    # and gamma the image of base's generator, read off the logs; at x = 0
+    # (log -1) the log is right for j = 0 only, and 0^j, j > 0, is reset to 0
+    k = base.k
+    ext = field_create(base.p, k * i)
+    T = log_tables(ext)
+    lg = int(T.log[generator_image(base, ext)]) if k > 1 else 0
+    lx = T.log[start:start + out.shape[2]].astype(np.int64)
+    D = out.shape[0] // k
+    logs = (np.arange(D)[:, None, None] * lx + lg * np.arange(k)[:, None]) % (ext.q - 1)
+    d = np.take(T.exp_digits, logs, axis=1)  # (K, D, k, X)
     if start == 0:
-        right[:, 1:, 0] = 0
-    right = right.reshape(K * D, -1).astype(_eval_constants(spec, D)[0])
-    right.flags.writeable = False
-    return right
+        d[:, 1:, :, 0] = 0
+    out[...] = d.transpose(1, 2, 0, 3).reshape(out.shape)
 
 
-def evaluations(spec: FieldSpec, coeffs: np.ndarray):
-    """The values of a batch of polynomials at every x of spec, by blocks
-    of x in code order.
+def _plan(base: FieldSpec, exts: tuple, D: int) -> np.ndarray | None:
+    """The read-only right-hand factor of evaluations for (base, exts, D)
+    whole, built in place once per key and kept in _PLANS, or None when its
+    bytes exceed PLAN_BYTES.  F_{q^i}'s part is K q^i columns, K = k i, in
+    the order of exts; its column r q^i + x holds digit r of gamma^s x^j
+    in row j k + s."""
+    key = (base, exts, D)
+    plan = _PLANS.get(key)
+    if plan is None:
+        k, q = base.k, base.q
+        dtype = _dtype(base, D)
+        cols = sum(k * i * q ** i for i in exts)
+        if D * k * cols * np.dtype(dtype).itemsize > PLAN_BYTES:
+            return None
+        plan = np.empty((D * k, cols), dtype)
+        a = 0
+        for i in exts:
+            K, Q = k * i, q ** i
+            part = plan[:, a:a + K * Q].reshape(D * k, K, Q)
+            step = max(1, EVAL_BLOCK_BYTES // (8 * D * k * K))
+            for start in range(0, Q, step):
+                _fill(part[:, :, start:start + step], base, i, start)
+            a += K * Q
+        plan.flags.writeable = False
+        _PLANS[key] = plan
+    return plan
 
-    coeffs is a (B, D) int array of codes of spec: coeffs[b, j] is the x^j
-    coefficient of polynomial b.  Yields (start, values), values[b, n] the
-    code of polynomial b at x = start + n, for start = 0, X, 2X, ... below q.
 
-    Multiplication by c is F_p-linear: digits(c y) = M(c) digits(y), where
-    column s of M(c) is the digits of c t^s, read off the log tables.  So
-    the digits of the values are one matmul per block, the (B*K, K*D)
-    matrix of the coefficients' M(c) times the (K*D, X) digits of x^j,
-    reduced mod p.  The digits of x^j depend on the field, D and the block
-    alone: _x_powers caches them, read-only, keyed by (spec, D, start,
-    stop), in an LRU of 32 entries of at most EVAL_BLOCK_BYTES each, so a
-    call builds only its coefficients' matrix.  The matmul is exact in
-    floats (_eval_constants); einsum runs it on one thread, where a BLAS
-    call can stall on waking idle threads.
+def _blocks(base: FieldSpec, exts: tuple, D: int, B: int, dtype):
+    # (right, parts) per matmul of evaluations: right a (D k, K', X')
+    # factor and parts its (i, start, X) runs of K X columns, K = k i, in
+    # the order of its flattened columns.  A cached plan is one factor for
+    # every F_{q^i} when B rows of values fit EVAL_BLOCK_BYTES, and is
+    # otherwise sliced into views of X elements of one field; past the
+    # budget each such block is built here
+    k, q = base.k, base.q
+    plan = _plan(base, exts, D)
+    if plan is not None and 8 * B * plan.shape[1] <= EVAL_BLOCK_BYTES:
+        yield plan[:, None, :], [(i, 0, q ** i) for i in exts]
+        return
+    a = 0
+    for i in exts:
+        K, Q = k * i, q ** i
+        step = max(1, EVAL_BLOCK_BYTES // (8 * K * max(B, 0 if plan is not None else D * k)))
+        for start in range(0, Q, step):
+            X = min(step, Q - start)
+            if plan is not None:
+                right = plan[:, a:a + K * Q].reshape(D * k, K, Q)[:, :, start:start + X]
+            else:
+                right = np.empty((D * k, K, X), dtype)
+                _fill(right, base, i, start)
+            yield right, [(i, start, X)]
+        a += K * Q
+
+
+def evaluations(base: FieldSpec, exts, coeffs: np.ndarray):
+    """The values of a batch of polynomials over base at every x of
+    F_{q^i}, for each i in exts, by blocks of x.
+
+    coeffs is a (B, D) int array of codes of base: coeffs[b, j] is the x^j
+    coefficient of polynomial b.  Yields (i, start, values), values[b, n]
+    the code in F_{q^i} of polynomial b at x = start + n; the blocks of
+    each field tile it in code order, and the fields come in the order of
+    exts.
+
+    A code c of base is sum_s c_s t^s with F_p digits c_s, and t goes to
+    gamma_i in F_{q^i} (generator_image), so the digits of a value are
+    sum_(j,s) c_(j,s) digits(gamma_i^s x^j): one matmul of the (B, D k)
+    digits of the coefficients, the same for every i, by the plan, which
+    holds the digits of gamma_i^s x^j for every i and x (_plan), reduced
+    mod p, then one recombination of K = k i digits per field.  The plan
+    depends on (base, exts, D) alone and is kept whole when it fits
+    PLAN_BYTES; a small batch then takes it in one matmul, and a larger
+    one by views of it.  Past that budget each call builds its blocks.
+    Either way each transient array stays near EVAL_BLOCK_BYTES.  The
+    matmul is exact in floats (_dtype); einsum runs it on one thread,
+    where a BLAS call can stall on waking idle threads.
     """
-    p, K, q = spec.p, spec.k, spec.q
+    p, k = base.p, base.k
     B, D = coeffs.shape
-    T = log_tables(spec)
-    dtype, basis, powers = _eval_constants(spec, D)
-    # m[r, b, j, s]: digit r of coeffs[b, j] t^s, that is M(coeffs[b, j])[r, s]
-    lc = T.log[coeffs]
-    m = np.take(T.exp_digits, (lc[..., None] + basis) % (q - 1), axis=1)
-    m[:, lc < 0] = 0
-    left = m.transpose(1, 0, 3, 2).reshape(B * K, K * D).astype(dtype)
-    step = max(1, EVAL_BLOCK_BYTES // (8 * K * max(D, B)))
-    for start in range(0, q, step):
-        right = _x_powers(spec, D, start, min(start + step, q))
-        vals = np.einsum("ij,jk->ik", left, right)
+    exts = tuple(exts)
+    for i in exts:
+        field_create(p, k * i)  # SizeExceeded before any work
+    dtype = _dtype(base, D)
+    left = coeffs[..., None] // p ** np.arange(k) % p
+    left = left.reshape(B, D * k).astype(dtype)
+    for right, parts in _blocks(base, exts, D, B, dtype):
+        vals = np.einsum("ij,jrx->irx", left, right)
+        vals = vals.reshape(B, vals.shape[1] * vals.shape[2])
         vals -= p * np.floor(vals / p)
-        yield start, np.einsum("brx,r->bx", vals.reshape(B, K, right.shape[1]),
-                               powers).astype(np.intp)
+        a = 0
+        for i, start, X in parts:
+            K = k * i
+            digits_ = vals[:, a:a + K * X].reshape(B, K, X)
+            codes = np.einsum("brx,r->bx", digits_, p ** np.arange(K, dtype=dtype))
+            yield i, start, codes.astype(np.intp)
+            a += K * X
 
 
-def poly_roots(spec: FieldSpec, a: list) -> list:
-    """The codes of all roots of a (a code list) in the field, without
+def poly_roots(base: FieldSpec, a, m: int = 1) -> list:
+    """The codes of all roots in F_{q^m} of a, a code list of base, without
     multiplicity, sorted by rep, from a's value at every x (evaluations).
 
     >>> F = field_create(3, 2)
     >>> [digits(F, r) for r in poly_roots(F, [0, 1, 0, 1])]  # x^3 + x
     [(0, 0), (0, 1), (0, 2)]
+    >>> poly_roots(field_create(3), [1, 0, 1], 2)  # x^2 + 1 over F_9
+    [3, 6]
     """
     a = _fpx.trim(list(a))
     if not a:
         raise ValueError("zero polynomial has every root")
+    ext = field_create(base.p, base.k * m)
     roots = []
-    for start, vals in evaluations(spec, np.array([a], dtype=np.int64)):
+    for _, start, vals in evaluations(base, (m,), np.array([a], dtype=np.int64)):
         roots += (np.flatnonzero(vals[0] == 0) + start).tolist()
-    return sorted(roots, key=lambda r: digits(spec, r))
+    return sorted(roots, key=lambda r: digits(ext, r))

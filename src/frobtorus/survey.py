@@ -210,17 +210,14 @@ _LINE = '{"curve":%s,%s,"timing":{"count_s":%s,"zeta_s":%r,"classify_s":%r}}\n'
 def _read_survey(data: bytes):
     """Split survey-file bytes into (header, lines, keep): the header
     object (None when line 1 is none), the whole lines, newlines cut off,
-    and their byte length.  A half-written last line, with or without its
-    newline, is left out; only it and line 1 are decoded.  Raises
-    CorruptRecord (line 1) for a header whose members are not format, p,
-    genus and degree, in that order, or whose family SurveyConfig refuses.
+    and their byte length.  A last line without its newline is torn, since
+    the writer ends each line with one, and is left out; a whole line is
+    kept whatever it holds.  Only line 1 is decoded.  Raises CorruptRecord
+    (line 1) for a header whose members are not format, p, genus and
+    degree, in that order, or whose family SurveyConfig refuses.
     """
     lines = data.split(b"\n")
     keep = len(data) - len(lines.pop())  # no newline: empty or half-written
-    try:
-        lines and json.loads(lines[-1])
-    except ValueError:
-        keep -= len(lines.pop()) + 1  # half-written last line with its newline
     try:
         header = json.loads(lines[0]) if lines else None
     except ValueError:

@@ -513,9 +513,9 @@ def test_count_batch_over_many_x_blocks(monkeypatch, p, k, g):
     evaluations = gf.evaluations
 
     def counted(*args):
-        for start, vals in evaluations(*args):
+        for i, start, vals in evaluations(*args):
             blocks.append(start)
-            yield start, vals
+            yield i, start, vals
 
     monkeypatch.setattr(gf, "EVAL_BLOCK_BYTES", 1 << 9)
     monkeypatch.setattr(gf, "evaluations", counted)

@@ -210,23 +210,44 @@ def test_poly_roots_in_extension_field():
         assert gf.mul(spec, r, r) == 2  # -1
 
 
-def _evaluated(spec, coeffs):
-    # evaluations' blocks as one (B, q) array, and how many blocks there
-    # were; the blocks tile the field in code order
-    blocks = list(gf.evaluations(spec, coeffs))
-    widths = [vals.shape[1] for _, vals in blocks]
-    assert [start for start, _ in blocks] == [sum(widths[:i]) for i in range(len(blocks))]
-    assert sum(widths) == spec.q
-    return np.concatenate([vals for _, vals in blocks], axis=1), len(blocks)
+def _evaluated(base, coeffs, exts=(1,)):
+    # evaluations' blocks as one (B, q^i) array per i in exts, and how many
+    # blocks there were; the blocks of each field tile it in code order, and
+    # the fields come in the order of exts
+    got = {i: [] for i in exts}
+    width = dict.fromkeys(exts, 0)
+    order = []
+    for i, start, vals in gf.evaluations(base, exts, coeffs):
+        assert start == width[i]
+        got[i].append(vals)
+        width[i] += vals.shape[1]
+        order.append(i)
+    assert order == sorted(order, key=list(exts).index)
+    out = {}
+    for i in exts:
+        out[i] = np.concatenate(got[i], axis=1)
+        assert out[i].shape == (len(coeffs), base.q ** i)
+    return out, len(order)
+
+
+def _configs(monkeypatch):
+    # the default budgets, where each field here is one cached plan taken in
+    # one matmul; 16-byte blocks, which take that plan by views of a few x;
+    # and no plan budget, which builds those blocks in each call.  Each
+    # configuration starts from no cached plan
+    default = gf.EVAL_BLOCK_BYTES
+    for block, plan in ((default, gf.PLAN_BYTES), (1 << 4, gf.PLAN_BYTES), (1 << 4, 0)):
+        monkeypatch.setattr(gf, "EVAL_BLOCK_BYTES", block)
+        monkeypatch.setattr(gf, "PLAN_BYTES", plan)
+        monkeypatch.setattr(gf, "_PLANS", {})
+        yield block < default
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 2), (3, 3), (7, 2), (2, 5)])
 def test_evaluations_match_scalar_evaluate(monkeypatch, p, k):
-    # at the default budget each field here is one x-block; at 64 bytes each
-    # but F_2 spans several, whose keys differ from the one-block key in
-    # stop, and F_49 more than the cache holds.  Two D share the field, and
-    # about half the coefficients are 0, so 0^j, j > 0, is read at x = 0 on
-    # most rows
+    # values over the base field itself, with two D sharing the field; about
+    # half the coefficients are 0, so 0^j, j > 0, is read at x = 0 on most
+    # rows
     spec = gf.field_create(p, k)
     rng = random.Random(f"evaluations {p}^{k}")
     batches = {}
@@ -235,60 +256,151 @@ def test_evaluations_match_scalar_evaluate(monkeypatch, p, k):
                   for _ in range(256)]
         batches[D] = coeffs, [[gf.evaluate(spec, a, x) for x in range(spec.q)]
                               for a in coeffs]
-    gf._x_powers.cache_clear()
-    default = gf.EVAL_BLOCK_BYTES
-    for budget in (default, 1 << 6):
-        monkeypatch.setattr(gf, "EVAL_BLOCK_BYTES", budget)
+    for small in _configs(monkeypatch):
         for coeffs, expected in batches.values():
             for B in (1, 256):
                 vals, n = _evaluated(spec, np.array(coeffs[:B], dtype=np.int64))
-                assert vals.tolist() == expected[:B]
-                assert (n > 1) == (budget < default) or spec.q == 2
+                assert vals[1].tolist() == expected[:B]
+                assert (n > 1) == small or spec.q == 2
 
 
+def _embedded(base, ext, c):
+    # the code in ext of the code c of base: sum_s c_s gamma^s, by scalar
+    # arithmetic, gamma the image of base's generator
+    if base.k == 1:
+        return c
+    gamma = gf.generator_image(base, ext)
+    out = 0
+    for s, d in enumerate(gf.digits(base, c)):
+        out = gf.add(ext, out, gf.mul(ext, d, gf.power(ext, gamma, s)))
+    return out
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)])
+def test_evaluations_match_scalar_evaluate_in_every_extension(monkeypatch, p, k):
+    # every x of F_{q^i}, i <= 3, against Horner's rule on the embedded
+    # coefficients, for batches of 1, 2 and 256 rows.  The 256 rows repeat
+    # eight polynomials in shuffled order; half their coefficients are 0,
+    # and one is the zero polynomial
+    base = gf.field_create(p, k)
+    exts = (1, 2, 3)
+    rng = random.Random(f"extensions {p}^{k}")
+    D = 5
+    polys = [[0] * D] + [[rng.choice([0, rng.randrange(1, base.q)]) for _ in range(D)]
+                         for _ in range(7)]
+    expected = {}
+    for i in exts:
+        ext = gf.field_create(p, k * i)
+        if k > 1:
+            gamma = gf.generator_image(base, ext)
+            assert gf.evaluate(ext, list(base.modulus), gamma) == 0
+        embedded = [[_embedded(base, ext, c) for c in a] for a in polys]
+        expected[i] = np.array([[gf.evaluate(ext, a, x) for x in range(ext.q)]
+                                for a in embedded])
+    rows = [0, 1] + [rng.randrange(len(polys)) for _ in range(254)]
+    block, plan = gf.EVAL_BLOCK_BYTES, gf.PLAN_BYTES
+    for B in (1, 2, 256):
+        coeffs = np.array([polys[r] for r in rows[:B]], dtype=np.int64)
+        # the default budgets: one row takes the cached plan of all three
+        # fields in one matmul, one block per field
+        monkeypatch.setattr(gf, "EVAL_BLOCK_BYTES", block)
+        monkeypatch.setattr(gf, "PLAN_BYTES", plan)
+        vals, n = _evaluated(base, coeffs, exts)
+        assert B > 1 or n == len(exts)
+        for i in exts:
+            assert (vals[i] == expected[i][rows[:B]]).all(), (i, B)
+        # each field alone in blocks of about a quarter of it, by views of
+        # its cached plan, then built in each call past a zero plan budget
+        for i in exts:
+            monkeypatch.setattr(gf, "EVAL_BLOCK_BYTES", 8 * k * i * B * -(-base.q ** i // 4))
+            for budget in (plan, 0):
+                monkeypatch.setattr(gf, "PLAN_BYTES", budget)
+                monkeypatch.setattr(gf, "_PLANS", {})
+                vals, n = _evaluated(base, coeffs, (i,))
+                assert n > 1 and bool(gf._PLANS) == bool(budget)
+                assert (vals[i] == expected[i][rows[:B]]).all(), (i, B, budget)
+
+
+# the primes on either side of the float32 boundary of a polynomial of
+# degree deg over F_p: the largest sum of the matmul, (p-1)(deg (p-1) + 1),
+# is below 2^24 for the first and not for the second
 @pytest.mark.parametrize(
-    "D,p,dtype",
+    "deg,p,dtype",
     [(4, 2039, np.float32), (4, 2053, np.float64),
      (7, 1549, np.float32), (7, 1553, np.float64),
      (10, 1291, np.float32), (10, 1297, np.float64)],
 )
-def test_evaluations_are_exact_at_the_float_dtype_boundary(D, p, dtype):
-    # the largest prime whose products D (p-1)^2 stay below 2^24 runs the
-    # matmul in float32, the next prime in float64; an all-(p-1) row meets
-    # the largest sums, and random rows the rest
+def test_evaluations_are_exact_at_the_float_dtype_boundary(deg, p, dtype):
+    # an all-(p-1) row meets the largest sums, and random rows the rest
     spec = gf.field_create(p)
-    assert gf._eval_constants(spec, D)[0] is dtype
-    rng = random.Random(f"dtype boundary {p} {D}")
+    D = deg + 1
+    assert gf._dtype(spec, D) is dtype
+    assert ((p - 1) * (deg * (p - 1) + 1) < 1 << 24) == (dtype is np.float32)
+    rng = random.Random(f"dtype boundary {p} {deg}")
     coeffs = [[p - 1] * D] + [[rng.randrange(p) for _ in range(D)] for _ in range(3)]
     vals, _ = _evaluated(spec, np.array(coeffs, dtype=np.int64))
-    assert vals.tolist() == [[gf.evaluate(spec, a, x) for x in range(p)]
-                             for a in coeffs]
+    assert vals[1].tolist() == [[gf.evaluate(spec, a, x) for x in range(p)]
+                                for a in coeffs]
 
 
-def test_a_one_block_field_shares_one_read_only_entry():
-    # a one-block field's block is keyed (0, q) at every batch size: analyze
-    # (B = 1), its characteristic-2 twin (B = 2) and a survey batch share it
+@pytest.mark.parametrize(
+    "deg,p,dtype", [(116508, 13, np.float32), (116509, 13, np.float64)]
+)
+def test_evaluations_into_an_extension_are_exact_at_the_float_dtype_boundary(
+    deg, p, dtype
+):
+    # a prime base evaluated over F_{p^2}: the bound counts the base's
+    # digits, not the extension's.  Past the plan budget, each x is its own
+    # block.  Since x^(p^2-1) = 1 for x != 0, folding the exponents j >= 1
+    # onto 1..p^2-1 gives a short polynomial with the same values
+    base, ext = gf.field_create(p), gf.field_create(p, 2)
+    D = deg + 1
+    assert gf._dtype(base, D) is dtype
+    rng = random.Random(f"extension dtype boundary {deg}")
+    coeffs = [[p - 1] * D, [rng.randrange(p) for _ in range(D)]]
+    vals, _ = _evaluated(base, np.array(coeffs, dtype=np.int64), (2,))
+    assert not gf._PLANS.get((base, (2,), D))
+    for a, got in zip(coeffs, vals[2].tolist()):
+        folded = [a[0]] + [0] * (ext.q - 1)
+        for j in range(1, D):
+            r = 1 + (j - 1) % (ext.q - 1)
+            folded[r] = (folded[r] + a[j]) % p
+        assert got == [gf.evaluate(ext, folded, x) for x in range(ext.q)]
+
+
+def test_a_one_block_field_shares_one_read_only_entry(monkeypatch):
+    # the plan of (F_9, (1, 2), 6) is built once, whatever the batch size:
+    # analyze (B = 1), its characteristic-2 twin (B = 2) and a survey batch
+    # share it.  Past the plan budget no plan is kept, and each call builds
+    # its blocks
     spec = gf.field_create(3, 2)
-    gf._x_powers.cache_clear()
+    monkeypatch.setattr(gf, "_PLANS", {})
+    built = []
+    fill = gf._fill
+    monkeypatch.setattr(gf, "_fill", lambda out, *a: built.append(a) or fill(out, *a))
     for B in (1, 2, 256):
-        list(gf.evaluations(spec, np.ones((B, 6), dtype=np.int64)))
-    info = gf._x_powers.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-    right = gf._x_powers(spec, 6, 0, spec.q)
-    assert right.shape == (2 * 6, spec.q)
-    assert right.nbytes <= gf.EVAL_BLOCK_BYTES // 2  # float32 here
-    _, basis, powers = gf._eval_constants(spec, 6)
-    for arr in (right, basis, powers):
-        assert not arr.flags.writeable
+        list(gf.evaluations(spec, (1, 2), np.ones((B, 6), dtype=np.int64)))
+    assert list(gf._PLANS) == [(spec, (1, 2), 6)]
+    plan = gf._PLANS[spec, (1, 2), 6]
+    assert len(built) == 2  # one fill per field, at the first call only
+    assert plan.shape == (2 * 6, 2 * 9 + 4 * 81)
+    assert plan.dtype == np.float32 and plan.nbytes <= gf.PLAN_BYTES
+    assert not plan.flags.writeable
     with pytest.raises(ValueError):
-        right[0, 0] = 1
+        plan[0, 0] = 1
+    monkeypatch.setattr(gf, "PLAN_BYTES", plan.nbytes - 1)
+    monkeypatch.setattr(gf, "_PLANS", {})
+    built.clear()
+    for B in (1, 2):
+        list(gf.evaluations(spec, (1, 2), np.ones((B, 6), dtype=np.int64)))
+    assert gf._PLANS == {} and len(built) == 4
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (2, 1), (3, 2), (2, 3)])
 def test_evaluations_of_an_empty_batch(p, k):
     spec = gf.field_create(p, k)
-    vals, _ = _evaluated(spec, np.zeros((0, 4), dtype=np.int64))
-    assert vals.shape == (0, spec.q)
+    vals, _ = _evaluated(spec, np.zeros((0, 4), dtype=np.int64), (1, 2))
+    assert vals[1].shape == (0, spec.q) and vals[2].shape == (0, spec.q ** 2)
 
 
 def _rep_order(spec):

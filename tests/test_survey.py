@@ -313,6 +313,10 @@ def _tampered(data: bytes, case: str) -> bytes:
         lines.append(json.dumps(p5))
     elif case == "torn":
         return data[:-20]
+    elif case == "whole_non_json":
+        # a last line with its newline is whole, so it is held to the rule
+        # whether or not it decodes
+        lines.append("this is not json")
     elif case == "format":
         lines[0] = lines[0].replace(FORMAT, "frobtorus-survey-v0")
     return ("\n".join(lines) + "\n").encode()
@@ -351,6 +355,7 @@ READ_EXPECTED = {
     "non_monic": {"report": (CorruptRecord, 2), "resume": (CorruptRecord, 2)},
     "singular_key": {"report": (CorruptRecord, 2), "resume": (CorruptRecord, 2)},
     "torn": {"report": (CorruptRecord, 6), "resume": None},
+    "whole_non_json": {"report": (CorruptRecord, 7), "resume": (CorruptRecord, 7)},
     "format": {"report": (CorruptRecord, 1), "resume": (ResumeMismatch, None)},
 }
 
@@ -650,9 +655,22 @@ def test_report_flags_non_json_line(tmp_path):
     _, path, _ = _run_to_file(tmp_path, p=3, genus=1, degree=3, limit=2)
     with open(path, "a") as fh:
         fh.write("this is not json\n")
-    with pytest.raises(CorruptRecord) as exc:
+    with pytest.raises(CorruptRecord, match="line 4 is not what the survey writes") as exc:
         report(str(path))
     assert exc.value.line == 4
+
+
+def test_resume_refuses_a_whole_last_line_that_is_no_record(tmp_path):
+    # the line has its newline, so it is no torn write: resuming with a
+    # higher limit refuses it and leaves the file as it was
+    _, path, _ = _run_to_file(tmp_path, p=3, genus=1, degree=3, limit=2)
+    with open(path, "a") as fh:
+        fh.write("this is not json\n")
+    before = path.read_bytes()
+    with pytest.raises(CorruptRecord) as exc:
+        run_survey(SurveyConfig(p=3, genus=1, degree=3, limit=3), out_path=str(path))
+    assert exc.value.line == 4
+    assert path.read_bytes() == before
 
 
 # -- a survey file is what the survey writes --------------------------------
