@@ -14,23 +14,24 @@ arrays (smoothness_gcd_degrees: the degree of the same gcd for every row
 of two code arrays over F_p, by one lockstep Euclid in numpy), so it
 builds no curve, no Singular, and never searches.  Counting is batched on
 the same kind of arrays (count_batch(base, g, h, f)): the f (and h) rows
-are evaluated at every x of the field at once (gf.evaluations, one matmul
-per block of x, whose right-hand digits of x^j gf builds once per field,
-number of coefficients and block, and keeps in a 32-entry LRU of at most
-32 MB), and the y over each x are counted from the value alone:
-the quadratic character (parity of the log) in odd characteristic, the
-absolute trace of f/h^2 in characteristic 2.  The points at infinity of
-the smooth model are counted the same way from column 2g+2 of f and
-column g+1 of h.  count_points and counts_up_to_genus pass the rows of
-their one curve.
+are evaluated at every x of every F_{q^i}, i = 1..g, by one
+gf.evaluations call on their base-field codes (one matmul of their
+digits by a plan gf builds once per base field, genus and number of
+coefficients, and keeps when it fits gf.PLAN_BYTES), and the y over each
+x are counted from the value alone: by the table n[c] = #{y : y^2 = c}
+of F_{q^i} in odd characteristic, by the absolute trace of f/h^2 in
+characteristic 2.  The points at infinity of the smooth model are
+counted the same way from column 2g+2 of f and column g+1 of h.
+count_points and counts_up_to_genus pass the rows of their one curve.
 
-A base-field polynomial reaches F_{q^m} one way: embed maps its codes, one
-or an array at once, by a code-to-code table that sends the generator to
-the lexicographically first root of the base modulus (for prime base
-fields and for src == dst the identity on codes), and gf.evaluations and
-gf.poly_roots take the embedded codes.  That first root, and the roots
-behind a singular curve's witness, come from gf.poly_roots, which runs on
-the same whole-field evaluator.
+A base-field polynomial is evaluated over F_{q^m} on its own codes, the
+generator going to the lexicographically first root of the base modulus
+(gf.generator_image); gf.poly_roots finds that root, and the roots behind
+a singular curve's witness, on the same evaluator.  embed maps single
+codes, or an array of codes, by the code-to-code table of the same
+embedding (for prime base fields and for src == dst the identity on
+codes): the top coefficient of h at infinity in characteristic 2, and
+f at a witness.
 """
 
 from __future__ import annotations
@@ -271,8 +272,8 @@ def count_batch(base: gf.FieldSpec, g: int, h: np.ndarray, f: np.ndarray) -> lis
     of degree 2g+1 or 2g+2, and in odd characteristic h is (B, 0).  F_{q^g}
     is built before any counting, so a batch whose largest field is past
     the size cap raises SizeExceeded at once.  All g fields are counted by
-    one gf.evaluations call, whose plan for (base, 1..g, W) is cached when
-    it fits gf.PLAN_BYTES (_counts).
+    one gf.evaluations call on the rows' own codes (_counts), whose plan
+    gf keeps per (base, g, coefficient width) when it fits gf.PLAN_BYTES.
     """
     gf.field_create(base.p, base.k * g)
     return _counts(base, g, h, f, range(1, g + 1)).tolist()
@@ -301,20 +302,25 @@ def _counts(base: gf.FieldSpec, g: int, h: np.ndarray, f: np.ndarray,
         codes = np.zeros((2 * B, max(f.shape[1], h.shape[1])), dtype=np.int64)
         codes[:B, :f.shape[1]], codes[B:, :h.shape[1]] = f, h
     indices = tuple(indices)
-    exts = {i: gf.field_create(p, base.k * i) for i in indices}  # SizeExceeded
-    if p != 2:
-        tables = {i: _square_roots(ext) for i, ext in exts.items()}
-        n = {i: tables[i][wide].astype(np.int64) for i in indices}
-    else:
-        tables = {i: gf.log_tables(ext) for i, ext in exts.items()}
-        n = {i: _trace_solutions(tables[i], embed(base, exts[i], h_top)[:, None],
-                                 wide[:, None]) for i in indices}
-    for i, _, vals in gf.evaluations(base, indices, codes):
+    out = np.empty((B, len(indices)), dtype=np.int64)
+    tables = {}  # i -> (column, table)
+    for c, i in enumerate(indices):
+        ext = gf.field_create(p, base.k * i)  # SizeExceeded past the cap
         if p != 2:
-            n[i] += tables[i][vals].sum(axis=1)
+            table = _square_roots(ext)
+            out[:, c] = table[wide]
         else:
-            n[i] += _trace_solutions(tables[i], vals[B:], vals[:B])
-    return np.stack([n[i] for i in indices], axis=1)
+            table = gf.log_tables(ext)
+            h_inf = embed(base, ext, h_top)[:, None]
+            out[:, c] = _trace_solutions(table, h_inf, wide[:, None])
+        tables[i] = c, table
+    for i, _, vals in gf.evaluations(base, indices, codes):
+        c, table = tables[i]
+        if p != 2:
+            out[:, c] += table[vals].sum(axis=1)
+        else:
+            out[:, c] += _trace_solutions(table, vals[B:], vals[:B])
+    return out
 
 
 def _rows(C: HyperellipticCurve):

@@ -22,16 +22,18 @@ primitive element, the digits of each power and, for p = 2, its absolute
 trace.  The tables are built by _fpx arithmetic on digit lists modulo the
 field modulus, the one place where the package still multiplies digit
 lists.
-``evaluations`` evaluates a batch of polynomials, given as codes of the
-field itself, at every element, block by block of x, by one exact matmul
-per block; point counting and root finding (``poly_roots``: singularity
-witnesses, coefficient embeddings) both run on it.  The right-hand factor
-of each matmul, the digits of x^j over the block, depends on the field, the
-number D of coefficients and the block alone, so it is built once and kept
-read-only in an LRU of 32 entries keyed by (field, D, start, stop).  An
-entry holds at most EVAL_BLOCK_BYTES in float64 and half that in float32,
-so the cache holds at most 32 MB, and 16 MB while no cached block needs
-float64 (a large prime field, where k D (p-1)^2 >= 2^24).
+``evaluations`` evaluates a batch of polynomials over a field at every
+element of its extensions F_{q^i}, i in a given tuple, by one exact matmul:
+the F_p digits of the coefficient codes, which are the same for every i,
+times a plan holding the digits of gamma_i^s x^j for every x of every
+F_{q^i}, gamma_i the image of the field's generator (``generator_image``),
+reduced mod p, then one recombination of digits into codes per field.
+Point counting and root finding (``poly_roots``: singularity witnesses,
+the embeddings' gamma) both run on it, and no coefficient is embedded.
+The plan depends on the field, the tuple and the number D of coefficients
+alone, so it is built once, read-only, and kept whole in ``_PLANS`` when
+it fits PLAN_BYTES (4 MB); past that budget each call builds its blocks
+of x.  Either way each transient array stays near EVAL_BLOCK_BYTES (1 MB).
 """
 
 from __future__ import annotations
@@ -429,10 +431,12 @@ def _blocks(base: FieldSpec, exts: tuple, D: int, B: int, dtype):
     if plan is not None and 8 * B * plan.shape[1] <= EVAL_BLOCK_BYTES:
         yield plan[:, None, :], [(i, 0, q ** i) for i in exts]
         return
+    # the values take B rows, and a block built here D k rows more
+    rows = B if plan is not None else max(B, D * k)
     a = 0
     for i in exts:
         K, Q = k * i, q ** i
-        step = max(1, EVAL_BLOCK_BYTES // (8 * K * max(B, 0 if plan is not None else D * k)))
+        step = max(1, EVAL_BLOCK_BYTES // (8 * K * rows))
         for start in range(0, Q, step):
             X = min(step, Q - start)
             if plan is not None:
@@ -473,7 +477,7 @@ def evaluations(base: FieldSpec, exts, coeffs: np.ndarray):
     for i in exts:
         field_create(p, k * i)  # SizeExceeded before any work
     dtype = _dtype(base, D)
-    left = coeffs[..., None] // p ** np.arange(k) % p
+    left = coeffs if k == 1 else coeffs[..., None] // p ** np.arange(k) % p
     left = left.reshape(B, D * k).astype(dtype)
     for right, parts in _blocks(base, exts, D, B, dtype):
         vals = np.einsum("ij,jrx->irx", left, right)
@@ -482,8 +486,11 @@ def evaluations(base: FieldSpec, exts, coeffs: np.ndarray):
         a = 0
         for i, start, X in parts:
             K = k * i
-            digits_ = vals[:, a:a + K * X].reshape(B, K, X)
-            codes = np.einsum("brx,r->bx", digits_, p ** np.arange(K, dtype=dtype))
+            ds = vals[:, a:a + K * X].reshape(B, K, X)
+            if K > 1:
+                codes = np.einsum("brx,r->bx", ds, p ** np.arange(K, dtype=dtype))
+            else:
+                codes = ds[:, 0]
             yield i, start, codes.astype(np.intp)
             a += K * X
 
