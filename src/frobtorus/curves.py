@@ -244,7 +244,7 @@ def embed(src: gf.FieldSpec, dst: gf.FieldSpec, a):
 
 
 @functools.lru_cache(maxsize=None)
-def _square_roots(ext: gf.FieldSpec) -> np.ndarray:
+def _square_root_counts(ext: gf.FieldSpec) -> np.ndarray:
     # n[c] = #{y : y^2 = c} over ext, odd p: one root of 0, two of a nonzero
     # square (even log), none otherwise; read-only int8
     log = gf.log_tables(ext).log
@@ -307,7 +307,7 @@ def _counts(base: gf.FieldSpec, g: int, h: np.ndarray, f: np.ndarray,
     for c, i in enumerate(indices):
         ext = gf.field_create(p, base.k * i)  # SizeExceeded past the cap
         if p != 2:
-            table = _square_roots(ext)
+            table = _square_root_counts(ext)
             out[:, c] = table[wide]
         else:
             table = gf.log_tables(ext)
