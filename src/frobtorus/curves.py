@@ -292,13 +292,14 @@ def _counts(base: gf.FieldSpec, g: int, h: np.ndarray, f: np.ndarray,
     degree-(2g+1) model one point, which f = h = 0 gives.
     """
     p, B = base.p, len(f)
-    # 1 for a degree-(2g+2) model, else 0; h_{g+1} of the former, else 0.
-    # Past column 2g+2 of f and g+1 of h a row holds only zeros, so a row's
-    # sum from there on is that column's entry, and 0 where it is absent
+    # 1 for a degree-(2g+2) model, else 0; for p = 2, h_{g+1} of the former,
+    # else 0.  Past column 2g+2 of f and g+1 of h a row holds only zeros, so
+    # a row's sum from there on is that column's entry, and 0 where it is
+    # absent
     wide = f[:, 2 * g + 2:].sum(axis=1)
-    h_top = wide * h[:, g + 1:].sum(axis=1)
     codes = f
     if p == 2:
+        h_top = wide * h[:, g + 1:].sum(axis=1)
         codes = np.zeros((2 * B, max(f.shape[1], h.shape[1])), dtype=np.int64)
         codes[:B, :f.shape[1]], codes[B:, :h.shape[1]] = f, h
     indices = tuple(indices)
