@@ -17,7 +17,7 @@ the same kind of arrays (count_batch(base, g, h, f)): the f (and h) rows
 are evaluated at every x of every F_{q^i}, i = 1..g, by one
 gf.evaluations call on their base-field codes (one matmul of their
 digits by a plan gf builds once per base field, genus and number of
-coefficients, and keeps when it fits gf.PLAN_BYTES), and the y over each
+coefficients, and keeps within gf.PLAN_BYTES), and the y over each
 x are counted from the value alone: by the table n[c] = #{y : y^2 = c}
 of F_{q^i} in odd characteristic, by the absolute trace of f/h^2 in
 characteristic 2.  The points at infinity of the smooth model are
@@ -273,7 +273,7 @@ def count_batch(base: gf.FieldSpec, g: int, h: np.ndarray, f: np.ndarray) -> lis
     is built before any counting, so a batch whose largest field is past
     the size cap raises SizeExceeded at once.  All g fields are counted by
     one gf.evaluations call on the rows' own codes (_counts), whose plan
-    gf keeps per (base, g, coefficient width) when it fits gf.PLAN_BYTES.
+    gf keeps per (base, g, coefficient width) within gf.PLAN_BYTES.
     """
     gf.field_create(base.p, base.k * g)
     return _counts(base, g, h, f, range(1, g + 1)).tolist()

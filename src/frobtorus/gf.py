@@ -31,9 +31,10 @@ reduced mod p, then one recombination of digits into codes per field.
 Point counting and root finding (``poly_roots``: singularity witnesses,
 the embeddings' gamma) both run on it, and no coefficient is embedded.
 The plan depends on the field, the tuple and the number D of coefficients
-alone, so it is built once, read-only, and kept whole in ``_PLANS`` when
-it fits PLAN_BYTES (4 MB); past that budget each call builds its blocks
-of x.  Either way each transient array stays near EVAL_BLOCK_BYTES (1 MB).
+alone, so it is built once, read-only, and kept whole in ``_PLANS``, whose
+plans together hold at most PLAN_BYTES (4 MB), the oldest dropped first;
+a plan past that budget is never kept, and each call builds its blocks of
+x.  Either way each transient array stays near EVAL_BLOCK_BYTES (1 MB).
 """
 
 from __future__ import annotations
@@ -345,12 +346,11 @@ def log_tables(spec: FieldSpec) -> LogTables:
 # block stays near this many bytes
 EVAL_BLOCK_BYTES = 1 << 20
 
-# the most bytes one cached plan may hold (_plan); a larger right-hand
-# factor is built block by block in each call instead
+# the most bytes the cached plans may hold together (_plan); a larger
+# right-hand factor is built block by block in each call instead
 PLAN_BYTES = 1 << 22
 
-# (base, exts, D) -> the read-only plan of that key, for each key whose plan
-# fits PLAN_BYTES
+# (base, exts, D) -> the read-only plan of that key, oldest first
 _PLANS: dict = {}
 
 
@@ -394,17 +394,21 @@ def _fill(out: np.ndarray, base: FieldSpec, i: int, start: int) -> None:
 def _plan(base: FieldSpec, exts: tuple, D: int) -> np.ndarray | None:
     """The read-only right-hand factor of evaluations for (base, exts, D)
     whole, built in place once per key and kept in _PLANS, or None when its
-    bytes exceed PLAN_BYTES.  F_{q^i}'s part is K q^i columns, K = k i, in
-    the order of exts; its column r q^i + x holds digit r of gamma^s x^j
-    in row j k + s."""
+    bytes exceed PLAN_BYTES.  The oldest plans are dropped first until the
+    new one fits PLAN_BYTES with the rest.  F_{q^i}'s part is K q^i
+    columns, K = k i, in the order of exts; its column r q^i + x holds
+    digit r of gamma^s x^j in row j k + s."""
     key = (base, exts, D)
     plan = _PLANS.get(key)
     if plan is None:
         k, q = base.k, base.q
         dtype = _dtype(base, D)
         cols = sum(k * i * q ** i for i in exts)
-        if D * k * cols * np.dtype(dtype).itemsize > PLAN_BYTES:
+        size = D * k * cols * np.dtype(dtype).itemsize
+        if size > PLAN_BYTES:
             return None
+        while size + sum(kept.nbytes for kept in _PLANS.values()) > PLAN_BYTES:
+            del _PLANS[next(iter(_PLANS))]
         plan = np.empty((D * k, cols), dtype)
         a = 0
         for i in exts:
@@ -464,9 +468,9 @@ def evaluations(base: FieldSpec, exts, coeffs: np.ndarray):
     digits of the coefficients, the same for every i, by the plan, which
     holds the digits of gamma_i^s x^j for every i and x (_plan), reduced
     mod p, then one recombination of K = k i digits per field.  The plan
-    depends on (base, exts, D) alone and is kept whole when it fits
-    PLAN_BYTES; a small batch then takes it in one matmul, and a larger
-    one by views of it.  Past that budget each call builds its blocks.
+    depends on (base, exts, D) alone and is kept whole within PLAN_BYTES;
+    a small batch then takes it in one matmul, and a larger one by views
+    of it.  Past that budget each call builds its blocks.
     Either way each transient array stays near EVAL_BLOCK_BYTES.  The
     matmul is exact in floats (_dtype); einsum runs it on one thread,
     where a BLAS call can stall on waking idle threads.

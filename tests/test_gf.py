@@ -396,6 +396,28 @@ def test_a_one_block_field_shares_one_read_only_entry(monkeypatch):
     assert gf._PLANS == {} and len(built) == 4
 
 
+def test_cached_plans_hold_at_most_the_budget_together(monkeypatch):
+    # a budget that holds either plan but not both: each new plan drops the
+    # oldest, so the plans kept never pass it, and a dropped plan is built
+    # again when its field comes back
+    F9, F25 = gf.field_create(3, 2), gf.field_create(5, 2)
+    monkeypatch.setattr(gf, "_PLANS", {})
+    ones = np.ones((1, 6), dtype=np.int64)
+    list(gf.evaluations(F9, (1, 2), ones))
+    list(gf.evaluations(F25, (1, 2), ones))
+    sizes = {key[0]: plan.nbytes for key, plan in gf._PLANS.items()}
+    assert set(sizes) == {F9, F25}
+    monkeypatch.setattr(gf, "PLAN_BYTES", max(sizes.values()))
+    monkeypatch.setattr(gf, "_PLANS", {})
+    for spec in (F9, F25, F9):
+        list(gf.evaluations(spec, (1, 2), ones))
+        assert list(gf._PLANS) == [(spec, (1, 2), 6)]
+    assert sum(plan.nbytes for plan in gf._PLANS.values()) <= gf.PLAN_BYTES
+    monkeypatch.setattr(gf, "PLAN_BYTES", sum(sizes.values()))
+    list(gf.evaluations(F25, (1, 2), ones))
+    assert [key[0] for key in gf._PLANS] == [F9, F25]
+
+
 @pytest.mark.parametrize("p,k", [(3, 1), (2, 1), (3, 2), (2, 3)])
 def test_evaluations_of_an_empty_batch(p, k):
     spec = gf.field_create(p, k)
