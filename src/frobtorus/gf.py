@@ -407,8 +407,6 @@ def _plan(base: FieldSpec, exts: tuple, D: int) -> np.ndarray | None:
         size = D * k * cols * np.dtype(dtype).itemsize
         if size > PLAN_BYTES:
             return None
-        while size + sum(kept.nbytes for kept in _PLANS.values()) > PLAN_BYTES:
-            del _PLANS[next(iter(_PLANS))]
         plan = np.empty((D * k, cols), dtype)
         a = 0
         for i in exts:
@@ -419,6 +417,9 @@ def _plan(base: FieldSpec, exts: tuple, D: int) -> np.ndarray | None:
                 _fill(part[:, :, start:start + step], base, i, start)
             a += K * Q
         plan.flags.writeable = False
+        # after the build, which may keep a plan of its own for gamma
+        while size + sum(kept.nbytes for kept in _PLANS.values()) > PLAN_BYTES:
+            del _PLANS[next(iter(_PLANS))]
         _PLANS[key] = plan
     return plan
 

@@ -400,22 +400,34 @@ def test_cached_plans_hold_at_most_the_budget_together(monkeypatch):
     # a budget that holds either plan but not both: each new plan drops the
     # oldest, so the plans kept never pass it, and a dropped plan is built
     # again when its field comes back
-    F9, F25 = gf.field_create(3, 2), gf.field_create(5, 2)
-    monkeypatch.setattr(gf, "_PLANS", {})
+    F7, F11 = gf.field_create(7), gf.field_create(11)
     ones = np.ones((1, 6), dtype=np.int64)
-    list(gf.evaluations(F9, (1, 2), ones))
-    list(gf.evaluations(F25, (1, 2), ones))
-    sizes = {key[0]: plan.nbytes for key, plan in gf._PLANS.items()}
-    assert set(sizes) == {F9, F25}
-    monkeypatch.setattr(gf, "PLAN_BYTES", max(sizes.values()))
+    default = gf.PLAN_BYTES
     monkeypatch.setattr(gf, "_PLANS", {})
-    for spec in (F9, F25, F9):
+    for spec in (F7, F11):
+        list(gf.evaluations(spec, (1, 2), ones))
+    sizes = [plan.nbytes for plan in gf._PLANS.values()]
+    assert len(sizes) == 2
+    monkeypatch.setattr(gf, "PLAN_BYTES", max(sizes))
+    monkeypatch.setattr(gf, "_PLANS", {})
+    for spec in (F7, F11, F7):
         list(gf.evaluations(spec, (1, 2), ones))
         assert list(gf._PLANS) == [(spec, (1, 2), 6)]
-    assert sum(plan.nbytes for plan in gf._PLANS.values()) <= gf.PLAN_BYTES
-    monkeypatch.setattr(gf, "PLAN_BYTES", sum(sizes.values()))
-    list(gf.evaluations(F25, (1, 2), ones))
-    assert [key[0] for key in gf._PLANS] == [F9, F25]
+    monkeypatch.setattr(gf, "PLAN_BYTES", sum(sizes))
+    list(gf.evaluations(F11, (1, 2), ones))
+    assert list(gf._PLANS) == [(F7, (1, 2), 6), (F11, (1, 2), 6)]
+    # building F_9's plan first finds gamma in F_81 by a plan of F_3's own;
+    # at a budget of F_9's plan alone, that one is dropped when F_9's is kept
+    F9 = gf.field_create(3, 2)
+    monkeypatch.setattr(gf, "PLAN_BYTES", default)
+    monkeypatch.setattr(gf, "_PLANS", {})
+    list(gf.evaluations(F9, (1, 2), ones))
+    size = gf._PLANS[F9, (1, 2), 6].nbytes
+    gf.generator_image.cache_clear()
+    monkeypatch.setattr(gf, "PLAN_BYTES", size)
+    monkeypatch.setattr(gf, "_PLANS", {})
+    list(gf.evaluations(F9, (1, 2), ones))
+    assert list(gf._PLANS) == [(F9, (1, 2), 6)]
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (2, 1), (3, 2), (2, 3)])
