@@ -374,6 +374,7 @@ def test_a_one_block_field_shares_one_read_only_entry(monkeypatch):
     # share it.  Past the plan budget no plan is kept, and each call builds
     # its blocks
     spec = gf.field_create(3, 2)
+    gf.generator_image(spec, gf.field_create(3, 4))  # its own plan, not counted
     monkeypatch.setattr(gf, "_PLANS", {})
     built = []
     fill = gf._fill
