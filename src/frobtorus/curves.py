@@ -1,7 +1,7 @@
 """Hyperelliptic curves y^2 + h(x) y = f(x) over small finite fields.
 
 Coefficients are the integer codes of gf, low-to-high, everywhere: in the
-curve value, in validation, in embeddings and in the curve text.
+curve value, in validation, in counting and in the curve text.
 Validation enforces the smooth-affine-model conditions (squarefree f with
 h = 0 in odd characteristic; the h-root criterion in characteristic 2) by
 one gcd d in F_q[x] (gf.pgcd), whose roots are exactly the singular x.  A
@@ -21,17 +21,16 @@ coefficients, and keeps within gf.PLAN_BYTES), and the y over each
 x are counted from the value alone: by the table n[c] = #{y : y^2 = c}
 of F_{q^i} in odd characteristic, by the absolute trace of f/h^2 in
 characteristic 2.  The points at infinity of the smooth model are
-counted the same way from column 2g+2 of f and column g+1 of h.
+counted from column 2g+2 of f and column g+1 of h, in F_q alone
+(_counts).
 count_points and counts_up_to_genus pass the rows of their one curve.
 
 A base-field polynomial is evaluated over F_{q^m} on its own codes, the
 generator going to the lexicographically first root of the base modulus
-(gf.generator_image); gf.poly_roots finds that root, and the roots behind
-a singular curve's witness, on the same evaluator.  embed maps single
-codes, or an array of codes, by the code-to-code table of the same
-embedding (for prime base fields and for src == dst the identity on
-codes): the top coefficient of h at infinity in characteristic 2, and
-f at a witness.
+(gf.generator_image), so there is one embedding of F_q into each F_{q^m},
+and no code is mapped on its own: a singular curve's witness reads its x
+off the values of d, and its y = sqrt(f(x)) off those of f, from one
+gf.evaluations call on the two rows.
 """
 
 from __future__ import annotations
@@ -92,7 +91,8 @@ def validate_curve(base: gf.FieldSpec, h, f, g: int) -> HyperellipticCurve:
     """Check degrees and nonsingularity; normalize into a curve value.
 
     h and f are sequences of int coefficient codes in [0, q), low-to-high;
-    any other coefficient, a bool included, raises ValueError.
+    any other coefficient, a bool included, raises ValueError.  A genus
+    that is not an int, a bool included, raises BadDegrees.
     """
     h = _fpx.trim(list(h))
     f = _fpx.trim(list(f))
@@ -102,8 +102,8 @@ def validate_curve(base: gf.FieldSpec, h, f, g: int) -> HyperellipticCurve:
         or cs and (min(cs) < 0 or max(cs) >= base.q)
     ):
         raise ValueError(f"coefficient codes must be ints in [0, {base.q})")
-    if g < 1:
-        raise BadDegrees(f"genus must be >= 1, got {g}")
+    if type(g) is not int or g < 1:
+        raise BadDegrees(f"genus must be an int >= 1, got {clip(g)}")
     df = len(f) - 1
     if df not in (2 * g + 1, 2 * g + 2):
         raise BadDegrees(f"deg f = {df}, need 2g+1 = {2 * g + 1} or 2g+2")
@@ -136,16 +136,24 @@ def validate_curve(base: gf.FieldSpec, h, f, g: int) -> HyperellipticCurve:
 def _singular_point(base: gf.FieldSpec, d: list, f: list):
     # (m, x, y): x the first root by rep of the smoothness gcd d over
     # F_{q^m}, y = 0 in odd characteristic and sqrt(f(x)) in characteristic
-    # 2.  Odd characteristic searches F_q only (None without a root there);
-    # in characteristic 2 some m <= deg d has a root
+    # 2, read off d's and f's values at every x.  Odd characteristic
+    # searches F_q only (None without a root there); in characteristic 2
+    # some m <= deg d has a root
+    rows = np.zeros((2, len(f)), dtype=np.int64)
+    rows[0, :len(d)], rows[1] = d, f
     for m in range(1, len(d) if base.p == 2 else 2):
         ext = gf.field_create(base.p, base.k * m)
-        roots = gf.poly_roots(base, d, m)
-        if roots:
-            x0, y0 = roots[0], 0
-            if base.p == 2:
-                fx = gf.evaluate(ext, embed(base, ext, np.array(f)).tolist(), x0)
-                y0 = gf.power(ext, fx, ext.q // 2)
+        f_at = {}  # each root of d -> f there
+        for _, start, vals in gf.evaluations(base, (m,), rows):
+            for n in np.flatnonzero(vals[0] == 0).tolist():
+                f_at[start + n] = int(vals[1, n])
+        if f_at:
+            x0 = min(f_at, key=lambda x: gf.digits(ext, x))
+            y0 = 0
+            if base.p == 2 and f_at[x0]:
+                # y^(q^m) = y, so y = f(x)^(q^m/2) squares to f(x)
+                T = gf.log_tables(ext)
+                y0 = int(T.exp[int(T.log[f_at[x0]]) * (ext.q // 2) % (ext.q - 1)])
             return m, gf.digits(ext, x0), gf.digits(ext, y0)
     return None
 
@@ -220,30 +228,6 @@ def _gcd_degrees(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _embedding(src: gf.FieldSpec, dst: gf.FieldSpec) -> np.ndarray:
-    # the dst code of every src code; src's generator goes to the first root
-    # of src's modulus by rep
-    gamma = gf.generator_image(src, dst)
-    powers = [1]
-    for _ in range(src.k - 1):
-        powers.append(gf.mul(dst, powers[-1], gamma))
-    image = gf.linear_map(src, dst, np.arange(src.q), powers)
-    image.flags.writeable = False
-    return image
-
-
-def embed(src: gf.FieldSpec, dst: gf.FieldSpec, a):
-    """Map the code a of F_{p^k}, or an int array of such codes, into
-    F_{p^K} (k | K), generator to first root."""
-    if src.p != dst.p or dst.k % src.k:
-        raise ValueError(f"no embedding of {src!r} into {dst!r}")
-    if src == dst or src.k == 1:
-        return a  # the identity: F_p scalars keep their code
-    image = _embedding(src, dst)[a]
-    return image if isinstance(a, np.ndarray) else int(image)
-
-
-@functools.lru_cache(maxsize=None)
 def _square_root_counts(ext: gf.FieldSpec) -> np.ndarray:
     # n[c] = #{y : y^2 = c} over ext, odd p: one root of 0, two of a nonzero
     # square (even log), none otherwise; read-only int8
@@ -289,7 +273,11 @@ def _counts(base: gf.FieldSpec, g: int, h: np.ndarray, f: np.ndarray,
     for odd p by the table n[c] = #{y : y^2 = c} of F_{q^i}, for p = 2 by
     the trace rule.  A column for x = infinity is added: a degree-(2g+2)
     model has the fibre y^2 + h_{g+1} y = lead f = 1 there, and a
-    degree-(2g+1) model one point, which f = h = 0 gives.
+    degree-(2g+1) model one point, which f = h = 0 gives.  That fibre is
+    defined over F_q, so for p = 2 it is counted on F_q's own tables: for
+    c in F_q, Tr_{F_{q^i}/F_2}(c) = Tr_{F_q/F_2}(i c) = i Tr_{F_q/F_2}(c)
+    mod 2, so an odd i has the fibre's points over F_q, and an even i two
+    where h_{g+1} is nonzero and one elsewhere.
     """
     p, B = base.p, len(f)
     # 1 for a degree-(2g+2) model, else 0; for p = 2, h_{g+1} of the former,
@@ -298,8 +286,13 @@ def _counts(base: gf.FieldSpec, g: int, h: np.ndarray, f: np.ndarray,
     # absent
     wide = f[:, 2 * g + 2:].sum(axis=1)
     codes = f
+    # the points at infinity over F_{q^i}, by i mod 2: for odd p, the
+    # 1 + wide roots of y^2 = wide
+    at_infinity = [1 + wide] * 2
     if p == 2:
         h_top = wide * h[:, g + 1:].sum(axis=1)
+        at_infinity = [np.where(h_top, 2, 1), _trace_solutions(
+            gf.log_tables(base), h_top[:, None], wide[:, None])]
         codes = np.zeros((2 * B, max(f.shape[1], h.shape[1])), dtype=np.int64)
         codes[:B, :f.shape[1]], codes[B:, :h.shape[1]] = f, h
     indices = tuple(indices)
@@ -307,14 +300,8 @@ def _counts(base: gf.FieldSpec, g: int, h: np.ndarray, f: np.ndarray,
     tables = {}  # i -> (column, table)
     for c, i in enumerate(indices):
         ext = gf.field_create(p, base.k * i)  # SizeExceeded past the cap
-        if p != 2:
-            table = _square_root_counts(ext)
-            out[:, c] = table[wide]
-        else:
-            table = gf.log_tables(ext)
-            h_inf = embed(base, ext, h_top)[:, None]
-            out[:, c] = _trace_solutions(table, h_inf, wide[:, None])
-        tables[i] = c, table
+        tables[i] = c, _square_root_counts(ext) if p != 2 else gf.log_tables(ext)
+        out[:, c] = at_infinity[i % 2]
     for i, _, vals in gf.evaluations(base, indices, codes):
         c, table = tables[i]
         if p != 2:
@@ -331,7 +318,7 @@ def _rows(C: HyperellipticCurve):
 
 def count_points(C: HyperellipticCurve, i: int) -> int:
     """N_i = #C(F_{q^i}), affine solutions plus points at infinity."""
-    if not 1 <= i <= C.genus:
+    if type(i) is not int or not 1 <= i <= C.genus:
         raise ValueError(f"extension index {i} outside 1..g")
     return int(_counts(C.base, C.genus, *_rows(C), [i])[0, 0])
 

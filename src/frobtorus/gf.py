@@ -7,15 +7,12 @@ machines.  An element is its integer code in [0, q): its rep, the
 coefficients of t^0 .. t^(k-1) (``digits``), read as base-p digits, low
 digit first.  Over a prime field the code is the residue itself.
 
-Scalar arithmetic on codes (``add``, ``mul``, ``power``, ``evaluate``) is
-arithmetic mod p over a prime field.  Over F_{p^k} a product is exp[log a +
-log b] and a power exp[e log a] in the field's log tables (below),
-exponents mod q - 1; a sum is the XOR of the codes for p = 2 and their
-digit-wise sum mod p for odd p.  Polynomials over the field are lists of
-codes, low-to-high, trimmed; ``padd``, ``pmul``, ``pderiv`` and ``pgcd``
-are _fpx's own routines over a prime field and schoolbook loops on the
-tables otherwise, fetched once per call; the curve module runs its
-singularity checks on them.
+Polynomials over the field are lists of codes, low-to-high, trimmed;
+``padd``, ``pmul``, ``pderiv`` and ``pgcd`` are _fpx's own routines over a
+prime field and schoolbook loops otherwise: a product of coefficients is
+exp[log a + log b] in the field's log tables (below), exponents mod q - 1,
+and a sum the XOR of the codes for p = 2 and their digit-wise sum mod p
+for odd p.  The curve module runs its singularity checks on them.
 
 For whole-field work ``log_tables`` holds int32 exp/log tables to a fixed
 primitive element, the digits of each power and, for p = 2, its absolute
@@ -28,8 +25,8 @@ the F_p digits of the coefficient codes, which are the same for every i,
 times a plan holding the digits of gamma_i^s x^j for every x of every
 F_{q^i}, gamma_i the image of the field's generator (``generator_image``),
 reduced mod p, then one recombination of digits into codes per field.
-Point counting and root finding (``poly_roots``: singularity witnesses,
-the embeddings' gamma) both run on it, and no coefficient is embedded.
+Point counting, singularity witnesses and root finding (``poly_roots``,
+for gamma_i) all run on it, and no coefficient is embedded.
 The plan depends on the field, the tuple and the number D of coefficients
 alone, so it is built once, read-only, and kept whole in ``_PLANS``, whose
 plans together hold at most PLAN_BYTES (4 MB), the oldest dropped first;
@@ -105,8 +102,7 @@ def _field_create(p: int, k: int) -> FieldSpec:
 
 
 # ---------------------------------------------------------------------------
-# Elements as codes.  Over a prime field a code is the residue itself; over
-# F_{p^k} every scalar operation but addition reads the field's log tables.
+# Elements as codes.  Over a prime field a code is the residue itself.
 
 def code(spec: FieldSpec, coeffs) -> int:
     """Code of the element sum c_i t^i; the ints are reduced mod p, then
@@ -138,7 +134,7 @@ def digits(spec: FieldSpec, n: int) -> tuple:
 def _tables(spec: FieldSpec) -> tuple:
     # (exp, log, q - 1) of a proper extension, the tables as memoryviews: a
     # lookup returns a Python int, where a numpy scalar is several times
-    # slower and log a * e would wrap in int32
+    # slower
     T = log_tables(spec)
     return memoryview(T.exp), memoryview(T.log), spec.q - 1
 
@@ -159,37 +155,6 @@ def _adder(spec: FieldSpec):
         return out
 
     return add
-
-
-def add(spec: FieldSpec, a: int, b: int) -> int:
-    if spec.k == 1:
-        return (a + b) % spec.p
-    return _adder(spec)(a, b)
-
-
-def mul(spec: FieldSpec, a: int, b: int) -> int:
-    if spec.k == 1:
-        return a * b % spec.p
-    exp, log, n = _tables(spec)
-    return exp[(log[a] + log[b]) % n] if a and b else 0
-
-
-def power(spec: FieldSpec, a: int, e: int) -> int:
-    """a**e for e >= 0, with 0**0 = 1."""
-    if spec.k == 1:
-        return pow(a, e, spec.p)
-    if not a:
-        return 0 if e else 1
-    exp, log, n = _tables(spec)
-    return exp[log[a] * e % n]
-
-
-def evaluate(spec: FieldSpec, a: list, x: int) -> int:
-    """a(x) by Horner's rule; a is a code list, low-to-high."""
-    acc = 0
-    for c in reversed(a):
-        acc = add(spec, mul(spec, acc, x), c)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +247,15 @@ class LogTables:
 _BLOCK = 1 << 14
 
 
-def linear_map(src: FieldSpec, dst: FieldSpec, codes: np.ndarray, images):
-    """The F_p-linear map from codes of src to codes of dst that sends t^i
-    to the code images[i], applied to an int array of codes."""
+def _linear_map(spec: FieldSpec, codes: np.ndarray, images):
+    """The F_p-linear map of spec that sends t^i to the code images[i],
+    applied to an int array of codes."""
     # int64 holds the digit products, up to (p-1)^2 < 2^40 when k = 1
-    p = src.p
-    rows = np.array([digits(dst, c) for c in images], dtype=np.int64)
-    powers = p ** np.arange(src.k, dtype=np.int64)
+    p = spec.p
+    rows = np.array([digits(spec, c) for c in images], dtype=np.int64)
+    powers = p ** np.arange(spec.k, dtype=np.int64)
     ds = codes.astype(np.int64)[:, None] // powers % p
-    return ds @ rows % p @ p ** np.arange(dst.k, dtype=np.int64)
+    return ds @ rows % p @ powers
 
 
 @functools.lru_cache(maxsize=None)
@@ -299,8 +264,8 @@ def log_tables(spec: FieldSpec) -> LogTables:
     digits of exp_digits (one byte each for p < 256) and, for p = 2, the
     q bytes of exp_trace."""
     p, k, q, m = spec.p, spec.k, spec.q, spec.q - 1
-    # the scalar operations read these tables, so their bootstrap multiplies
-    # digit lists with _fpx modulo the field modulus
+    # the polynomial routines read these tables, so their bootstrap
+    # multiplies digit lists with _fpx modulo the field modulus
     modulus = list(spec.modulus)
 
     def times(a: int, b: int) -> int:
@@ -317,7 +282,7 @@ def log_tables(spec: FieldSpec) -> LogTables:
         step = min(filled, _BLOCK, m - filled)
         g_pow = times(int(exp[filled - 1]), g)  # g^filled
         images = [times(g_pow, p ** i) for i in range(k)]
-        exp[filled:filled + step] = linear_map(spec, spec, exp[:step], images)
+        exp[filled:filled + step] = _linear_map(spec, exp[:step], images)
         filled += step
     log = np.full(q, -1, dtype=np.int32)
     log[exp] = np.arange(m, dtype=np.int32)
@@ -359,6 +324,8 @@ def generator_image(base: FieldSpec, ext: FieldSpec) -> int:
     """The code in ext of the image of base's generator t under the
     embedding of base (k > 1) into its extension ext: t itself when ext is
     base, else the first root by rep of base's modulus in ext."""
+    if ext.p != base.p or ext.k % base.k:
+        raise ValueError(f"no embedding of {base!r} into {ext!r}")
     if ext == base:
         return code(ext, [0, 1])
     return poly_roots(field_create(base.p), base.modulus, ext.k)[0]

@@ -11,14 +11,19 @@ from frobtorus.curves import (
     counts_up_to_genus,
     curve_from_text,
     curve_to_text,
-    embed,
     genus_for_degree,
     smoothness_gcd_degrees,
     validate_curve,
 )
 from frobtorus.errors import BadDegrees, ParseError, Singular, SizeExceeded
 from frobtorus.survey import BATCH, SurveyConfig, enumerate_equations
-from oracles import naive_count, naive_singular_point, naive_singular_ys_over_zero
+from oracles import (
+    _Field,
+    _lift,
+    naive_count,
+    naive_singular_point,
+    naive_singular_ys_over_zero,
+)
 
 
 def test_genus_for_degree():
@@ -50,6 +55,19 @@ def test_validate_bad_degrees_odd_char(h, f, g):
     spec = gf.field_create(5)
     with pytest.raises(BadDegrees):
         validate_curve(spec, h, f, g)
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "2"])
+def test_a_genus_or_extension_index_that_is_no_int_is_refused(bad):
+    # 1.0 and True compare like ints: validate_curve took the first and
+    # counting then failed on the field, and the second gave a curve of
+    # genus True
+    spec = gf.field_create(5)
+    with pytest.raises(BadDegrees, match="genus must be an int"):
+        validate_curve(spec, [], [0, 1, 0, 1], bad)
+    C = validate_curve(spec, [], [0, 1, 0, 0, 0, 1], 2)
+    with pytest.raises(ValueError, match="extension index"):
+        count_points(C, bad)
 
 
 def test_validate_char2_requires_nonzero_h():
@@ -98,9 +116,9 @@ def test_validate_rejects_singular_char2():
 def test_singular_witness_is_searched_once_on_first_read(monkeypatch, p, h, f, g):
     spec = gf.field_create(p)
     calls = []
-    poly_roots = gf.poly_roots
+    evaluations = gf.evaluations
     monkeypatch.setattr(
-        gf, "poly_roots", lambda *args: calls.append(args) or poly_roots(*args)
+        gf, "evaluations", lambda *args: calls.append(args) or evaluations(*args)
     )
     with pytest.raises(Singular) as exc:
         validate_curve(spec, h, f, g)
@@ -172,7 +190,7 @@ def test_validate_odd_char_matches_brute_force_singular_search(p, k):
         f = [rng.randrange(spec.q) for _ in range(degree)] + [1]
         if trial % 3 == 0:
             r = rng.randrange(spec.q)
-            square = [gf.mul(spec, r, r), gf.mul(spec, p - 2, r), 1]
+            square = gf.pmul(spec, _linear(spec, r), _linear(spec, r))
             f = gf.pmul(spec, square, f[2:])
         expected = naive_singular_point(spec, [], f)
         try:
@@ -265,7 +283,7 @@ def test_smoothness_kernel_gcd_degrees():
 
 
 def _linear(spec, r):
-    return [gf.mul(spec, spec.p - 1, r), 1]  # x - r
+    return gf.padd(spec, gf.pmul(spec, [spec.p - 1], [r]), [0, 1])  # x - r
 
 
 def _quadratic_without_roots(spec):
@@ -615,41 +633,61 @@ def test_curve_from_text_rejects_singular_model():
         curve_from_text("5; h=; f=0,0,1,1")
 
 
+def _scalar(op, spec, a, b):
+    # a + b or a b for codes a and b, as padd or pmul of constant polynomials
+    return (op(spec, [a], [b]) or [0])[0]
+
+
+def _constant_images(src, dst):
+    # the code in dst of each code of src: the evaluator's value at x = 0 of
+    # each constant polynomial of src, over dst = F_{q^i}
+    _, _, vals = next(gf.evaluations(src, (dst.k // src.k,), np.arange(src.q)[:, None]))
+    return vals[:, 0].tolist()
+
+
 def test_embed_is_a_field_homomorphism():
+    # the embedding of F_q in F_{q^i} that every evaluation over F_{q^i}
+    # takes: a + b, a b and 1 go to the sum, product and 1 of the images
     for (p, k), K in [((3, 1), 2), ((2, 2), 4), ((3, 2), 4), ((2, 3), 6)]:
         src, dst = gf.field_create(p, k), gf.field_create(p, K)
+        image = _constant_images(src, dst)
         for a in range(src.q):
             for b in range(src.q):
-                e = embed(src, dst, gf.add(src, a, b))
-                assert e == gf.add(dst, embed(src, dst, a), embed(src, dst, b))
-                e = embed(src, dst, gf.mul(src, a, b))
-                assert e == gf.mul(dst, embed(src, dst, a), embed(src, dst, b))
-        assert embed(src, dst, 1) == 1
+                for op in (gf.padd, gf.pmul):
+                    e = image[_scalar(op, src, a, b)]
+                    assert e == _scalar(op, dst, image[a], image[b]), (op, a, b)
+        assert image[1] == 1
 
 
 def test_embed_extension_to_extension():
     src = gf.field_create(2, 2)
     dst = gf.field_create(2, 4)
-    images = [embed(src, dst, a) for a in range(src.q)]
+    images = _constant_images(src, dst)
     assert len(set(images)) == 4  # injective
-    g_img = embed(src, dst, gf.code(src, [0, 1]))
-    # image satisfies the source modulus, and is its first root by rep
-    assert gf.evaluate(dst, list(src.modulus), g_img) == 0
+    g_img = images[gf.code(src, [0, 1])]
+    # the image of t is gamma, the first root by rep of the source modulus
+    assert g_img == gf.generator_image(src, dst)
     assert g_img == gf.poly_roots(dst, list(src.modulus))[0]
 
 
 @pytest.mark.parametrize("src,dst", [((2, 1), (2, 4)), ((2, 2), (2, 4)),
                                      ((3, 2), (3, 4)), ((3, 2), (3, 2))])
 def test_embed_maps_code_arrays_elementwise(src, dst):
+    # a batch of the constant polynomials c + 0 x, one row per code c, is
+    # each row's lift by the rep oracle at every x; the identity on codes
+    # for a prime base and for dst = src
     src, dst = gf.field_create(*src), gf.field_create(*dst)
     codes = np.arange(src.q).reshape(-1, 1).repeat(2, axis=1)
-    image = embed(src, dst, codes)
-    assert image.shape == codes.shape
-    assert image[:, 0].tolist() == [embed(src, dst, a) for a in range(src.q)]
+    codes[:, 1] = 0
+    lifted = [gf.code(dst, r) for r in _lift(src, _Field(dst.p, dst.k), range(src.q))]
+    for _, _, vals in gf.evaluations(src, (dst.k // src.k,), codes):
+        assert (vals == np.array(lifted)[:, None]).all()
     if src == dst or src.k == 1:
-        assert image.tolist() == codes.tolist()
+        assert lifted == list(range(src.q))
 
 
 def test_embed_rejects_incompatible_fields():
-    with pytest.raises(ValueError):
-        embed(gf.field_create(2, 2), gf.field_create(2, 3), 1)
+    # F_4 is in no F_8, and in no field of another characteristic
+    for dst in (gf.field_create(2, 3), gf.field_create(3, 4)):
+        with pytest.raises(ValueError, match="no embedding"):
+            gf.generator_image(gf.field_create(2, 2), dst)

@@ -10,6 +10,7 @@ from frobtorus import _fpx, gf
 from frobtorus.errors import NonPrime, SizeExceeded
 from oracles import (
     _Field,
+    _lift,
     div_rem_by_long_division,
     gcd_by_long_division,
     is_irreducible_by_rabin,
@@ -120,15 +121,23 @@ def test_element_coefficients_reduced_mod_p_and_modulus():
     assert gf.code(spec, [1]) == 1
 
 
+def _scalar(op, spec, a, b):
+    # a + b or a b for codes a and b, as padd or pmul of constant polynomials
+    return (op(spec, [a], [b]) or [0])[0]
+
+
 def test_generator_powers_reach_modulus_root():
+    # the generator satisfies its own modulus: in the evaluator's value at
+    # x = t, and as the sum of the modulus' coefficients times powers of t
     spec = gf.field_create(2, 4)
     t = gf.code(spec, [0, 1])
-    # the generator satisfies its own modulus
-    assert gf.evaluate(spec, list(spec.modulus), t) == 0
-    acc = 0
-    for i, c in enumerate(spec.modulus):
-        acc = gf.add(spec, acc, gf.mul(spec, c, gf.power(spec, t, i)))
-    assert acc == 0
+    vals, _ = _evaluated(spec, np.array([spec.modulus], dtype=np.int64))
+    assert vals[1][0, t] == 0
+    acc, power = [], [1]
+    for c in spec.modulus:
+        acc = gf.padd(spec, acc, gf.pmul(spec, [c], power))
+        power = gf.pmul(spec, power, [t])
+    assert acc == []
 
 
 @settings(max_examples=60)
@@ -137,10 +146,10 @@ def test_field_axioms_f27(a, b, c):
     spec = gf.field_create(3, 3)
 
     def add(x, y):
-        return gf.add(spec, x, y)
+        return _scalar(gf.padd, spec, x, y)
 
     def mul(x, y):
-        return gf.mul(spec, x, y)
+        return _scalar(gf.pmul, spec, x, y)
 
     assert add(add(a, b), c) == add(a, add(b, c))
     assert mul(mul(a, b), c) == mul(a, mul(b, c))
@@ -158,34 +167,42 @@ _ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)
 
 @pytest.mark.parametrize("p,k", _ORACLE_FIELDS)
 def test_scalar_ops_match_the_rep_oracle(p, k):
-    # every pair, against products by _fpx reduced by the modulus on reps
+    # every pair, as padd and pmul of constant polynomials, against products
+    # by _fpx reduced by the modulus on reps: the sums of _adder and the
+    # products of the log tables that the polynomial routines take
     spec = gf.field_create(p, k)
     F = _Field(p, k)
     reps = [gf.digits(spec, c) for c in range(spec.q)]
     for a, ra in enumerate(reps):
         for b, rb in enumerate(reps):
-            assert reps[gf.add(spec, a, b)] == F.add(ra, rb), (a, b)
-            assert reps[gf.mul(spec, a, b)] == F.mul(ra, rb), (a, b)
+            assert reps[_scalar(gf.padd, spec, a, b)] == F.add(ra, rb), (a, b)
+            assert reps[_scalar(gf.pmul, spec, a, b)] == F.mul(ra, rb), (a, b)
 
 
 @pytest.mark.parametrize("p,k", _ORACLE_FIELDS)
 def test_power_matches_the_rep_oracle(p, k):
-    # exponents at and around the group order q - 1, and every a, 0 included
+    # a^e = exp[log a e mod (q - 1)] for a != 0, the rule a characteristic-2
+    # witness takes its square root by, at exponents at and around the
+    # group order q - 1 and for every nonzero a
     spec = gf.field_create(p, k)
+    T = gf.log_tables(spec)
     F = _Field(p, k)
     q = spec.q
     reps = [gf.digits(spec, c) for c in range(q)]
-    for e in (0, 1, 2, q - 2, q - 1, q, 5 * q + 3):
-        for a, ra in enumerate(reps):
-            assert reps[gf.power(spec, a, e)] == F.power(ra, e), (a, e)
-    assert gf.power(spec, 0, 0) == 1 and gf.power(spec, 0, q) == 0
+    for e in (0, 1, 2, q - 2, q - 1, q, 5 * q + 3, q // 2):
+        for a, ra in enumerate(reps[1:], start=1):
+            assert reps[T.exp[int(T.log[a]) * e % (q - 1)]] == F.power(ra, e), (a, e)
 
 
 def test_frobenius_is_additive_in_char_2():
     spec = gf.field_create(2, 6)
+
+    def square(x):
+        return _scalar(gf.pmul, spec, x, x)
+
     for a, b in zip(range(0, 64, 7), range(1, 64, 5)):
-        assert gf.power(spec, gf.add(spec, a, b), 2) == gf.add(
-            spec, gf.mul(spec, a, a), gf.mul(spec, b, b)
+        assert square(_scalar(gf.padd, spec, a, b)) == _scalar(
+            gf.padd, spec, square(a), square(b)
         )
 
 
@@ -207,7 +224,7 @@ def test_poly_roots_in_extension_field():
     roots = gf.poly_roots(spec, [1, 0, 1])
     assert len(roots) == 2
     for r in roots:
-        assert gf.mul(spec, r, r) == 2  # -1
+        assert _scalar(gf.pmul, spec, r, r) == 2  # -1
 
 
 def _evaluated(base, coeffs, exts=(1,)):
@@ -228,6 +245,19 @@ def _evaluated(base, coeffs, exts=(1,)):
         out[i] = np.concatenate(got[i], axis=1)
         assert out[i].shape == (len(coeffs), base.q ** i)
     return out, len(order)
+
+
+def _oracle_values(base, i, polys):
+    # each code list of polys at every x of F_{q^i}, in code order, as codes:
+    # Horner's rule on the rep oracle, on the coefficients lifted by _lift
+    ext = gf.field_create(base.p, base.k * i)
+    F = _Field(base.p, base.k * i)
+    xs = [gf.digits(ext, x) for x in range(ext.q)]
+    out = []
+    for a in polys:
+        lifted = _lift(base, F, a)
+        out.append([gf.code(ext, F.eval(lifted, x)) for x in xs])
+    return out
 
 
 def _configs(monkeypatch):
@@ -254,8 +284,7 @@ def test_evaluations_match_scalar_evaluate(monkeypatch, p, k):
     for D in (6, 3):
         coeffs = [[rng.choice([0, rng.randrange(spec.q)]) for _ in range(D)]
                   for _ in range(256)]
-        batches[D] = coeffs, [[gf.evaluate(spec, a, x) for x in range(spec.q)]
-                              for a in coeffs]
+        batches[D] = coeffs, _oracle_values(spec, 1, coeffs)
     for small in _configs(monkeypatch):
         for coeffs, expected in batches.values():
             for B in (1, 256):
@@ -264,24 +293,12 @@ def test_evaluations_match_scalar_evaluate(monkeypatch, p, k):
                 assert (n > 1) == small or spec.q == 2
 
 
-def _embedded(base, ext, c):
-    # the code in ext of the code c of base: sum_s c_s gamma^s, by scalar
-    # arithmetic, gamma the image of base's generator
-    if base.k == 1:
-        return c
-    gamma = gf.generator_image(base, ext)
-    out = 0
-    for s, d in enumerate(gf.digits(base, c)):
-        out = gf.add(ext, out, gf.mul(ext, d, gf.power(ext, gamma, s)))
-    return out
-
-
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)])
 def test_evaluations_match_scalar_evaluate_in_every_extension(monkeypatch, p, k):
-    # every x of F_{q^i}, i <= 3, against Horner's rule on the embedded
-    # coefficients, for batches of 1, 2 and 256 rows.  The 256 rows repeat
-    # eight polynomials in shuffled order; half their coefficients are 0,
-    # and one is the zero polynomial
+    # every x of F_{q^i}, i <= 3, against Horner's rule on the rep oracle's
+    # lifted coefficients, for batches of 1, 2 and 256 rows.  The 256 rows
+    # repeat eight polynomials in shuffled order; half their coefficients
+    # are 0, and one is the zero polynomial
     base = gf.field_create(p, k)
     exts = (1, 2, 3)
     rng = random.Random(f"extensions {p}^{k}")
@@ -290,13 +307,11 @@ def test_evaluations_match_scalar_evaluate_in_every_extension(monkeypatch, p, k)
                          for _ in range(7)]
     expected = {}
     for i in exts:
-        ext = gf.field_create(p, k * i)
         if k > 1:
-            gamma = gf.generator_image(base, ext)
-            assert gf.evaluate(ext, list(base.modulus), gamma) == 0
-        embedded = [[_embedded(base, ext, c) for c in a] for a in polys]
-        expected[i] = np.array([[gf.evaluate(ext, a, x) for x in range(ext.q)]
-                                for a in embedded])
+            ext, F = gf.field_create(p, k * i), _Field(p, k * i)
+            gamma = gf.digits(ext, gf.generator_image(base, ext))
+            assert F.eval([F.rep([c]) for c in base.modulus], gamma) == F.zero
+        expected[i] = np.array(_oracle_values(base, i, polys))
     rows = [0, 1] + [rng.randrange(len(polys)) for _ in range(254)]
     block, plan = gf.EVAL_BLOCK_BYTES, gf.PLAN_BYTES
     for B in (1, 2, 256):
@@ -339,8 +354,7 @@ def test_evaluations_are_exact_at_the_float_dtype_boundary(deg, p, dtype):
     rng = random.Random(f"dtype boundary {p} {deg}")
     coeffs = [[p - 1] * D] + [[rng.randrange(p) for _ in range(D)] for _ in range(3)]
     vals, _ = _evaluated(spec, np.array(coeffs, dtype=np.int64))
-    assert vals[1].tolist() == [[gf.evaluate(spec, a, x) for x in range(p)]
-                                for a in coeffs]
+    assert vals[1].tolist() == _oracle_values(spec, 1, coeffs)
 
 
 @pytest.mark.parametrize(
@@ -360,12 +374,13 @@ def test_evaluations_into_an_extension_are_exact_at_the_float_dtype_boundary(
     coeffs = [[p - 1] * D, [rng.randrange(p) for _ in range(D)]]
     vals, _ = _evaluated(base, np.array(coeffs, dtype=np.int64), (2,))
     assert not gf._PLANS.get((base, (2,), D))
-    for a, got in zip(coeffs, vals[2].tolist()):
-        folded = [a[0]] + [0] * (ext.q - 1)
+    folded = []
+    for a in coeffs:
+        folded.append([a[0]] + [0] * (ext.q - 1))
         for j in range(1, D):
             r = 1 + (j - 1) % (ext.q - 1)
-            folded[r] = (folded[r] + a[j]) % p
-        assert got == [gf.evaluate(ext, folded, x) for x in range(ext.q)]
+            folded[-1][r] = (folded[-1][r] + a[j]) % p
+    assert vals[2].tolist() == _oracle_values(base, 2, folded)
 
 
 def test_a_one_block_field_shares_one_read_only_entry(monkeypatch):
@@ -453,16 +468,17 @@ def test_poly_roots_char2_extension_matches_brute_force(p, k):
     minus_one = p - 1
     for trial in range(6):
         r = rng.randrange(spec.q)
-        roots = {r, gf.add(spec, r, top)}
+        roots = {r, _scalar(gf.padd, spec, r, top)}
         roots |= {rng.randrange(spec.q) for _ in range(trial)}
         if trial % 3 == 0:
             roots.add(0)
         a = [1]
         for x in roots:
-            a = gf.pmul(spec, a, [gf.mul(spec, minus_one, x), 1])
+            a = gf.pmul(spec, a, [_scalar(gf.pmul, spec, minus_one, x), 1])
         # a quadratic factor may add roots, or repeat one, or add none
         a = gf.pmul(spec, a, [top, 1, 1]) if trial % 2 else a
-        expected = [e for e in _rep_order(spec) if gf.evaluate(spec, a, e) == 0]
+        values = _oracle_values(spec, 1, [a])[0]
+        expected = [e for e in _rep_order(spec) if values[e] == 0]
         assert gf.poly_roots(spec, a) == expected
 
 
@@ -481,7 +497,7 @@ def test_poly_divmod_and_gcd():
         def with_roots(roots):
             out = quad
             for r in sorted(roots):
-                out = gf.pmul(spec, out, [gf.mul(spec, p - 1, r), 1])
+                out = gf.pmul(spec, out, [_scalar(gf.pmul, spec, p - 1, r), 1])
             return out
 
         for _ in range(10):
@@ -584,7 +600,7 @@ def test_log_tables_invariants(p, k):
     assert T.log[0] == -1
     # g = exp[1] has order q-1 (exp is a bijection and exp[n+1] = exp[n] g,
     # below), and every element of smaller code has a smaller order; the
-    # scalar operations read these tables, so the checks run on the rep
+    # polynomial routines read these tables, so the checks run on the rep
     # oracle's arithmetic
     F = _Field(p, k)
     g = int(T.exp[1 % (q - 1)])
