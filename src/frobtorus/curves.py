@@ -388,10 +388,10 @@ def parse_curve_text(text: str) -> tuple[gf.FieldSpec, list, list]:
     if len(parts) != 3:
         raise ParseError("curve text needs three ';'-separated parts")
     m = re.fullmatch(r"(\d+)(?:\^(\d+))?", parts[0])
-    if not m:
-        raise ParseError(f"bad field spec {parts[0]!r}")
-    p = int(m.group(1))
-    k = int(m.group(2)) if m.group(2) else 1
+    try:
+        p, k = int(m.group(1)), int(m.group(2) or 1)
+    except (AttributeError, ValueError):  # no match, or past the digit limit
+        raise ParseError(f"bad field spec {clip(parts[0])}") from None
     try:
         spec = gf.field_create(p, k)
     except (NonPrime, ValueError) as bad:

@@ -1,6 +1,6 @@
-"""Curve-family surveys: enumerate equations, decide their smoothness a
-block at a time, count the valid curves in batches, classify each curve,
-persist JSONL records, and aggregate verdict fractions.
+"""Curve-family surveys: enumerate equations, decide their smoothness and
+count their curves a block at a time, classify each curve, persist JSONL
+records, and aggregate verdict fractions.
 
 Enumeration walks (h, f0, f1) prefixes, each the head of one contiguous
 run of p^(deg f - 2) equations.  The first prefix, (h, 0, 0) with h0 =
@@ -9,8 +9,9 @@ that run is a slab: it is counted as singular in one step and never
 built, and singular_skipped and enumerated are exact integers however
 large p^deg is.  The other equations travel as coefficient rows, never as
 curve objects: a block's (h, f) int64 arrays go to one
-smoothness_gcd_degrees call, the new curves' rows to count_batch, and a
-smooth equation's text is built once, as its record's curve.
+smoothness_gcd_degrees call, the rows of its curves to one count_batch
+call, and a curve's equation text is built once, as its record's curve.
+A block's singular equations are only a count: enumerated less valid.
 
 Persistence is append-only JSONL with a config fingerprint header.  One
 rule serves report and resume: a survey file is what the survey writes.
@@ -52,13 +53,12 @@ from .curves import (
     PointCounts,
     count_batch,
     counts_up_to_genus,
-    curve_from_text,
     curve_to_text,
     equation_text,
     genus_for_degree,
     parse_curve_text,
     smoothness_gcd_degrees,
-    validate_curve,  # noqa: F401  (perfbench/tracing.py hooks this name)
+    validate_curve,
 )
 from .errors import (
     BadDegrees,
@@ -85,8 +85,8 @@ from .zeta import is_weil, weil_from_counts, weil_from_json, weil_to_json
 FORMAT = "frobtorus-survey-v1"
 KIND_ORDER = (ABSOLUTELY_SIMPLE, NOT_SIMPLE, NOT_ABSOLUTELY_SIMPLE, INCONCLUSIVE)
 BIAS_NOTE = "empirical fraction over equations, not isomorphism classes"
-# equations screened together by one smoothness_gcd_degrees call, and valid
-# curves counted together by one count_batch call
+# equations per screened block: one smoothness_gcd_degrees call decides
+# them, and one count_batch call counts the block's curves
 BATCH = 256
 
 
@@ -313,55 +313,52 @@ def _rederive(header, lines: list[bytes]) -> dict:
     return kinds
 
 
-def _result_stream(cfg: SurveyConfig, equations):
-    """Yield, per equation of equations in their order, None when it is
-    singular and the (JSONL line, verdict kind) of its record when it is a
-    curve.  run_survey and run_find pass the equations after the family's
-    leading slab (_leading_slab), which they never screen.
+def _result_stream(cfg: SurveyConfig):
+    """Yield one (equations, records) pair per block of the family, in
+    enumeration order: the block's number of equations, and an iterator
+    of the (JSONL line, verdict kind) of each of its curves, whose counting
+    waits for its first read.  The first block is the leading slab
+    (_leading_slab), p^(deg f - 2) equations and no record.
 
-    Each block of BATCH equations is decided by one smoothness_gcd_degrees
-    call on its (h, f) arrays, the stream's only smoothness decision; no
-    Singular is raised.  The rows of the curves are counted BATCH at a
-    time (count_batch), and the equations up to the last curve of a batch
-    are yielded after it is counted.  With cfg.limit, the stream ends at
-    the limit-th curve, so no batch holds a curve past it.
+    Each later block of BATCH equations is decided by one
+    smoothness_gcd_degrees call on its (h, f) arrays, the stream's only
+    smoothness decision (no Singular is raised), and its curves are
+    counted by one count_batch call on their rows.  With cfg.limit, the
+    block that holds the limit-th curve ends at that curve's equation, and
+    so does the stream.
     """
     base = gf.field_create(cfg.p, 1)
-    keys, rows = [], []  # the keys since the last batch; its (h, f) rows
+    slab, equations = _leading_slab(cfg)
+    yield slab, ()
     valid = 0
     while block := list(itertools.islice(equations, BATCH)):
         h, f = (np.array(a, dtype=np.int64) for a in zip(*block))
-        degrees = smoothness_gcd_degrees(cfg.p, h, f).tolist()
-        for (hv, fv), degree in zip(block, degrees):
-            key = equation_text(base, hv, fv) if degree <= 0 else None
-            keys.append(key)
-            if key is not None:
-                rows.append((hv, fv))
-                valid += 1
-            if len(rows) == BATCH or valid == cfg.limit:
-                yield from _counted(base, cfg.genus, keys, rows)
-                keys, rows = [], []
-                if valid == cfg.limit:
-                    return
-    yield from _counted(base, cfg.genus, keys, rows)
+        smooth = np.flatnonzero(smoothness_gcd_degrees(cfg.p, h, f) <= 0)
+        n = len(block)
+        if cfg.limit is not None and len(smooth) >= cfg.limit - valid:
+            smooth = smooth[:cfg.limit - valid]
+            n = int(smooth[-1]) + 1
+        valid += len(smooth)
+        keys = [equation_text(base, *block[i]) for i in smooth]
+        yield n, _counted(base, cfg.genus, keys, h[smooth], f[smooth])
+        if valid == cfg.limit:
+            return
 
 
-def _counted(base, g, keys, rows):
-    # None for each singular key (None), and the (JSONL line, verdict kind)
-    # of each curve's counts.  Every record's count_s is its share of the
-    # batch's count time; one whose tail an earlier record encoded (before
-    # this lookup began) takes the lookup's own time as zeta_s and 0.0 as
-    # classify_s
+def _counted(base, g, keys, h, f):
+    # the (JSONL line, verdict kind) of each curve of a block: keys are their
+    # equation texts, and h and f their code rows.  Every record's count_s
+    # is its share of the block's count time; one whose tail an earlier
+    # record encoded (before this lookup began) takes the lookup's own time
+    # as zeta_s and 0.0 as classify_s
+    if not keys:
+        return
     t0 = time.perf_counter()
-    codes = (np.array(a, dtype=np.int64) for a in zip(*rows))
-    counts = map(tuple, count_batch(base, g, *codes) if rows else ())
-    count_s = repr((time.perf_counter() - t0) / max(len(rows), 1))
-    for key in keys:
-        if key is None:
-            yield None
-            continue
+    counts = count_batch(base, g, h, f)
+    count_s = repr((time.perf_counter() - t0) / len(keys))
+    for key, c in zip(keys, counts):
         t0 = time.perf_counter()
-        tail, kind, *times, encoded = _record_tail(base.q, g, next(counts))
+        tail, kind, *times, encoded = _record_tail(base.q, g, tuple(c))
         if encoded < t0:
             times = time.perf_counter() - t0, 0.0
         yield _LINE % (encode_basestring_ascii(key), tail, count_s, *times), kind
@@ -379,23 +376,19 @@ def run_survey(cfg: SurveyConfig, out_path: str | None = None, stream=None) -> d
     fh = stream if stream is not None else sys.stdout
     fh.write(_header_line(cfg))
     kinds = dict.fromkeys(KIND_ORDER, 0)
-    slab, equations = _leading_slab(cfg)
-    enumerated = singular = slab
-    valid = 0
-    for record in _result_stream(cfg, equations):
-        enumerated += 1
-        if record is None:
-            singular += 1
-            continue
-        fh.write(record[0])
-        valid += 1
-        kinds[record[1]] += 1
+    enumerated = valid = 0
+    for n, records in _result_stream(cfg):
+        enumerated += n
+        for line, kind in records:
+            fh.write(line)
+            valid += 1
+            kinds[kind] += 1
     return {
         "format": FORMAT,
         "config": dataclasses.asdict(cfg),
         "enumerated": enumerated,
         "valid": valid,
-        "singular_skipped": singular,
+        "singular_skipped": enumerated - valid,
         "by_kind": kinds,
         "absolutely_simple_fraction": kinds[ABSOLUTELY_SIMPLE] / max(valid, 1),
         "note": BIAS_NOTE,
@@ -441,14 +434,12 @@ def run_find(cfg: SurveyConfig, count: int, stream=None) -> int:
     if count < 1:
         raise ValueError("find needs a positive count")
     fh = stream if stream is not None else sys.stdout
+    records = itertools.chain.from_iterable(r for _, r in _result_stream(cfg))
+    hits = (line for line, kind in records if kind == ABSOLUTELY_SIMPLE)
     found = 0
-    _, equations = _leading_slab(cfg)
-    for record in _result_stream(cfg, equations):
-        if record is not None and record[1] == ABSOLUTELY_SIMPLE:
-            fh.write(record[0])
-            found += 1
-            if found >= count:
-                break
+    for line in itertools.islice(hits, count):
+        fh.write(line)
+        found += 1
     return found
 
 
@@ -458,8 +449,13 @@ def analyze_one(curve_text: str | None = None, weil_json=None) -> dict:
     if (curve_text is None) == (weil_json is None):
         raise ValueError("provide exactly one of curve_text and weil_json")
     if curve_text is not None:
-        C = curve_from_text(curve_text)
-        return curve_record(C)
+        spec, h, f = parse_curve_text(curve_text)
+        g = genus_for_degree(len(f) - 1)
+        if 2 * g > FACTOR_DEGREE_CAP:  # before validation, quadratic in deg f
+            raise SizeExceeded(
+                f"degree 2g = {2 * g} exceeds the factoring cap {FACTOR_DEGREE_CAP}"
+            )
+        return curve_record(validate_curve(spec, h, f, g))
     if isinstance(weil_json, str):
         try:
             weil_json = json.loads(weil_json)

@@ -7,7 +7,8 @@ import pytest
 from frobtorus import report, zeta
 from frobtorus._fpx import is_prime
 from frobtorus.cli import main
-from frobtorus.errors import CorruptRecord
+from frobtorus.curves import parse_curve_text
+from frobtorus.errors import CorruptRecord, ParseError
 from frobtorus.intpoly import IntPoly
 
 
@@ -45,6 +46,18 @@ def test_analyze_overlong_tuple_coefficient_is_input_error(capsys):
     curve = "3^2; h=; f=(" + "1" * 5000 + ",0),(1),(0),(1)"
     assert main(["analyze", "--curve", curve]) == 2
     assert "coefficient tuple of 5002 characters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["1" * 5000, "3^" + "1" * 5000], ids=["p", "k"])
+def test_analyze_field_spec_past_the_int_digit_limit_is_input_error(spec, capsys):
+    # int() of 5,000 digits raises ValueError; the spec is named clipped
+    curve = spec + "; h=; f=0,1,0,1"
+    with pytest.raises(ParseError, match="bad field spec"):
+        parse_curve_text(curve)
+    assert main(["analyze", "--curve", curve]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad field spec")
+    assert f"({len(spec) + 2} characters)\n" in err and err.count("\n") == 1
 
 
 def test_analyze_singular_curve_is_input_error(capsys):

@@ -505,8 +505,9 @@ def test_count_batch_of_no_rows(p, k, g):
 
 
 def test_count_batch_splits_at_the_survey_batch_size():
-    # the survey counts BATCH curves at a time; batches on either side of
-    # that boundary count each curve as the batch of one does
+    # the survey counts a screened block's curves, at most BATCH, at a time;
+    # batches on either side of that size count each curve as the batch of
+    # one does
     spec = gf.field_create(3)
     rng = random.Random("boundary")
     curves = []

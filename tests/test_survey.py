@@ -1,5 +1,7 @@
 import io
 import json
+import random
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -513,6 +515,22 @@ def test_analyze_one_curve_path_propagates_singular():
         analyze_one("5; h=; f=0,0,1,1")
 
 
+def test_analyze_one_refuses_a_genus_past_the_factoring_cap_before_validating(
+    monkeypatch,
+):
+    # a dense deg f = 16,001 over F_3, genus 8,000: validation's gcd is
+    # quadratic in the degree, and took 13 s before counting refused it
+    def validated(*args):
+        raise AssertionError("validate_curve ran")
+
+    for module in (curves, survey):
+        monkeypatch.setattr(module, "validate_curve", validated)
+    rng = random.Random("16001")
+    f = [rng.randrange(3) for _ in range(16001)] + [1]
+    with pytest.raises(SizeExceeded, match="factoring cap"):
+        analyze_one("3; h=; f=" + ",".join(map(str, f)))
+
+
 def test_report_happy_path(tmp_path):
     _, path, summary = _run_to_file(tmp_path, p=3, genus=1, degree=3)
     rep = report(str(path))
@@ -825,14 +843,28 @@ def _records(text: str):
     return _strip_timing(text.splitlines()[1:])
 
 
+def _block_sizes(cfg, oracle):
+    # the curves of each screened block that holds one, read off the
+    # per-equation path's enumeration indices: blocks of BATCH equations
+    # after the leading slab of p^(deg f - 2)
+    slab = cfg.p ** (cfg.degree - 2)
+    blocks = Counter((i - slab) // survey.BATCH for i, _ in oracle)
+    return [blocks[b] for b in sorted(blocks)]
+
+
 def test_survey_counts_no_curve_past_the_limit(monkeypatch):
+    # one count_batch call per screened block, on its curves up to the
+    # limit-th curve
+    cfg = SurveyConfig(p=7, genus=2, degree=6, limit=250)
+    expected = _block_sizes(cfg, _oracle(cfg))
+    assert expected == [225, 25]
     sizes = _counting_curves(monkeypatch)
     buf = io.StringIO()
     summary = run_survey(SurveyConfig(p=7, genus=2, degree=6, limit=100), stream=buf)
     assert sizes == [100] and summary["valid"] == 100
     longer = io.StringIO()
-    run_survey(SurveyConfig(p=7, genus=2, degree=6, limit=250), stream=longer)
-    assert sizes == [100, 250]
+    run_survey(cfg, stream=longer)
+    assert sizes == [100, *expected]
     assert _records(buf.getvalue()) == _records(longer.getvalue())[:100]
 
 
@@ -853,14 +885,16 @@ def test_resume_counts_each_curve_of_the_limit_once(monkeypatch, tmp_path):
 
 
 def test_survey_batches_split_at_the_batch_size(monkeypatch, tmp_path):
-    # p = 5, g = 1, deg 4 has 500 valid curves, two batches; a file cut in
-    # the middle of the second resumes to the same records, re-deriving the
-    # stored ones in the same batches, and each record's counts are the
-    # batch-of-one counts
+    # p = 5, g = 1, deg 4 has 500 valid curves in three screened blocks,
+    # counted a block at a time; a file cut in the middle of the second
+    # resumes to the same records, re-deriving the stored ones in the same
+    # blocks, and each record's counts are the batch-of-one counts
     cfg = SurveyConfig(p=5, genus=1, degree=4)
+    expected = _block_sizes(cfg, _oracle(cfg))
+    assert expected == [213, 212, 75]
     sizes = _counting_curves(monkeypatch)
     _, path, summary = _run_to_file(tmp_path, p=5, genus=1, degree=4)
-    assert sizes == [survey.BATCH, summary["valid"] - survey.BATCH]
+    assert sizes == expected and summary["valid"] == sum(expected)
     whole = path.read_text()
     records = _records(whole)
     for rec in records:
@@ -871,7 +905,7 @@ def test_survey_batches_split_at_the_batch_size(monkeypatch, tmp_path):
     path.write_text("".join(lines[:cut]) + lines[cut][:25])
     sizes.clear()
     run_survey(cfg, out_path=str(path))
-    assert sizes == [survey.BATCH, summary["valid"] - survey.BATCH]
+    assert sizes == expected
     assert _records(path.read_text()) == records
 
 
@@ -938,6 +972,27 @@ def test_screened_survey_limit_inside_a_later_block(screened_family):
     assert summary["singular_skipped"] == summary["enumerated"] - limit
 
 
+@pytest.mark.parametrize("end", ["first", "last"])
+def test_screened_survey_limit_on_a_block_end(monkeypatch, screened_family, end):
+    # the limit-th curve is the first curve of the second screened block, or
+    # the last curve of the first: the stream ends at its equation, and
+    # each block's curves are counted by one call
+    cfg, oracle = screened_family
+    first = _block_sizes(cfg, oracle)[0]
+    limit = first + 1 if end == "first" else first
+    sizes = _counting_curves(monkeypatch)
+    buf = io.StringIO()
+    summary = run_survey(
+        SurveyConfig(p=cfg.p, genus=cfg.genus, degree=cfg.degree, limit=limit),
+        stream=buf,
+    )
+    assert _records(buf.getvalue()) == _strip_timing(
+        json.dumps(rec) for _, rec in oracle[:limit])
+    assert sizes == ([first, 1] if end == "first" else [first])
+    assert summary["enumerated"] == oracle[limit - 1][0] + 1
+    assert summary["singular_skipped"] == summary["enumerated"] - limit
+
+
 def test_screened_survey_resumes_a_file_cut_inside_a_block(
     screened_family, tmp_path
 ):
@@ -975,6 +1030,16 @@ def test_leading_slab_is_the_first_run_of_the_family(p, genus, degree):
         assert naive_singular_ys_over_zero(p, h, f), (h, f)
     h, f = (np.array(a, dtype=np.int64) for a in zip(*equations[:n]))
     assert (survey.smoothness_gcd_degrees(p, h, f) > 0).all()
+
+
+@pytest.mark.parametrize("p,genus,degree", [(2, 2, 5), (5, 1, 4), (10007, 1, 4)])
+def test_result_stream_yields_the_leading_slab_first(monkeypatch, p, genus, degree):
+    # the stream's first block is the slab: its p^(deg f - 2) equations and
+    # no record, before any screening call
+    calls = []
+    monkeypatch.setattr(survey, "smoothness_gcd_degrees", lambda *a: calls.append(a))
+    n, records = next(survey._result_stream(SurveyConfig(p, genus, degree)))
+    assert (n, list(records), calls) == (p ** (degree - 2), [], [])
 
 
 @pytest.mark.parametrize(
