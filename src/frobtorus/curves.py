@@ -362,14 +362,14 @@ def _parse_coeff_list(spec: gf.FieldSpec, text: str) -> list:
     if "(" in text:
         body = text.replace(" ", "")
         if not re.fullmatch(r"(\(-?\d+(,-?\d+)*\))(,\(-?\d+(,-?\d+)*\))*", body):
-            raise ParseError(f"bad coefficient tuple list: {text!r}")
+            raise ParseError(f"bad coefficient tuple list: {clip(text)}")
         for tup in re.findall(r"\(([^)]*)\)", body):
             try:
                 ints = [int(v) for v in tup.split(",")]
             except ValueError:  # past Python's int-string digit limit
                 raise ParseError(f"coefficient tuple of {len(tup)} characters") from None
             if len(ints) > spec.k:
-                raise ParseError(f"coefficient tuple longer than k={spec.k}: ({tup})")
+                raise ParseError(f"coefficient tuple longer than k={spec.k}: {clip(tup)}")
             out.append(gf.code(spec, ints))
     else:
         for piece in text.split(","):
@@ -377,7 +377,7 @@ def _parse_coeff_list(spec: gf.FieldSpec, text: str) -> list:
             try:
                 out.append(int(piece) % spec.p)
             except ValueError:
-                raise ParseError(f"bad coefficient {piece!r}") from None
+                raise ParseError(f"bad coefficient {clip(piece)}") from None
     return out
 
 

@@ -16,7 +16,9 @@ composed products reach (2g)^2), so the algorithms favor
     modular Zassenhaus (Frobenius-matrix DDF at up to three primes as a
     degree sieve, Cantor-Zassenhaus, linear multifactor Hensel lifting
     modulo p^k over Z, subset recombination); S of degree <= 3 is split by
-    its integer roots instead,
+    its integer roots instead; factor checks that the factors multiply
+    back to its input, and factor_unchecked, for a caller whose own check
+    covers that one, does not,
 
 all of which are short enough to audit directly.  No resultant is on the
 factorization path: a prime is good when gcd(F, F') = 1 mod p.  resultant
@@ -626,19 +628,16 @@ def factor_key(pair) -> tuple:
 
 def factor_product(factors, unit: int = 1) -> IntPoly:
     """unit times the product of h^e over the pairs (h, e) in factors."""
-    prod = _poly([unit])
+    prod = [unit]
     for h, e in factors:
-        prod = prod * h ** e
-    return prod
+        for _ in range(e):
+            prod = _fpx.zmul(prod, h.coeffs)
+    return _poly(prod)
 
 
-def factor(f: IntPoly) -> tuple[int, list[tuple[IntPoly, int]]]:
-    """Complete factorization over Q.
-
-    Returns (unit, [(irreducible, multiplicity), ...]) with each irreducible
-    primitive and positive-lc (monic when f is monic), sorted by factor_key,
-    and unit * product == f exactly.
-    """
+def factor_unchecked(f: IntPoly) -> tuple[int, list[tuple[IntPoly, int]]]:
+    """factor(f) without its closing product check, for a caller whose own
+    check covers it."""
     if f.is_zero:
         raise ZeroPolynomial("factor of zero polynomial")
     if f.degree > FACTOR_DEGREE_CAP:
@@ -657,6 +656,17 @@ def factor(f: IntPoly) -> tuple[int, list[tuple[IntPoly, int]]]:
         out = [(_poly([c * b ** i for i, c in enumerate(k.coeffs)]).primitive(), e)
                for k, e in _factor_monic(Fm)]
     out.sort(key=factor_key)
+    return unit, out
+
+
+def factor(f: IntPoly) -> tuple[int, list[tuple[IntPoly, int]]]:
+    """Complete factorization over Q.
+
+    Returns (unit, [(irreducible, multiplicity), ...]) with each irreducible
+    primitive and positive-lc (monic when f is monic), sorted by factor_key,
+    and unit * product == f exactly: every call checks it.
+    """
+    unit, out = factor_unchecked(f)
     if factor_product(out, unit) != f:
         raise InvariantViolation("factor product does not reproduce the input")
     return unit, out

@@ -31,10 +31,32 @@ divide such an m: a prime r | m has r - 1 | phi(m), so r - 1 divides 2^g g!
 and r <= 2g(2g-1) + 1, and the candidates are the products of powers of
 those primes that meet both bounds.  The power charpolys are rebuilt
 exactly from eigenvalue power sums by Newton's identities
-(intpoly.root_power_sums, from_power_sums).  So is the ratio polynomial R,
-of degree N = 4g^2, but from its top half alone: R is palindromic with
-R_0 = R_N = q^(2g^2) (ratio_poly), so Newton's identities run only up to
-2g^2, over Z.
+(intpoly.root_power_sums, from_power_sums).  So are the two factors of the
+ratio polynomial R, each from its top half alone.
+
+R, of degree 4g^2, is R~(qx)/q^(2g^2) for the monic R~ whose roots are the
+products alpha_i alpha_j over all (i, j): complex conjugation maps alpha_j
+to q/alpha_j, so alpha_i/alpha_j = alpha_i conj(alpha_j)/q.  R~ splits as
+A B^2.  A = P_2 takes the diagonal i = j, with roots alpha_i^2 and power
+sums S_2k.  B takes the pairs i < j, each of which stands for (i, j) and
+(j, i), with roots alpha_i alpha_j, degree N = g(2g-1) and power sums
+(S_k^2 - S_2k)/2.  So q^(2g^2) R = A(qx) B(qx)^2 (ratio_poly), and since
+Phi_m is irreducible, Phi_m | R exactly when Phi_m divides A(qx) or B(qx).
+Both factors are symmetric, so Newton's identities run on the top half of
+each, g sums for A and floor(N/2) for B, over Z:
+  * A is a Weil polynomial over q^2: x^(2g) A(q^2/x) = q^(2g) A(x), so
+    A_(2g-k) = A_k q^(2(k-g)) for k >= g.
+  * The roots of B are closed under beta -> q^2/beta.  Conjugation
+    permutes the roots of P, counted with multiplicity, by a permutation s
+    with alpha_s(i) = q/alpha_i, so it maps the pair {i, j} to the pair
+    {s(i), s(j)}, and alpha_i alpha_j to q^2/(alpha_i alpha_j).  Their
+    product is (prod_i alpha_i)^(2g-1) = q^N, as P_0 = q^g.  So x^N B(q^2/x)
+    = prod_beta (q^2 - beta x) = (-1)^N q^N B(x), that is b_k q^(2k) =
+    (-1)^N q^N b_(N-k).  N has the parity of g, so for odd g the mirror
+    flips the sign.
+In A(qx) and B(qx) the rules read: coefficient 2g - k of A(qx) is its
+coefficient k, and coefficient N - k of B(qx) is (-1)^N times its
+coefficient k.  No division is left.
 
 Most of those tests fail, and a residue modulo a prime proves it.  Per
 genus split the candidate orders, in ascending order, into runs whose lcm L
@@ -45,16 +67,20 @@ serve all orders (2147483713, 2147484721, 2154166561 and 2156394241);
 g = 5..8 take 17, 39, 72 and 92 runs.  The lcm of all orders has 46 to 134
 bits for g = 5..8, and from g = 7 on a prime = 1 mod it is past the prime
 test bound.  Since ell does not divide m, x^m - 1 is separable mod ell and
-w_m is a root of Phi_m mod ell; so Phi_m | R over Z forces R(w_m) = 0 mod
-ell, and a nonzero residue proves Phi_m does not divide R.  This holds for
-any integer R, so ell dividing q needs no special case.  A zero residue
-only sends m on to exact division over Z: no order is accepted or rejected
-on a residue alone.  By the palindrome, R(w) = w^H (R_H + sum_(t=1..H)
-R_(H+t) (w^t + w^-t)) with H = 2g^2, and w_m is a unit; so the residues of
-every order come from one int64 product of R's top half mod ell with a
-read-only matrix of the w_m^t + w_m^-t mod ell, cached per genus with the
-primes and orders in one table.  Every ell is below 2^31.5, checked as it
-is picked, so no product of two residues reaches 2^63.
+w_m is a root of Phi_m mod ell; so Phi_m | F over Z forces F(w_m) = 0 mod
+ell, for F = A(qx) and for F = B(qx), and a nonzero residue proves Phi_m
+does not divide F.  This holds for any integer F, so ell dividing q needs
+no special case: every residue is then zero.  A zero residue only sends m
+on to exact division over Z: no order is accepted or rejected on a residue
+alone.  When ell does not divide q, R(w_m) = 0 mod ell exactly when
+A(q w_m) B(q w_m) = 0 mod ell, so the orders sent on are those whose
+residue of R is zero.  A factor F of degree d is tested only at the orders
+with phi(m) <= d, since Phi_m has degree phi(m): of the 4, 13, 39 and 57
+candidates for g = 1..4, that leaves 4, 8, 12 and 17 orders for A and 1,
+8, 23 and 39 for B.  By the mirror rules, F(w) = sum_(k >= d/2) F_k (w^k
++- w^(d-k)) for F of degree d, so each residue is one sum of products of
+F's top half mod ell with a row of these weights mod ell, cached per genus
+with the primes in one table.
 
 P, and each power charpoly, is factored at half its degree.  When P
 satisfies the Riemann hypothesis (zeta.is_weil: exact, in closed form for
@@ -71,6 +97,10 @@ multiplicity e, gives one irreducible factor of P:
 A power charpoly of P is a Weil polynomial over q^n, so it qualifies when P
 does.  A P that fails is_weil is factored at full degree: for it the rule
 can be wrong.  Over q = 3, x^2 - 4x + 3 = (x - 1)(x - 3) has h = y - 4.
+Either way the factors are checked once, by multiplying them back to P.
+That check covers one over h: k -> x^deg(k) k(x + q/x) is multiplicative
+and injective and maps h to P, so factors of P that multiply back to P
+come from factors of h that multiply back to h.
 
 classify depends on P alone, and P and its quadratic twist P(-x) get the
 same verdict up to their factors: the twist's Frobenius is -pi, with the
@@ -88,8 +118,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
+from operator import mul
 
 from . import _fpx
 from .errors import InvariantViolation, ParseError, SizeExceeded
@@ -98,13 +127,15 @@ from .intpoly import (
     IntPoly,
     cyclotomic,
     divmod_exact,
-    factor,
     factor_key,
     factor_product,
     from_power_sums,
     root_power_sums,
 )
-from .intpoly import resultant_y  # noqa: F401  (perfbench/tracing.py hooks this name)
+# _weil_factors calls the unchecked core by the name factor, which
+# perfbench/tracing.py hooks, as it hooks resultant_y
+from .intpoly import factor_unchecked as factor
+from .intpoly import resultant_y  # noqa: F401
 from .zeta import (
     WeilPolynomial,
     _real_is_weil,
@@ -152,32 +183,35 @@ def charpoly_power(P: WeilPolynomial, n: int) -> IntPoly:
     return C
 
 
-def ratio_poly(P: WeilPolynomial) -> IntPoly:
-    """R(x) = Res_y(P(y), sum_i c_i x^(2g-i) y^i), degree N = (2g)^2.
+def ratio_poly(P: WeilPolynomial) -> tuple[IntPoly, IntPoly]:
+    """(A(qx), B(qx)), the factors of the ratio polynomial R with
+    q^(2g^2) R = A(qx) B(qx)^2.
 
-    R vanishes exactly at the eigenvalue ratios alpha_j/alpha_i; (x-1)^2g
-    splits off from the diagonal pairs.  Content is not stripped.  R is
-    R~(qx)/q^H with H = N/2 = 2g^2, where R~ is the monic polynomial with
-    roots the products alpha_i*alpha_j = q*alpha_i/conj(alpha_j): its power
-    sums are S_k^2.  Power sums and Newton's identities work on the roots
-    counted with multiplicity, so the result is exact for repeated roots too.
-
-    R is palindromic, R_j = R_(N-j), so Newton's identities run only up to
-    H.  Its roots are closed under inversion, alpha_j/alpha_i <->
-    alpha_i/alpha_j, and none is zero.  R_N = q^N/q^H = q^H, as R~ is monic,
-    and R_0 = R~_0/q^H = q^H too: R~_0 = prod_(i,j) alpha_i alpha_j =
-    (prod_i alpha_i)^(4g) = q^N, since a WeilPolynomial has c_0 = q^g.  So
-    x^N R(1/x), whose roots are the inverses of R's and whose leading
-    coefficient is R_0, is R.  The top coefficients a_0..a_H of R~, which
-    Newton's identities take from S_1^2..S_H^2, give R_(H+t) = a_(H-t) q^t
-    for t = 0..H, and the palindrome gives the rest: no division is left.
+    R, of degree (2g)^2, vanishes exactly at the eigenvalue ratios
+    alpha_j/alpha_i; A = P_2 has the roots alpha_i^2 and B, of degree
+    N = g(2g-1), the products alpha_i alpha_j for i < j (module docstring).
+    Power sums and Newton's identities work on the roots counted with
+    multiplicity, so both are exact for repeated roots too.  Newton's
+    identities give the top half of each factor, A's from S_2, S_4, ..,
+    S_2g and B's from (S_k^2 - S_2k)/2 for k <= N/2, and the symmetry rules
+    of the module docstring give the rest: A(qx) is palindromic, and
+    coefficient N - k of B(qx) is (-1)^N times coefficient k.
     """
-    H = 2 * P.g * P.g
-    S = root_power_sums(IntPoly(P.coeffs), H)
-    # coefficient t of the degree-H result is a_(H-t)
-    a = from_power_sums([s * s for s in S]).coeffs
-    upper = [c * P.q ** t for t, c in enumerate(a)]
-    return IntPoly(upper[:0:-1] + upper)
+    g, q = P.g, P.q
+    N = g * (2 * g - 1)
+    K = N // 2
+    S = root_power_sums(IntPoly(P.coeffs), 2 * max(g, K))
+    # coefficient i of the Newton results is that of x^(g+i) in A and of
+    # x^(N-K+i) in B
+    a = from_power_sums(S[1:2 * g:2]).coeffs
+    pair_sums = [(S[k - 1] ** 2 - S[2 * k - 1]) // 2 for k in range(1, K + 1)]
+    b = from_power_sums(pair_sums).coeffs
+    upper_a = [c * q ** (g + i) for i, c in enumerate(a)]
+    upper_b = [c * q ** (N - K + i) for i, c in enumerate(b)]
+    lower_b = upper_b[::-1][:N - K]
+    if N % 2:
+        lower_b = [-c for c in lower_b]
+    return IntPoly(upper_a[:0:-1] + upper_a), IntPoly(lower_b + upper_b)
 
 
 def _torsion_candidates(g: int) -> tuple[int, ...]:
@@ -213,9 +247,11 @@ def _torsion_table(g: int):
     # lcm L stays at most PREFILTER_LCM_CAP; per run a prime ell = 1 mod L,
     # the first such above 2^31, and for each m of the run an element w_m of
     # exact order m in F_ell, w_m = w^(L/m) for w of exact order L.  Returns
-    # the runs' primes and, one row per order, the read-only int64 arrays
-    # run (the run's index), ell, orders (m) and M, whose row holds
-    # w_m^t + w_m^-t mod ell for t = 1..2g^2 after a 1 at t = 0
+    # the runs' primes and, for A(qx) of degree d = 2g and for B(qx) of
+    # degree d = N, the rows (ell, m, weights) of the orders m with
+    # phi(m) <= d, in ascending m: weights holds the w_m^k + sign w_m^(d-k)
+    # mod ell for k = ceil(d/2)..d, w_m^k alone at k = d/2, with sign 1 for
+    # A(qx) and (-1)^N for B(qx)
     runs: list[list] = []  # [L, orders] per run, L kept as a running lcm
     for m in _torsion_candidates(g):
         L = math.lcm(runs[-1][0], m) if runs else PREFILTER_LCM_CAP + 1
@@ -224,15 +260,13 @@ def _torsion_table(g: int):
             runs[-1][1].append(m)
         else:
             runs.append([m, [m]])
-    primes, rows = [], []  # rows: (run index, ell, m, w_m)
-    for i, (L, run_orders) in enumerate(runs):
+    N = g * (2 * g - 1)
+    top = max(2 * g, N)
+    primes, rows = [], ([], [])
+    for L, run_orders in runs:
         p = (2 ** 31 // L + 1) * L + 1
         while not _fpx.is_prime(p):
             p += L
-        # each product of two residues is then below 2^63, and a row's sum
-        # of 2g^2 + 1 reduced products far below it
-        if p * p >= 2 ** 63:
-            raise InvariantViolation(f"prefilter prime {p} is not below 2^31.5")
         # w = a^((p-1)/L) has exact order L when no a^((p-1)/r), r | L prime, is 1
         divisors = tuple(_fpx.prime_divisors(L))
         a = 2
@@ -240,69 +274,82 @@ def _torsion_table(g: int):
             a += 1
         w = pow(a, (p - 1) // L, p)
         primes.append(p)
-        rows += [(i, p, m, pow(w, L // m, p)) for m in run_orders]
-    run, ell, orders, w = (np.array(col, dtype=np.int64) for col in zip(*rows))
-    # w_m^-1 = w_m^(m-1)
-    w_inv = np.array([pow(root, m - 1, p) for _, p, m, root in rows], dtype=np.int64)
-    H = 2 * g * g
-    M = np.empty((len(orders), H + 1), dtype=np.int64)
-    M[:, 0] = 1
-    up, down = w, w_inv
-    for t in range(1, H + 1):
-        M[:, t] = (up + down) % ell
-        up = up * w % ell
-        down = down * w_inv % ell
-    for table in (run, ell, orders, M):
-        table.flags.writeable = False
-    return tuple(primes), run, ell, orders, M
+        for m in run_orders:
+            phi = m
+            for r in _fpx.prime_divisors(m):
+                phi = phi // r * (r - 1)
+            if phi > top:
+                continue  # Phi_m divides neither factor
+            powers = [1, pow(w, L // m, p)]
+            while len(powers) <= top:
+                powers.append(powers[-1] * powers[1] % p)
+            for out, d, sign in zip(rows, (2 * g, N), (1, (-1) ** N)):
+                if phi <= d:
+                    out.append((p, m, tuple(
+                        powers[k] if 2 * k == d else (powers[k] + sign * powers[d - k]) % p
+                        for k in range(d - d // 2, d + 1)
+                    )))
+    return tuple(primes), tuple(map(tuple, rows))
 
 
 def ratio_torsion_orders(P: WeilPolynomial) -> set[int]:
-    """{m >= 2 : the m-th cyclotomic polynomial divides ratio_poly(P)}.
+    """{m >= 2 : the m-th cyclotomic polynomial divides the ratio
+    polynomial R of P}.
 
     Empty exactly when [Q(pi^n) : Q] = 2g for every n >= 1.  Only the
-    orders allowed by the two bounds in the module docstring are tested,
-    and only those whose residue R(w_m) mod their prefilter prime ell is
-    zero are divided out exactly (module docstring).  As R is palindromic
-    of degree 2H (ratio_poly), R(w) = w^H (R_H + sum_(t>=1) R_(H+t) (w^t +
-    w^-t)), and w_m is a unit mod ell; so each bracket, for every order at
-    once, is one int64 product of R_H..R_2H mod ell with a cached matrix.
+    orders allowed by the two bounds in the module docstring are tested.
+    Phi_m | R exactly when Phi_m divides A(qx) or B(qx) (ratio_poly), which
+    it can only when phi(m) is at most that factor's degree; and each
+    factor is divided out exactly only when its residue at w_m mod the
+    prefilter prime ell is zero (module docstring).  By the symmetry rules,
+    F(w) = sum_(k >= d/2) F_k (w^k +- w^(d-k)) for each factor F of degree
+    d, so a residue is one sum of products of F's top half mod ell with a
+    cached row of weights.
     """
-    R = ratio_poly(P)
-    primes, run, ell, orders, M = _torsion_table(P.g)
-    upper = R.coeffs[R.degree // 2:]
-    C = np.array([[c % p for c in upper] for p in primes], dtype=np.int64)[run]
-    residues = (M * C % ell[:, None]).sum(axis=1) % ell
-    return {
-        m for m in orders[residues == 0].tolist()
-        if divmod_exact(R, cyclotomic(m))[1].is_zero
-    }
+    factors = ratio_poly(P)
+    primes, rows = _torsion_table(P.g)
+    sent: dict[int, list[IntPoly]] = {}  # order -> the factors with a zero residue
+    for F, F_rows in zip(factors, rows):
+        upper = F.coeffs[len(F.coeffs) // 2:]
+        reduced = {p: [c % p for c in upper] for p in primes}
+        for p, m, weights in F_rows:
+            if not sum(map(mul, weights, reduced[p])) % p:
+                sent.setdefault(m, []).append(F)
+    out = set()
+    for m in sorted(sent):
+        phi = cyclotomic(m)
+        if any(divmod_exact(F, phi)[1].is_zero for F in sent[m]):
+            out.add(m)
+    return out
 
 
 def _weil_factors(P: WeilPolynomial) -> list[tuple[IntPoly, int]]:
     # factor(P)'s irreducible factors, read off those of the real polynomial
-    # h when P satisfies the Riemann hypothesis (module docstring)
+    # h when P satisfies the Riemann hypothesis (module docstring).  factor
+    # is intpoly's unchecked core here: the one product check, over P, covers
+    # a check over h (module docstring)
     h = real_poly(P)
     if not _real_is_weil(h, P.q):
-        return factor(IntPoly(P.coeffs))[1]
-    q, r = P.q, math.isqrt(P.q)
-    out = []
-    for k, e in factor(h)[1]:
-        if r * r == q and k.coeffs in ((-2 * r, 1), (2 * r, 1)):
-            out.append((IntPoly([k.coeffs[0] // 2, 1]), 2 * e))  # (x -+ r)^2
-        elif k.coeffs == (-4 * q, 0, 1):
-            out.append((IntPoly([-q, 0, 1]), 2 * e))  # (x^2 - q)^2
-        else:
-            # x^d k(x + q/x) = sum_j k_j x^(d-j) (x^2 + q)^j
-            d = k.degree
-            K = [0] * (2 * d + 1)
-            for j, kj in enumerate(k.coeffs):
-                for i in range(j + 1):
-                    K[d - j + 2 * i] += kj * math.comb(j, i) * q ** (j - i)
-            out.append((IntPoly(K), e))
-    out.sort(key=factor_key)
+        out = factor(IntPoly(P.coeffs))[1]
+    else:
+        q, r = P.q, math.isqrt(P.q)
+        out = []
+        for k, e in factor(h)[1]:
+            if r * r == q and k.coeffs in ((-2 * r, 1), (2 * r, 1)):
+                out.append((IntPoly([k.coeffs[0] // 2, 1]), 2 * e))  # (x -+ r)^2
+            elif k.coeffs == (-4 * q, 0, 1):
+                out.append((IntPoly([-q, 0, 1]), 2 * e))  # (x^2 - q)^2
+            else:
+                # x^d k(x + q/x) = sum_j k_j x^(d-j) (x^2 + q)^j
+                d = k.degree
+                K = [0] * (2 * d + 1)
+                for j, kj in enumerate(k.coeffs):
+                    for i in range(j + 1):
+                        K[d - j + 2 * i] += kj * math.comb(j, i) * q ** (j - i)
+                out.append((IntPoly(K), e))
+        out.sort(key=factor_key)
     if factor_product(out).coeffs != P.coeffs:
-        raise InvariantViolation("factors of h do not reproduce the Weil polynomial")
+        raise InvariantViolation("factors do not reproduce the Weil polynomial")
     return out
 
 

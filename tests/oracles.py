@@ -5,8 +5,8 @@ singular-point search on their own digit-tuple field arithmetic (they share
 only the canonical modulus with the package), a Sylvester-matrix resultant
 over Fraction arithmetic, a root-of-unity scan by explicit
 minimal-polynomial degree, the power charpoly and ratio polynomial as
-bivariate resultants, the ratio polynomial by Newton's identities at full
-length, the torsion scan over every m with phi(m) <= (2g)^2,
+bivariate resultants, the ratio polynomial and its two factors by Newton's
+identities at full length, the torsion scan over every m with phi(m) <= (2g)^2,
 a cubic's rational roots by trying every integer inside Cauchy's bound,
 prime powers by trial division, distinct-degree factorization by one
 modular exponentiation per degree, Rabin's irreducibility test,
@@ -307,6 +307,21 @@ def ratio_poly_by_full_newton(P) -> IntPoly:
     if R.degree != n * n:
         raise ValueError(f"ratio polynomial degree {R.degree} != (2g)^2")
     return R
+
+
+def ratio_factors_by_full_newton(P) -> tuple[IntPoly, IntPoly]:
+    """(A, B): the monic A of degree 2g with roots alpha_i^2, from the power
+    sums S_2k, and the monic B of degree g(2g - 1) with roots alpha_i
+    alpha_j for i < j, from the power sums (S_k^2 - S_2k)/2, each by
+    Newton's identities on all of its power sums, without using a symmetry
+    of either."""
+    n, N = 2 * P.g, P.g * (2 * P.g - 1)
+    S = root_power_sums(IntPoly(P.coeffs), 2 * max(n, N))
+    A = from_power_sums(S[1:2 * n:2])
+    halves = [S[k - 1] ** 2 - S[2 * k - 1] for k in range(1, N + 1)]
+    if any(c % 2 for c in halves):
+        raise ValueError("pair power sums are not integral")
+    return A, from_power_sums([c // 2 for c in halves])
 
 
 @functools.lru_cache(maxsize=None)

@@ -48,6 +48,25 @@ def test_analyze_overlong_tuple_coefficient_is_input_error(capsys):
     assert "coefficient tuple of 5002 characters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "curve,prefix",
+    [
+        ("3; h=; f=" + "1" * 5000 + ",1,0,1", "error: bad coefficient '1111"),
+        ("3^2; h=; f=(1,0),(" + "1," * 2500 + "x)",
+         "error: bad coefficient tuple list: '(1,0),(1,1,"),
+        ("3^2; h=; f=(1,0),(" + "1," * 2500 + "1)",
+         "error: coefficient tuple longer than k=2: '1,1,"),
+    ],
+    ids=["coefficient", "tuple-list", "tuple-length"],
+)
+def test_analyze_long_rejected_coefficients_are_named_clipped(curve, prefix, capsys):
+    # each rejected text is named clipped: one short stderr line
+    assert main(["analyze", "--curve", curve]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1 and len(err) < 200, err[:300]
+    assert " characters)\n" in err
+
+
 @pytest.mark.parametrize("spec", ["1" * 5000, "3^" + "1" * 5000], ids=["p", "k"])
 def test_analyze_field_spec_past_the_int_digit_limit_is_input_error(spec, capsys):
     # int() of 5,000 digits raises ValueError; the spec is named clipped

@@ -10,7 +10,7 @@ from sympy.polys.densearith import dup_add, dup_mul, dup_sub
 from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_factor_list
 
-from frobtorus.errors import NonIntegralCoefficient, ZeroPolynomial
+from frobtorus.errors import InvariantViolation, NonIntegralCoefficient, ZeroPolynomial
 from frobtorus.intpoly import (
     IntPoly,
     cyclotomic,
@@ -544,3 +544,14 @@ def test_poly_gcd_recovers_common_factor():
     g = common * (X + IntPoly([5])) * IntPoly([3])
     assert gcd(f, g) == common
     assert gcd(IntPoly([4, 6]), IntPoly([6])) == IntPoly([2])
+
+
+def test_factor_checks_its_core(monkeypatch):
+    # the public factor keeps its product check over whatever its core returns
+    core = intpoly.factor_unchecked
+    f = IntPoly([-6, 11, -6, 1])  # (x - 1)(x - 2)(x - 3)
+    unit, fs = core(f)
+    assert factor(f) == (unit, fs)
+    monkeypatch.setattr(intpoly, "factor_unchecked", lambda g: (unit, [(fs[0][0], 2)] + fs[1:]))
+    with pytest.raises(InvariantViolation, match="does not reproduce"):
+        factor(f)

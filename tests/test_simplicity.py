@@ -53,6 +53,7 @@ from oracles import (
     decide_by_every_order,
     minpoly_degree_over_q,
     powmod_monic,
+    ratio_factors_by_full_newton,
     ratio_poly_by_full_newton,
     ratio_poly_by_resultant,
     ratio_torsion_orders_by_phi_scan,
@@ -120,14 +121,28 @@ def test_minpoly_power_degree_against_linear_algebra_oracle():
             assert got == want, (P.coeffs, n, got, want)
 
 
+def _scaled_ratio(P):
+    # q^(2g^2) R from ratio_poly's two factors: A(qx) B(qx)^2
+    A, B = ratio_poly(P)
+    return A * B * B
+
+
+def _times_q_power(P, R):
+    # q^(2g^2) R, the scale of _scaled_ratio
+    return P.q ** (2 * P.g * P.g) * R
+
+
 def test_ratio_poly_known_values():
-    assert ratio_poly(P_SS) == IntPoly([25, 0, -50, 0, 25])
-    assert ratio_poly(P_ORD) == IntPoly([25, -20, -10, -20, 25])
+    assert _scaled_ratio(P_SS) == _times_q_power(P_SS, IntPoly([25, 0, -50, 0, 25]))
+    assert _scaled_ratio(P_ORD) == _times_q_power(P_ORD, IntPoly([25, -20, -10, -20, 25]))
+    # A = (x + 5)^2, the charpoly of pi^2 = -5, and B = x - 5, the root pi
+    # pib = q; g = 1 makes N = 1 odd, so B(qx) = 5x - 5 mirrors with a sign
+    assert ratio_poly(P_SS) == (IntPoly([25, 50, 25]), IntPoly([-5, 5]))
 
 
 def test_ratio_poly_is_exact_for_repeated_roots():
     P = WeilPolynomial(q=5, g=2, coeffs=(25, 0, 10, 0, 1))  # (T^2+5)^2
-    assert ratio_poly(P) == ratio_poly_by_resultant(P)
+    assert _scaled_ratio(P) == _times_q_power(P, ratio_poly_by_resultant(P))
 
 
 def _weil_in_window(q, g, counts):
@@ -151,7 +166,7 @@ weil_in_window = st.one_of(
 def test_power_sum_kernel_matches_resultant_oracles(P):
     for n in range(1, 13):
         assert charpoly_power(P, n) == charpoly_power_by_resultant(P, n), n
-    assert ratio_poly(P) == ratio_poly_by_resultant(P)
+    assert _scaled_ratio(P) == _times_q_power(P, ratio_poly_by_resultant(P))
 
 
 def test_ratio_torsion_orders():
@@ -202,27 +217,45 @@ def _prefilter_by_sympy(g):
     return tuple(primes), rows
 
 
+def _factor_degrees(g):
+    # (d, sign) of A(qx) and B(qx): the degree, and the sign of the mirror
+    # rule that maps coefficient k to coefficient d - k
+    N = g * (2 * g - 1)
+    return (2 * g, 1), (N, (-1) ** N)
+
+
+def _weights(d, sign, p, w):
+    # the weights of the top half of a degree-d factor under its mirror rule,
+    # at w mod p; a middle coefficient counts once
+    return tuple(
+        pow(w, k, p) if 2 * k == d else (pow(w, k, p) + sign * pow(w, d - k, p)) % p
+        for k in range((d + 1) // 2, d + 1)
+    )
+
+
 @pytest.mark.parametrize("g", range(1, 9))
 def test_torsion_prefilter_roots_are_roots_of_the_cyclotomics(g):
-    # a zero residue R(w_m) mod ell is necessary for Phi_m | R only when
+    # a zero residue F(w_m) mod ell is necessary for Phi_m | F only when
     # w_m is a root of Phi_m mod ell, i.e. has exact order m in F_ell.  The
-    # table holds w_m through M[:, 1] = w_m + w_m^-1, which fixes it up to
-    # inversion, and the inverse has the same order
-    primes, run, ell, orders, M = _torsion_table(g)
-    want_primes, rows = _prefilter_by_sympy(g)
-    assert tuple(orders.tolist()) == _torsion_candidates(g)
-    assert list(zip(run.tolist(), ell.tolist(), orders.tolist())) == [
-        row[:3] for row in rows
-    ]
+    # table holds w_m through its weights, which are those of the w_m below;
+    # each factor has a row for each candidate order m whose phi(m) is at
+    # most its degree, the only ones whose Phi_m can divide it
+    primes, rows = _torsion_table(g)
+    want_primes, want = _prefilter_by_sympy(g)
+    assert [m for _, _, m, _ in want] == list(_torsion_candidates(g))
     assert primes == want_primes
-    assert M[:, 1].tolist() == [(w + pow(w, -1, p)) % p for _, p, _, w in rows]
-    for _, p, m, w in rows:
+    for (d, sign), got in zip(_factor_degrees(g), rows):
+        assert list(got) == [
+            (p, m, _weights(d, sign, p, w))
+            for _, p, m, w in want if sympy.totient(m) <= d
+        ]
+    for _, p, m, w in want:
         assert p > 2 ** 31 and sympy.isprime(p)
         assert (p - 1) % m == 0
         assert sympy.n_order(w, p) == m
         assert cyclotomic(m)(w) % p == 0
     for i in range(len(primes)):
-        assert math.lcm(*(m for r, _, m, _ in rows if r == i)) <= 2 ** 24
+        assert math.lcm(*(m for r, _, m, _ in want if r == i)) <= 2 ** 24
     if g <= 4:
         # L <= 2^23: one run, one prime for every order
         assert primes == ((2147483713, 2147484721, 2154166561, 2156394241)[g - 1],)
@@ -230,37 +263,27 @@ def test_torsion_prefilter_roots_are_roots_of_the_cyclotomics(g):
 
 @pytest.mark.parametrize("g", range(1, 9))
 def test_torsion_residue_matrix_is_exact_and_read_only(g):
-    # row i of M holds w^t + w^-t mod ell for the i-th candidate order,
-    # after a 1 at t = 0; every entry is a residue, so with ell < 2^31.5 no
-    # int64 product of two of them overflows
-    primes, run, ell, orders, M = _torsion_table(g)
-    _, rows = _prefilter_by_sympy(g)
-    assert all(p * p < 2 ** 63 for p in primes)
-    assert M.dtype == np.int64 and M.shape == (len(rows), 2 * g * g + 1)
-    assert ((M >= 0) & (M < ell[:, None])).all()
-    assert not any(a.flags.writeable for a in (run, ell, orders, M))
-    with pytest.raises(ValueError):
-        M[0, 0] = 0
-    for got, (_, p, m, w) in zip(M.tolist(), rows):
-        assert got == [1] + [
-            (pow(w, t, p) + pow(w, -t, p)) % p for t in range(1, 2 * g * g + 1)
-        ], (g, m)
-
-
-def test_torsion_residue_matrix_refuses_a_prime_past_2_to_the_31_5(monkeypatch):
-    # 3037000493 is the last prime whose square is below 2^63, and
-    # 3037000507 the first past it; a run of the one order ell - 1 > 2^31
-    # takes ell as its prime.  Below the bound the int64 products stay
-    # exact: w^2 + w^-2 = (w + w^-1)^2 - 2
-    build = simplicity._torsion_table.__wrapped__
-    below, past = 3037000493, 3037000507
-    monkeypatch.setattr(simplicity, "_torsion_candidates", lambda g: (below - 1,))
-    primes, _, _, _, M = build(1)
-    s = M[0, 1].item()
-    assert primes == (below,) and M.tolist() == [[1, s, (s * s - 2) % below]]
-    monkeypatch.setattr(simplicity, "_torsion_candidates", lambda g: (past - 1,))
-    with pytest.raises(InvariantViolation, match="2\\^31.5"):
-        build(1)
+    # each row's weights take the top half of A(qx) or B(qx) mod ell to the
+    # factor's value at w_m mod ell; every weight is a residue, and the
+    # table is tuples throughout, so no caller can change it
+    primes, rows = _torsion_table(g)
+    _, want = _prefilter_by_sympy(g)
+    w_of = {m: w for _, _, m, w in want}
+    assert isinstance(rows, tuple) and all(isinstance(r, tuple) for r in rows)
+    # random integer polynomials under the two symmetry rules, evaluated at
+    # w_m by Horner's rule over Z
+    rng = random.Random(g)
+    for (d, sign), got in zip(_factor_degrees(g), rows):
+        F = [0] * (d + 1)
+        for k in range((d + 1) // 2, d + 1):
+            F[k] = rng.randrange(-10 ** 30, 10 ** 30)
+            F[d - k] = sign * F[k] if 2 * k != d else F[k]
+        upper = F[(d + 1) // 2:]
+        for p, m, weights in got:
+            assert isinstance(weights, tuple) and all(0 <= x < p for x in weights)
+            assert len(weights) == len(upper)
+            value = sum(x * (c % p) for x, c in zip(weights, upper)) % p
+            assert value == IntPoly(F)(w_of[m]) % p, (g, d, m)
 
 
 # survey families and the number of distinct Weil polynomials among their
@@ -300,12 +323,37 @@ def _family_weils(p, g, deg, limit):
     return set(_odd_weils(p, g, np.concatenate(rows)[:limit]))
 
 
+def _at_qx(F, q):
+    # F(qx)
+    return IntPoly([c * q ** i for i, c in enumerate(F.coeffs)])
+
+
+def _check_ratio_factors(P):
+    # ratio_poly's A(qx) and B(qx) against the factors built at full length;
+    # both symmetry rules on the full-length factors, B's with its sign
+    # (-1)^N, which is -1 at odd g; and A(qx) B(qx)^2 = q^(2g^2) R for R
+    # built at full length
+    A, B = ratio_factors_by_full_newton(P)
+    q, g, N = P.q, P.g, B.degree
+    assert (A.degree, N) == (2 * g, g * (2 * g - 1))
+    assert ratio_poly(P) == (_at_qx(A, q), _at_qx(B, q)), P
+    assert all(
+        A.coeffs[k] * q ** (2 * k) == q ** (2 * g) * A.coeffs[2 * g - k]
+        for k in range(2 * g + 1)
+    ), P
+    sign = -1 if g % 2 else 1
+    assert all(
+        B.coeffs[k] * q ** (2 * k) == sign * q ** N * B.coeffs[N - k] for k in range(N + 1)
+    ), P
+    assert _scaled_ratio(P) == _times_q_power(P, ratio_poly_by_full_newton(P)), P
+
+
 def _check_half_length_ratio_poly(Ps):
     # ratio_poly against the full-length construction, ratio_torsion_orders
     # against the phi scan; the number of P with a nonempty torsion set
     nonempty = 0
     for P in Ps:
-        assert ratio_poly(P) == ratio_poly_by_full_newton(P), P
+        _check_ratio_factors(P)
         orders = ratio_torsion_orders(P)
         assert orders == ratio_torsion_orders_by_phi_scan(P), P
         nonempty += bool(orders)
@@ -323,7 +371,7 @@ def test_half_length_ratio_poly_on_survey_families(family, distinct):
     assert _check_half_length_ratio_poly(Ps) > 0
     if family[1] <= 3:
         for P in Ps[::8]:
-            assert ratio_poly(P) == ratio_poly_by_resultant(P), P
+            assert _scaled_ratio(P) == _times_q_power(P, ratio_poly_by_resultant(P)), P
 
 
 GENUS_7_CURVE = "3; h=; f=0,1,0,0,0,2,2,0,1,2,0,1,2,0,2,1"
@@ -364,9 +412,9 @@ def test_half_length_ratio_poly_on_seeded_genus_5_to_8():
     assert _check_half_length_ratio_poly(Ps) >= 3
 
 
-# the prefilter primes of g = 1 and g = 2 as q: R_(H+t) = a_(H-t) q^t, so R
-# is R_H x^H mod ell and every order gets the residue R_H; none needs a
-# special case
+# the prefilter primes of g = 1 and g = 2 as q: every coefficient of A(qx)
+# and B(qx) is a multiple of q, so every order gets the residue 0 and goes
+# on to exact division; none needs a special case
 ELL_1, ELL_2 = 2147483713, 2147484721
 
 
@@ -741,6 +789,43 @@ def test_weil_path_checks_the_product(monkeypatch):
     monkeypatch.setattr(simplicity, "factor", lambda f: (1, [(IntPoly([-2, 1]), 2)]))
     with pytest.raises(InvariantViolation):
         simplicity._weil_factors(P)
+
+
+def _wrong_root(fs):
+    # the first factor's constant term moved by one: a linear factor's root
+    # moves, a larger factor becomes another polynomial
+    (k, e), *rest = fs
+    return [(IntPoly([k.coeffs[0] + 1, *k.coeffs[1:]]), e), *rest]
+
+
+def _wrong_multiplicity(fs):
+    (k, e), *rest = fs
+    return [(k, e + 1), *rest]
+
+
+@pytest.mark.parametrize("corrupt", [_wrong_root, _wrong_multiplicity])
+@pytest.mark.parametrize(
+    "P",
+    [
+        WeilPolynomial(q=5, g=2, coeffs=(25, 0, 6, 0, 1)),  # h = (y - 2)(y + 2)
+        P_AS2,  # h irreducible
+        WeilPolynomial(q=3, g=3, coeffs=(27, 0, 18, 2, 6, 0, 1)),  # h has a double root
+        NON_WEIL_2,  # factored at full degree
+    ],
+    ids=["split", "irreducible", "repeated", "non-weil"],
+)
+def test_one_product_check_catches_a_corrupted_factorization(P, corrupt, monkeypatch):
+    # _weil_factors factors h, or a non-Weil P, with factor's unchecked
+    # core; the one product check over P must catch any corruption of it
+    core = simplicity.factor
+
+    def corrupted(f):
+        unit, fs = core(f)
+        return unit, corrupt(fs)
+
+    monkeypatch.setattr(simplicity, "factor", corrupted)
+    with pytest.raises(InvariantViolation, match="^factors do not reproduce the Weil polynomial$"):
+        classify(P)
 
 
 def test_verdict_json_roundtrip():
