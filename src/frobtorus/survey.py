@@ -13,22 +13,16 @@ smoothness_gcd_degrees call, the rows of its curves to one count_batch
 call, and a curve's equation text is built once, as its record's curve.
 A block's singular equations are only a count: enumerated less valid.
 
-Persistence is append-only JSONL with a config fingerprint header.  One
-rule serves report and resume: a survey file is what the survey writes.
-Each re-derives the file, comparing each line the header's survey (or,
-without a header, find) writes with the file's next line, byte for byte
-up to the timing (_Replay); resume then appends, after truncating a
-partial trailing line from a kill mid-write.  Output order is enumeration
-order, keeping files byte-identical across runs up to the timing field.
-
-A record's counts, weil and verdict members are a function of its counts
-vector alone, so a survey encodes them once per distinct vector (an LRU of
-CLASSIFY_CACHE_SIZE encoded tails keyed on (q, g, counts)) and writes each
-record as its curve text, that tail and its timing: the bytes of
-json.dumps(record, separators=(",", ":")).  The first record of a vector
-times its Weil polynomial and its classification as zeta_s and
-classify_s; a later one, which finds the tail encoded before its lookup
-began, records the lookup's time as zeta_s and 0.0 as classify_s.
+Persistence is append-only JSONL with a config fingerprint header.  A
+record is {"curve":...,<tail>}, the bytes of json.dumps(record,
+separators=(",", ":")), in enumeration order, so identical inputs give
+identical files.  Its tail, the counts, weil and verdict members, is a
+function of its counts vector alone, encoded once per vector (an LRU of
+CLASSIFY_CACHE_SIZE tails keyed on (q, g, counts)).  A survey file is what
+the survey writes: report and resume re-derive it, comparing each line the
+header's survey (or, without a header, find) writes with the file's next
+line, byte for byte (_Replay); resume then appends, after truncating a
+partial trailing line from a kill mid-write.
 
 Surveys count equations, not isomorphism classes; summaries carry that bias
 note and label results as empirical fractions.
@@ -41,7 +35,6 @@ import functools
 import itertools
 import json
 import os
-import re
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -82,7 +75,7 @@ from .simplicity import (
 )
 from .zeta import is_weil, weil_from_counts, weil_from_json, weil_to_json
 
-FORMAT = "frobtorus-survey-v1"
+FORMAT = "frobtorus-survey-v2"
 KIND_ORDER = (ABSOLUTELY_SIMPLE, NOT_SIMPLE, NOT_ABSOLUTELY_SIMPLE, INCONCLUSIVE)
 BIAS_NOTE = "empirical fraction over equations, not isomorphism classes"
 # equations per screened block: one smoothness_gcd_degrees call decides
@@ -193,18 +186,10 @@ def _content(counts: PointCounts):
 
 @functools.lru_cache(maxsize=CLASSIFY_CACHE_SIZE)
 def _record_tail(q: int, g: int, counts: tuple[int, ...]):
-    # the encoded members of every record with these counts (json.dumps of
-    # _content's dict, braces cut off), its verdict kind, the zeta_s and
-    # classify_s of the encoding, and the perf_counter reading that ends it.
-    # PointCounts' Weil-bound check raises on a miss; errors are not cached
-    members, zeta_s, classify_s = _content(PointCounts(q=q, g=g, counts=counts))
-    text = json.dumps(members, separators=(",", ":"))[1:-1]
-    return text, members["verdict"]["kind"], zeta_s, classify_s, time.perf_counter()
-
-
-# a record as json.dumps(record, separators=(",", ":")) writes it, with the
-# curve encoded as json.dumps encodes a string and each time as its repr
-_LINE = '{"curve":%s,%s,"timing":{"count_s":%s,"zeta_s":%r,"classify_s":%r}}\n'
+    # the tail of every record with these counts (json.dumps of _content's
+    # dict, braces cut off) and its kind; PointCounts' errors are not cached
+    members, *_ = _content(PointCounts(q=q, g=g, counts=counts))
+    return json.dumps(members, separators=(",", ":"))[1:-1], members["verdict"]["kind"]
 
 
 def _read_survey(data: bytes):
@@ -240,18 +225,8 @@ def _read_survey(data: bytes):
 
 
 class _Replay:
-    """A stream for the writer that holds it to a file's whole lines: each
-    line written must be the file's next line, byte for byte up to
-    ,"timing":, and the rest _TIMING, whose numbers are not checked.  A line
-    past the file's lines goes to out once the file is cut to keep.
-    """
-
-    # what follows ,"timing": in a record: three JSON numbers (N), then braces
-    _TIMING = re.compile(
-        rb'\{"count_s":N,"zeta_s":N,"classify_s":N\}\}'.replace(
-            b"N", rb"-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][+-]?\d+)?"
-        )
-    )
+    """A stream for the writer that holds it to a file's whole lines, byte
+    for byte; a line past them goes to out once the file is cut to keep."""
 
     def __init__(self, lines: list[bytes], out=None, keep: int | None = None):
         self.lines, self.out, self.keep, self.matched = lines, out, keep, 0
@@ -264,13 +239,7 @@ class _Replay:
             return
         stored = self.lines[self.matched]
         self.matched = n = self.matched + 1
-        head, timing, _ = line.rpartition(',"timing":')
-        if timing:
-            head = (head + timing).encode()
-            ok = stored.startswith(head) and self._TIMING.fullmatch(stored, len(head))
-        else:  # the header line
-            ok = stored == line[:-1].encode()
-        if not ok:
+        if stored != line[:-1].encode():
             at = len(os.path.commonprefix([stored, line.encode()]))
             raise CorruptRecord(
                 f"line {n} is not what the survey writes: from byte {at + 1}, "
@@ -347,21 +316,12 @@ def _result_stream(cfg: SurveyConfig):
 
 def _counted(base, g, keys, h, f):
     # the (JSONL line, verdict kind) of each curve of a block: keys are their
-    # equation texts, and h and f their code rows.  Every record's count_s
-    # is its share of the block's count time; one whose tail an earlier
-    # record encoded (before this lookup began) takes the lookup's own time
-    # as zeta_s and 0.0 as classify_s
+    # equation texts, and h and f their code rows
     if not keys:
         return
-    t0 = time.perf_counter()
-    counts = count_batch(base, g, h, f)
-    count_s = repr((time.perf_counter() - t0) / len(keys))
-    for key, c in zip(keys, counts):
-        t0 = time.perf_counter()
-        tail, kind, *times, encoded = _record_tail(base.q, g, tuple(c))
-        if encoded < t0:
-            times = time.perf_counter() - t0, 0.0
-        yield _LINE % (encode_basestring_ascii(key), tail, count_s, *times), kind
+    for key, c in zip(keys, count_batch(base, g, h, f)):
+        tail, kind = _record_tail(base.q, g, tuple(c))
+        yield '{"curve":%s,%s}\n' % (encode_basestring_ascii(key), tail), kind
 
 
 def run_survey(cfg: SurveyConfig, out_path: str | None = None, stream=None) -> dict:
@@ -476,13 +436,13 @@ def analyze_one(curve_text: str | None = None, weil_json=None) -> dict:
 def report(path: str) -> dict:
     """Aggregate the records of a survey file, checked by re-deriving it.
 
-    The file must be what a survey writes: run_survey of the header's
-    family, with limit the file's record count, must write each of its
-    lines, byte for byte up to its timing (_Replay); a headerless file
-    must be run_find output for the family of its first key.  Raises
-    CorruptRecord (with the offending line number) at the first line that
-    differs or lies past the family's end, for a header that _read_survey
-    refuses or whose format is another, and for a torn last line.
+    The file must be what a survey writes, byte for byte (_Replay): the
+    lines run_survey of the header's family writes, with limit the file's
+    record count, or for a headerless file, run_find's for the family of
+    its first key.  Raises CorruptRecord (with the offending line number)
+    at the first line that differs or lies past the family's end, for a
+    header that _read_survey refuses or whose format is another, and for a
+    torn last line.
     """
     with open(path, "rb") as fh:
         data = fh.read()

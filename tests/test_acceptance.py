@@ -70,18 +70,7 @@ def test_criterion_2_survey_fraction_matches_frozen_golden(tmp_path):
     dt = time.perf_counter() - t0
     golden_summary = json.loads((GOLDEN / "p3_g2_deg5_summary.json").read_text())
     summary.pop("elapsed_s")
-
-    def strip(lines):
-        out_l = []
-        for line in lines:
-            d = json.loads(line)
-            d.pop("timing", None)
-            out_l.append(d)
-        return out_l
-
-    records_match = strip(out.read_text().splitlines()) == strip(
-        (GOLDEN / "p3_g2_deg5.jsonl").read_text().splitlines()
-    )
+    records_match = out.read_bytes() == (GOLDEN / "p3_g2_deg5.jsonl").read_bytes()
     ok = (
         dt < 10.0
         and summary["absolutely_simple_fraction"] > 0
@@ -260,14 +249,6 @@ def test_criterion_8_kill_and_resume_genus3_survey(tmp_path):
     ref = tmp_path / "ref.jsonl"
     run_survey(SurveyConfig(**cfg_kw), out_path=str(ref))
     full = ref.read_bytes()
-
-    def strip(lines):
-        return [
-            {k: v for k, v in json.loads(line).items() if k != "timing"}
-            for line in lines
-        ]
-
-    want = strip(full.decode().splitlines())
     cuts = [
         len(full) // 5,
         len(full) // 2,
@@ -280,7 +261,8 @@ def test_criterion_8_kill_and_resume_genus3_survey(tmp_path):
         trunc = tmp_path / f"cut{cut}.jsonl"
         trunc.write_bytes(full[:cut])
         run_survey(SurveyConfig(**cfg_kw), out_path=str(trunc))
-        if strip(trunc.read_text().splitlines()) != want:
+        if trunc.read_bytes() != full:
             ok = False
-    _line(8, ok, f"resume from {len(cuts)} interruption points reproduces the run")
+    _line(8, ok, f"resume from {len(cuts)} interruption points reproduces the run "
+          "byte for byte")
     assert ok
